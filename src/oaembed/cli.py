@@ -76,7 +76,6 @@ _EMBED_OPTS = {
     "loss-tol": (float, None, "relative loss-change early-stop threshold"),
     "init-iters": (int, 200, "initialization sweeps (default 200)"),
     "seed": (int, 0, "random seed (default 0)"),
-    "threads": (int, 1, "worker threads (only 1 is implemented)"),
 }
 
 _RANK_OPTS = {
@@ -202,9 +201,6 @@ def cmd_embed(opt: dict) -> int:
     _require_file(opt["attrs"], "--attrs file")
     if opt["labels"] is not None:
         _require_file(opt["labels"], "--labels file")
-    if opt["threads"] != 1:
-        print("note: running single-threaded (worker threads are not implemented)",
-              file=sys.stderr)
     net = load_network(opt["edges"], opt["attrs"], opt["labels"])
     dim = opt["k"] if opt["k"] is not None else default_dim(net)
     hp = HyperParams(dim=dim, attr_weight=opt["attr-weight"],

@@ -164,16 +164,23 @@ def _resolved_weights(hp: HyperParams) -> tuple[float, float]:
     return hp.attr_weight, hp.dis_weight
 
 
+def _loss_terms(net: AttributedNetwork, model: FactorModel,
+                scores: OutlierScores) -> tuple[float, float, float]:
+    """(structure, attribute, disagreement) loss terms, unweighted."""
+    return (loss_structure(net.adjacency, model.struct_embed, model.struct_context,
+                           scores.structural),
+            loss_attribute(net.attributes, model.attr_embed, model.attr_basis,
+                           scores.attribute),
+            loss_disagreement(model.struct_embed, model.attr_embed, model.align,
+                              scores.disagreement))
+
+
 def loss_joint(net: AttributedNetwork, model: FactorModel, scores: OutlierScores,
                hp: HyperParams) -> float:
     """Weighted sum of the three loss terms."""
     attr_weight, dis_weight = _resolved_weights(hp)
-    return (loss_structure(net.adjacency, model.struct_embed, model.struct_context,
-                           scores.structural)
-            + attr_weight * loss_attribute(net.attributes, model.attr_embed,
-                                           model.attr_basis, scores.attribute)
-            + dis_weight * loss_disagreement(model.struct_embed, model.attr_embed,
-                                             model.align, scores.disagreement))
+    l_str, l_attr, l_dis = _loss_terms(net, model, scores)
+    return l_str + attr_weight * l_attr + dis_weight * l_dis
 
 
 def calibrate_weights(net: AttributedNetwork, model: FactorModel,
@@ -183,16 +190,14 @@ def calibrate_weights(net: AttributedNetwork, model: FactorModel,
     Returns (structure/attribute, structure/disagreement) loss ratios. If any
     term is zero the ratios are undefined; falls back to (1, 1) with a warning.
     """
-    l_str = loss_structure(net.adjacency, model.struct_embed, model.struct_context,
-                           scores.structural)
-    l_attr = loss_attribute(net.attributes, model.attr_embed, model.attr_basis,
-                            scores.attribute)
-    l_dis = loss_disagreement(model.struct_embed, model.attr_embed, model.align,
-                              scores.disagreement)
+    return _loss_ratios(*_loss_terms(net, model, scores))
+
+
+def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, float]:
     if l_attr <= 0.0 or l_dis <= 0.0 or l_str <= 0.0:
         warnings.warn("degenerate initial losses "
                       f"(structure={l_str!r}, attribute={l_attr!r}, disagreement={l_dis!r}); "
-                      "falling back to weights (1, 1)", stacklevel=2)
+                      "falling back to weights (1, 1)", stacklevel=3)
         return 1.0, 1.0
     return l_str / l_attr, l_str / l_dis
 
@@ -325,10 +330,12 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     The stationarity condition gives s_i = clip(r_i / lam, floor, 1) for a
     multiplier lam chosen so the scores sum to the budget; with the default
     budget of 1 this is simply s proportional to r with small entries pinned
-    at the floor. lam is bracketed by geometric bisection, then the active
-    segment is solved exactly so the free entries sum to their share of the
-    budget to machine precision. An all-zero residual vector yields the
-    uniform budget/N split, with a warning.
+    at the floor. The score sum is piecewise linear in 1/lam between the
+    breakpoints r_i and r_i / floor, so water-filling over the sorted
+    residuals finds the segment holding lam in O(N log N), without iterating;
+    its free entries are then scaled to sum to their share of the budget to
+    machine precision. All-zero residuals yield the uniform budget/N split,
+    with a warning.
     """
     r = np.asarray(residuals, dtype=np.float64)
     if r.ndim != 1 or r.size == 0:
@@ -352,19 +359,26 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
         zero_val = (budget - n_pos) / n_zero if n_zero else floor
         return np.where(pos, 1.0, zero_val)
 
-    # bracket lam: at a everything positive saturates at 1, at b at the floor
-    a = r[pos].min() * 0.5
-    b = r.max() / floor * 2.0
-    for _ in range(128):
-        lam = np.exp(0.5 * (np.log(a) + np.log(b)))
-        if np.clip(r / lam, floor, 1.0).sum() >= budget:
-            a = lam
-        else:
-            b = lam
-    lam = np.exp(0.5 * (np.log(a) + np.log(b)))
-    shares = r / lam
-    hi = shares >= 1.0
-    lo = shares <= floor
+    # the score sum f at every breakpoint, from counts and prefix sums of the
+    # sorted residuals; lam = rs[k] / floor overflows for huge residuals, so
+    # it is never formed: r > lam is tested as floor * r > rs[k]
+    rs = np.sort(r[pos])
+    fs = floor * rs
+    csum = np.concatenate(([0.0], np.cumsum(rs)))
+
+    def last_reached(below, floored, scale):
+        # below = #{r < lam}, floored = #{r <= floor * lam} among positive r;
+        # index of the largest breakpoint with f(lam) >= budget, or -1
+        f = n_pos - below + floor * (floored + n_zero) + scale * (csum[below] - csum[floored]) / rs
+        return np.count_nonzero(f >= budget) - 1
+
+    j = last_reached(np.searchsorted(rs, rs), np.searchsorted(rs, fs, "right"), 1.0)
+    k = last_reached(np.searchsorted(fs, rs), np.searchsorted(rs, rs, "right"), floor)
+    # lam lies just above max(rs[j], rs[k] / floor); j >= 0 since f(rs[0]) = cap
+    if k >= 0 and rs[k] >= fs[j]:
+        hi, lo = floor * r > rs[k], r <= rs[k]
+    else:
+        hi, lo = r > rs[j], r <= fs[j]
     free = ~(hi | lo)
     s = np.where(hi, 1.0, floor)
     budget_free = budget - hi.sum() - floor * lo.sum()
@@ -453,15 +467,8 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     # optimum for the initial embeddings so calibration sees a sensible value
     model.align = update_alignment(model, scores)
 
-    initial_terms = {
-        "structure": loss_structure(adj, model.struct_embed, model.struct_context,
-                                    scores.structural),
-        "attribute": loss_attribute(attrs, model.attr_embed, model.attr_basis,
-                                    scores.attribute),
-        "disagreement": loss_disagreement(model.struct_embed, model.attr_embed,
-                                          model.align, scores.disagreement),
-    }
-    for term, value in initial_terms.items():
+    terms = _loss_terms(net, model, scores)
+    for term, value in zip(("structure", "attribute", "disagreement"), terms):
         if not np.isfinite(value):
             raise NumericError(f"initial {term} loss is non-finite; "
                                "input magnitudes overflow the squared residuals")
@@ -469,12 +476,14 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     if hp.attr_weight is None or hp.dis_weight is None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            attr_w, dis_w = calibrate_weights(net, model, scores)
+            attr_w, dis_w = _loss_ratios(*terms)
             diagnostics.notes.extend(str(c.message) for c in caught)
         hp = replace(hp,
                      attr_weight=hp.attr_weight if hp.attr_weight is not None else attr_w,
                      dis_weight=hp.dis_weight if hp.dis_weight is not None else dis_w)
-    diagnostics.initial_loss = loss_joint(net, model, scores, hp)
+    l_str, l_attr, l_dis = terms
+    # summed in loss_joint's order, so the value matches it bit for bit
+    diagnostics.initial_loss = l_str + hp.attr_weight * l_attr + hp.dis_weight * l_dis
 
     trace: list[float] = []
     prev = diagnostics.initial_loss

@@ -7,7 +7,6 @@ standardized features (a deliberately dependency-free stand-in for heavier
 model families; absolute F1 values are not comparable across classifiers).
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -204,25 +203,6 @@ def clustering_accuracy(pred, truth) -> float:
     np.add.at(conf, (pi, ti), 1)
     rows, cols = linear_sum_assignment(conf, maximize=True)
     return float(conf[rows, cols].sum()) / pred.size
-
-
-def brute_force_clustering_accuracy(pred, truth) -> float:
-    """Test oracle: enumerate every injective cluster-to-class assignment."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    np_, nt = int(pi.max()) + 1, int(ti.max()) + 1
-    conf = np.zeros((np_, nt), dtype=np.int64)
-    np.add.at(conf, (pi, ti), 1)
-    best = 0
-    if np_ <= nt:
-        for perm in itertools.permutations(range(nt), np_):
-            best = max(best, sum(conf[r, perm[r]] for r in range(np_)))
-    else:
-        for perm in itertools.permutations(range(np_), nt):
-            best = max(best, sum(conf[perm[c], c] for c in range(nt)))
-    return best / pred.size
 
 
 @dataclass

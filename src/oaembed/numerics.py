@@ -69,12 +69,12 @@ class SvdResult:
 
 
 def svd_small(m) -> SvdResult:
-    """Full SVD of a small square matrix via cyclic one-sided Jacobi rotations.
+    """Full SVD of a small square matrix by LAPACK (numpy.linalg.svd).
 
-    Intended for the K x K cross-products of the alignment step, where K is a
-    few dozen at most; cost is O(K^3) per sweep. Column signs are fixed so the
-    largest-magnitude component of each left singular vector is positive,
-    making the output deterministic for testing.
+    Intended for the K x K cross-products of the alignment step. Singular
+    values at or below k * eps * sigma_max are set to exactly 0. Column signs
+    are fixed so the largest-magnitude component of each left singular vector
+    is positive, making the output deterministic for testing.
     """
     a = as_dense(m, "svd input")
     k = a.shape[0]
@@ -83,70 +83,12 @@ def svd_small(m) -> SvdResult:
     if k < 1:
         raise ValueError("svd_small requires at least a 1x1 matrix")
 
-    b = a.copy()
-    v = np.eye(k)
-    # Right-side rotations orthogonalize the columns of b; at convergence
-    # b = x * sigma and v collects the right singular vectors.
-    for _ in range(100):
-        rotated = False
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                app = b[:, p] @ b[:, p]
-                aqq = b[:, q] @ b[:, q]
-                apq = b[:, p] @ b[:, q]
-                if abs(apq) <= 1e-15 * np.sqrt(app * aqq):
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                sign = 1.0 if zeta >= 0 else -1.0
-                t = sign / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                bp = b[:, p].copy()
-                b[:, p] = c * bp - s * b[:, q]
-                b[:, q] = s * bp + c * b[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if not rotated:
-            break
-
-    sigma = np.sqrt(np.einsum("ij,ij->j", b, b))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    b = b[:, order]
-    y = v[:, order]
-
-    x = np.zeros((k, k))
+    x, sigma, yt = np.linalg.svd(a)
     cutoff = k * np.finfo(np.float64).eps * (sigma[0] if sigma[0] > 0 else 1.0)
-    for j in range(k):
-        if sigma[j] > cutoff:
-            x[:, j] = b[:, j] / sigma[j]
-        else:
-            sigma[j] = 0.0
-            x[:, j] = _complete_column(x, j)
-
+    sigma[sigma <= cutoff] = 0.0
     # Sign convention: dominant component of each left vector positive.
-    for j in range(k):
-        i = int(np.argmax(np.abs(x[:, j])))
-        if x[i, j] < 0:
-            x[:, j] = -x[:, j]
-            y[:, j] = -y[:, j]
-    return SvdResult(x=x, sigma=sigma, y=y)
-
-
-def _complete_column(x: np.ndarray, j: int) -> np.ndarray:
-    """Deterministic orthonormal completion for a null singular direction."""
-    k = x.shape[0]
-    for cand in range(k):
-        e = np.zeros(k)
-        e[cand] = 1.0
-        for done in range(j):
-            e -= (x[:, done] @ e) * x[:, done]
-        norm = np.sqrt(e @ e)
-        if norm > 0.5:
-            return e / norm
-    raise AssertionError("orthonormal completion failed")  # unreachable for j < k
+    flip = np.where(x[np.argmax(np.abs(x), axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    return SvdResult(x=x * flip, sigma=sigma, y=yt.T * flip)
 
 
 def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
@@ -200,7 +142,3 @@ def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, block_rows: int = 1024) ->
         out[start:stop] = np.einsum("ij,ij->i", r, r)
     return out
 
-
-def frobenius_sq_residual(m, p: np.ndarray, q: np.ndarray) -> float:
-    """Total squared reconstruction error sum_ij (m[i,j] - (p@q)[i,j])^2."""
-    return float(row_sq_residuals(m, p, q).sum())

@@ -2,11 +2,12 @@
 
 The oracles here deliberately use explicit Python loops or a different
 algorithm than the library code (e.g. a two-sided Jacobi eigensolver to
-cross-check the one-sided SVD), so a bug in the vectorized implementation
+cross-check the LAPACK SVD), so a bug in the vectorized implementation
 cannot cancel out in the comparison.
 """
 
 import io
+import itertools
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -15,6 +16,7 @@ import scipy.sparse as sp
 
 from oaembed.core import FactorModel, OutlierScores
 from oaembed.network import AttributedNetwork
+from oaembed.numerics import row_sq_residuals
 
 
 def to_dense(m) -> np.ndarray:
@@ -61,6 +63,30 @@ def rand_network(rng, n: int, d: int, edge_p: float | None = None) -> Attributed
     if not attrs.any(axis=1).all():  # keep every row nonzero
         attrs[~attrs.any(axis=1), 0] = 1.0
     return AttributedNetwork(adjacency=adj, attributes=attrs)
+
+
+def frobenius_sq_residual(m, p: np.ndarray, q: np.ndarray) -> float:
+    """Total squared reconstruction error sum_ij (m[i,j] - (p@q)[i,j])^2."""
+    return float(row_sq_residuals(m, p, q).sum())
+
+
+def brute_force_clustering_accuracy(pred, truth) -> float:
+    """Enumerate every injective cluster-to-class assignment."""
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
+    _, pi = np.unique(pred, return_inverse=True)
+    _, ti = np.unique(truth, return_inverse=True)
+    np_, nt = int(pi.max()) + 1, int(ti.max()) + 1
+    conf = np.zeros((np_, nt), dtype=np.int64)
+    np.add.at(conf, (pi, ti), 1)
+    best = 0
+    if np_ <= nt:
+        for perm in itertools.permutations(range(nt), np_):
+            best = max(best, sum(conf[r, perm[r]] for r in range(np_)))
+    else:
+        for perm in itertools.permutations(range(np_), nt):
+            best = max(best, sum(conf[perm[c], c] for c in range(nt)))
+    return best / pred.size
 
 
 def naive_weighted_sq_loss(m, p, q, scores) -> float:

@@ -12,16 +12,14 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from helpers import (fd_check_sweep, grid_min_scores, hypergeom_recall_null,
-                     rand_model, rand_network, rand_score_triplet,
-                     random_orthogonal, run_cli)
+from helpers import (brute_force_clustering_accuracy, fd_check_sweep,
+                     grid_min_scores, hypergeom_recall_null, rand_model,
+                     rand_network, rand_score_triplet, random_orthogonal, run_cli)
 from oaembed.core import (FactorModel, HyperParams, budget_scores, fit,
                           loss_disagreement, update_alignment,
                           update_attribute_scores, update_disagreement_scores,
                           update_structural_scores)
-from oaembed.evaluation import (brute_force_clustering_accuracy,
-                                clustering_accuracy, f1_scores, rank_nodes,
-                                recall_at)
+from oaembed.evaluation import clustering_accuracy, f1_scores, rank_nodes, recall_at
 from oaembed.network import AttributedNetwork, save_network
 from oaembed.numerics import make_rng
 from oaembed.seeding import SeedingPlan, seed_outliers, synth_network

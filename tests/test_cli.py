@@ -163,6 +163,16 @@ def test_embed_rerun_byte_identical(seeded, tmp_path):
             assert fh.read() == first, name
 
 
+def test_embed_threads_option_removed_exits_2(seeded, tmp_path):
+    code, _, stderr = run_cli("embed", "--edges", seeded["edges"],
+                              "--attrs", seeded["attrs"],
+                              "--labels", seeded["labels"],
+                              "--out", str(tmp_path / "thr"), "--iters", "1",
+                              "--threads", "2")
+    assert code == 2
+    assert "--threads" in stderr
+
+
 def test_missing_input_exits_1(tmp_path):
     code, _, stderr = run_cli("embed", "--edges", "/nonexistent/edges.txt",
                               "--attrs", "/nonexistent/attrs.txt",

@@ -429,6 +429,14 @@ def test_budget_scores_kkt_conditions():
             assert (r[at_floor] <= lam * floor * (1 + 1e-6)).all()
 
 
+def test_budget_scores_huge_residual_stays_on_budget():
+    # r / floor overflows for these residuals; the scores must still be feasible
+    for r in ([1e301, 1.0, 2.0], [1e300, 1e-10, 3.0, 0.0]):
+        s = budget_scores(np.array(r), 1.0, 1e-8)
+        assert s.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (s >= 1e-8).all() and (s <= 1.0).all()
+
+
 def test_budget_scores_input_errors():
     with pytest.raises(ValueError):
         budget_scores(np.array([1.0, -1.0]), 1.0, 1e-8)

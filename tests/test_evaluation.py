@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import hypergeom_recall_null
+from helpers import brute_force_clustering_accuracy, hypergeom_recall_null
 from oaembed.errors import ParseError
-from oaembed.evaluation import (RECALL_LEVELS, EvalReport,
-                                brute_force_clustering_accuracy,
-                                clustering_accuracy, evaluate_all, f1_scores,
-                                kmeans_pp, kmeans_pp_full, load_report, predict,
-                                rank_nodes, recall_at, train_classifier)
+from oaembed.evaluation import (RECALL_LEVELS, EvalReport, clustering_accuracy,
+                                evaluate_all, f1_scores, kmeans_pp, kmeans_pp_full,
+                                load_report, predict, rank_nodes, recall_at,
+                                train_classifier)
 from oaembed.network import AttributedNetwork, EmbeddingResult
 from oaembed.numerics import make_rng
 from oaembed.seeding import synth_network

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import jacobi_eigvals, to_dense
-from oaembed.numerics import (as_dense, as_sparse, frobenius_sq_residual, make_rng,
-                              named_rng, nmf_init, row_sq_residuals, svd_small)
+from helpers import frobenius_sq_residual, jacobi_eigvals, to_dense
+from oaembed.numerics import (as_dense, as_sparse, make_rng, named_rng, nmf_init,
+                              row_sq_residuals, svd_small)
 
 
 def test_make_rng_reproducible():
