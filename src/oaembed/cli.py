@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .core import HyperParams, default_dim, fit
+from .core import HyperParams, check_combine_weights, default_dim, fit
 from .errors import ConfigError, NumericError, ParseError
 from .evaluation import evaluate_all, rank_nodes
 from .network import (EmbeddingResult, load_embedding_tsv, load_network,
@@ -223,10 +223,8 @@ def cmd_rank_outliers(opt: dict) -> int:
     _require_file(opt["scores"], "--scores file")
     names, comps, combined = load_scores_tsv(opt["scores"])
     if opt["weights"] is not None:
-        w = opt["weights"]
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ConfigError(f"--weights must be nonnegative and sum to 1, got {w}")
-        combined = comps @ list(w)
+        check_combine_weights(opt["weights"], "--weights")
+        combined = comps @ list(opt["weights"])
     order = rank_nodes(combined)
     os.makedirs(opt["out"], exist_ok=True)
     path = os.path.join(opt["out"], "ranked.tsv")
@@ -249,10 +247,8 @@ def cmd_evaluate(opt: dict) -> int:
     if score_names != net.node_names:
         raise ConfigError("scores nodes do not match the dataset node set")
     if opt["weights"] is not None:
-        w = opt["weights"]
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ConfigError(f"--weights must be nonnegative and sum to 1, got {w}")
-        combined = comps @ list(w)
+        check_combine_weights(opt["weights"], "--weights")
+        combined = comps @ list(opt["weights"])
 
     index = {name: i for i, name in enumerate(net.node_names)}
     truth_ids = []
@@ -301,7 +297,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

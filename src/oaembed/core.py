@@ -16,9 +16,13 @@ The joint objective is
     + dis_weight  * sum_i log(1/s3_i) ||G_i - U_i W^T||^2
 
 with G = struct_embed, H = struct_context, U = attr_embed, V = attr_basis,
-W = align. All updates below are exact coordinate minimizers (factors) or
-exact constrained minimizers (align via Procrustes, scores via the budget
-rule), so a full round never increases the objective.
+W = align. Every factor sub-problem is a score-weighted least-squares fit of
+the form sum_t sum_i a_t[i] ||T_t[i] - x[i] B_t||^2, so all four factor
+updates run one shared kernel, _cd_sweep: an exact Gauss-Seidel sweep over
+the columns of x. G and U pass two terms (their reconstruction and the
+alignment); H and V pass one, swept on their transposes. Align is the exact
+Procrustes minimizer and the scores the exact budget-rule minimizer, so a
+full round never increases the objective.
 """
 
 import warnings
@@ -33,6 +37,12 @@ from .numerics import named_rng, nmf_init, row_sq_residuals, svd_small
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _ZERO_RESIDUAL = 1e-300  # below this, a total residual counts as exactly zero
+
+
+def check_combine_weights(w, name: str = "combine_weights"):
+    """Raise ConfigError unless w is 3 nonnegative weights summing to 1 (NaN fails)."""
+    if not (len(w) == 3 and all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
+        raise ConfigError(f"{name} must be 3 nonnegative values summing to 1, got {w}")
 
 
 @dataclass
@@ -65,9 +75,7 @@ class HyperParams:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if not 0 < self.score_floor <= 1e-3:
             raise ConfigError(f"score_floor must be in (0, 1e-3], got {self.score_floor}")
-        w = self.combine_weights
-        if len(w) != 3 or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ConfigError(f"combine_weights must be 3 nonnegative values summing to 1, got {w}")
+        check_combine_weights(self.combine_weights)
         if self.init_iters < 1:
             raise ConfigError(f"init_iters must be >= 1, got {self.init_iters}")
         if self.loss_tol is not None and not self.loss_tol > 0:
@@ -202,111 +210,78 @@ def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, floa
     return l_str / l_attr, l_str / l_dis
 
 
-def _count_skipped(diag: dict | None, key: str, n: int):
-    if diag is not None and n:
-        diag[key] = diag.get(key, 0) + n
+def _cd_sweep(x: np.ndarray, terms, diag: dict | None, key: str) -> np.ndarray:
+    """One exact Gauss-Seidel sweep over the columns of the M x K matrix x.
+
+    Minimizes sum_t sum_i a_t[i] ||T_t[i] - x[i] B_t||^2 one column at a time,
+    all rows at once (rows are independent given the other columns). Each
+    term is (a_t, T_t B_t^T, B_t B_t^T): row weights of length M, an M x K
+    cross product and a K x K Gram. A coordinate whose quadratic coefficient
+    is below 1e-12 is left unchanged and counted under diag[key].
+    """
+    x = np.array(x, dtype=np.float64, order="F")  # x[:, k] contiguous
+    den = sum(a[:, None] * np.diag(gram) for a, _, gram in terms)  # M x K
+    ok = den >= _DEGENERATE_DEN
+    den = np.where(ok, den, np.inf)
+    # x[:, k] = base[:, k] - sum_t coef_t[:, k] * (x @ off_t[:, k]), where off_t
+    # is the Gram with a zero diagonal, so column k drops out of its own update;
+    # a skipped coordinate has coef 0 and base equal to its current value
+    base = np.where(ok, sum(a[:, None] * cross for a, cross, _ in terms) / den, x)
+    parts = [(a[:, None] / den, gram - np.diag(np.diag(gram))) for a, _, gram in terms]
+    for k in range(x.shape[1]):
+        x[:, k] = base[:, k] - sum(coef[:, k] * (x @ off[:, k]) for coef, off in parts)
+    if diag is not None and not ok.all():
+        diag[key] = diag.get(key, 0) + int(ok.size - np.count_nonzero(ok))
+    return x
 
 
 def update_struct_embed(adj, model: FactorModel, scores: OutlierScores,
                         hp: HyperParams, diag: dict | None = None) -> np.ndarray:
-    """One exact coordinate-descent sweep over struct_embed.
-
-    Rows are independent given the other factors, so the (row asc, col asc)
-    Gauss-Seidel sweep collapses to a column loop with all rows vectorized.
-    Coordinates whose quadratic coefficient is below 1e-12 are left unchanged.
-    """
+    """One exact coordinate-descent sweep over struct_embed G: the structure
+    term (w1, A H^T, H H^T) plus the alignment term (dis_weight w3, U W^T, I)."""
     _, dis_weight = _resolved_weights(hp)
-    g = model.struct_embed.copy()
     h = model.struct_context
     w1 = _node_weights(scores.structural, "structural scores")
     w3 = _node_weights(scores.disagreement, "disagreement scores")
-    aht = np.asarray(adj @ h.T)                # N x K
-    hht = h @ h.T                              # K x K
-    target = model.attr_embed @ model.align.T  # N x K
-    skipped = 0
-    for k in range(g.shape[1]):
-        # residual correlation with feature k, excluding column k's own term
-        s = aht[:, k] - g @ hht[:, k] + g[:, k] * hht[k, k]
-        num = w1 * s + dis_weight * w3 * target[:, k]
-        den = w1 * hht[k, k] + dis_weight * w3
-        ok = den >= _DEGENERATE_DEN
-        skipped += int(np.size(ok) - np.count_nonzero(ok))
-        g[:, k] = np.where(ok, num / np.where(ok, den, 1.0), g[:, k])
-    _count_skipped(diag, "struct_embed", skipped)
-    return g
+    terms = ((w1, np.asarray(adj @ h.T), h @ h.T),
+             (dis_weight * w3, model.attr_embed @ model.align.T, np.eye(h.shape[0])))
+    return _cd_sweep(model.struct_embed, terms, diag, "struct_embed")
 
 
 def update_struct_context(adj, model: FactorModel, scores: OutlierScores,
                           diag: dict | None = None) -> np.ndarray:
-    """One exact coordinate-descent sweep over struct_context.
-
-    Columns are independent, so the (row asc, col asc) sweep collapses to a
-    row loop with all columns vectorized. A row whose weighted embedding
-    column is all zeros (denominator < 1e-12) is left unchanged.
-    """
-    h = model.struct_context.copy()
+    """One exact coordinate-descent sweep over struct_context H. Its columns are
+    independent, so the kernel sweeps H^T with unit row weights and the scores
+    folded into the term (A^T (G*w1), G^T (G*w1))."""
     g = model.struct_embed
-    w1 = _node_weights(scores.structural, "structural scores")
-    gw = g * w1[:, None]
-    atgw = np.asarray(adj.T @ gw)  # N x K, entry [j, k] = sum_i w_i A_ij g_ik
-    ggw = g.T @ gw                 # K x K, entry [l, k] = sum_i w_i g_il g_ik
-    skipped = 0
-    for k in range(h.shape[0]):
-        den = ggw[k, k]
-        if den < _DEGENERATE_DEN:
-            skipped += h.shape[1]
-            continue
-        num = atgw[:, k] - ggw[:, k] @ h + h[k, :] * den
-        h[k, :] = num / den
-    _count_skipped(diag, "struct_context", skipped)
-    return h
+    gw = g * _node_weights(scores.structural, "structural scores")[:, None]
+    terms = ((np.ones(adj.shape[1]), np.asarray(adj.T @ gw), g.T @ gw),)
+    return _cd_sweep(model.struct_context.T, terms, diag, "struct_context").T
 
 
 def update_attr_embed(attrs, model: FactorModel, scores: OutlierScores,
                       hp: HyperParams, diag: dict | None = None) -> np.ndarray:
-    """One exact coordinate-descent sweep over attr_embed (vectorized rows)."""
+    """One exact coordinate-descent sweep over attr_embed U: the attribute
+    term (attr_weight w2, C V^T, V V^T) plus the alignment term
+    (dis_weight w3, G W, W^T W)."""
     attr_weight, dis_weight = _resolved_weights(hp)
-    u = model.attr_embed.copy()
     v = model.attr_basis
     w = model.align
     w2 = _node_weights(scores.attribute, "attribute scores")
     w3 = _node_weights(scores.disagreement, "disagreement scores")
-    cvt = np.asarray(attrs @ v.T)            # N x K
-    vvt = v @ v.T                            # K x K
-    gw = model.struct_embed @ w              # N x K
-    wtw = w.T @ w                            # K x K, identity for orthogonal align
-    skipped = 0
-    for k in range(u.shape[1]):
-        s_attr = cvt[:, k] - u @ vvt[:, k] + u[:, k] * vvt[k, k]
-        s_dis = gw[:, k] - u @ wtw[:, k] + u[:, k] * wtw[k, k]
-        num = attr_weight * w2 * s_attr + dis_weight * w3 * s_dis
-        den = attr_weight * w2 * vvt[k, k] + dis_weight * w3 * wtw[k, k]
-        ok = den >= _DEGENERATE_DEN
-        skipped += int(np.size(ok) - np.count_nonzero(ok))
-        u[:, k] = np.where(ok, num / np.where(ok, den, 1.0), u[:, k])
-    _count_skipped(diag, "attr_embed", skipped)
-    return u
+    terms = ((attr_weight * w2, np.asarray(attrs @ v.T), v @ v.T),
+             (dis_weight * w3, model.struct_embed @ w, w.T @ w))
+    return _cd_sweep(model.attr_embed, terms, diag, "attr_embed")
 
 
 def update_attr_basis(attrs, model: FactorModel, scores: OutlierScores,
                       diag: dict | None = None) -> np.ndarray:
-    """One exact coordinate-descent sweep over attr_basis (vectorized columns)."""
-    v = model.attr_basis.copy()
+    """One exact coordinate-descent sweep over attr_basis V, on V^T as for
+    struct_context, with the term (ones, C^T (U*w2), U^T (U*w2))."""
     u = model.attr_embed
-    w2 = _node_weights(scores.attribute, "attribute scores")
-    uw = u * w2[:, None]
-    ctuw = np.asarray(attrs.T @ uw)  # D x K
-    uuw = u.T @ uw                   # K x K
-    skipped = 0
-    for k in range(v.shape[0]):
-        den = uuw[k, k]
-        if den < _DEGENERATE_DEN:
-            skipped += v.shape[1]
-            continue
-        num = ctuw[:, k] - uuw[:, k] @ v + v[k, :] * den
-        v[k, :] = num / den
-    _count_skipped(diag, "attr_basis", skipped)
-    return v
+    uw = u * _node_weights(scores.attribute, "attribute scores")[:, None]
+    terms = ((np.ones(attrs.shape[1]), np.asarray(attrs.T @ uw), u.T @ uw),)
+    return _cd_sweep(model.attr_basis.T, terms, diag, "attr_basis").T
 
 
 def update_alignment(model: FactorModel, scores: OutlierScores) -> np.ndarray:
@@ -345,6 +320,11 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     n = r.size
     if not floor * n <= budget <= n:
         raise ValueError(f"budget {budget} infeasible for {n} scores with floor {floor}")
+    # the scores depend on r only up to scale: if the residual sum could
+    # overflow, shift r down by an exact power of two
+    shift = np.frexp(r.max())[1] + n.bit_length() - 1023
+    if shift > 0:
+        r = np.ldexp(r, -int(shift))
     if r.sum() < _ZERO_RESIDUAL:
         warnings.warn("all residuals are zero; returning uniform scores", stacklevel=2)
         return np.full(n, budget / n)
@@ -416,9 +396,8 @@ def final_embedding(model: FactorModel) -> np.ndarray:
 def final_outlier_score(scores: OutlierScores,
                         combine_weights: tuple[float, float, float]) -> np.ndarray:
     """Convex combination of the three score vectors."""
+    check_combine_weights(combine_weights)
     w = combine_weights
-    if len(w) != 3 or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-        raise ValueError(f"combine_weights must be 3 nonnegative values summing to 1, got {w}")
     return w[0] * scores.structural + w[1] * scores.attribute + w[2] * scores.disagreement
 
 

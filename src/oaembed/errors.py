@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ParseError (and OSError) to 1,
-ConfigError (and ValueError) to 2, NumericError to 3.
+ConfigError (a ValueError) to 2, NumericError to 3.
 """
 
 
@@ -17,7 +17,7 @@ class ParseError(Exception):
         self.lineno = lineno
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration, hyperparameters, or mismatched inputs."""
 
 

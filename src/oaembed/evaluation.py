@@ -87,14 +87,13 @@ def train_classifier(x: np.ndarray, y: np.ndarray, reg: float = 1e-3,
     reg_mask = np.ones_like(w)
     reg_mask[-1, :] = 0.0  # bias row unregularized
     trace = []
-    for _ in range(steps):
+    for step in range(steps + 1):
         p = _softmax(z @ w)
         data_loss = -np.log(np.maximum((p * target).sum(axis=1), 1e-300)).mean()
         trace.append(data_loss + 0.5 * reg * float((w * w * reg_mask).sum()))
+        if step == steps:
+            break
         w -= lr * (z.T @ (p - target) / n + reg * w * reg_mask)
-    p = _softmax(z @ w)
-    data_loss = -np.log(np.maximum((p * target).sum(axis=1), 1e-300)).mean()
-    trace.append(data_loss + 0.5 * reg * float((w * w * reg_mask).sum()))
     return Classifier(weights=w, classes=classes, feature_mean=mean,
                       feature_scale=scale, loss_trace=trace)
 

@@ -295,11 +295,24 @@ def test_update_struct_embed_degenerate_weights_guard():
     assert diag["struct_embed"] == 1
 
 
-def test_updates_match_naive_gauss_seidel():
+def test_update_attr_embed_degenerate_weights_guard():
+    model = scalar_model(g=1.0, h=0.0, u=0.7, v=1.0)
+    ones = OutlierScores(np.array([1.0]), np.array([1.0]), np.array([1.0]))
+    hp = HyperParams(dim=1, attr_weight=1.0, dis_weight=1.0)
+    diag = {}
+    got = update_attr_embed(np.array([[2.0]]), model, ones, hp, diag)
+    assert got[0, 0] == 0.7
+    assert diag["attr_embed"] == 1
+
+
+@pytest.mark.parametrize("skew", [0.0, 0.3], ids=["orthonormal-align", "skewed-align"])
+def test_updates_match_naive_gauss_seidel(skew):
     rng = make_rng(11)
     net = rand_network(rng, 7, 5)
     model = rand_model(rng, 7, 3, 5)
     scores = rand_score_triplet(rng, 7)
+    # a skewed align has W^T W != I, exercising the general Gram path
+    model.align = model.align + skew * rng.normal(size=(3, 3))
     hp = HyperParams(dim=3, attr_weight=0.8, dis_weight=1.7)
 
     got = update_struct_embed(net.adjacency, model, scores, hp)
@@ -431,7 +444,7 @@ def test_budget_scores_kkt_conditions():
 
 def test_budget_scores_huge_residual_stays_on_budget():
     # r / floor overflows for these residuals; the scores must still be feasible
-    for r in ([1e301, 1.0, 2.0], [1e300, 1e-10, 3.0, 0.0]):
+    for r in ([1e301, 1.0, 2.0], [1e300, 1e-10, 3.0, 0.0], [1.5e308, 1.5e308, 1.0]):
         s = budget_scores(np.array(r), 1.0, 1e-8)
         assert s.sum() == pytest.approx(1.0, abs=1e-9)
         assert (s >= 1e-8).all() and (s <= 1.0).all()
@@ -505,6 +518,8 @@ def test_final_outlier_score_cases():
         final_outlier_score(scores, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         final_outlier_score(scores, (-0.5, 1.0, 0.5))
+    with pytest.raises(ValueError):
+        final_outlier_score(scores, (math.nan, 0.5, 0.5))
 
 
 def test_final_outlier_score_attribute_emphasis_changes_ranking():
@@ -527,6 +542,7 @@ def test_hyperparams_validation():
                    {"dim": 2, "score_floor": 0.1},
                    {"dim": 2, "combine_weights": (0.5, 0.5, 0.5)},
                    {"dim": 2, "combine_weights": (-0.1, 0.6, 0.5)},
+                   {"dim": 2, "combine_weights": (math.nan, 0.5, 0.5)},
                    {"dim": 2, "init_iters": 0}, {"dim": 2, "loss_tol": 0.0}):
         with pytest.raises(ConfigError):
             HyperParams(**kwargs)
