@@ -16,7 +16,7 @@ from . import __version__
 from .core import HyperParams, check_combine_weights, default_dim, fit
 from .errors import ConfigError, NumericError, ParseError
 from .evaluation import evaluate_all, rank_nodes
-from .network import (EmbeddingResult, load_embedding_tsv, load_network,
+from .network import (EmbeddingResult, _data_lines, load_embedding_tsv, load_network,
                       load_scores_tsv, save_network, save_result)
 from .seeding import SeedingPlan, save_truth, seed_outliers, load_truth
 
@@ -138,18 +138,11 @@ def _build_parser():
 
 def _read_config(path: str) -> dict[str, str]:
     kv = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, val = line.partition("=")
-                if not sep:
-                    raise ParseError("expected key=value", path, lineno)
-                kv[key.strip()] = val.strip()
-    except OSError as exc:
-        raise ParseError(f"cannot read config file: {exc}", path) from exc
+    for lineno, line in _data_lines(path):
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ParseError("expected key=value", path, lineno)
+        kv[key.strip()] = val.strip()
     return kv
 
 

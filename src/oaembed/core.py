@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError
 from .network import AttributedNetwork, EmbeddingResult

@@ -60,13 +60,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train_classifier(x: np.ndarray, y: np.ndarray, reg: float = 1e-3,
-                     seed: int = 0, steps: int = 500, lr: float = 0.1) -> Classifier:
+def train_classifier(x: np.ndarray, y: np.ndarray, steps: int = 500) -> Classifier:
     """Fit by full-batch gradient descent from a zero start.
 
-    Deterministic for a given input (the zero start makes the seed argument
-    irrelevant; it is kept for interface symmetry). Records the regularized
-    training loss before every step and after the last one.
+    The l2 weight is 1e-3 (bias row exempt) and the step size 0.1.
+    Deterministic for a given input. Records the regularized training loss
+    before every step and after the last one.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -90,10 +89,10 @@ def train_classifier(x: np.ndarray, y: np.ndarray, reg: float = 1e-3,
     for step in range(steps + 1):
         p = _softmax(z @ w)
         data_loss = -np.log(np.maximum((p * target).sum(axis=1), 1e-300)).mean()
-        trace.append(data_loss + 0.5 * reg * float((w * w * reg_mask).sum()))
+        trace.append(data_loss + 0.5 * 1e-3 * float((w * w * reg_mask).sum()))
         if step == steps:
             break
-        w -= lr * (z.T @ (p - target) / n + reg * w * reg_mask)
+        w -= 0.1 * (z.T @ (p - target) / n + 1e-3 * w * reg_mask)
     return Classifier(weights=w, classes=classes, feature_mean=mean,
                       feature_scale=scale, loss_trace=trace)
 
@@ -130,8 +129,8 @@ def f1_scores(y_true, y_pred) -> tuple[float, float]:
     return macro, micro
 
 
-def kmeans_pp_full(points: np.ndarray, k: int, seed: int, max_iters: int = 100):
-    """KMeans++ seeding plus Lloyd iterations.
+def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
+    """KMeans++ seeding plus at most 100 Lloyd iterations.
 
     Returns (labels, centroids, per-iteration within-cluster-sum-of-squares
     trace). Empty clusters are re-seeded to the point farthest from its own
@@ -159,7 +158,7 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int, max_iters: int = 100):
 
     labels = np.full(n, -1)
     trace = []
-    for _ in range(max_iters):
+    for _ in range(100):
         dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(dists, axis=1)
         trace.append(float(dists[np.arange(n), new_labels].sum()))
@@ -179,9 +178,9 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int, max_iters: int = 100):
     return labels, centroids, trace
 
 
-def kmeans_pp(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.ndarray:
+def kmeans_pp(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Cluster assignment from kmeans_pp_full."""
-    return kmeans_pp_full(points, k, seed, max_iters)[0]
+    return kmeans_pp_full(points, k, seed)[0]
 
 
 def clustering_accuracy(pred, truth) -> float:

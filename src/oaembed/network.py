@@ -298,17 +298,16 @@ def load_network(edge_path: str, attr_path: str, label_path: str | None = None) 
                              has_self_loops=self_loops, label_names=label_names)
 
 
-def save_network(net: AttributedNetwork, out_dir: str,
-                 edge_name: str = "edges.txt", attr_name: str = "attributes.txt",
-                 label_name: str = "labels.txt") -> dict[str, str]:
-    """Write a network back out in the loader's file formats.
+def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
+    """Write a network to out_dir in the loader's file formats.
 
-    Attributes are written in sparse idx:val form with a %dim header. Returns
-    the written paths keyed by 'edges', 'attributes', and (if labeled) 'labels'.
+    Files are edges.txt, attributes.txt (sparse idx:val with a %dim header)
+    and, if labeled, labels.txt. Returns the written paths keyed by 'edges',
+    'attributes' and (if labeled) 'labels'.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {"edges": os.path.join(out_dir, edge_name),
-             "attributes": os.path.join(out_dir, attr_name)}
+    paths = {"edges": os.path.join(out_dir, "edges.txt"),
+             "attributes": os.path.join(out_dir, "attributes.txt")}
 
     coo = net.adjacency.tocoo()
     with open(paths["edges"], "w", encoding="utf-8", newline="\n") as fh:
@@ -333,7 +332,7 @@ def save_network(net: AttributedNetwork, out_dir: str,
             fh.write(" ".join(toks) + "\n")
 
     if net.labels is not None:
-        paths["labels"] = os.path.join(out_dir, label_name)
+        paths["labels"] = os.path.join(out_dir, "labels.txt")
         with open(paths["labels"], "w", encoding="utf-8", newline="\n") as fh:
             for i, name in enumerate(net.node_names):
                 fh.write(f"{name} {net.label_names[net.labels[i]]}\n")

@@ -1,5 +1,6 @@
 """Shared numeric kernels: seeded RNG streams, matrix validation, small-matrix
-SVD, multiplicative-update factorization, and squared-residual reductions.
+SVD, multiplicative-update factorization, and squared-residual reductions
+(sparse rows by Gram expansion, clamped at 0, so nothing densifies).
 
 Dense matrices are plain float64 ndarrays; sparse matrices are scipy CSR with
 strictly positive weights. Everything here is a pure function of its inputs
@@ -121,11 +122,12 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
     return p, q
 
 
-def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, block_rows: int = 1024) -> np.ndarray:
+def row_sq_residuals(m, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-row squared reconstruction error: out[i] = sum_j (m[i,j] - (p@q)[i,j])^2.
 
-    Sparse m is densified one row block at a time, keeping peak memory at
-    block_rows * ncols regardless of matrix size.
+    Dense m is subtracted from p @ q. Sparse m is never densified: out[i] =
+    ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T, clamped at 0 against
+    cancellation on rows that p @ q fits almost exactly.
     """
     n, d = m.shape
     if p.shape[0] != n or q.shape[1] != d or p.shape[1] != q.shape[0]:
@@ -133,12 +135,7 @@ def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, block_rows: int = 1024) ->
     if not sp.issparse(m):
         r = p @ q - m
         return np.einsum("ij,ij->i", r, r)
-    m = m.tocsr()
-    out = np.empty(n)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        r = p[start:stop] @ q
-        r -= m[start:stop].toarray()
-        out[start:stop] = np.einsum("ij,ij->i", r, r)
-    return out
-
+    norms = np.asarray(m.multiply(m).sum(axis=1)).ravel()
+    cross = np.einsum("ij,ij->i", p, np.asarray(m @ q.T))
+    fit = np.einsum("ij,ij->i", p @ (q @ q.T), p)
+    return np.maximum(norms - 2.0 * cross + fit, 0.0)

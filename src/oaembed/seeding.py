@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParseError
-from .network import AttributedNetwork, class_distribution
+from .network import AttributedNetwork, _data_lines, class_distribution
 from .numerics import make_rng, named_rng
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
@@ -310,20 +310,13 @@ def save_truth(seeded: SeededDataset, path: str):
 def load_truth(path: str) -> list[tuple[str, str]]:
     """Read a ground-truth outlier file back as (node_id, kind) pairs."""
     out = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                toks = line.split()
-                if len(toks) != 2:
-                    raise ParseError("expected '<node_id> <kind>'", path, lineno)
-                if toks[1] not in OUTLIER_KINDS:
-                    raise ParseError(f"unknown outlier kind {toks[1]!r}", path, lineno)
-                out.append((toks[0], toks[1]))
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path) from exc
+    for lineno, line in _data_lines(path):
+        toks = line.split()
+        if len(toks) != 2:
+            raise ParseError("expected '<node_id> <kind>'", path, lineno)
+        if toks[1] not in OUTLIER_KINDS:
+            raise ParseError(f"unknown outlier kind {toks[1]!r}", path, lineno)
+        out.append((toks[0], toks[1]))
     return out
 
 

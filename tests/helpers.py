@@ -16,7 +16,6 @@ import scipy.sparse as sp
 
 from oaembed.core import FactorModel, OutlierScores
 from oaembed.network import AttributedNetwork
-from oaembed.numerics import row_sq_residuals
 
 
 def to_dense(m) -> np.ndarray:
@@ -67,7 +66,7 @@ def rand_network(rng, n: int, d: int, edge_p: float | None = None) -> Attributed
 
 def frobenius_sq_residual(m, p: np.ndarray, q: np.ndarray) -> float:
     """Total squared reconstruction error sum_ij (m[i,j] - (p@q)[i,j])^2."""
-    return float(row_sq_residuals(m, p, q).sum())
+    return float(((to_dense(m) - p @ q) ** 2).sum())
 
 
 def brute_force_clustering_accuracy(pred, truth) -> float:

@@ -284,6 +284,13 @@ def test_config_unknown_key_exits_2(dataset, tmp_path):
     assert "no-such-option" in stderr
 
 
+def test_config_missing_file_exits_1(tmp_path):
+    missing = str(tmp_path / "absent.cfg")
+    code, _, stderr = run_cli("seed", "--config", missing)
+    assert code == 1
+    assert missing in stderr
+
+
 def test_evaluate_outputs(seeded, embedded, tmp_path):
     out = str(tmp_path / "eval")
     code, stdout, _ = run_cli("evaluate", "--edges", seeded["edges"],

@@ -220,3 +220,20 @@ def test_row_sq_residuals_dense_and_sparse_blocked():
     want = (full ** 2).sum(axis=1)
     assert np.allclose(got_dense, want, rtol=1e-12, atol=1e-12)
     assert np.allclose(got_sparse, want, rtol=1e-12, atol=1e-12)
+
+
+def test_row_sq_residuals_sparse_cancellation():
+    rng = make_rng(9)
+    n, d, k = 200, 40, 4
+    p = rng.uniform(0.5, 2.0, size=(n, k))
+    q = np.where(rng.random((k, d)) < 0.3, rng.uniform(0.5, 2.0, size=(k, d)), 0.0)
+    m = p @ q  # rows 0..149 are fitted exactly by p @ q
+    m[150:190] += np.where(rng.random((40, d)) < 0.2, 1e-6, 0.0)
+    m[190:195] = 0.0  # all-zero rows of m
+    p[195:] = 0.0  # zero rows of p
+    got = row_sq_residuals(sp.csr_matrix(m), p, q)
+    fit = p @ q
+    want = ((m - fit) ** 2).sum(axis=1)
+    scale = (m ** 2).sum(axis=1) + (fit ** 2).sum(axis=1)
+    assert (got >= 0).all()
+    assert (np.abs(got - want) <= 1e-12 * scale).all()
