@@ -23,12 +23,18 @@ the columns of x. G and U pass two terms (their reconstruction and the
 alignment); H and V pass one, swept on their transposes. Align is the exact
 Procrustes minimizer and the scores the exact budget-rule minimizer, so a
 full round never increases the objective.
+
+fit keeps C as CSR when at most 1 in 8 of its entries is nonzero (the
+bag-of-words case): the attribute initialization, the U and V sweeps and the
+attribute residuals then cost O(nnz(C) K + (N + D) K^2) instead of
+O(N D K), and the outputs match the dense path to rounding.
 """
 
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError
 from .network import AttributedNetwork, EmbeddingResult
@@ -415,6 +421,10 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     consuming the others' latest values), score updates. The joint loss is
     recorded after every round and is non-increasing.
 
+    Attributes with at most 1 in 8 entries nonzero are factorized as a CSR
+    copy (net.attributes itself is not changed); the outputs match the
+    dense path to rounding.
+
     Returns (FactorModel, OutlierScores, EmbeddingResult, FitDiagnostics).
     """
     n, d = net.n_nodes, net.n_attrs
@@ -429,6 +439,9 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     if (attrs < 0).any():
         raise ConfigError("attributes must be nonnegative (initialization is "
                           "a nonnegative factorization)")
+    # CSR nmf_init beats dense from 1000 x 500 up at density <= 1/8 (crossover 0.15-0.2)
+    if np.count_nonzero(attrs) * 8 <= attrs.size:
+        attrs = sp.csr_matrix(attrs)
 
     diagnostics = FitDiagnostics()
     g, h = nmf_init(adj, hp.dim, hp.init_iters, named_rng(hp.seed, "init-structure"))

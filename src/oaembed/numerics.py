@@ -98,7 +98,8 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
     Factors start uniform in (0.1, 1.0) from the given generator; denominators
     are floored at 1e-12 so exact zeros cannot divide. The Frobenius
     reconstruction error is non-increasing over sweeps. Accepts dense arrays
-    or scipy sparse matrices; the sparse path never densifies m.
+    or scipy sparse matrices; the sparse path never densifies m. Negative or
+    non-finite entries raise ValueError on either path.
     """
     dense = not sp.issparse(m)
     if dense:
@@ -106,7 +107,9 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
         if (m < 0).any():
             raise ValueError("factorization input must be nonnegative")
     else:
-        if m.nnz and (m.data < 0).any():
+        if not np.isfinite(m.data).all():
+            raise ValueError("factorization input contains non-finite entries")
+        if (m.data < 0).any():
             raise ValueError("factorization input must be nonnegative")
     n, d = m.shape
     if not 1 <= k <= min(n, d):

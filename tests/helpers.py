@@ -47,8 +47,10 @@ def rand_model(rng, n: int, k: int, d: int) -> FactorModel:
                        align=random_orthogonal(rng, k))
 
 
-def rand_network(rng, n: int, d: int, edge_p: float | None = None) -> AttributedNetwork:
-    """Random undirected binary graph with sparse nonnegative attributes."""
+def rand_network(rng, n: int, d: int, edge_p: float | None = None,
+                 attr_p: float = 0.3) -> AttributedNetwork:
+    """Random undirected binary graph with sparse nonnegative attributes, each
+    entry nonzero with probability attr_p (plus one entry in any empty row)."""
     if edge_p is None:
         edge_p = min(0.5, 4.0 / n)
     ii, jj = np.triu_indices(n, 1)
@@ -57,7 +59,7 @@ def rand_network(rng, n: int, d: int, edge_p: float | None = None) -> Attributed
     adj = sp.csr_matrix((np.ones(2 * ei.size),
                          (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
                         shape=(n, n))
-    attrs = np.where(rng.random((n, d)) < 0.3,
+    attrs = np.where(rng.random((n, d)) < attr_p,
                      rng.uniform(0.2, 2.0, size=(n, d)), 0.0)
     if not attrs.any(axis=1).all():  # keep every row nonzero
         attrs[~attrs.any(axis=1), 0] = 1.0

@@ -19,7 +19,7 @@ from oaembed.core import (FactorModel, HyperParams, OutlierScores, budget_scores
                           update_struct_embed, update_structural_scores)
 from oaembed.errors import ConfigError, NumericError
 from oaembed.network import AttributedNetwork
-from oaembed.numerics import make_rng
+from oaembed.numerics import make_rng, nmf_init
 from oaembed.seeding import SeedingPlan, seed_outliers, synth_network
 
 INV_E = math.exp(-1.0)  # score with unit log-weight
@@ -580,6 +580,36 @@ def test_fit_deterministic():
     assert np.array_equal(s1.attribute, s2.attribute)
     assert np.array_equal(r1.embedding, r2.embedding)
     assert r1.loss_trace == r2.loss_trace
+
+
+@pytest.mark.parametrize("attr_p, want_csr", [(0.05, True), (0.3, False)],
+                         ids=["sparse-attrs", "dense-attrs"])
+def test_fit_attribute_layout_follows_density(monkeypatch, attr_p, want_csr):
+    net = rand_network(make_rng(26), 60, 40, attr_p=attr_p)
+    density = np.count_nonzero(net.attributes) / net.attributes.size
+    assert (density <= 1 / 8) == want_csr
+    seen = []
+
+    def recording_nmf_init(m, *args):
+        if m.shape == net.attributes.shape:
+            seen.append(sp.issparse(m))
+        return nmf_init(m, *args)
+
+    monkeypatch.setattr("oaembed.core.nmf_init", recording_nmf_init)
+    hp = HyperParams(dim=4, attr_weight=0.7, dis_weight=1.3, seed=5)
+    model, scores, result, diag = fit(net, hp)
+    assert seen == [want_csr]
+    assert isinstance(net.attributes, np.ndarray)
+    assert result.loss_trace[-1] == pytest.approx(loss_joint(net, model, scores, hp), rel=1e-12)
+    trace = [diag.initial_loss, *result.loss_trace]
+    for prev, cur in zip(trace, trace[1:]):
+        assert cur <= prev + 1e-9 * abs(prev)
+    _, _, again, _ = fit(net, hp)
+    for got, want in ((again.embedding, result.embedding),
+                      (again.outlier_scores, result.outlier_scores),
+                      (again.component_scores, result.component_scores),
+                      (np.array(again.loss_trace), np.array(result.loss_trace))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fit_single_node():

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from helpers import frobenius_sq_residual, jacobi_eigvals, to_dense
+import oaembed
 from oaembed.numerics import (as_dense, as_sparse, make_rng, named_rng, nmf_init,
                               row_sq_residuals, svd_small)
 
@@ -175,6 +179,9 @@ def test_nmf_input_errors():
         nmf_init(np.ones((3, 3)), 4, 10, make_rng(0))
     with pytest.raises(ValueError):
         nmf_init(np.ones((3, 3)), 1, 0, make_rng(0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            nmf_init(sp.csr_matrix([[bad, 1.0], [1.0, 2.0]]), 1, 5, make_rng(0))
 
 
 def test_frobenius_exact_factorization():
@@ -207,9 +214,9 @@ def test_frobenius_dimension_mismatch():
         frobenius_sq_residual(np.ones((3, 3)), np.ones((3, 2)), np.ones((2, 4)))
 
 
-def test_row_sq_residuals_dense_and_sparse_blocked():
+def test_row_sq_residuals_dense_and_sparse():
     rng = make_rng(8)
-    n, d, k = 1500, 6, 3  # crosses the sparse row-block boundary
+    n, d, k = 1500, 6, 3
     p = rng.normal(size=(n, k))
     q = rng.normal(size=(k, d))
     dense = np.where(rng.random((n, d)) < 0.2, 1.0, 0.0)
@@ -237,3 +244,13 @@ def test_row_sq_residuals_sparse_cancellation():
     scale = (m ** 2).sum(axis=1) + (fit ** 2).sum(axis=1)
     assert (got >= 0).all()
     assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+def test_package_never_densifies_sparse_matrices():
+    # the sparse paths (adjacency, CSR attributes) must stay O(nnz) in memory
+    sources = sorted(Path(oaembed.__file__).parent.glob("*.py"))
+    assert {"core.py", "numerics.py"} <= {path.name for path in sources}
+    calls = [f"{path.name}:{no}" for path in sources
+             for no, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\.\s*(toarray|todense)\s*\(", line)]
+    assert calls == []
