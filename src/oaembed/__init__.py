@@ -12,9 +12,7 @@ from .core import (FactorModel, FitDiagnostics, HyperParams, OutlierScores,
                    budget_scores, calibrate_weights, default_dim, final_embedding,
                    final_outlier_score, fit, loss_attribute, loss_disagreement,
                    loss_joint, loss_structure, update_alignment, update_attr_basis,
-                   update_attr_embed, update_attribute_scores,
-                   update_disagreement_scores, update_struct_context,
-                   update_struct_embed, update_structural_scores)
+                   update_attr_embed, update_struct_context, update_struct_embed)
 from .errors import ConfigError, NumericError, ParseError
 from .evaluation import (Classifier, EvalReport, clustering_accuracy, evaluate_all,
                          f1_scores, kmeans_pp, kmeans_pp_full, predict, rank_nodes,

@@ -24,9 +24,14 @@ alignment); H and V pass one, swept on their transposes. Align is the exact
 Procrustes minimizer and the scores the exact budget-rule minimizer, so a
 full round never increases the objective.
 
+Every loss takes one path: _residuals gives the three per-node squared
+residual vectors, _loss_terms weights them by log(1 / score) and _joint sums
+the terms. fit's initial loss, calibration and rounds (each round's scores
+come from the same residuals) use it, as do loss_joint and calibrate_weights.
+
 fit keeps C as CSR when at most 1 in 8 of its entries is nonzero (the
-bag-of-words case): the attribute initialization, the U and V sweeps and the
-attribute residuals then cost O(nnz(C) K + (N + D) K^2) instead of
+bag-of-words case): the attribute initialization, the U and V sweeps and
+all attribute residuals then cost O(nnz(C) K + (N + D) K^2) instead of
 O(N D K), and the outputs match the dense path to rounding.
 """
 
@@ -72,8 +77,8 @@ class HyperParams:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         for name in ("attr_weight", "dis_weight"):
             v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ConfigError(f"{name} must be > 0, got {v}")
+            if v is not None and not 0 < v < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {v}")
         if not self.budget > 0:
             raise ConfigError(f"budget must be > 0, got {self.budget}")
         if self.iters < 1:
@@ -177,23 +182,32 @@ def _resolved_weights(hp: HyperParams) -> tuple[float, float]:
     return hp.attr_weight, hp.dis_weight
 
 
-def _loss_terms(net: AttributedNetwork, model: FactorModel,
-                scores: OutlierScores) -> tuple[float, float, float]:
+def _residuals(adj, attrs, model: FactorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node squared residuals of the structure, attribute and alignment fits."""
+    return (row_sq_residuals(adj, model.struct_embed, model.struct_context),
+            row_sq_residuals(attrs, model.attr_embed, model.attr_basis),
+            _dis_residuals(model.struct_embed, model.attr_embed, model.align))
+
+
+def _loss_terms(residuals, scores: OutlierScores) -> tuple[float, float, float]:
     """(structure, attribute, disagreement) loss terms, unweighted."""
-    return (loss_structure(net.adjacency, model.struct_embed, model.struct_context,
-                           scores.structural),
-            loss_attribute(net.attributes, model.attr_embed, model.attr_basis,
-                           scores.attribute),
-            loss_disagreement(model.struct_embed, model.attr_embed, model.align,
-                              scores.disagreement))
+    r1, r2, r3 = residuals
+    return (float(_node_weights(scores.structural, "structural scores") @ r1),
+            float(_node_weights(scores.attribute, "attribute scores") @ r2),
+            float(_node_weights(scores.disagreement, "disagreement scores") @ r3))
+
+
+def _joint(terms, attr_weight: float, dis_weight: float) -> float:
+    l_str, l_attr, l_dis = terms
+    return l_str + attr_weight * l_attr + dis_weight * l_dis
 
 
 def loss_joint(net: AttributedNetwork, model: FactorModel, scores: OutlierScores,
                hp: HyperParams) -> float:
     """Weighted sum of the three loss terms."""
     attr_weight, dis_weight = _resolved_weights(hp)
-    l_str, l_attr, l_dis = _loss_terms(net, model, scores)
-    return l_str + attr_weight * l_attr + dis_weight * l_dis
+    return _joint(_loss_terms(_residuals(net.adjacency, net.attributes, model), scores),
+                  attr_weight, dis_weight)
 
 
 def calibrate_weights(net: AttributedNetwork, model: FactorModel,
@@ -203,7 +217,7 @@ def calibrate_weights(net: AttributedNetwork, model: FactorModel,
     Returns (structure/attribute, structure/disagreement) loss ratios. If any
     term is zero the ratios are undefined; falls back to (1, 1) with a warning.
     """
-    return _loss_ratios(*_loss_terms(net, model, scores))
+    return _loss_ratios(*_loss_terms(_residuals(net.adjacency, net.attributes, model), scores))
 
 
 def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, float]:
@@ -373,25 +387,6 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     return np.clip(s, floor, 1.0)
 
 
-def update_structural_scores(adj, emb: np.ndarray, ctx: np.ndarray,
-                             budget: float = 1.0, floor: float = 1e-8) -> np.ndarray:
-    """Scores proportional to each node's adjacency reconstruction error."""
-    return budget_scores(row_sq_residuals(adj, emb, ctx), budget, floor)
-
-
-def update_attribute_scores(attrs, emb: np.ndarray, basis: np.ndarray,
-                            budget: float = 1.0, floor: float = 1e-8) -> np.ndarray:
-    """Scores proportional to each node's attribute reconstruction error."""
-    return budget_scores(row_sq_residuals(attrs, emb, basis), budget, floor)
-
-
-def update_disagreement_scores(struct_embed: np.ndarray, attr_embed: np.ndarray,
-                               align: np.ndarray, budget: float = 1.0,
-                               floor: float = 1e-8) -> np.ndarray:
-    """Scores proportional to each node's embedding mismatch."""
-    return budget_scores(_dis_residuals(struct_embed, attr_embed, align), budget, floor)
-
-
 def final_embedding(model: FactorModel) -> np.ndarray:
     """Per-node average of the structure embedding and the mapped attribute
     embedding: (struct_embed + attr_embed @ align.T) / 2."""
@@ -418,12 +413,13 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     adjacency and attribute matrices, starts with uniform scores, calibrates
     the loss weights if unset, then runs `iters` rounds of: align update,
     factor sweeps (struct_embed, struct_context, attr_embed, attr_basis, each
-    consuming the others' latest values), score updates. The joint loss is
+    consuming the others' latest values), then one residual pass that yields
+    both the new scores and the round's joint loss. The joint loss is
     recorded after every round and is non-increasing.
 
-    Attributes with at most 1 in 8 entries nonzero are factorized as a CSR
-    copy (net.attributes itself is not changed); the outputs match the
-    dense path to rounding.
+    Attributes with at most 1 in 8 entries nonzero are factorized, and every
+    loss in fit evaluated, on a CSR copy (net.attributes itself is not
+    changed); the outputs match the dense path to rounding.
 
     Returns (FactorModel, OutlierScores, EmbeddingResult, FitDiagnostics).
     """
@@ -458,7 +454,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     # optimum for the initial embeddings so calibration sees a sensible value
     model.align = update_alignment(model, scores)
 
-    terms = _loss_terms(net, model, scores)
+    terms = _loss_terms(_residuals(adj, attrs, model), scores)
     for term, value in zip(("structure", "attribute", "disagreement"), terms):
         if not np.isfinite(value):
             raise NumericError(f"initial {term} loss is non-finite; "
@@ -472,9 +468,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         hp = replace(hp,
                      attr_weight=hp.attr_weight if hp.attr_weight is not None else attr_w,
                      dis_weight=hp.dis_weight if hp.dis_weight is not None else dis_w)
-    l_str, l_attr, l_dis = terms
-    # summed in loss_joint's order, so the value matches it bit for bit
-    diagnostics.initial_loss = l_str + hp.attr_weight * l_attr + hp.dis_weight * l_dis
+    diagnostics.initial_loss = _joint(terms, hp.attr_weight, hp.dis_weight)
 
     trace: list[float] = []
     prev = diagnostics.initial_loss
@@ -490,21 +484,15 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         model.attr_basis = update_attr_basis(attrs, model, scores, diagnostics.skipped)
         _check_finite(model.attr_basis, "attr_basis update", round_no)
 
-        r1 = row_sq_residuals(adj, model.struct_embed, model.struct_context)
-        r2 = row_sq_residuals(attrs, model.attr_embed, model.attr_basis)
-        r3 = _dis_residuals(model.struct_embed, model.attr_embed, model.align)
-        for what, r in (("structure", r1), ("attribute", r2), ("disagreement", r3)):
+        residuals = _residuals(adj, attrs, model)
+        for what, r in zip(("structure", "attribute", "disagreement"), residuals):
             _check_finite(r, f"{what} residuals", round_no)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            scores.structural = budget_scores(r1, hp.budget, hp.score_floor)
-            scores.attribute = budget_scores(r2, hp.budget, hp.score_floor)
-            scores.disagreement = budget_scores(r3, hp.budget, hp.score_floor)
+            scores = OutlierScores(*(budget_scores(r, hp.budget, hp.score_floor)
+                                     for r in residuals))
             diagnostics.notes.extend(f"round {round_no}: {c.message}" for c in caught)
-
-        loss = (float(_node_weights(scores.structural, "structural scores") @ r1)
-                + hp.attr_weight * float(_node_weights(scores.attribute, "attribute scores") @ r2)
-                + hp.dis_weight * float(_node_weights(scores.disagreement, "disagreement scores") @ r3))
+        loss = _joint(_loss_terms(residuals, scores), hp.attr_weight, hp.dis_weight)
         if not np.isfinite(loss):
             raise NumericError(f"joint loss became non-finite in round {round_no}")
         trace.append(loss)

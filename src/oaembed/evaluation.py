@@ -273,6 +273,8 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
         raise ValueError("truth ids out of range")
     if net.labels is None:
         raise ValueError("evaluation requires a labeled network")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
 
     ranked = rank_nodes(result.outlier_scores)
     recall = {level: recall_at(ranked, truth, level) for level in RECALL_LEVELS}

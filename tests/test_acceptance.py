@@ -15,10 +15,8 @@ import scipy.sparse as sp
 from helpers import (brute_force_clustering_accuracy, fd_check_sweep,
                      grid_min_scores, hypergeom_recall_null, rand_model,
                      rand_network, rand_score_triplet, random_orthogonal, run_cli)
-from oaembed.core import (FactorModel, HyperParams, budget_scores, fit,
-                          loss_disagreement, update_alignment,
-                          update_attribute_scores, update_disagreement_scores,
-                          update_structural_scores)
+from oaembed.core import (FactorModel, HyperParams, _residuals, budget_scores, fit,
+                          loss_disagreement, update_alignment)
 from oaembed.evaluation import clustering_accuracy, f1_scores, rank_nodes, recall_at
 from oaembed.network import AttributedNetwork, save_network
 from oaembed.numerics import make_rng
@@ -125,12 +123,8 @@ def test_criterion_4_score_update_optimality(capsys):
         k = int(rng_i.integers(1, min(n, d) + 1))
         net = rand_network(rng_i, n, d)
         model = rand_model(rng_i, n, k, d)
-        for vec in (update_structural_scores(net.adjacency, model.struct_embed,
-                                             model.struct_context),
-                    update_attribute_scores(net.attributes, model.attr_embed,
-                                            model.attr_basis),
-                    update_disagreement_scores(model.struct_embed,
-                                               model.attr_embed, model.align)):
+        for r in _residuals(net.adjacency, net.attributes, model):
+            vec = budget_scores(r, 1.0, 1e-8)
             sums_ok = sums_ok and abs(vec.sum() - 1.0) <= 1e-9
             bounds_ok = bounds_ok and (vec >= 1e-8).all() and (vec <= 1.0).all()
 

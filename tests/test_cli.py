@@ -358,3 +358,17 @@ def test_evaluate_bad_splits_exit_2(seeded, embedded, tmp_path):
                          "--out", str(tmp_path / "x"),
                          "--splits", "50:10:10")
     assert code == 2
+
+
+def test_evaluate_zero_reps_exits_2(seeded, embedded, tmp_path):
+    out = tmp_path / "x"
+    code, _, stderr = run_cli("evaluate", "--edges", seeded["edges"],
+                              "--attrs", seeded["attrs"],
+                              "--labels", seeded["labels"],
+                              "--embedding", embedded["embedding"],
+                              "--scores", embedded["scores"],
+                              "--truth", seeded["truth"],
+                              "--out", str(out), "--reps", "0")
+    assert code == 2
+    assert "reps" in stderr
+    assert not (out / "report.json").exists()

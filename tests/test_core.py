@@ -9,17 +9,16 @@ from helpers import (fd_check_sweep, naive_loss_disagreement, naive_update_attr_
                      naive_update_struct_embed, naive_weighted_sq_loss,
                      rand_model, rand_network, rand_score_triplet, rand_scores,
                      random_orthogonal)
-from oaembed.core import (FactorModel, HyperParams, OutlierScores, budget_scores,
-                          calibrate_weights, default_dim, final_embedding,
-                          final_outlier_score, fit, loss_attribute,
+from oaembed.core import (FactorModel, HyperParams, OutlierScores, _residuals,
+                          budget_scores, calibrate_weights, default_dim,
+                          final_embedding, final_outlier_score, fit, loss_attribute,
                           loss_disagreement, loss_joint, loss_structure,
                           orthogonality_defect, update_alignment, update_attr_basis,
-                          update_attr_embed, update_attribute_scores,
-                          update_disagreement_scores, update_struct_context,
-                          update_struct_embed, update_structural_scores)
+                          update_attr_embed, update_struct_context,
+                          update_struct_embed)
 from oaembed.errors import ConfigError, NumericError
 from oaembed.network import AttributedNetwork
-from oaembed.numerics import make_rng, nmf_init
+from oaembed.numerics import make_rng, nmf_init, row_sq_residuals
 from oaembed.seeding import SeedingPlan, seed_outliers, synth_network
 
 INV_E = math.exp(-1.0)  # score with unit log-weight
@@ -463,23 +462,23 @@ def test_budget_scores_input_errors():
         budget_scores(np.ones(3), 1e-9, 1e-8)  # budget < n * floor
 
 
-def test_score_update_wrappers_use_row_residuals():
+def test_residuals_match_dense_oracles():
     rng = make_rng(17)
     net = rand_network(rng, 6, 4)
     model = rand_model(rng, 6, 2, 4)
+    res = _residuals(net.adjacency, net.attributes, model)
     a = net.adjacency.toarray()
     r1 = ((a - model.struct_embed @ model.struct_context) ** 2).sum(axis=1)
     want = budget_scores(r1, 1.0, 1e-8)
-    got = update_structural_scores(net.adjacency, model.struct_embed,
-                                   model.struct_context)
+    got = budget_scores(res[0], 1.0, 1e-8)
     assert np.allclose(got, want, rtol=1e-12)
 
     r2 = ((net.attributes - model.attr_embed @ model.attr_basis) ** 2).sum(axis=1)
-    got = update_attribute_scores(net.attributes, model.attr_embed, model.attr_basis)
+    got = budget_scores(res[1], 1.0, 1e-8)
     assert np.allclose(got, budget_scores(r2, 1.0, 1e-8), rtol=1e-12)
 
     r3 = ((model.struct_embed - model.attr_embed @ model.align.T) ** 2).sum(axis=1)
-    got = update_disagreement_scores(model.struct_embed, model.attr_embed, model.align)
+    got = budget_scores(res[2], 1.0, 1e-8)
     assert np.allclose(got, budget_scores(r3, 1.0, 1e-8), rtol=1e-12)
 
 
@@ -543,7 +542,9 @@ def test_hyperparams_validation():
                    {"dim": 2, "combine_weights": (0.5, 0.5, 0.5)},
                    {"dim": 2, "combine_weights": (-0.1, 0.6, 0.5)},
                    {"dim": 2, "combine_weights": (math.nan, 0.5, 0.5)},
-                   {"dim": 2, "init_iters": 0}, {"dim": 2, "loss_tol": 0.0}):
+                   {"dim": 2, "init_iters": 0}, {"dim": 2, "loss_tol": 0.0},
+                   {"dim": 2, "attr_weight": math.inf},
+                   {"dim": 2, "dis_weight": math.inf}):
         with pytest.raises(ConfigError):
             HyperParams(**kwargs)
 
@@ -589,16 +590,26 @@ def test_fit_attribute_layout_follows_density(monkeypatch, attr_p, want_csr):
     density = np.count_nonzero(net.attributes) / net.attributes.size
     assert (density <= 1 / 8) == want_csr
     seen = []
+    residual_layouts = []
 
     def recording_nmf_init(m, *args):
         if m.shape == net.attributes.shape:
             seen.append(sp.issparse(m))
         return nmf_init(m, *args)
 
+    def recording_row_sq_residuals(m, *args):
+        if m.shape == net.attributes.shape:
+            residual_layouts.append(sp.issparse(m))
+        return row_sq_residuals(m, *args)
+
     monkeypatch.setattr("oaembed.core.nmf_init", recording_nmf_init)
+    monkeypatch.setattr("oaembed.core.row_sq_residuals", recording_row_sq_residuals)
     hp = HyperParams(dim=4, attr_weight=0.7, dis_weight=1.3, seed=5)
     model, scores, result, diag = fit(net, hp)
     assert seen == [want_csr]
+    # the initial loss and every round read the attribute matrix fit chose
+    assert len(residual_layouts) == 1 + hp.iters
+    assert all(is_csr == want_csr for is_csr in residual_layouts)
     assert isinstance(net.attributes, np.ndarray)
     assert result.loss_trace[-1] == pytest.approx(loss_joint(net, model, scores, hp), rel=1e-12)
     trace = [diag.initial_loss, *result.loss_trace]

@@ -284,6 +284,9 @@ def test_evaluate_all_validation():
         evaluate_all(net, result, [50])
     with pytest.raises(ValueError):
         evaluate_all(net, result, [1], splits=(0,))
+    for reps in (0, -1):
+        with pytest.raises(ValueError, match="reps"):
+            evaluate_all(net, result, [1], splits=(30,), reps=reps)
     unlabeled = AttributedNetwork(adjacency=net.adjacency,
                                   attributes=net.attributes)
     with pytest.raises(ValueError):

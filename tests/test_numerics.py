@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -254,3 +255,23 @@ def test_package_never_densifies_sparse_matrices():
              for no, line in enumerate(path.read_text().splitlines(), 1)
              if re.search(r"\.\s*(toarray|todense)\s*\(", line)]
     assert calls == []
+
+
+def test_package_modules_have_no_unused_imports():
+    # deletions tend to leave imports behind; __init__.py re-exports on purpose
+    unused = []
+    for path in sorted(Path(oaembed.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                bound = [a.asname or a.name for a in stmt.names]
+            else:
+                continue
+            unused += [f"{path.name}:{stmt.lineno} {name}" for name in bound
+                       if name not in used]
+    assert unused == []
