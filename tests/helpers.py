@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from oaembed.core import FactorModel, OutlierScores
+from oaembed.evaluation import Classifier
 from oaembed.network import AttributedNetwork
 
 
@@ -88,6 +89,43 @@ def brute_force_clustering_accuracy(pred, truth) -> float:
         for perm in itertools.permutations(range(np_), nt):
             best = max(best, sum(conf[perm[c], c] for c in range(nt)))
     return best / pred.size
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_train_classifier(x: np.ndarray, y: np.ndarray,
+                               steps: int = 500) -> Classifier:
+    """The row-major (nodes x classes) gradient-descent loop that
+    `train_classifier` reorganises class-major: the same zero start, step 0.1,
+    l2 weight 1e-3 with the bias row exempt, and loss trace."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    classes = np.unique(y)
+    n = x.shape[0]
+
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale = np.where(scale < 1e-12, 1.0, scale)
+    z = np.column_stack([(x - mean) / scale, np.ones(n)])
+    target = (y[:, None] == classes[None, :]).astype(np.float64)
+
+    w = np.zeros((z.shape[1], classes.size))
+    reg_mask = np.ones_like(w)
+    reg_mask[-1, :] = 0.0  # bias row unregularized
+    trace = []
+    for step in range(steps + 1):
+        p = _softmax(z @ w)
+        data_loss = -np.log(np.maximum((p * target).sum(axis=1), 1e-300)).mean()
+        trace.append(data_loss + 0.5 * 1e-3 * float((w * w * reg_mask).sum()))
+        if step == steps:
+            break
+        w -= 0.1 * (z.T @ (p - target) / n + 1e-3 * w * reg_mask)
+    return Classifier(weights=w, classes=classes, feature_mean=mean,
+                      feature_scale=scale, loss_trace=trace)
 
 
 def naive_weighted_sq_loss(m, p, q, scores) -> float:

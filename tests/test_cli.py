@@ -327,6 +327,25 @@ def test_evaluate_exclude_outliers_flag(seeded, embedded, tmp_path):
     assert code == 0
 
 
+def test_evaluate_exclude_every_node_exits_2(seeded, embedded, tmp_path):
+    with open(seeded["labels"], encoding="utf-8") as fh:
+        names = [line.split()[0] for line in fh if line.strip()]
+    truth = tmp_path / "everyone.tsv"
+    truth.write_text("".join(f"{name} combined\n" for name in names))
+    out = tmp_path / "x"
+    code, _, stderr = run_cli("evaluate", "--edges", seeded["edges"],
+                              "--attrs", seeded["attrs"],
+                              "--labels", seeded["labels"],
+                              "--embedding", embedded["embedding"],
+                              "--scores", embedded["scores"],
+                              "--truth", str(truth), "--out", str(out),
+                              "--splits", "30:30:10", "--reps", "1",
+                              "--exclude-outliers")
+    assert code == 2
+    assert "exclude_outliers" in stderr
+    assert not (out / "report.json").exists()
+
+
 def test_evaluate_misaligned_embedding_exits_2(dataset, seeded, embedded,
                                                tmp_path):
     # embedding built from the unseeded dataset: 60 rows against 63 nodes

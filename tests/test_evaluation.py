@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_clustering_accuracy, hypergeom_recall_null
+import oaembed.evaluation
+from helpers import (brute_force_clustering_accuracy, hypergeom_recall_null,
+                     reference_train_classifier)
 from oaembed.errors import ParseError
 from oaembed.evaluation import (RECALL_LEVELS, EvalReport, clustering_accuracy,
                                 evaluate_all, f1_scores, kmeans_pp, kmeans_pp_full,
                                 load_report, predict, rank_nodes, recall_at,
                                 train_classifier)
 from oaembed.network import AttributedNetwork, EmbeddingResult
-from oaembed.numerics import make_rng
+from oaembed.numerics import make_rng, named_rng
 from oaembed.seeding import synth_network
 
 
@@ -124,6 +126,52 @@ def test_classifier_three_classes():
     y = np.repeat([0, 1, 2], 15)
     clf = train_classifier(x, y)
     assert (predict(clf, x) == y).mean() == 1.0
+
+
+def _blobs(rng, sizes, n_features, gap=2.0):
+    centers = rng.normal(scale=gap, size=(len(sizes), n_features))
+    x = np.vstack([rng.normal(size=(m, n_features)) + c for m, c in zip(sizes, centers)])
+    return x, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _constant_column(rng):
+    x, y = _blobs(rng, [30, 30, 30], 4)
+    x[:, 2] = 3.5  # zero spread: the scale guard keeps it finite
+    return x, y, 500
+
+
+def _two_sparse_labels(rng):
+    x, y = _blobs(rng, [40, 25], 3)
+    return x, np.where(y == 0, -3, 11), 500
+
+
+def _singleton_class(rng):
+    x, y = _blobs(rng, [50, 1, 40], 6)
+    return x, y * 10 + 2, 500
+
+
+CLASSIFIER_CASES = {
+    "blobs-5x16": lambda rng: (*_blobs(rng, [80, 85, 75, 80, 81], 16), 500),
+    "two-sparse-labels": _two_sparse_labels,
+    "constant-column": _constant_column,
+    "singleton-class": _singleton_class,
+    "zero-steps": lambda rng: (*_blobs(rng, [20, 20, 20], 5), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFIER_CASES))
+def test_classifier_matches_row_major_reference(case):
+    x, y, steps = CLASSIFIER_CASES[case](make_rng(21))
+    got = train_classifier(x, y, steps=steps)
+    ref = reference_train_classifier(x, y, steps=steps)
+    assert np.array_equal(got.classes, ref.classes)
+    assert got.weights.shape == (x.shape[1] + 1, ref.classes.size)
+    assert got.weights.flags.c_contiguous
+    np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
+    assert len(got.loss_trace) == steps + 1
+    np.testing.assert_allclose(got.loss_trace, ref.loss_trace, rtol=1e-12, atol=0.0)
+    probe = np.vstack([x, make_rng(22).normal(scale=3.0, size=(50, x.shape[1]))])
+    assert np.array_equal(predict(got, probe), predict(ref, probe))
 
 
 def test_classifier_input_errors():
@@ -242,6 +290,7 @@ def test_evaluate_all_perfect_embedding():
     assert report.config["n_truth"] == 3
     assert report.config["reps"] == 3
     assert report.config["splits"] == [10, 50]
+    assert report.config["kmeans_starts"] == 10
 
 
 def test_evaluate_all_random_scores_near_null():
@@ -275,6 +324,61 @@ def test_evaluate_all_deterministic():
     assert a == b
 
 
+def test_evaluate_all_keeps_lowest_wcss_kmeans_start(monkeypatch):
+    rng = make_rng(14)
+    net = synth_network(90, 3, 0.2, 0.02, 15, 0.9, seed=14)
+    result = one_hot_result(net, [7])
+    result.embedding = result.embedding + rng.normal(scale=0.6, size=result.embedding.shape)
+    real = kmeans_pp_full
+    starts = []
+
+    def recording(points, k, seed):
+        out = real(points, k, seed)
+        starts.append((seed, out))
+        return out
+
+    monkeypatch.setattr(oaembed.evaluation, "kmeans_pp_full", recording)
+    report = evaluate_all(net, result, [7], splits=(30,), reps=1, seed=5)
+    assert [s for s, _ in starts] == [
+        int(named_rng(5, f"kmeans-{i}").integers(2 ** 63)) for i in range(10)]
+    final = [trace[-1] for _, (_, _, trace) in starts]
+    accuracies = {clustering_accuracy(labels, net.labels) for _, (labels, _, _) in starts}
+    assert len(accuracies) > 1  # the starts disagree, so the choice matters
+    best = starts[int(np.argmin(final))][1][0]
+    assert report.clustering_accuracy == clustering_accuracy(best, net.labels)
+    starts.clear()
+    assert evaluate_all(net, result, [7], splits=(30,), reps=1, seed=5) == report
+
+
+def test_evaluate_all_kmeans_tie_keeps_earliest_start(monkeypatch):
+    net = synth_network(60, 2, 0.2, 0.02, 10, 0.9, seed=15)
+    wrong = (net.labels + np.arange(60)) % 2  # half the nodes mislabeled
+    final = iter([5.0, 2.0, 3.0, 2.0, 4.0, 2.0, 6.0, 7.0, 8.0, 9.0])
+    calls = []
+
+    def fake(points, k, seed):
+        calls.append(seed)
+        labels = net.labels if len(calls) == 2 else wrong
+        return labels, None, [10.0, next(final)]
+
+    monkeypatch.setattr(oaembed.evaluation, "kmeans_pp_full", fake)
+    report = evaluate_all(net, one_hot_result(net, [3]), [3], splits=(30,), reps=1)
+    assert len(calls) == 10
+    assert report.clustering_accuracy == 1.0
+
+
+def test_evaluate_all_f1_matches_row_major_classifier(monkeypatch):
+    rng = make_rng(16)
+    net = synth_network(150, 3, 0.2, 0.02, 30, 0.9, seed=16)
+    result = one_hot_result(net, [2, 77])
+    result.embedding = result.embedding + rng.normal(scale=0.8, size=result.embedding.shape)
+    got = evaluate_all(net, result, [2, 77], splits=(10, 50), reps=3, seed=6)
+    monkeypatch.setattr(oaembed.evaluation, "train_classifier", reference_train_classifier)
+    ref = evaluate_all(net, result, [2, 77], splits=(10, 50), reps=3, seed=6)
+    assert got.f1 == ref.f1
+    assert any(micro < 1.0 for _, micro in got.f1.values())  # not a trivial embedding
+
+
 def test_evaluate_all_validation():
     net = synth_network(50, 2, 0.2, 0.02, 10, 0.9, seed=13)
     result = one_hot_result(net, [1])
@@ -287,6 +391,11 @@ def test_evaluate_all_validation():
     for reps in (0, -1):
         with pytest.raises(ValueError, match="reps"):
             evaluate_all(net, result, [1], splits=(30,), reps=reps)
+    everyone = list(range(50))
+    one_class_left = [i for i in range(50) if net.labels[i] != net.labels[0]]
+    for truth in (everyone, one_class_left):
+        with pytest.raises(ValueError, match="exclude_outliers"):
+            evaluate_all(net, result, truth, splits=(30,), exclude_outliers=True)
     unlabeled = AttributedNetwork(adjacency=net.adjacency,
                                   attributes=net.attributes)
     with pytest.raises(ValueError):
