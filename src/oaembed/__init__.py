@@ -15,7 +15,7 @@ from .core import (FactorModel, FitDiagnostics, HyperParams, OutlierScores,
                    update_attr_embed, update_struct_context, update_struct_embed)
 from .errors import ConfigError, NumericError, ParseError
 from .evaluation import (Classifier, EvalReport, clustering_accuracy, evaluate_all,
-                         f1_scores, kmeans_pp, kmeans_pp_full, predict, rank_nodes,
+                         f1_scores, kmeans_pp_full, predict, rank_nodes,
                          recall_at, train_classifier)
 from .network import (AttributedNetwork, EmbeddingResult, class_distribution,
                       load_network, load_result, save_network, save_result)

@@ -116,10 +116,6 @@ class OutlierScores:
     attribute: np.ndarray
     disagreement: np.ndarray
 
-    def copy(self) -> "OutlierScores":
-        return OutlierScores(self.structural.copy(), self.attribute.copy(),
-                             self.disagreement.copy())
-
 
 @dataclass
 class FitDiagnostics:
@@ -153,11 +149,6 @@ def loss_attribute(attrs, emb: np.ndarray, basis: np.ndarray, scores: np.ndarray
     return float(w @ row_sq_residuals(attrs, emb, basis))
 
 
-def _dis_residuals(struct_embed: np.ndarray, attr_embed: np.ndarray, align: np.ndarray) -> np.ndarray:
-    r = struct_embed - attr_embed @ align.T
-    return np.einsum("ij,ij->i", r, r)
-
-
 def orthogonality_defect(align: np.ndarray) -> float:
     """max |align.T @ align - I|, 0 for exactly orthonormal columns."""
     k = align.shape[1]
@@ -173,7 +164,7 @@ def loss_disagreement(struct_embed: np.ndarray, attr_embed: np.ndarray,
     w = _node_weights(scores, "disagreement scores")
     if orthogonality_defect(align) > 1e-6:
         warnings.warn("align matrix is not orthogonal within 1e-6", stacklevel=2)
-    return float(w @ _dis_residuals(struct_embed, attr_embed, align))
+    return float(w @ row_sq_residuals(struct_embed, attr_embed, align.T))
 
 
 def _resolved_weights(hp: HyperParams) -> tuple[float, float]:
@@ -186,7 +177,7 @@ def _residuals(adj, attrs, model: FactorModel) -> tuple[np.ndarray, np.ndarray, 
     """Per-node squared residuals of the structure, attribute and alignment fits."""
     return (row_sq_residuals(adj, model.struct_embed, model.struct_context),
             row_sq_residuals(attrs, model.attr_embed, model.attr_basis),
-            _dis_residuals(model.struct_embed, model.attr_embed, model.align))
+            row_sq_residuals(model.struct_embed, model.attr_embed, model.align.T))
 
 
 def _loss_terms(residuals, scores: OutlierScores) -> tuple[float, float, float]:

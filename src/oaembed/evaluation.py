@@ -184,11 +184,6 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
     return labels, centroids, trace
 
 
-def kmeans_pp(points: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Cluster assignment from kmeans_pp_full."""
-    return kmeans_pp_full(points, k, seed)[0]
-
-
 def clustering_accuracy(pred, truth) -> float:
     """Best alignment accuracy between cluster ids and class ids.
 

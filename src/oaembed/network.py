@@ -309,16 +309,14 @@ def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
     paths = {"edges": os.path.join(out_dir, "edges.txt"),
              "attributes": os.path.join(out_dir, "attributes.txt")}
 
-    coo = net.adjacency.tocoo()
+    # canonical CSR lists each row's columns in ascending order, so the edges
+    # come out sorted by (src, dst); undirected pairs are written once, i <= j
+    edges = (net.adjacency if net.directed
+             else sp.triu(net.adjacency, format="csr")).tocoo()
     with open(paths["edges"], "w", encoding="utf-8", newline="\n") as fh:
         if net.directed:
             fh.write("%directed\n")
-        seen_pairs = []
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            if not net.directed and j < i:
-                continue
-            seen_pairs.append((int(i), int(j), float(w)))
-        for i, j, w in sorted(seen_pairs):
+        for i, j, w in zip(edges.row.tolist(), edges.col.tolist(), edges.data.tolist()):
             line = f"{net.node_names[i]} {net.node_names[j]}"
             if w != 1.0:
                 line += f" {w!r}"

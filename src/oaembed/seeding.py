@@ -10,9 +10,12 @@ Planted nodes are new nodes appended to the network; they connect only to
 original nodes, carry the label of the class their structure or attributes
 were anchored to, and their degree and nonzero-attribute counts are drawn
 from the anchor class's empirical distributions so summary statistics do not
-give them away.
+give them away. One rule plants all three kinds; they differ only in where
+the edges and the attributes come from. A SeededDataset records each planted
+node once, in planting order, and derives the per-kind id lists from that.
 """
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -77,51 +80,59 @@ class PlantedNode:
 
 @dataclass
 class SeededDataset:
-    """An augmented network plus the identities of the planted nodes."""
+    """An augmented network whose last len(planted) nodes are the planted ones, in order."""
 
     network: AttributedNetwork
-    structural_ids: list[int] = field(default_factory=list)
-    attribute_ids: list[int] = field(default_factory=list)
-    combined_ids: list[int] = field(default_factory=list)
     planted: list[PlantedNode] = field(default_factory=list)
+
+    def _ids(self, kind: str | None = None) -> list[int]:
+        n0 = self.network.n_nodes - len(self.planted)
+        return [n0 + t for t, p in enumerate(self.planted) if kind in (None, p.kind)]
+
+    @property
+    def structural_ids(self) -> list[int]:
+        return self._ids("structural")
+
+    @property
+    def attribute_ids(self) -> list[int]:
+        return self._ids("attribute")
+
+    @property
+    def combined_ids(self) -> list[int]:
+        return self._ids("combined")
 
     @property
     def outlier_ids(self) -> list[int]:
-        return [*self.structural_ids, *self.attribute_ids, *self.combined_ids]
+        return self._ids()
 
 
 class _ClassStats:
-    """Per-class empirical statistics used by the planting rules."""
+    """Per-class empirical statistics used by the planting rules.
+
+    Mean degrees, column sums and column nonzero counts are products of one
+    sparse K x N class-indicator matrix.
+    """
 
     def __init__(self, net: AttributedNetwork):
         if net.labels is None:
-            raise ValueError("seeding requires a labeled network")
-        labels = net.labels
+            raise ValueError("planting requires a labeled network")
+        if net.directed:
+            raise ValueError("planting is defined for undirected networks only")
+        if net.n_classes < 2:
+            raise ValueError("planting requires at least 2 classes")
         n, k = net.n_nodes, net.n_classes
-        degrees = np.diff(net.adjacency.indptr)
-        nnz_counts = np.count_nonzero(net.attributes, axis=1)
-        col_sums = np.zeros((k, net.n_attrs))
-        col_nnz = np.zeros((k, net.n_attrs))
-        self.members = []
-        self.external = []
-        self.mean_degree = np.zeros(k)
-        self.nnz_counts = []
-        for c in range(k):
-            mask = labels == c
-            idx = np.nonzero(mask)[0]
-            if idx.size == 0:
-                raise ValueError(f"class id {c} has no members")
-            self.members.append(idx)
-            self.external.append(np.nonzero(~mask)[0])
-            self.mean_degree[c] = degrees[idx].mean()
-            self.nnz_counts.append(nnz_counts[idx])
-            col_sums[c] = net.attributes[idx].sum(axis=0)
-            col_nnz[c] = np.count_nonzero(net.attributes[idx], axis=0)
-        self.col_sums = col_sums
-        self.col_nnz = col_nnz
-        self.total_col_sums = col_sums.sum(axis=0)
-        self.total_col_nnz = col_nnz.sum(axis=0)
-        self.all_nnz_counts = nnz_counts
+        ind = sp.csr_matrix((np.ones(n), (net.labels, np.arange(n))), shape=(k, n))
+        sizes = np.diff(ind.indptr)
+        if (sizes == 0).any():
+            raise ValueError(f"class id {int(np.argmin(sizes))} has no members")
+        nonzero = net.attributes != 0
+        nnz_counts = np.count_nonzero(nonzero, axis=1)
+        self.members = [np.flatnonzero(net.labels == c) for c in range(k)]
+        self.external = [np.flatnonzero(net.labels != c) for c in range(k)]
+        self.mean_degree = (ind @ np.diff(net.adjacency.indptr)) / sizes
+        self.nnz_counts = [nnz_counts[m] for m in self.members]
+        self.col_sums = ind @ net.attributes
+        self.col_nnz = ind @ nonzero
 
     def own_distribution(self, c: int):
         """(keyword weights, per-keyword mean values, nonzero-count pool) of class c."""
@@ -131,12 +142,11 @@ class _ClassStats:
         return self.col_sums[c], vals, self.nnz_counts[c]
 
     def pooled_other_distribution(self, c: int):
-        """Same statistics pooled over every class except c."""
-        w = self.total_col_sums - self.col_sums[c]
-        nz = self.total_col_nnz - self.col_nnz[c]
+        """Same statistics pooled over every class except c (count pools in class order)."""
+        w = self.col_sums.sum(axis=0) - self.col_sums[c]
+        nz = self.col_nnz.sum(axis=0) - self.col_nnz[c]
         vals = np.divide(w, nz, out=np.zeros_like(w), where=nz > 0)
-        counts = np.concatenate([self.nnz_counts[o] for o in range(len(self.members))
-                                 if o != c])
+        counts = np.concatenate([p for o, p in enumerate(self.nnz_counts) if o != c])
         return w, vals, counts
 
 
@@ -176,135 +186,101 @@ def _draw_attributes(weights: np.ndarray, values: np.ndarray,
 def _pick_class(net: AttributedNetwork, rng, exclude: int | None = None) -> int:
     probs = class_distribution(net)
     if exclude is not None:
-        probs = probs.copy()
         probs[exclude] = 0.0
         probs /= probs.sum()
     return int(rng.choice(probs.size, p=probs))
 
 
-def _require_plantable(net: AttributedNetwork):
-    if net.labels is None:
-        raise ValueError("planting requires a labeled network")
-    if net.directed:
-        raise ValueError("planting is defined for undirected networks only")
-    if net.n_classes < 2:
-        raise ValueError("planting requires at least 2 classes")
-
-
-def plant_structural(net: AttributedNetwork, plan: SeedingPlan, rng,
-                     stats: _ClassStats | None = None) -> PlantedNode:
-    """A node whose attributes follow one class while every edge leaves it."""
-    _require_plantable(net)
-    stats = stats if stats is not None else _ClassStats(net)
+def _plant(kind: str, net: AttributedNetwork, plan: SeedingPlan, rng,
+           stats: _ClassStats) -> PlantedNode:
+    """One planted node of the given kind. Draws, in this order: the anchor class,
+    the attribute class (combined only), the degree, the neighbors, the attributes."""
     c = _pick_class(net, rng)
-    pool = stats.external[c]
+    struct_class = None if kind == "structural" else c
+    attr_class = (_pick_class(net, rng, exclude=c) if kind == "combined"
+                  else None if kind == "attribute" else c)
+    pool = stats.external[c] if struct_class is None else stats.members[c]
     if pool.size == 0:
         raise ValueError(f"class {c} has no external nodes to connect to")
     deg = _draw_degree(stats.mean_degree[c], plan.degree_band, pool.size, rng)
     neighbors = np.sort(rng.choice(pool, size=deg, replace=False))
-    idx, vals = _draw_attributes(*stats.own_distribution(c), rng)
-    return PlantedNode("structural", c, None, c, neighbors, idx, vals)
+    dist = (stats.pooled_other_distribution(c) if attr_class is None
+            else stats.own_distribution(attr_class))
+    idx, vals = _draw_attributes(*dist, rng)
+    return PlantedNode(kind, c, struct_class, attr_class, neighbors, idx, vals)
 
 
-def plant_attribute(net: AttributedNetwork, plan: SeedingPlan, rng,
-                    stats: _ClassStats | None = None) -> PlantedNode:
+def plant_structural(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
+    """A node whose attributes follow one class while every edge leaves it."""
+    return _plant("structural", net, plan, rng, _ClassStats(net))
+
+
+def plant_attribute(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
     """A node whose edges stay inside one class while its attributes pool the rest."""
-    _require_plantable(net)
-    stats = stats if stats is not None else _ClassStats(net)
-    c = _pick_class(net, rng)
-    pool = stats.members[c]
-    deg = _draw_degree(stats.mean_degree[c], plan.degree_band, pool.size, rng)
-    neighbors = np.sort(rng.choice(pool, size=deg, replace=False))
-    idx, vals = _draw_attributes(*stats.pooled_other_distribution(c), rng)
-    return PlantedNode("attribute", c, c, None, neighbors, idx, vals)
+    return _plant("attribute", net, plan, rng, _ClassStats(net))
 
 
-def plant_combined(net: AttributedNetwork, plan: SeedingPlan, rng,
-                   stats: _ClassStats | None = None) -> PlantedNode:
+def plant_combined(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
     """A node structurally anchored to one class with another class's attributes."""
-    _require_plantable(net)
-    stats = stats if stats is not None else _ClassStats(net)
-    c1 = _pick_class(net, rng)
-    c2 = _pick_class(net, rng, exclude=c1)
-    pool = stats.members[c1]
-    deg = _draw_degree(stats.mean_degree[c1], plan.degree_band, pool.size, rng)
-    neighbors = np.sort(rng.choice(pool, size=deg, replace=False))
-    idx, vals = _draw_attributes(*stats.own_distribution(c2), rng)
-    return PlantedNode("combined", c1, c1, c2, neighbors, idx, vals)
+    return _plant("combined", net, plan, rng, _ClassStats(net))
 
 
 def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
     """Plant ceil(total_fraction * N) outliers and return the augmented dataset.
 
-    Deterministic per plan.seed. Planted nodes are appended after the original
-    nodes and never link to each other.
+    The planted nodes come kind by kind (structural, attribute, combined; see
+    SeedingPlan.counts), all drawn from one named_rng(plan.seed, "seeding")
+    stream, so the result equals the plant_* calls made in that order on that
+    stream. Deterministic per plan.seed. Planted nodes are appended after the
+    original nodes, named planted_<t>_<kind>, and never link to each other.
     """
-    n_s, n_a, n_c = plan.counts(net.n_nodes)
-    total = n_s + n_a + n_c
-    if total == 0:
-        copy = AttributedNetwork(
-            adjacency=net.adjacency.copy(), attributes=net.attributes.copy(),
-            labels=None if net.labels is None else net.labels.copy(),
-            node_names=list(net.node_names), directed=net.directed,
-            has_self_loops=net.has_self_loops,
-            label_names=None if net.label_names is None else list(net.label_names))
-        return SeededDataset(network=copy)
+    counts = plan.counts(net.n_nodes)
+    if sum(counts) == 0:
+        return SeededDataset(network=copy.deepcopy(net))
 
-    _require_plantable(net)
-    rng = named_rng(plan.seed, "seeding")
     stats = _ClassStats(net)
-    planted = ([plant_structural(net, plan, rng, stats) for _ in range(n_s)]
-               + [plant_attribute(net, plan, rng, stats) for _ in range(n_a)]
-               + [plant_combined(net, plan, rng, stats) for _ in range(n_c)])
+    rng = named_rng(plan.seed, "seeding")
+    planted = [_plant(kind, net, plan, rng, stats)
+               for kind, count in zip(OUTLIER_KINDS, counts) for _ in range(count)]
 
-    n0 = net.n_nodes
+    n0, total = net.n_nodes, len(planted)
+    new_ids = np.arange(n0, n0 + total)
+    edge_new = np.repeat(new_ids, [p.neighbors.size for p in planted])
+    edge_old = np.concatenate([p.neighbors for p in planted])
     coo = net.adjacency.tocoo()
-    rows = [coo.row]
-    cols = [coo.col]
-    data = [coo.data]
-    new_attrs = np.zeros((total, net.n_attrs))
+    adj = sp.csr_matrix((np.concatenate([coo.data, np.ones(2 * edge_old.size)]),
+                         (np.concatenate([coo.row, edge_new, edge_old]),
+                          np.concatenate([coo.col, edge_old, edge_new]))),
+                        shape=(n0 + total, n0 + total))
+    attrs = np.vstack([net.attributes, np.zeros((total, net.n_attrs))])
+    attrs[np.repeat(new_ids, [p.attr_indices.size for p in planted]),
+          np.concatenate([p.attr_indices for p in planted])] = \
+        np.concatenate([p.attr_values for p in planted])
+
     names = list(net.node_names)
     taken = set(names)
-    labels = list(net.labels)
-    ids_by_kind: dict[str, list[int]] = {k: [] for k in OUTLIER_KINDS}
     for t, p in enumerate(planted):
-        i = n0 + t
-        rows.append(np.concatenate([np.full(p.neighbors.size, i), p.neighbors]))
-        cols.append(np.concatenate([p.neighbors, np.full(p.neighbors.size, i)]))
-        data.append(np.ones(2 * p.neighbors.size))
-        new_attrs[t, p.attr_indices] = p.attr_values
         name = f"planted_{t}_{p.kind}"
         while name in taken:
             name += "_x"
         taken.add(name)
         names.append(name)
-        labels.append(p.label)
-        ids_by_kind[p.kind].append(i)
 
-    adj = sp.csr_matrix((np.concatenate(data),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n0 + total, n0 + total))
     augmented = AttributedNetwork(
-        adjacency=adj, attributes=np.vstack([net.attributes, new_attrs]),
-        labels=np.array(labels), node_names=names, directed=False,
+        adjacency=adj, attributes=attrs,
+        labels=np.concatenate([net.labels, [p.label for p in planted]]),
+        node_names=names, directed=False,
         has_self_loops=net.has_self_loops, label_names=list(net.label_names))
-    return SeededDataset(network=augmented,
-                         structural_ids=ids_by_kind["structural"],
-                         attribute_ids=ids_by_kind["attribute"],
-                         combined_ids=ids_by_kind["combined"],
-                         planted=planted)
+    return SeededDataset(network=augmented, planted=planted)
 
 
 def save_truth(seeded: SeededDataset, path: str):
-    """Write `<node_id> <kind>` lines for every planted outlier."""
+    """Write `<node_id> <kind>` lines for every planted outlier, in planting order."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     names = seeded.network.node_names
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for kind, ids in (("structural", seeded.structural_ids),
-                          ("attribute", seeded.attribute_ids),
-                          ("combined", seeded.combined_ids)):
-            for i in ids:
-                fh.write(f"{names[i]} {kind}\n")
+        for i, p in zip(seeded.outlier_ids, seeded.planted):
+            fh.write(f"{names[i]} {p.kind}\n")
 
 
 def load_truth(path: str) -> list[tuple[str, str]]:

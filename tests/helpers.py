@@ -128,6 +128,24 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
                       feature_scale=scale, loss_trace=trace)
 
 
+def class_stats_by_loop(net: AttributedNetwork) -> dict:
+    """seeding._ClassStats's fields built one class at a time from row subsets."""
+    degrees = np.diff(net.adjacency.indptr)
+    nnz_counts = np.count_nonzero(net.attributes, axis=1)
+    out = {"members": [], "external": [], "mean_degree": [], "nnz_counts": [],
+           "col_sums": [], "col_nnz": []}
+    for c in range(net.n_classes):
+        mask = net.labels == c
+        idx = np.nonzero(mask)[0]
+        out["members"].append(idx)
+        out["external"].append(np.nonzero(~mask)[0])
+        out["mean_degree"].append(degrees[idx].mean())
+        out["nnz_counts"].append(nnz_counts[idx])
+        out["col_sums"].append(net.attributes[idx].sum(axis=0))
+        out["col_nnz"].append(np.count_nonzero(net.attributes[idx], axis=0))
+    return out
+
+
 def naive_weighted_sq_loss(m, p, q, scores) -> float:
     """sum_i log(1/scores_i) sum_j (m_ij - p_i . q_.j)^2 by explicit loops."""
     a = to_dense(m)

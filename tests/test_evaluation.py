@@ -6,7 +6,7 @@ from helpers import (brute_force_clustering_accuracy, hypergeom_recall_null,
                      reference_train_classifier)
 from oaembed.errors import ParseError
 from oaembed.evaluation import (RECALL_LEVELS, EvalReport, clustering_accuracy,
-                                evaluate_all, f1_scores, kmeans_pp, kmeans_pp_full,
+                                evaluate_all, f1_scores, kmeans_pp_full,
                                 load_report, predict, rank_nodes, recall_at,
                                 train_classifier)
 from oaembed.network import AttributedNetwork, EmbeddingResult
@@ -188,7 +188,7 @@ def test_classifier_input_errors():
 
 def test_kmeans_separated_line():
     pts = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
-    labels = kmeans_pp(pts, 2, seed=0)
+    labels = kmeans_pp_full(pts, 2, seed=0)[0]
     assert labels[0] == labels[1] == labels[2]
     assert labels[3] == labels[4] == labels[5]
     assert labels[0] != labels[3]
@@ -212,12 +212,13 @@ def test_kmeans_wcss_non_increasing():
 def test_kmeans_deterministic():
     rng = make_rng(5)
     pts = rng.normal(size=(40, 2))
-    assert np.array_equal(kmeans_pp(pts, 3, seed=7), kmeans_pp(pts, 3, seed=7))
+    assert np.array_equal(kmeans_pp_full(pts, 3, seed=7)[0],
+                          kmeans_pp_full(pts, 3, seed=7)[0])
 
 
 def test_kmeans_duplicate_points_survive():
     pts = np.array([[1.0, 1.0]] * 5 + [[4.0, 4.0]])
-    labels = kmeans_pp(pts, 3, seed=0)
+    labels = kmeans_pp_full(pts, 3, seed=0)[0]
     assert labels.shape == (6,)
     assert ((labels >= 0) & (labels < 3)).all()
 
@@ -225,11 +226,11 @@ def test_kmeans_duplicate_points_survive():
 def test_kmeans_errors():
     pts = np.ones((3, 2))
     with pytest.raises(ValueError):
-        kmeans_pp(pts, 4, seed=0)
+        kmeans_pp_full(pts, 4, seed=0)[0]
     with pytest.raises(ValueError):
-        kmeans_pp(pts, 0, seed=0)
+        kmeans_pp_full(pts, 0, seed=0)[0]
     with pytest.raises(ValueError):
-        kmeans_pp(np.empty((0, 2)), 1, seed=0)
+        kmeans_pp_full(np.empty((0, 2)), 1, seed=0)[0]
 
 
 # ---------------------------------------------------------------- matching

@@ -275,3 +275,33 @@ def test_package_modules_have_no_unused_imports():
             unused += [f"{path.name}:{stmt.lineno} {name}" for name in bound
                        if name not in used]
     assert unused == []
+
+
+def test_package_private_definitions_are_referenced():
+    # a module-level _function, _Class or _CONSTANT that nothing in the
+    # package reads is dead code left behind by a deletion
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(oaembed.__file__).parent.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    orphans = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [(stmt.name, stmt.lineno)]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [(t.id, stmt.lineno) for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            orphans += [f"{name}:{lineno} {ident}" for ident, lineno in defined
+                        if ident.startswith("_") and not ident.startswith("__")
+                        and ident not in referenced]
+    assert orphans == []

@@ -1,13 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import class_stats_by_loop
 from oaembed.errors import ParseError
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng
-from oaembed.seeding import (OUTLIER_KINDS, SeedingPlan, load_truth,
-                             plant_attribute, plant_combined, plant_structural,
-                             save_truth, seed_outliers, synth_network)
+from oaembed.seeding import (OUTLIER_KINDS, PlantedNode, SeedingPlan, _ClassStats,
+                             load_truth, plant_attribute, plant_combined,
+                             plant_structural, save_truth, seed_outliers, synth_network)
 
 
 def block_of(j, n_classes=3, n_attrs=120):
@@ -316,6 +319,34 @@ def test_seed_outliers_deterministic_and_fraction_zero():
     assert empty.planted == []
     assert empty.outlier_ids == []
     assert np.array_equal(empty.network.attributes, net.attributes)
+
+
+def test_seed_outliers_is_the_plant_calls_in_sequence():
+    # labels shuffled across nodes (classes not contiguous, as in cora-like
+    # files) and attribute values that are not 0/1
+    rng = make_rng(21)
+    base = synth_network(240, 4, 0.08, 0.01, 80, 0.8, seed=21)
+    net = AttributedNetwork(
+        adjacency=base.adjacency, labels=rng.permutation(base.labels),
+        attributes=base.attributes * rng.uniform(0.2, 2.5, size=base.attributes.shape),
+        label_names=base.label_names)
+
+    stats = _ClassStats(net)
+    for name, per_class in class_stats_by_loop(net).items():
+        for c, want in enumerate(per_class):
+            assert np.array_equal(getattr(stats, name)[c], want), (name, c)
+
+    plan = SeedingPlan(total_fraction=0.05, seed=21)
+    seeded = seed_outliers(net, plan)
+    n_s, n_a, n_c = plan.counts(net.n_nodes)
+    stream = named_rng(plan.seed, "seeding")
+    in_sequence = [plant(net, plan, stream) for plant in
+                   [plant_structural] * n_s + [plant_attribute] * n_a + [plant_combined] * n_c]
+    assert len(seeded.planted) == len(in_sequence) == 12
+    for got, want in zip(seeded.planted, in_sequence):
+        for f in fields(PlantedNode):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert seeded.outlier_ids == list(range(net.n_nodes, net.n_nodes + 12))
 
 
 def test_seed_outliers_input_validation():
