@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParseError
-from .network import AttributedNetwork, _data_lines, class_distribution
+from .network import AttributedNetwork, _data_lines
 from .numerics import make_rng, named_rng
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
@@ -109,6 +109,7 @@ class SeededDataset:
 class _ClassStats:
     """Per-class empirical statistics used by the planting rules.
 
+    Class probabilities are the class-size shares, fixed for a whole seeding.
     Mean degrees, column sums and column nonzero counts are products of one
     sparse K x N class-indicator matrix.
     """
@@ -127,6 +128,7 @@ class _ClassStats:
             raise ValueError(f"class id {int(np.argmin(sizes))} has no members")
         nonzero = net.attributes != 0
         nnz_counts = np.count_nonzero(nonzero, axis=1)
+        self.class_probs = sizes / n
         self.members = [np.flatnonzero(net.labels == c) for c in range(k)]
         self.external = [np.flatnonzero(net.labels != c) for c in range(k)]
         self.mean_degree = (ind @ np.diff(net.adjacency.indptr)) / sizes
@@ -183,21 +185,21 @@ def _draw_attributes(weights: np.ndarray, values: np.ndarray,
     return idx, values[idx]
 
 
-def _pick_class(net: AttributedNetwork, rng, exclude: int | None = None) -> int:
-    probs = class_distribution(net)
+def _pick_class(stats: _ClassStats, rng, exclude: int | None = None) -> int:
+    probs = stats.class_probs
     if exclude is not None:
+        probs = probs.copy()
         probs[exclude] = 0.0
         probs /= probs.sum()
     return int(rng.choice(probs.size, p=probs))
 
 
-def _plant(kind: str, net: AttributedNetwork, plan: SeedingPlan, rng,
-           stats: _ClassStats) -> PlantedNode:
+def _plant(kind: str, plan: SeedingPlan, rng, stats: _ClassStats) -> PlantedNode:
     """One planted node of the given kind. Draws, in this order: the anchor class,
     the attribute class (combined only), the degree, the neighbors, the attributes."""
-    c = _pick_class(net, rng)
+    c = _pick_class(stats, rng)
     struct_class = None if kind == "structural" else c
-    attr_class = (_pick_class(net, rng, exclude=c) if kind == "combined"
+    attr_class = (_pick_class(stats, rng, exclude=c) if kind == "combined"
                   else None if kind == "attribute" else c)
     pool = stats.external[c] if struct_class is None else stats.members[c]
     if pool.size == 0:
@@ -212,17 +214,17 @@ def _plant(kind: str, net: AttributedNetwork, plan: SeedingPlan, rng,
 
 def plant_structural(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
     """A node whose attributes follow one class while every edge leaves it."""
-    return _plant("structural", net, plan, rng, _ClassStats(net))
+    return _plant("structural", plan, rng, _ClassStats(net))
 
 
 def plant_attribute(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
     """A node whose edges stay inside one class while its attributes pool the rest."""
-    return _plant("attribute", net, plan, rng, _ClassStats(net))
+    return _plant("attribute", plan, rng, _ClassStats(net))
 
 
 def plant_combined(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
     """A node structurally anchored to one class with another class's attributes."""
-    return _plant("combined", net, plan, rng, _ClassStats(net))
+    return _plant("combined", plan, rng, _ClassStats(net))
 
 
 def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
@@ -240,7 +242,7 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
 
     stats = _ClassStats(net)
     rng = named_rng(plan.seed, "seeding")
-    planted = [_plant(kind, net, plan, rng, stats)
+    planted = [_plant(kind, plan, rng, stats)
                for kind, count in zip(OUTLIER_KINDS, counts) for _ in range(count)]
 
     n0, total = net.n_nodes, len(planted)
@@ -296,15 +298,38 @@ def load_truth(path: str) -> list[tuple[str, str]]:
     return out
 
 
+def _decode_block_pairs(idx: np.ndarray, size_a: int, size_b: int | None = None):
+    """Row-major (i, j) of the node pairs numbered idx inside one block.
+
+    With size_b None the block is the strict upper triangle of one size_a-node
+    class (the order of np.triu_indices(size_a, 1)); otherwise it is the full
+    size_a x size_b grid across two classes. Integer arithmetic only: a float
+    square-root inverse of the triangle numbers rounds wrongly at large sizes.
+    """
+    if size_b is not None:
+        return np.divmod(idx, size_b)
+    rows = np.arange(size_a, dtype=np.int64)
+    row_start = rows * (2 * size_a - rows - 1) // 2  # pairs in the rows above
+    i = np.searchsorted(row_start, idx, side="right") - 1
+    return i, idx - row_start[i] + i + 1
+
+
 def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
                   n_attrs: int, attr_signal: float, seed: int) -> AttributedNetwork:
     """Random labeled network: block-model edges plus class-keyword attributes.
 
     Nodes are split into near-equal contiguous classes. Within-class pairs
-    link with probability p_in, cross-class pairs with p_out. Each class owns
-    a contiguous block of attribute columns; a node draws a Binomial
-    (nnz, attr_signal) share of its nonzero attributes from its own block and
-    the rest from the remaining columns, all with value 1.
+    link with probability p_in, cross-class pairs with p_out, each pair
+    independently. Each class owns a contiguous block of attribute columns; a
+    node draws a Binomial(nnz, attr_signal) share of its nonzero attributes
+    from its own block and the rest from the remaining columns, all with
+    value 1.
+
+    Edges are drawn per class pair as a Binomial(pairs, p) count and then that
+    many distinct pairs uniformly (Batagelj & Brandes 2005), which is the same
+    distribution as one Bernoulli draw per pair. Time is O(E + K^2 + N * nnz)
+    for E edges, K classes and nnz nonzero attributes per node; no per-pair
+    array is built. The attributes are returned dense, N x n_attrs.
     """
     if n_classes < 1 or n_nodes < n_classes:
         raise ValueError("need n_nodes >= n_classes >= 1")
@@ -318,12 +343,20 @@ def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
     rng = make_rng(seed)
     base, rem = divmod(n_nodes, n_classes)
     sizes = [base + (c < rem) for c in range(n_classes)]
+    starts = [c * base + min(c, rem) for c in range(n_classes)]
     labels = np.repeat(np.arange(n_classes), sizes)
 
-    ii, jj = np.triu_indices(n_nodes, 1)
-    probs = np.where(labels[ii] == labels[jj], p_in, p_out)
-    keep = rng.random(ii.size) < probs
-    ei, ej = ii[keep], jj[keep]
+    ei, ej = [], []
+    for a in range(n_classes):
+        for b in range(a, n_classes):
+            pairs = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            m = int(rng.binomial(pairs, p_in if a == b else p_out))
+            # choice holds range(pairs) only when m > pairs / 50, so this stays O(m)
+            idx = rng.choice(pairs, size=m, replace=False)
+            i, j = _decode_block_pairs(idx, sizes[a], None if a == b else sizes[b])
+            ei.append(starts[a] + i)
+            ej.append(starts[b] + j)
+    ei, ej = np.concatenate(ei), np.concatenate(ej)
     adj = sp.csr_matrix((np.ones(2 * ei.size),
                          (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
                         shape=(n_nodes, n_nodes))
@@ -333,17 +366,18 @@ def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
     hi_cnt = max(3, (2 * block) // 3)
     attrs = np.zeros((n_nodes, n_attrs))
     all_cols = np.arange(n_attrs)
+    own_cols = [all_cols[c * block:(c + 1) * block] for c in range(n_classes)]
+    other_cols = [np.concatenate([all_cols[:c * block], all_cols[(c + 1) * block:]])
+                  for c in range(n_classes)]
     for i in range(n_nodes):
         c = labels[i]
-        own_cols = all_cols[c * block:(c + 1) * block]
-        other_cols = np.concatenate([all_cols[:c * block], all_cols[(c + 1) * block:]])
         nnz = int(rng.integers(lo_cnt, hi_cnt + 1))
-        own = min(int(rng.binomial(nnz, attr_signal)), own_cols.size)
-        off = min(nnz - own, other_cols.size)
+        own = min(int(rng.binomial(nnz, attr_signal)), own_cols[c].size)
+        off = min(nnz - own, other_cols[c].size)
         if own:
-            attrs[i, rng.choice(own_cols, size=own, replace=False)] = 1.0
+            attrs[i, rng.choice(own_cols[c], size=own, replace=False)] = 1.0
         if off > 0:
-            attrs[i, rng.choice(other_cols, size=off, replace=False)] = 1.0
+            attrs[i, rng.choice(other_cols[c], size=off, replace=False)] = 1.0
 
     return AttributedNetwork(adjacency=adj, attributes=attrs, labels=labels,
                              label_names=[f"class{c}" for c in range(n_classes)])

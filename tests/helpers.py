@@ -146,6 +146,18 @@ def class_stats_by_loop(net: AttributedNetwork) -> dict:
     return out
 
 
+def block_pairs_by_divmod(size_a: int, size_b: int | None = None):
+    """Row-major (i, j) of every node pair in a block, by divmod over the full
+    grid: the pairs i < j of one size_a-node class when size_b is None, else
+    all size_a x size_b pairs across two classes. int32 keeps large blocks small."""
+    width = size_a if size_b is None else size_b
+    i, j = np.divmod(np.arange(size_a * width, dtype=np.int32), width)
+    if size_b is None:
+        keep = i < j
+        i, j = i[keep], j[keep]
+    return i, j
+
+
 def naive_weighted_sq_loss(m, p, q, scores) -> float:
     """sum_i log(1/scores_i) sum_j (m_ij - p_i . q_.j)^2 by explicit loops."""
     a = to_dense(m)

@@ -1,15 +1,19 @@
+import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import class_stats_by_loop
+from helpers import block_pairs_by_divmod, class_stats_by_loop
 from oaembed.errors import ParseError
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng
 from oaembed.seeding import (OUTLIER_KINDS, PlantedNode, SeedingPlan, _ClassStats,
-                             load_truth, plant_attribute, plant_combined,
+                             _decode_block_pairs, load_truth, plant_attribute, plant_combined,
                              plant_structural, save_truth, seed_outliers, synth_network)
 
 
@@ -94,6 +98,78 @@ def test_synth_param_validation():
         synth_network(10, 2, 0.3, 0.02, 1, 0.9, seed=0)   # attrs < classes
     with pytest.raises(ValueError):
         synth_network(10, 2, 0.3, 0.02, 20, 1.2, seed=0)
+
+
+@st.composite
+def block_models(draw):
+    """(n_nodes, n_classes, p_in, p_out): uneven and single-node classes, one
+    class, complete (p_in = 1) and empty (p_out = 0) blocks all reachable."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 4 * k + 3))
+    p_in = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    p_out = draw(st.one_of(st.just(0.0), st.floats(0.0, p_in, exclude_max=True)))
+    return n, k, p_in, p_out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(block_models(), st.integers(0, 2**31 - 1))
+def test_synth_adjacency_invariants(model, seed):
+    n, k, p_in, p_out = model
+    net = synth_network(n, k, p_in, p_out, 3 * k, 0.9, seed=seed)
+    a = net.adjacency
+    assert a.shape == (n, n)
+    assert (a != a.T).nnz == 0
+    assert not a.diagonal().any()
+    assert (a.data == 1.0).all()          # a drawn-twice pair would sum to 2
+    same = net.labels[:, None] == net.labels[None, :]
+    dense = a.toarray()
+    if p_in == 1.0:
+        assert (dense[same] == 1.0 - np.eye(n)[same]).all()
+    if p_out == 0.0:
+        assert not dense[~same].any()
+
+
+def test_synth_block_edge_counts_match_binomial_means():
+    sizes, p_in, p_out, seeds = [21, 21, 20], 0.3, 0.05, range(20)
+    counts = np.zeros((3, 3))
+    for seed in seeds:
+        net = synth_network(sum(sizes), 3, p_in, p_out, 30, 0.9, seed=seed)
+        upper = sp.triu(net.adjacency, k=1).tocoo()
+        np.add.at(counts, (net.labels[upper.row], net.labels[upper.col]), 1)
+    for a in range(3):
+        for b in range(a, 3):
+            pairs = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            p = p_in if a == b else p_out
+            trials = len(seeds) * pairs
+            sd = math.sqrt(trials * p * (1 - p))
+            assert abs(counts[a, b] - trials * p) <= 4 * sd, (a, b)
+    assert not np.tril(counts, -1).any()  # labels are contiguous and sorted
+
+
+def test_synth_memory_is_not_quadratic():
+    tracemalloc.start()
+    try:
+        synth_network(3000, 3, 0.01, 0.001, 30, 0.9, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6   # the 4.5 M node pairs alone would take 72 MB as int64
+
+
+def test_decode_block_pairs_is_exact_at_scale():
+    size = 3000
+    i, j = _decode_block_pairs(np.arange(size * (size - 1) // 2), size)
+    ti, tj = np.triu_indices(size, 1)
+    assert np.array_equal(i, ti) and np.array_equal(j, tj)
+    del ti, tj
+    oi, oj = block_pairs_by_divmod(size)
+    assert np.array_equal(i, oi) and np.array_equal(j, oj)
+    del i, j, oi, oj
+
+    size_a, size_b = 3000, 3001
+    i, j = _decode_block_pairs(np.arange(size_a * size_b), size_a, size_b)
+    oi, oj = block_pairs_by_divmod(size_a, size_b)
+    assert np.array_equal(i, oi) and np.array_equal(j, oj)
 
 
 # ------------------------------------------------------------------ plans
