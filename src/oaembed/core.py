@@ -29,9 +29,10 @@ residual vectors, _loss_terms weights them by log(1 / score) and _joint sums
 the terms. fit's initial loss, calibration and rounds (each round's scores
 come from the same residuals) use it, as do loss_joint and calibrate_weights.
 
-fit keeps C as CSR when at most 1 in 8 of its entries is nonzero (the
-bag-of-words case): the attribute initialization, the U and V sweeps and
-all attribute residuals then cost O(nnz(C) K + (N + D) K^2) instead of
+fit keeps CSR attributes as CSR (sparse files and synth_network build them),
+and converts dense C to CSR when at most 1 in 8 of its entries is nonzero
+(the bag-of-words case): the attribute initialization, the U and V sweeps
+and all attribute residuals then cost O(nnz(C) K + (N + D) K^2) instead of
 O(N D K), and the outputs match the dense path to rounding.
 """
 
@@ -408,9 +409,10 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     both the new scores and the round's joint loss. The joint loss is
     recorded after every round and is non-increasing.
 
-    Attributes with at most 1 in 8 entries nonzero are factorized, and every
+    CSR attributes stay CSR at any density; fit never densifies them. Dense
+    attributes with at most 1 in 8 entries nonzero are factorized, and every
     loss in fit evaluated, on a CSR copy (net.attributes itself is not
-    changed); the outputs match the dense path to rounding.
+    changed). CSR outputs match the dense path to rounding.
 
     Returns (FactorModel, OutlierScores, EmbeddingResult, FitDiagnostics).
     """
@@ -423,11 +425,12 @@ def fit(net: AttributedNetwork, hp: HyperParams):
                           f"with score_floor {hp.score_floor}")
     adj = net.adjacency
     attrs = net.attributes
-    if (attrs < 0).any():
+    sparse = sp.issparse(attrs)
+    if ((attrs.data if sparse else attrs) < 0).any():
         raise ConfigError("attributes must be nonnegative (initialization is "
                           "a nonnegative factorization)")
     # CSR nmf_init beats dense from 1000 x 500 up at density <= 1/8 (crossover 0.15-0.2)
-    if np.count_nonzero(attrs) * 8 <= attrs.size:
+    if not sparse and np.count_nonzero(attrs) * 8 <= attrs.size:
         attrs = sp.csr_matrix(attrs)
 
     diagnostics = FitDiagnostics()

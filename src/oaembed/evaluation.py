@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ParseError
 from .network import AttributedNetwork, EmbeddingResult
@@ -200,6 +199,9 @@ def clustering_accuracy(pred, truth) -> float:
     _, ti = np.unique(truth, return_inverse=True)
     conf = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
     np.add.at(conf, (pi, ti), 1)
+    # imported here: scipy.optimize is a large import that only clustering needs,
+    # and every CLI process imports this module
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(conf, maximize=True)
     return float(conf[rows, cols].sum()) / pred.size
 

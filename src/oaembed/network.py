@@ -11,7 +11,8 @@ Attribute file: one node per line, either dense ``<id> <v1> <v2> ...`` or
 sparse ``<id> <idx>:<val> ...``. The dimension comes from an optional
 ``%dim D`` header or is inferred (dense: row length, sparse: max index + 1).
 The attribute file defines the node universe; edge and label files may only
-reference nodes that have an attribute row.
+reference nodes that have an attribute row. Sparse files load as CSR
+attributes, dense files as a dense array.
 
 Label file: ``<node_id> <class_name>`` per line, one line per node. Class
 names are mapped to dense integer ids in sorted-name order.
@@ -27,19 +28,21 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParseError
-from .numerics import as_dense, as_sparse
+from .numerics import as_csr, as_dense, as_sparse
 
 
 @dataclass
 class AttributedNetwork:
     """A graph with per-node attribute vectors and optional class labels.
 
-    adjacency is N x N CSR (symmetric when undirected), attributes is a dense
-    N x D float array, labels is an int array with ids in 0..n_classes-1.
+    adjacency is N x N CSR (symmetric when undirected). attributes is N x D
+    float64 in the layout it was built in: a dense array, or CSR (sorted
+    indices, no duplicate entries, explicit zeros dropped) for sparse input.
+    labels is an int array with ids in 0..n_classes-1.
     """
 
     adjacency: sp.csr_matrix
-    attributes: np.ndarray
+    attributes: np.ndarray | sp.csr_matrix
     labels: np.ndarray | None = None
     node_names: list[str] = field(default_factory=list)
     directed: bool = False
@@ -48,7 +51,8 @@ class AttributedNetwork:
 
     def __post_init__(self):
         self.adjacency = as_sparse(self.adjacency, "adjacency")
-        self.attributes = as_dense(self.attributes, "attributes")
+        self.attributes = (as_csr if sp.issparse(self.attributes) else as_dense)(
+            self.attributes, "attributes")
         n = self.adjacency.shape[0]
         if self.adjacency.shape[1] != n:
             raise ValueError(f"adjacency must be square, got {self.adjacency.shape}")
@@ -121,10 +125,11 @@ def _data_lines(path: str):
 
 
 def _parse_attributes(path: str):
-    """Parse an attribute file into (node_names, dense N x D array)."""
+    """Parse an attribute file into (node_names, N x D attributes): CSR for a
+    sparse idx:val file, a dense array for a dense one."""
     names: list[str] = []
     seen: dict[str, int] = {}
-    rows: list[tuple[np.ndarray, np.ndarray]] = []  # (indices, values) per node
+    rows: list[tuple[np.ndarray | None, np.ndarray]] = []  # (indices, values) per node
     declared_dim = None
     mode = None  # "dense" | "sparse"
     max_idx = -1
@@ -155,7 +160,7 @@ def _parse_attributes(path: str):
                 v = np.array([float(t) for t in vals])
             except ValueError:
                 raise ParseError("bad dense attribute value", path, lineno) from None
-            idx = np.arange(len(v))
+            idx = None
         else:
             pairs = []
             for t in vals:
@@ -193,14 +198,16 @@ def _parse_attributes(path: str):
         if max_idx >= dim:
             raise ParseError(f"attribute index {max_idx} >= declared dimension {dim}", path)
 
-    attrs = np.zeros((len(names), dim))
-    for i, (idx, v) in enumerate(rows):
-        if mode == "dense" and v.size != dim:
-            raise ParseError(
-                f"dense row for node {names[i]!r} has {v.size} values, expected {dim}",
-                path, seen[names[i]])
-        attrs[i, idx] = v
-    return names, attrs
+    if mode == "sparse":
+        indptr = np.cumsum([0] + [idx.size for idx, _ in rows])
+        return names, sp.csr_matrix((np.concatenate([v for _, v in rows]),
+                                     np.concatenate([idx for idx, _ in rows]), indptr),
+                                    shape=(len(names), dim))
+    for name, (_, v) in zip(names, rows):
+        if v.size != dim:
+            raise ParseError(f"dense row for node {name!r} has {v.size} values, "
+                             f"expected {dim}", path, seen[name])
+    return names, np.vstack([v for _, v in rows])
 
 
 def _parse_edges(path: str, index: dict[str, int]):
@@ -322,11 +329,14 @@ def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
                 line += f" {w!r}"
             fh.write(line + "\n")
 
+    # dense attributes convert to the same nonzeros, in the same column order
+    attrs = sp.csr_matrix(net.attributes)
+    bounds = attrs.indptr.tolist()
     with open(paths["attributes"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"%dim {net.n_attrs}\n")
-        for i, name in enumerate(net.node_names):
-            nz = np.nonzero(net.attributes[i])[0]
-            toks = [name] + [f"{j}:{float(net.attributes[i, j])!r}" for j in nz]
+        for name, lo, hi in zip(net.node_names, bounds, bounds[1:]):
+            toks = [name] + [f"{j}:{v!r}" for j, v in zip(attrs.indices[lo:hi].tolist(),
+                                                          attrs.data[lo:hi].tolist())]
             fh.write(" ".join(toks) + "\n")
 
     if net.labels is not None:

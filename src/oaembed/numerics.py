@@ -3,8 +3,10 @@ SVD, multiplicative-update factorization, and squared-residual reductions
 (sparse rows by Gram expansion, clamped at 0, so nothing densifies).
 
 Dense matrices are plain float64 ndarrays; sparse matrices are scipy CSR with
-strictly positive weights. Everything here is a pure function of its inputs
-(plus an explicit generator), so reruns with the same seed are bit-identical.
+sorted indices and no duplicate entries (adjacencies: strictly positive
+weights; attributes: no explicit zeros). Everything here is a pure function
+of its inputs (plus an explicit generator), so reruns with the same seed are
+bit-identical.
 """
 
 import zlib
@@ -36,24 +38,39 @@ def as_dense(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_sparse(m, name: str = "matrix") -> sp.csr_matrix:
-    """Validate and return a CSR matrix with finite, strictly positive weights.
+def _canonical_csr(m, name: str) -> sp.csr_matrix:
+    """float64 CSR copy of m with sorted indices and finite entries.
 
-    Duplicate (row, col) entries are rejected rather than summed: callers build
-    matrices from deduplicated edge sets and silent summing would hide bugs.
+    Duplicate (row, col) entries are rejected rather than summed: callers
+    build matrices from deduplicated sets and silent summing would hide bugs.
+    Converting COO to CSR, and sum_duplicates on a non-canonical CSR, merge
+    duplicates and drop nothing else, so the stored count falls exactly when
+    there were some.
     """
-    coo = sp.coo_matrix(m)
-    if coo.nnz:
-        if not np.isfinite(coo.data).all():
-            raise ValueError(f"{name} contains non-finite weights")
-        if (coo.data <= 0).any():
-            raise ValueError(f"{name} contains non-positive weights")
-        keys = coo.row.astype(np.int64) * coo.shape[1] + coo.col
-        if np.unique(keys).size != coo.nnz:
-            raise ValueError(f"{name} contains duplicate (row, col) entries")
-    out = coo.tocsr()
-    out.data = out.data.astype(np.float64)
-    out.sort_indices()
+    stored = m.nnz if sp.issparse(m) else None
+    out = sp.csr_matrix(m, dtype=np.float64, copy=True)
+    out.sum_duplicates()
+    if stored is not None and out.nnz < stored:
+        raise ValueError(f"{name} contains duplicate (row, col) entries")
+    if not np.isfinite(out.data).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return out
+
+
+def as_sparse(m, name: str = "matrix") -> sp.csr_matrix:
+    """Validate and return a canonical CSR matrix with finite, strictly
+    positive weights and no duplicate (row, col) entries."""
+    out = _canonical_csr(m, name)
+    if (out.data <= 0).any():
+        raise ValueError(f"{name} contains non-positive weights")
+    return out
+
+
+def as_csr(m, name: str = "matrix") -> sp.csr_matrix:
+    """Validate and return a canonical CSR matrix with finite entries, no
+    duplicate (row, col) entries and no explicit zeros."""
+    out = _canonical_csr(m, name)
+    out.eliminate_zeros()
     return out
 
 
@@ -119,8 +136,9 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
 
     p = rng.uniform(0.1, 1.0, size=(n, k))
     q = rng.uniform(0.1, 1.0, size=(k, d))
+    mt = m.T  # sparse .T builds a new CSC object on each call, so build it once
     for _ in range(iters):
-        q *= np.asarray(m.T @ p).T / np.maximum((p.T @ p) @ q, _DIV_FLOOR)
+        q *= np.asarray(mt @ p).T / np.maximum((p.T @ p) @ q, _DIV_FLOOR)
         p *= np.asarray(m @ q.T) / np.maximum(p @ (q @ q.T), _DIV_FLOOR)
     return p, q
 

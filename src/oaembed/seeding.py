@@ -110,8 +110,11 @@ class _ClassStats:
     """Per-class empirical statistics used by the planting rules.
 
     Class probabilities are the class-size shares, fixed for a whole seeding.
-    Mean degrees, column sums and column nonzero counts are products of one
-    sparse K x N class-indicator matrix.
+    Degree sums, column sums and column nonzero counts are products with one
+    dense N x K class indicator: of the degree vector, and of the transposed
+    CSR attributes (dense input is converted) and their nonzero pattern. No
+    N x D array is built, and each class's column sums run over its members
+    in node order.
     """
 
     def __init__(self, net: AttributedNetwork):
@@ -122,19 +125,23 @@ class _ClassStats:
         if net.n_classes < 2:
             raise ValueError("planting requires at least 2 classes")
         n, k = net.n_nodes, net.n_classes
-        ind = sp.csr_matrix((np.ones(n), (net.labels, np.arange(n))), shape=(k, n))
-        sizes = np.diff(ind.indptr)
+        sizes = np.bincount(net.labels, minlength=k)
         if (sizes == 0).any():
             raise ValueError(f"class id {int(np.argmin(sizes))} has no members")
-        nonzero = net.attributes != 0
-        nnz_counts = np.count_nonzero(nonzero, axis=1)
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), net.labels] = 1.0
+        attrs = sp.csr_matrix(net.attributes)
+        pattern = sp.csr_matrix((np.ones(attrs.nnz), attrs.indices, attrs.indptr),
+                                shape=attrs.shape)
+        nnz_counts = np.diff(attrs.indptr)
         self.class_probs = sizes / n
         self.members = [np.flatnonzero(net.labels == c) for c in range(k)]
         self.external = [np.flatnonzero(net.labels != c) for c in range(k)]
-        self.mean_degree = (ind @ np.diff(net.adjacency.indptr)) / sizes
+        # integer degree sums are exact in any summation order
+        self.mean_degree = (np.diff(net.adjacency.indptr) @ onehot) / sizes
         self.nnz_counts = [nnz_counts[m] for m in self.members]
-        self.col_sums = ind @ net.attributes
-        self.col_nnz = ind @ nonzero
+        self.col_sums = np.ascontiguousarray((attrs.T @ onehot).T)
+        self.col_nnz = np.ascontiguousarray((pattern.T @ onehot).T)
 
     def own_distribution(self, c: int):
         """(keyword weights, per-keyword mean values, nonzero-count pool) of class c."""
@@ -235,6 +242,7 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
     stream, so the result equals the plant_* calls made in that order on that
     stream. Deterministic per plan.seed. Planted nodes are appended after the
     original nodes, named planted_<t>_<kind>, and never link to each other.
+    The augmented network's attributes are CSR, whatever the input layout.
     """
     counts = plan.counts(net.n_nodes)
     if sum(counts) == 0:
@@ -254,10 +262,12 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
                          (np.concatenate([coo.row, edge_new, edge_old]),
                           np.concatenate([coo.col, edge_old, edge_new]))),
                         shape=(n0 + total, n0 + total))
-    attrs = np.vstack([net.attributes, np.zeros((total, net.n_attrs))])
-    attrs[np.repeat(new_ids, [p.attr_indices.size for p in planted]),
-          np.concatenate([p.attr_indices for p in planted])] = \
-        np.concatenate([p.attr_values for p in planted])
+    planted_rows = sp.csr_matrix(
+        (np.concatenate([p.attr_values for p in planted]),
+         np.concatenate([p.attr_indices for p in planted]),
+         np.cumsum([0] + [p.attr_indices.size for p in planted])),
+        shape=(total, net.n_attrs))
+    attrs = sp.vstack([sp.csr_matrix(net.attributes), planted_rows], format="csr")
 
     names = list(net.node_names)
     taken = set(names)
@@ -329,7 +339,8 @@ def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
     many distinct pairs uniformly (Batagelj & Brandes 2005), which is the same
     distribution as one Bernoulli draw per pair. Time is O(E + K^2 + N * nnz)
     for E edges, K classes and nnz nonzero attributes per node; no per-pair
-    array is built. The attributes are returned dense, N x n_attrs.
+    array is built. The attributes are returned as N x n_attrs CSR, built row
+    by row with no dense N x n_attrs array.
     """
     if n_classes < 1 or n_nodes < n_classes:
         raise ValueError("need n_nodes >= n_classes >= 1")
@@ -364,20 +375,26 @@ def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
     block = n_attrs // n_classes
     lo_cnt = max(2, block // 3)
     hi_cnt = max(3, (2 * block) // 3)
-    attrs = np.zeros((n_nodes, n_attrs))
-    all_cols = np.arange(n_attrs)
+    all_cols = np.arange(n_attrs, dtype=np.int32)  # the CSR's index dtype: no conversion copy
     own_cols = [all_cols[c * block:(c + 1) * block] for c in range(n_classes)]
     other_cols = [np.concatenate([all_cols[:c * block], all_cols[(c + 1) * block:]])
                   for c in range(n_classes)]
+    picks, row_nnz = [np.empty(0, dtype=np.int32)], [0]
     for i in range(n_nodes):
         c = labels[i]
         nnz = int(rng.integers(lo_cnt, hi_cnt + 1))
         own = min(int(rng.binomial(nnz, attr_signal)), own_cols[c].size)
         off = min(nnz - own, other_cols[c].size)
         if own:
-            attrs[i, rng.choice(own_cols[c], size=own, replace=False)] = 1.0
+            picks.append(rng.choice(own_cols[c], size=own, replace=False))
         if off > 0:
-            attrs[i, rng.choice(other_cols[c], size=off, replace=False)] = 1.0
+            picks.append(rng.choice(other_cols[c], size=off, replace=False))
+        row_nnz.append(own + off)
+    # a row's two picks are disjoint and duplicate-free; AttributedNetwork
+    # sorts each row's columns
+    cols = np.concatenate(picks)
+    attrs = sp.csr_matrix((np.ones(cols.size), cols, np.cumsum(row_nnz)),
+                          shape=(n_nodes, n_attrs))
 
     return AttributedNetwork(adjacency=adj, attributes=attrs, labels=labels,
                              label_names=[f"class{c}" for c in range(n_classes)])

@@ -131,7 +131,8 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
 def class_stats_by_loop(net: AttributedNetwork) -> dict:
     """seeding._ClassStats's fields built one class at a time from row subsets."""
     degrees = np.diff(net.adjacency.indptr)
-    nnz_counts = np.count_nonzero(net.attributes, axis=1)
+    attrs = to_dense(net.attributes)
+    nnz_counts = np.count_nonzero(attrs, axis=1)
     out = {"members": [], "external": [], "mean_degree": [], "nnz_counts": [],
            "col_sums": [], "col_nnz": []}
     for c in range(net.n_classes):
@@ -141,8 +142,8 @@ def class_stats_by_loop(net: AttributedNetwork) -> dict:
         out["external"].append(np.nonzero(~mask)[0])
         out["mean_degree"].append(degrees[idx].mean())
         out["nnz_counts"].append(nnz_counts[idx])
-        out["col_sums"].append(net.attributes[idx].sum(axis=0))
-        out["col_nnz"].append(np.count_nonzero(net.attributes[idx], axis=0))
+        out["col_sums"].append(attrs[idx].sum(axis=0))
+        out["col_nnz"].append(np.count_nonzero(attrs[idx], axis=0))
     return out
 
 
@@ -156,6 +157,41 @@ def block_pairs_by_divmod(size_a: int, size_b: int | None = None):
         keep = i < j
         i, j = i[keep], j[keep]
     return i, j
+
+
+def reference_synth_attributes(n_nodes: int, n_classes: int, p_in: float, p_out: float,
+                               n_attrs: int, attr_signal: float, seed: int) -> np.ndarray:
+    """synth_network's attributes by its dense per-node loop: each node's
+    columns are set to 1 in a zeroed N x n_attrs array. The generator's stream
+    is first advanced past the edge draws (a binomial count and a choice of
+    that many pair numbers per class pair), which the attributes follow."""
+    rng = np.random.default_rng(seed)
+    base, rem = divmod(n_nodes, n_classes)
+    sizes = [base + (c < rem) for c in range(n_classes)]
+    labels = np.repeat(np.arange(n_classes), sizes)
+    for a in range(n_classes):
+        for b in range(a, n_classes):
+            pairs = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            rng.choice(pairs, size=int(rng.binomial(pairs, p_in if a == b else p_out)),
+                       replace=False)
+
+    block = n_attrs // n_classes
+    lo_cnt = max(2, block // 3)
+    hi_cnt = max(3, (2 * block) // 3)
+    attrs = np.zeros((n_nodes, n_attrs))
+    all_cols = np.arange(n_attrs)
+    for i in range(n_nodes):
+        c = labels[i]
+        own_cols = all_cols[c * block:(c + 1) * block]
+        other_cols = np.concatenate([all_cols[:c * block], all_cols[(c + 1) * block:]])
+        nnz = int(rng.integers(lo_cnt, hi_cnt + 1))
+        own = min(int(rng.binomial(nnz, attr_signal)), own_cols.size)
+        off = min(nnz - own, other_cols.size)
+        if own:
+            attrs[i, rng.choice(own_cols, size=own, replace=False)] = 1.0
+        if off > 0:
+            attrs[i, rng.choice(other_cols, size=off, replace=False)] = 1.0
+    return attrs
 
 
 def naive_weighted_sq_loss(m, p, q, scores) -> float:

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oaembed
 from helpers import run_cli
 from oaembed.evaluation import rank_nodes
 from oaembed.network import load_scores_tsv, save_network
@@ -391,3 +395,12 @@ def test_evaluate_zero_reps_exits_2(seeded, embedded, tmp_path):
     assert code == 2
     assert "reps" in stderr
     assert not (out / "report.json").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # every CLI process pays for its imports; only clustering needs scipy.optimize
+    code = "import sys, oaembed.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(oaembed.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -583,12 +583,15 @@ def test_fit_deterministic():
     assert r1.loss_trace == r2.loss_trace
 
 
-@pytest.mark.parametrize("attr_p, want_csr", [(0.05, True), (0.3, False)],
-                         ids=["sparse-attrs", "dense-attrs"])
-def test_fit_attribute_layout_follows_density(monkeypatch, attr_p, want_csr):
+@pytest.mark.parametrize("attr_p, csr_input, want_csr",
+                         [(0.05, False, True), (0.3, False, False), (0.3, True, True)],
+                         ids=["sparse-attrs", "dense-attrs", "csr-input-dense-attrs"])
+def test_fit_attribute_layout_follows_density(monkeypatch, attr_p, csr_input, want_csr):
     net = rand_network(make_rng(26), 60, 40, attr_p=attr_p)
     density = np.count_nonzero(net.attributes) / net.attributes.size
-    assert (density <= 1 / 8) == want_csr
+    assert (density <= 1 / 8) == (want_csr and not csr_input)
+    if csr_input:  # CSR input stays CSR at any density
+        net = AttributedNetwork(adjacency=net.adjacency, attributes=sp.csr_matrix(net.attributes))
     seen = []
     residual_layouts = []
 
@@ -610,7 +613,7 @@ def test_fit_attribute_layout_follows_density(monkeypatch, attr_p, want_csr):
     # the initial loss and every round read the attribute matrix fit chose
     assert len(residual_layouts) == 1 + hp.iters
     assert all(is_csr == want_csr for is_csr in residual_layouts)
-    assert isinstance(net.attributes, np.ndarray)
+    assert sp.issparse(net.attributes) == csr_input
     assert result.loss_trace[-1] == pytest.approx(loss_joint(net, model, scores, hp), rel=1e-12)
     trace = [diag.initial_loss, *result.loss_trace]
     for prev, cur in zip(trace, trace[1:]):

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import rand_network
+from helpers import rand_network, to_dense
 from oaembed.errors import ParseError
 from oaembed.network import (AttributedNetwork, EmbeddingResult, class_distribution,
                              load_network, load_result, save_network, save_result)
@@ -72,6 +74,33 @@ def test_sparse_attributes_with_dim_header(tmp_path):
     assert net.n_nodes == 3 and net.n_attrs == 5
     assert net.node_names == ["a", "b", "c"]
     assert net.attributes[0, 3] == 2.0 and net.attributes[2].sum() == 0.0
+
+
+def test_attribute_layout_follows_file_format(tmp_path):
+    edges = write(tmp_path / "e.txt", "a b\n")
+    # unsorted columns and an explicit zero in the sparse file
+    sparse = load_network(edges, write(tmp_path / "s.txt", "a 3:2.0 0:1.0 1:0.0\nb\n"))
+    assert sp.issparse(sparse.attributes) and sparse.attributes.format == "csr"
+    assert sparse.attributes.has_canonical_format
+    assert sparse.attributes.indices.tolist() == [0, 3]
+    assert np.array_equal(to_dense(sparse.attributes), [[1.0, 0, 0, 2.0], [0, 0, 0, 0]])
+    dense = load_network(edges, write(tmp_path / "d.txt", "a 1.0 0.0 0.0 2.0\nb 0 0 0 0\n"))
+    assert isinstance(dense.attributes, np.ndarray)
+    assert np.array_equal(dense.attributes, to_dense(sparse.attributes))
+
+
+def test_csr_attribute_validation():
+    adj = sp.csr_matrix((2, 2))
+    unsorted = sp.csr_matrix(([2.0, 0.0, 1.0], [3, 1, 0], [0, 3, 3]), shape=(2, 4))
+    net = AttributedNetwork(adjacency=adj, attributes=unsorted)
+    assert net.attributes.dtype == np.float64 and net.attributes.has_canonical_format
+    assert net.attributes.indices.tolist() == [0, 3] and net.attributes.nnz == 2
+    assert unsorted.nnz == 3  # the caller's matrix is not modified
+    repeated = sp.csr_matrix(([1.0, 1.0], [2, 2], [0, 2, 2]), shape=(2, 4))
+    for bad in (repeated, sp.coo_matrix(([1.0, 1.0], ([0, 0], [2, 2])), shape=(2, 4)),
+                sp.csr_matrix(([np.nan], [1], [0, 1, 1]), shape=(2, 4))):
+        with pytest.raises(ValueError):
+            AttributedNetwork(adjacency=adj, attributes=bad)
 
 
 def test_sparse_attributes_dim_inferred(tmp_path):
@@ -178,9 +207,26 @@ def test_network_save_load_roundtrip(tmp_path):
     back = load_network(paths["edges"], paths["attributes"], paths["labels"])
     assert back.node_names == net.node_names
     assert (back.adjacency != net.adjacency).nnz == 0
-    assert np.array_equal(back.attributes, net.attributes)
+    assert np.array_equal(to_dense(back.attributes), net.attributes)
     assert np.array_equal(back.labels, net.labels)
     assert back.directed == net.directed
+
+
+def test_save_load_is_byte_identical_for_both_layouts(tmp_path):
+    net = rand_network(make_rng(3), 30, 12, attr_p=0.2)
+    net.attributes[4] = 0.0  # an empty attribute row
+    twins = [net, AttributedNetwork(adjacency=net.adjacency,
+                                    attributes=sp.csr_matrix(net.attributes))]
+    files = []
+    for t, twin in enumerate(twins):
+        paths = save_network(twin, str(tmp_path / f"first{t}"))
+        back = load_network(paths["edges"], paths["attributes"])
+        assert sp.issparse(back.attributes)
+        again = save_network(back, str(tmp_path / f"second{t}"))
+        first = {k: Path(v).read_bytes() for k, v in paths.items()}
+        assert first == {k: Path(v).read_bytes() for k, v in again.items()}
+        files.append(first)
+    assert files[0] == files[1]
 
 
 def test_directed_weighted_roundtrip(tmp_path):

@@ -45,6 +45,11 @@ def test_as_sparse_validation():
     dup = sp.coo_matrix(([1.0, 1.0], ([0, 0], [1, 1])), shape=(2, 2))
     with pytest.raises(ValueError):
         as_sparse(dup)
+    # built from (data, indices, indptr), a CSR matrix keeps its repeated entry
+    dup_csr = sp.csr_matrix(([1.0, 2.0, 1.0], [1, 0, 1], [0, 3, 3]), shape=(2, 2))
+    assert dup_csr.nnz == 3
+    with pytest.raises(ValueError, match="duplicate"):
+        as_sparse(dup_csr)
 
 
 def test_svd_identity():

@@ -8,7 +8,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_pairs_by_divmod, class_stats_by_loop
+from helpers import (block_pairs_by_divmod, class_stats_by_loop, reference_synth_attributes,
+                     to_dense)
+from oaembed.core import HyperParams, fit
 from oaembed.errors import ParseError
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng
@@ -62,7 +64,7 @@ def test_synth_disconnected_when_p_out_zero():
 def test_synth_pure_attribute_signal():
     net = synth_network(60, 3, 0.2, 0.02, 120, 1.0, seed=3)
     for i in range(60):
-        cols = np.nonzero(net.attributes[i])[0]
+        cols = np.nonzero(to_dense(net.attributes)[i])[0]
         assert len(cols) > 0
         assert all(block_of(j) == net.labels[i] for j in cols)
 
@@ -71,17 +73,31 @@ def test_synth_attribute_signal_statistics():
     net = synth_network(300, 3, 0.1, 0.01, 120, 0.9, seed=4)
     own = total = 0
     for i in range(300):
-        cols = np.nonzero(net.attributes[i])[0]
+        cols = np.nonzero(to_dense(net.attributes)[i])[0]
         own += sum(block_of(j) == net.labels[i] for j in cols)
         total += len(cols)
     assert own / total > 0.8
+
+
+@pytest.mark.parametrize("args", [
+    (90, 3, 0.2, 0.02, 120, 0.9, 0),
+    (90, 3, 0.2, 0.02, 120, 0.9, 7),
+    (91, 4, 0.2, 0.02, 50, 0.8, 3),     # 50 % 4 != 0: two columns no class owns
+    (60, 3, 0.3, 0.02, 31, 1.0, 7),     # attr_signal = 1, 31 % 3 != 0
+    (40, 1, 0.3, 0.0, 12, 0.5, 11),     # one class owns every column
+])
+def test_synth_attributes_match_dense_reference(args):
+    net = synth_network(*args[:6], seed=args[6])
+    assert sp.issparse(net.attributes) and net.attributes.format == "csr"
+    assert net.attributes.has_sorted_indices
+    assert np.array_equal(to_dense(net.attributes), reference_synth_attributes(*args))
 
 
 def test_synth_deterministic():
     a = synth_network(50, 2, 0.3, 0.02, 30, 0.9, seed=11)
     b = synth_network(50, 2, 0.3, 0.02, 30, 0.9, seed=11)
     assert np.array_equal(a.adjacency.toarray(), b.adjacency.toarray())
-    assert np.array_equal(a.attributes, b.attributes)
+    assert np.array_equal(to_dense(a.attributes), to_dense(b.attributes))
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -154,6 +170,18 @@ def test_synth_memory_is_not_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 16e6   # the 4.5 M node pairs alone would take 72 MB as int64
+
+
+def test_synth_and_seeding_keep_wide_attributes_sparse():
+    tracemalloc.start()
+    try:
+        net = synth_network(1000, 20, 0.01, 0.001, 20000, 0.9, seed=0)
+        seeded = seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sp.issparse(seeded.network.attributes)
+    assert peak < 40e6   # one dense 1000 x 20000 float64 copy would take 160 MB
 
 
 def test_decode_block_pairs_is_exact_at_scale():
@@ -327,7 +355,7 @@ def test_seed_outliers_counts_names_and_labels():
         assert seeded.network.labels[node_id] == planted.label
     # originals keep their ids, labels and attributes
     assert np.array_equal(seeded.network.labels[:300], net.labels)
-    assert np.array_equal(seeded.network.attributes[:300], net.attributes)
+    assert np.array_equal(to_dense(seeded.network.attributes)[:300], to_dense(net.attributes))
 
 
 def test_seed_outliers_edge_consistency():
@@ -340,7 +368,7 @@ def test_seed_outliers_edge_consistency():
         assert (np.asarray(planted.neighbors) < 300).all()  # never link planted
         for j in planted.neighbors:
             assert snet.adjacency[j, node_id] != 0  # symmetric
-        cols = np.nonzero(snet.attributes[node_id])[0]
+        cols = np.nonzero(to_dense(snet.attributes)[node_id])[0]
         assert cols.tolist() == sorted(planted.attr_indices.tolist())
         if planted.kind == "structural":
             assert all(net.labels[j] != planted.label for j in planted.neighbors)
@@ -366,22 +394,23 @@ def test_seed_outliers_degrees_in_band():
 
 def test_seed_outliers_attribute_stats_overlap():
     net = synth_network(300, 3, 0.05, 0.005, 120, 0.9, seed=16)
-    nnz_counts = np.count_nonzero(net.attributes, axis=1)
+    attrs = to_dense(net.attributes)
+    nnz_counts = np.count_nonzero(attrs, axis=1)
     seeded = seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=16))
     lo, hi = nnz_counts.min(), nnz_counts.max()
-    positives = net.attributes[net.attributes > 0]
+    positives = attrs[attrs > 0]
     for planted in seeded.planted:
         assert lo <= len(planted.attr_indices) <= hi
         vals = np.asarray(planted.attr_values)
         assert (vals >= positives.min() - 1e-12).all()
-        assert (vals <= net.attributes.max() + 1e-12).all()
+        assert (vals <= attrs.max() + 1e-12).all()
 
 
 def test_seed_outliers_deterministic_and_fraction_zero():
     net = synth_network(100, 2, 0.1, 0.01, 40, 0.9, seed=17)
     a = seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=17))
     b = seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=17))
-    assert np.array_equal(a.network.attributes, b.network.attributes)
+    assert np.array_equal(to_dense(a.network.attributes), to_dense(b.network.attributes))
     assert np.array_equal(a.network.adjacency.toarray(),
                           b.network.adjacency.toarray())
     assert [p.kind for p in a.planted] == [p.kind for p in b.planted]
@@ -394,7 +423,7 @@ def test_seed_outliers_deterministic_and_fraction_zero():
     assert empty.network.n_nodes == 100
     assert empty.planted == []
     assert empty.outlier_ids == []
-    assert np.array_equal(empty.network.attributes, net.attributes)
+    assert np.array_equal(to_dense(empty.network.attributes), to_dense(net.attributes))
 
 
 def test_seed_outliers_is_the_plant_calls_in_sequence():
@@ -404,7 +433,7 @@ def test_seed_outliers_is_the_plant_calls_in_sequence():
     base = synth_network(240, 4, 0.08, 0.01, 80, 0.8, seed=21)
     net = AttributedNetwork(
         adjacency=base.adjacency, labels=rng.permutation(base.labels),
-        attributes=base.attributes * rng.uniform(0.2, 2.5, size=base.attributes.shape),
+        attributes=to_dense(base.attributes) * rng.uniform(0.2, 2.5, size=base.attributes.shape),
         label_names=base.label_names)
 
     stats = _ClassStats(net)
@@ -423,6 +452,39 @@ def test_seed_outliers_is_the_plant_calls_in_sequence():
         for f in fields(PlantedNode):
             assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
     assert seeded.outlier_ids == list(range(net.n_nodes, net.n_nodes + 12))
+
+
+def test_csr_network_and_dense_twin_seed_and_fit_identically():
+    # shuffled labels and values not 0/1; at density <= 1/8 fit factorizes
+    # the dense twin as CSR too, so the two fits must agree bit for bit
+    rng = make_rng(31)
+    base = synth_network(300, 5, 0.08, 0.01, 150, 0.9, seed=31)
+    attrs = base.attributes.copy()
+    attrs.data *= rng.uniform(0.2, 2.5, size=attrs.nnz)
+    assert attrs.nnz * 8 <= attrs.shape[0] * attrs.shape[1]
+    labels = rng.permutation(base.labels)
+    twins = [AttributedNetwork(adjacency=base.adjacency, attributes=a, labels=labels,
+                               label_names=base.label_names)
+             for a in (attrs, to_dense(attrs))]
+    assert sp.issparse(twins[0].attributes) and isinstance(twins[1].attributes, np.ndarray)
+
+    plan = SeedingPlan(total_fraction=0.05, seed=31)
+    from_csr, from_dense = (seed_outliers(net, plan) for net in twins)
+    assert len(from_csr.planted) == len(from_dense.planted) == 15
+    for got, want in zip(from_csr.planted, from_dense.planted):
+        for f in fields(PlantedNode):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert np.array_equal(to_dense(from_csr.network.attributes),
+                          to_dense(from_dense.network.attributes))
+
+    hp = HyperParams(dim=6, seed=31)
+    (m1, s1, r1, _), (m2, s2, r2, _) = (fit(net, hp) for net in twins)
+    for got, want in ((m1.attr_basis, m2.attr_basis), (m1.align, m2.align),
+                      (s1.attribute, s2.attribute), (r1.embedding, r2.embedding),
+                      (r1.component_scores, r2.component_scores),
+                      (r1.outlier_scores, r2.outlier_scores),
+                      (np.array(r1.loss_trace), np.array(r2.loss_trace))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_seed_outliers_input_validation():
