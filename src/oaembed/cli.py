@@ -74,7 +74,8 @@ _EMBED_OPTS = {
     "combine-weights": (_parse_weights, (0.25, 0.5, 0.25),
                         "w1,w2,w3 for the combined score (default 0.25,0.5,0.25)"),
     "loss-tol": (float, None, "relative loss-change early-stop threshold"),
-    "init-iters": (int, 200, "initialization sweeps (default 200)"),
+    "init-iters": (int, 200, "initialization updates per factor, in passes of 3, "
+                             "rounded up (default 200)"),
     "seed": (int, 0, "random seed (default 0)"),
 }
 

@@ -60,7 +60,10 @@ def check_combine_weights(w, name: str = "combine_weights"):
 class HyperParams:
     """Knobs for fit(). attr_weight and dis_weight default to None, meaning
     'calibrate so the three loss terms start equal'. dim is the embedding
-    width K; budget is the fixed sum of each score vector."""
+    width K; budget is the fixed sum of each score vector. init_iters is the
+    number of multiplicative updates per factor in each initialization,
+    rounded up to a multiple of 3: one pass applies 3 updates that share one
+    product with the input matrix (the default 200 runs 67 passes)."""
 
     dim: int
     attr_weight: float | None = None
@@ -401,8 +404,10 @@ def _check_finite(arr: np.ndarray, what: str, round_no: int):
 def fit(net: AttributedNetwork, hp: HyperParams):
     """Run the full alternating optimization.
 
-    Initializes the factor pairs by nonnegative multiplicative updates on the
-    adjacency and attribute matrices, starts with uniform scores, calibrates
+    Initializes the factor pairs by accelerated nonnegative multiplicative
+    updates on the adjacency and attribute matrices (numerics.nmf_init:
+    init_iters updates per factor, rounded up to passes of 3 that share one
+    product with the matrix), starts with uniform scores, calibrates
     the loss weights if unset, then runs `iters` rounds of: align update,
     factor sweeps (struct_embed, struct_context, attr_embed, attr_basis, each
     consuming the others' latest values), then one residual pass that yields

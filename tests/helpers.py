@@ -72,6 +72,20 @@ def frobenius_sq_residual(m, p: np.ndarray, q: np.ndarray) -> float:
     return float(((to_dense(m) - p @ q) ** 2).sum())
 
 
+def reference_nmf_mu(m, k: int, iters: int, rng):
+    """Plain multiplicative updates (Lee and Seung), one product with m per
+    update: `iters` sweeps of one q update then one p update, from the same
+    uniform (0.1, 1.0) start and 1e-12 denominator floor as `nmf_init`."""
+    n, d = m.shape
+    p = rng.uniform(0.1, 1.0, size=(n, k))
+    q = rng.uniform(0.1, 1.0, size=(k, d))
+    mt = m.T
+    for _ in range(iters):
+        q *= np.asarray(mt @ p).T / np.maximum((p.T @ p) @ q, 1e-12)
+        p *= np.asarray(m @ q.T) / np.maximum(p @ (q @ q.T), 1e-12)
+    return p, q
+
+
 def brute_force_clustering_accuracy(pred, truth) -> float:
     """Enumerate every injective cluster-to-class assignment."""
     pred = np.asarray(pred)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import frobenius_sq_residual, jacobi_eigvals, to_dense
+from helpers import frobenius_sq_residual, jacobi_eigvals, reference_nmf_mu, to_dense
 import oaembed
 from oaembed.numerics import (as_dense, as_sparse, make_rng, named_rng, nmf_init,
                               row_sq_residuals, svd_small)
@@ -146,11 +146,37 @@ def test_nmf_zero_matrix():
 def test_nmf_monotone_error():
     rng = make_rng(9)
     m = rng.uniform(0.0, 2.0, size=(15, 12))
-    # same seed means run t is a prefix of run t+1, giving the per-sweep trace
+    # same seed means a run of more passes extends a shorter one, giving the per-pass trace
     errs = [frobenius_sq_residual(m, *nmf_init(m, 4, t, make_rng(1)))
             for t in range(1, 12)]
     for prev, cur in zip(errs, errs[1:]):
         assert cur <= prev + 1e-9 * max(abs(prev), 1.0)
+
+
+def test_nmf_updates_round_up_to_passes_of_three():
+    m = make_rng(3).uniform(0.0, 2.0, size=(12, 9))
+    runs = [nmf_init(m, 3, t, make_rng(4)) for t in (1, 2, 3, 4)]
+    for p, q in runs[1:3]:
+        assert np.array_equal(p, runs[0][0]) and np.array_equal(q, runs[0][1])
+    assert not np.array_equal(runs[3][0], runs[0][0])
+    assert not np.array_equal(runs[3][1], runs[0][1])
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+def test_nmf_error_matches_plain_mu(kind):
+    if kind == "sparse":
+        m = sp.random(600, 300, density=0.05, random_state=1, format="csr",
+                      data_rvs=np.ones)
+        k = 10
+    else:
+        rng = make_rng(3)
+        m = rng.uniform(0, 1, (200, 5)) @ rng.uniform(0, 1, (5, 80))
+        m += rng.uniform(0, 0.3, (200, 80))
+        k = 6
+    for updates in (20, 200):
+        err = frobenius_sq_residual(m, *nmf_init(m, k, updates, make_rng(0)))
+        ref = frobenius_sq_residual(m, *reference_nmf_mu(m, k, updates, make_rng(0)))
+        assert err == pytest.approx(ref, rel=0.01)
 
 
 def test_nmf_nonneg_deterministic_sparse_matches_dense():
