@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParseError
-from .numerics import as_csr, as_dense, as_sparse
+from .numerics import Handoff, as_csr, as_dense, as_sparse
 
 
 @dataclass
@@ -39,6 +39,11 @@ class AttributedNetwork:
     float64 in the layout it was built in: a dense array, or CSR (sorted
     indices, no duplicate entries, explicit zeros dropped) for sparse input.
     labels is an int array with ids in 0..n_classes-1.
+
+    A caller's matrices are copied, so the network never edits or aliases
+    them. The package's own builders (synth_network, seed_outliers,
+    load_network) pass theirs wrapped in numerics.Handoff, which is validated
+    just as fully but kept without a copy.
     """
 
     adjacency: sp.csr_matrix
@@ -51,8 +56,8 @@ class AttributedNetwork:
 
     def __post_init__(self):
         self.adjacency = as_sparse(self.adjacency, "adjacency")
-        self.attributes = (as_csr if sp.issparse(self.attributes) else as_dense)(
-            self.attributes, "attributes")
+        sparse = sp.issparse(self.attributes) or isinstance(self.attributes, Handoff)
+        self.attributes = (as_csr if sparse else as_dense)(self.attributes, "attributes")
         n = self.adjacency.shape[0]
         if self.adjacency.shape[1] != n:
             raise ValueError(f"adjacency must be square, got {self.adjacency.shape}")
@@ -295,12 +300,14 @@ def load_network(edge_path: str, attr_path: str, label_path: str | None = None) 
             col.append(i)
             data.append(w)
     adj = sp.csr_matrix((data, (row, col)), shape=(n, n))
+    if sp.issparse(attrs):
+        attrs = Handoff(attrs)
 
     labels = label_names = None
     if label_path is not None:
         labels, label_names = _parse_labels(label_path, index)
 
-    return AttributedNetwork(adjacency=adj, attributes=attrs, labels=labels,
+    return AttributedNetwork(adjacency=Handoff(adj), attributes=attrs, labels=labels,
                              node_names=names, directed=directed,
                              has_self_loops=self_loops, label_names=label_names)
 

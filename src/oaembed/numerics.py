@@ -38,17 +38,40 @@ def as_dense(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class Handoff:
+    """A float64 CSR matrix built inside this package and handed on whole.
+
+    as_csr and as_sparse validate a wrapped matrix in full but canonicalise
+    it in place instead of copying it. Only a matrix that nothing else refers
+    to may be wrapped; a caller's matrix never is, so it is never edited and
+    never aliased.
+    """
+
+    matrix: sp.csr_matrix
+
+    def __post_init__(self):
+        if self.matrix.format != "csr" or self.matrix.dtype != np.float64:
+            raise TypeError("Handoff takes a float64 CSR matrix")
+
+
 def _canonical_csr(m, name: str) -> sp.csr_matrix:
-    """float64 CSR copy of m with sorted indices and finite entries.
+    """float64 CSR with sorted indices and finite entries: a copy of m, or a
+    Handoff's own matrix canonicalised in place.
 
     Duplicate (row, col) entries are rejected rather than summed: callers
     build matrices from deduplicated sets and silent summing would hide bugs.
     Converting COO to CSR, and sum_duplicates on a non-canonical CSR, merge
     duplicates and drop nothing else, so the stored count falls exactly when
-    there were some.
+    there were some. A CSR that is already canonical is only checked (an
+    O(nnz) pass), never sorted.
     """
-    stored = m.nnz if sp.issparse(m) else None
-    out = sp.csr_matrix(m, dtype=np.float64, copy=True)
+    if isinstance(m, Handoff):
+        out = m.matrix
+        stored = out.nnz
+    else:
+        stored = m.nnz if sp.issparse(m) else None
+        out = sp.csr_matrix(m, dtype=np.float64, copy=True)
     out.sum_duplicates()
     if stored is not None and out.nnz < stored:
         raise ValueError(f"{name} contains duplicate (row, col) entries")

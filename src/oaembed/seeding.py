@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import ParseError
 from .network import AttributedNetwork, _data_lines
-from .numerics import make_rng, named_rng
+from .numerics import Handoff, make_rng, named_rng
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
 
@@ -114,7 +114,8 @@ class _ClassStats:
     dense N x K class indicator: of the degree vector, and of the transposed
     CSR attributes (dense input is converted) and their nonzero pattern. No
     N x D array is built, and each class's column sums run over its members
-    in node order.
+    in node order. Each class's own and pooled-other attribute distributions
+    are built once here, not once per planted node.
     """
 
     def __init__(self, net: AttributedNetwork):
@@ -131,8 +132,6 @@ class _ClassStats:
         onehot = np.zeros((n, k))
         onehot[np.arange(n), net.labels] = 1.0
         attrs = sp.csr_matrix(net.attributes)
-        pattern = sp.csr_matrix((np.ones(attrs.nnz), attrs.indices, attrs.indptr),
-                                shape=attrs.shape)
         nnz_counts = np.diff(attrs.indptr)
         self.class_probs = sizes / n
         self.members = [np.flatnonzero(net.labels == c) for c in range(k)]
@@ -141,22 +140,40 @@ class _ClassStats:
         self.mean_degree = (np.diff(net.adjacency.indptr) @ onehot) / sizes
         self.nnz_counts = [nnz_counts[m] for m in self.members]
         self.col_sums = np.ascontiguousarray((attrs.T @ onehot).T)
-        self.col_nnz = np.ascontiguousarray((pattern.T @ onehot).T)
+        # the nonzero pattern lives only for this product
+        self.col_nnz = np.ascontiguousarray((sp.csr_matrix(
+            (np.ones(attrs.nnz), attrs.indices, attrs.indptr), shape=attrs.shape).T
+            @ onehot).T)
+        sum_all, nnz_all = self.col_sums.sum(axis=0), self.col_nnz.sum(axis=0)
+        # own[c]: class c's keyword distribution; other[c]: every class but c
+        # pooled, count pools in class order
+        self.own = [_AttrDistribution.of(self.col_sums[c], self.col_nnz[c], self.nnz_counts[c])
+                    for c in range(k)]
+        self.other = [_AttrDistribution.of(
+            sum_all - self.col_sums[c], nnz_all - self.col_nnz[c],
+            np.concatenate([p for o, p in enumerate(self.nnz_counts) if o != c]))
+            for c in range(k)]
 
-    def own_distribution(self, c: int):
-        """(keyword weights, per-keyword mean values, nonzero-count pool) of class c."""
-        vals = np.divide(self.col_sums[c], self.col_nnz[c],
-                         out=np.zeros_like(self.col_sums[c]),
-                         where=self.col_nnz[c] > 0)
-        return self.col_sums[c], vals, self.nnz_counts[c]
 
-    def pooled_other_distribution(self, c: int):
-        """Same statistics pooled over every class except c (count pools in class order)."""
-        w = self.col_sums.sum(axis=0) - self.col_sums[c]
-        nz = self.col_nnz.sum(axis=0) - self.col_nnz[c]
-        vals = np.divide(w, nz, out=np.zeros_like(w), where=nz > 0)
-        counts = np.concatenate([p for o, p in enumerate(self.nnz_counts) if o != c])
-        return w, vals, counts
+@dataclass(frozen=True)
+class _AttrDistribution:
+    """What a planted attribute row is drawn from: the columns of positive
+    weight, their sampling probabilities and per-column mean values, and the
+    pool of nonzero counts."""
+
+    support: np.ndarray
+    p: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, weights: np.ndarray, nnz: np.ndarray, counts: np.ndarray):
+        """From per-column weight sums and nonzero counts; a column's value is
+        its mean over the entries that have it."""
+        support = np.nonzero(weights > 0)[0]
+        w = weights[support]
+        values = np.divide(w, nnz[support], out=np.zeros_like(w), where=nnz[support] > 0)
+        return cls(support, w / w.sum(), values, counts)
 
 
 def _draw_degree(mean_deg: float, band: float, pool_size: int, rng) -> int:
@@ -175,21 +192,18 @@ def _draw_degree(mean_deg: float, band: float, pool_size: int, rng) -> int:
     return min(max(deg, 1), pool_size)
 
 
-def _draw_attributes(weights: np.ndarray, values: np.ndarray,
-                     count_pool: np.ndarray, rng):
+def _draw_attributes(dist: _AttrDistribution, rng):
     """Sample (indices, values) for a planted node's attribute row.
 
-    The nonzero count is one empirical draw from count_pool; indices are a
+    The nonzero count is one empirical draw from dist.counts; indices are a
     weighted sample without replacement from the keyword distribution.
     """
-    support = np.nonzero(weights > 0)[0]
-    if support.size == 0 or count_pool.size == 0:
+    if dist.support.size == 0 or dist.counts.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    cnt = int(count_pool[rng.integers(count_pool.size)])
-    cnt = min(max(cnt, 1), support.size)
-    p = weights[support] / weights[support].sum()
-    idx = np.sort(rng.choice(support, size=cnt, replace=False, p=p))
-    return idx, values[idx]
+    cnt = int(dist.counts[rng.integers(dist.counts.size)])
+    cnt = min(max(cnt, 1), dist.support.size)
+    pos = np.sort(rng.choice(dist.support.size, size=cnt, replace=False, p=dist.p))
+    return dist.support[pos], dist.values[pos]
 
 
 def _pick_class(stats: _ClassStats, rng, exclude: int | None = None) -> int:
@@ -213,9 +227,8 @@ def _plant(kind: str, plan: SeedingPlan, rng, stats: _ClassStats) -> PlantedNode
         raise ValueError(f"class {c} has no external nodes to connect to")
     deg = _draw_degree(stats.mean_degree[c], plan.degree_band, pool.size, rng)
     neighbors = np.sort(rng.choice(pool, size=deg, replace=False))
-    dist = (stats.pooled_other_distribution(c) if attr_class is None
-            else stats.own_distribution(attr_class))
-    idx, vals = _draw_attributes(*dist, rng)
+    dist = stats.other[c] if attr_class is None else stats.own[attr_class]
+    idx, vals = _draw_attributes(dist, rng)
     return PlantedNode(kind, c, struct_class, attr_class, neighbors, idx, vals)
 
 
@@ -252,6 +265,7 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
     rng = named_rng(plan.seed, "seeding")
     planted = [_plant(kind, plan, rng, stats)
                for kind, count in zip(OUTLIER_KINDS, counts) for _ in range(count)]
+    del stats  # its K x n_attrs tables need not outlive the planting
 
     n0, total = net.n_nodes, len(planted)
     new_ids = np.arange(n0, n0 + total)
@@ -267,6 +281,7 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
          np.concatenate([p.attr_indices for p in planted]),
          np.cumsum([0] + [p.attr_indices.size for p in planted])),
         shape=(total, net.n_attrs))
+    # vstack concatenates into new arrays, so both matrices can be handed over
     attrs = sp.vstack([sp.csr_matrix(net.attributes), planted_rows], format="csr")
 
     names = list(net.node_names)
@@ -279,7 +294,7 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
         names.append(name)
 
     augmented = AttributedNetwork(
-        adjacency=adj, attributes=attrs,
+        adjacency=Handoff(adj), attributes=Handoff(attrs),
         labels=np.concatenate([net.labels, [p.label for p in planted]]),
         node_names=names, directed=False,
         has_self_loops=net.has_self_loops, label_names=list(net.label_names))
@@ -330,17 +345,29 @@ def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
 
     Nodes are split into near-equal contiguous classes. Within-class pairs
     link with probability p_in, cross-class pairs with p_out, each pair
-    independently. Each class owns a contiguous block of attribute columns; a
-    node draws a Binomial(nnz, attr_signal) share of its nonzero attributes
-    from its own block and the rest from the remaining columns, all with
-    value 1.
+    independently. Each class owns a contiguous block of n_attrs // n_classes
+    attribute columns. A node draws nnz ~ Uniform{lo..hi} nonzero attributes
+    (lo = max(2, block // 3), hi = max(3, 2 * block // 3)), takes
+    own = min(Binomial(nnz, attr_signal), block) of them from its class's
+    block and off = min(nnz - own, n_attrs - block) from the remaining
+    columns, each set a uniform subset without replacement, all with value 1.
 
     Edges are drawn per class pair as a Binomial(pairs, p) count and then that
     many distinct pairs uniformly (Batagelj & Brandes 2005), which is the same
     distribution as one Bernoulli draw per pair. Time is O(E + K^2 + N * nnz)
     for E edges, K classes and nnz nonzero attributes per node; no per-pair
-    array is built. The attributes are returned as N x n_attrs CSR, built row
-    by row with no dense N x n_attrs array.
+    array is built. The attributes have no per-node loop either: the counts
+    are two calls over all nodes, the off-block columns are drawn for all
+    nodes at once, and the own columns class by class, one vectorised step
+    per block column. They are returned as N x n_attrs CSR with every row
+    already column-sorted. No temporary is larger than that CSR: the work
+    arrays are one class's members x block boolean mask and the positions it
+    marks, and a byte per stored entry.
+
+    The random stream is: the edges, class pair by class pair; then nnz and
+    the binomial share for all nodes; then the off-block columns; then the
+    own columns, class by class. Every attribute draw follows every edge
+    draw, so the attribute rule never moves the adjacency of a given seed.
     """
     if n_classes < 1 or n_nodes < n_classes:
         raise ValueError("need n_nodes >= n_classes >= 1")
@@ -375,26 +402,81 @@ def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
     block = n_attrs // n_classes
     lo_cnt = max(2, block // 3)
     hi_cnt = max(3, (2 * block) // 3)
-    all_cols = np.arange(n_attrs, dtype=np.int32)  # the CSR's index dtype: no conversion copy
-    own_cols = [all_cols[c * block:(c + 1) * block] for c in range(n_classes)]
-    other_cols = [np.concatenate([all_cols[:c * block], all_cols[(c + 1) * block:]])
-                  for c in range(n_classes)]
-    picks, row_nnz = [np.empty(0, dtype=np.int32)], [0]
-    for i in range(n_nodes):
-        c = labels[i]
-        nnz = int(rng.integers(lo_cnt, hi_cnt + 1))
-        own = min(int(rng.binomial(nnz, attr_signal)), own_cols[c].size)
-        off = min(nnz - own, other_cols[c].size)
-        if own:
-            picks.append(rng.choice(own_cols[c], size=own, replace=False))
-        if off > 0:
-            picks.append(rng.choice(other_cols[c], size=off, replace=False))
-        row_nnz.append(own + off)
-    # a row's two picks are disjoint and duplicate-free; AttributedNetwork
-    # sorts each row's columns
-    cols = np.concatenate(picks)
-    attrs = sp.csr_matrix((np.ones(cols.size), cols, np.cumsum(row_nnz)),
-                          shape=(n_nodes, n_attrs))
-
-    return AttributedNetwork(adjacency=adj, attributes=attrs, labels=labels,
+    nnz = rng.integers(lo_cnt, hi_cnt + 1, size=n_nodes)
+    own = np.minimum(rng.binomial(nnz, attr_signal), block)
+    off = np.minimum(nnz - own, n_attrs - block)
+    attrs = _keyword_rows(labels, sizes, own, off, block, n_attrs, rng)
+    return AttributedNetwork(adjacency=Handoff(adj), attributes=Handoff(attrs), labels=labels,
                              label_names=[f"class{c}" for c in range(n_classes)])
+
+
+def _keyword_rows(labels, sizes, own, off, block, n_attrs, rng) -> sp.csr_matrix:
+    """synth_network's attribute CSR, every row already column-sorted.
+
+    Node i takes off[i] distinct columns outside its class's block (pool
+    numbers drawn by _distinct_per_row, in one pass over all nodes) and then,
+    class by class, own[i] distinct columns inside it (_select_per_column).
+    A row is laid out as [off-block columns below the block, own columns,
+    off-block columns above it]; the off-block entries are placed first and
+    each class's own columns fill the remaining slots of its rows in order.
+    """
+    indptr = np.zeros(labels.size + 1, dtype=np.int64)
+    np.cumsum(own + off, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+
+    rows, pick = _distinct_per_row(off, n_attrs - block, rng)
+    above = pick >= labels[rows] * block          # pool number -> column: skip the block
+    first_off = np.cumsum(off) - off
+    slot = indptr[rows] + np.arange(rows.size) - first_off[rows] + np.where(above, own[rows], 0)
+    indices[slot] = pick + np.where(above, block, 0)
+    is_off = np.zeros(indices.size, dtype=bool)
+    is_off[slot] = True
+    del rows, pick, above, slot
+
+    start = 0
+    for c, size in enumerate(sizes):
+        lo, hi = indptr[start], indptr[start + size]
+        cols = _select_per_column(own[start:start + size], block, rng) + c * block
+        indices[lo:hi][~is_off[lo:hi]] = cols
+        start += size
+    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(labels.size, n_attrs))
+
+
+def _distinct_per_row(counts: np.ndarray, pool: int, rng):
+    """Row i gets counts[i] distinct numbers of range(pool), a uniform subset.
+
+    Every row draws its missing numbers with replacement in one call, row by
+    row, repeats are dropped, and the rows still short draw again until all
+    are full. Relabelling range(pool) maps the procedure onto itself, so
+    every subset of a given size is equally likely. Returns (rows, numbers)
+    sorted by row and then by number.
+    """
+    rows = np.arange(counts.size)
+    keys = np.empty(0, dtype=np.int64)
+    missing = counts
+    while total := int(missing.sum()):
+        keys = np.concatenate([keys, np.repeat(rows, missing) * pool
+                               + rng.integers(pool, size=total)])
+        keys.sort()
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        missing = counts - np.bincount(keys // pool, minlength=counts.size)
+    return np.divmod(keys, pool)
+
+
+def _select_per_column(need: np.ndarray, width: int, rng) -> np.ndarray:
+    """Member r of a class takes need[r] distinct columns of range(width),
+    each subset equally likely: Knuth's selection sampling (TAOCP vol. 2,
+    Algorithm S) run for all members at once, one column at a time. Column t
+    is taken when u * (width - t) < (columns still needed), with one uniform
+    u in [0, 1) per member and column. Returns the taken columns member after
+    member, each member's in increasing order.
+    """
+    need = need.astype(np.float64)
+    taken = np.empty((width, need.size), dtype=bool)
+    u = np.empty(need.size)
+    for t in range(width):
+        rng.random(out=u)
+        u *= width - t
+        np.less(u, need, out=taken[t])
+        need -= taken[t]
+    return np.flatnonzero(taken.T) % width

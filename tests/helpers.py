@@ -175,10 +175,15 @@ def block_pairs_by_divmod(size_a: int, size_b: int | None = None):
 
 def reference_synth_attributes(n_nodes: int, n_classes: int, p_in: float, p_out: float,
                                n_attrs: int, attr_signal: float, seed: int) -> np.ndarray:
-    """synth_network's attributes by its dense per-node loop: each node's
-    columns are set to 1 in a zeroed N x n_attrs array. The generator's stream
-    is first advanced past the edge draws (a binomial count and a choice of
-    that many pair numbers per class pair), which the attributes follow."""
+    """synth_network's attributes by a dense per-node loop over its draw rule.
+
+    The generator's stream is first advanced past the edge draws (a binomial
+    count and a choice of that many pair numbers per class pair). The
+    attribute draws then consume the same random numbers as synth_network,
+    in the same calls, but every number is placed by plain loops into a
+    zeroed N x n_attrs array: the off-block redraw rounds into one set per
+    node, then selection sampling member by member and column by column.
+    """
     rng = np.random.default_rng(seed)
     base, rem = divmod(n_nodes, n_classes)
     sizes = [base + (c < rem) for c in range(n_classes)]
@@ -192,19 +197,41 @@ def reference_synth_attributes(n_nodes: int, n_classes: int, p_in: float, p_out:
     block = n_attrs // n_classes
     lo_cnt = max(2, block // 3)
     hi_cnt = max(3, (2 * block) // 3)
+    nnz = rng.integers(lo_cnt, hi_cnt + 1, size=n_nodes)
+    share = rng.binomial(nnz, attr_signal)
+    own = [min(int(share[i]), block) for i in range(n_nodes)]
+    off = [min(int(nnz[i]) - own[i], n_attrs - block) for i in range(n_nodes)]
     attrs = np.zeros((n_nodes, n_attrs))
-    all_cols = np.arange(n_attrs)
+
+    # off-block: every node short of off[i] distinct pool numbers draws the
+    # missing count with replacement, node by node, until none is short
+    picked = [set() for _ in range(n_nodes)]
+    while True:
+        missing = [off[i] - len(picked[i]) for i in range(n_nodes)]
+        if sum(missing) == 0:
+            break
+        draws = iter(rng.integers(n_attrs - block, size=sum(missing)).tolist())
+        for i in range(n_nodes):
+            for _ in range(missing[i]):
+                picked[i].add(next(draws))
     for i in range(n_nodes):
         c = labels[i]
-        own_cols = all_cols[c * block:(c + 1) * block]
-        other_cols = np.concatenate([all_cols[:c * block], all_cols[(c + 1) * block:]])
-        nnz = int(rng.integers(lo_cnt, hi_cnt + 1))
-        own = min(int(rng.binomial(nnz, attr_signal)), own_cols.size)
-        off = min(nnz - own, other_cols.size)
-        if own:
-            attrs[i, rng.choice(own_cols, size=own, replace=False)] = 1.0
-        if off > 0:
-            attrs[i, rng.choice(other_cols, size=off, replace=False)] = 1.0
+        for v in picked[i]:
+            attrs[i, v if v < c * block else v + block] = 1.0
+
+    # own block, Algorithm S: column t goes to a member while u * (block - t)
+    # is below the number it still needs; u comes member by member, column
+    # after column
+    start = 0
+    for c in range(n_classes):
+        u = rng.random((block, sizes[c]))
+        for r in range(sizes[c]):
+            need = own[start + r]
+            for t in range(block):
+                if u[t, r] * float(block - t) < need:
+                    attrs[start + r, c * block + t] = 1.0
+                    need -= 1
+        start += sizes[c]
     return attrs
 
 

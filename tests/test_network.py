@@ -103,6 +103,28 @@ def test_csr_attribute_validation():
             AttributedNetwork(adjacency=adj, attributes=bad)
 
 
+@pytest.mark.parametrize("attrs", [
+    sp.csr_matrix(([2.0, 0.0, 1.0], [3, 1, 0], [0, 3, 3]), shape=(2, 4)),  # needs canonicalising
+    sp.csr_matrix(([1.0, 2.0], [0, 3], [0, 2, 2]), shape=(2, 4)),           # already canonical
+])
+def test_network_neither_edits_nor_aliases_a_callers_csr(attrs):
+    adj = sp.csr_matrix(([1.0, 1.0], [1, 0], [0, 1, 2]), shape=(2, 2))
+    given = [m.copy() for m in (adj, attrs)]
+    net = AttributedNetwork(adjacency=adj, attributes=attrs)
+    for mine, kept in zip((adj, attrs), given):
+        for f in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mine, f), getattr(kept, f)), f
+    for theirs, mine in ((net.adjacency, adj), (net.attributes, attrs)):
+        for f in ("data", "indices", "indptr"):
+            assert not np.shares_memory(getattr(theirs, f), getattr(mine, f)), f
+    before = [to_dense(net.adjacency), to_dense(net.attributes)]
+    for m in (adj, attrs):
+        m.data[:] = 7.0
+        m.indices[:] = 0
+    assert np.array_equal(to_dense(net.adjacency), before[0])
+    assert np.array_equal(to_dense(net.attributes), before[1])
+
+
 def test_sparse_attributes_dim_inferred(tmp_path):
     edges = write(tmp_path / "e.txt", "x y\n")
     attrs = write(tmp_path / "a.txt", "x 3:1.5\ny 0:1.0\n")

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 from helpers import frobenius_sq_residual, jacobi_eigvals, reference_nmf_mu, to_dense
 import oaembed
-from oaembed.numerics import (as_dense, as_sparse, make_rng, named_rng, nmf_init,
-                              row_sq_residuals, svd_small)
+from oaembed.numerics import (Handoff, as_csr, as_dense, as_sparse, make_rng, named_rng,
+                              nmf_init, row_sq_residuals, svd_small)
 
 
 def test_make_rng_reproducible():
@@ -50,6 +50,24 @@ def test_as_sparse_validation():
     assert dup_csr.nnz == 3
     with pytest.raises(ValueError, match="duplicate"):
         as_sparse(dup_csr)
+
+
+def test_handoff_is_validated_in_place_without_a_copy():
+    built = sp.csr_matrix(([2.0, 0.0, 1.0], [3, 1, 0], [0, 3, 3]), shape=(2, 4))
+    data = built.data
+    out = as_csr(Handoff(built), "attributes")
+    assert out is built and np.shares_memory(out.data, data)
+    assert out.has_canonical_format and out.indices.tolist() == [0, 3]
+    adj = sp.csr_matrix(([1.0, 1.0], [1, 0], [0, 1, 2]), shape=(2, 2))
+    assert as_sparse(Handoff(adj)) is adj
+    for bad in (sp.csr_matrix(([1.0, 2.0], [1, 1], [0, 2, 2]), shape=(2, 2)),
+                sp.csr_matrix(([np.nan], [1], [0, 1, 1]), shape=(2, 2))):
+        with pytest.raises(ValueError):
+            as_csr(Handoff(bad))
+    with pytest.raises(ValueError, match="non-positive"):
+        as_sparse(Handoff(sp.csr_matrix(([-1.0], [1], [0, 1, 1]), shape=(2, 2))))
+    with pytest.raises(TypeError):
+        Handoff(sp.csr_matrix(np.eye(2, dtype=np.int64)))
 
 
 def test_svd_identity():

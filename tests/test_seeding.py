@@ -1,11 +1,13 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (block_pairs_by_divmod, class_stats_by_loop, reference_synth_attributes,
@@ -91,6 +93,106 @@ def test_synth_attributes_match_dense_reference(args):
     assert sp.issparse(net.attributes) and net.attributes.format == "csr"
     assert net.attributes.has_sorted_indices
     assert np.array_equal(to_dense(net.attributes), reference_synth_attributes(*args))
+
+
+def test_synth_attributes_match_dense_reference_on_wide_blocks():
+    # blocks of 150 and 100 columns, and a column (300) that no class owns
+    for args in [(40, 2, 0.3, 0.05, 300, 0.7, 2), (33, 3, 0.3, 0.05, 301, 0.95, 5)]:
+        net = synth_network(*args[:6], seed=args[6])
+        assert np.array_equal(to_dense(net.attributes), reference_synth_attributes(*args))
+
+
+def test_synth_attribute_draw_follows_its_law():
+    # block 100 of 400 columns: lo = 33, hi = 66, so neither cap binds and
+    # every row holds exactly its nnz ~ Uniform{33..66} draw
+    n, k, d, signal = 4000, 4, 400, 0.7
+    block, lo, hi = d // k, 33, 66
+    net = synth_network(n, k, 0.01, 0.001, d, signal, seed=12)
+    a = net.attributes
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    in_own = a.indices // block == net.labels[rows]
+    row_nnz = np.diff(a.indptr)
+    own = np.bincount(rows[in_own], minlength=n)
+
+    # row counts: each of the 34 values is hit Binomial(n, 1/34) times
+    p = 1 / (hi - lo + 1)
+    hits = np.bincount(row_nnz, minlength=hi + 1)
+    assert hits[:lo].sum() == 0 and hits.size == hi + 1
+    assert (np.abs(hits[lo:] - n * p) <= 4 * math.sqrt(n * p * (1 - p))).all()
+
+    # own share: Binomial(nnz, signal) given nnz, in its mean and its spread
+    var = row_nnz * signal * (1 - signal)
+    dev = own - row_nnz * signal
+    assert abs(dev.sum()) <= 4 * math.sqrt(var.sum())
+    # Var((X - mu)^2) = 2 var^2 + var (1 - 6 p q) for a binomial X
+    spread = var * (2 * var + 1 - 6 * signal * (1 - signal))
+    assert abs((dev ** 2).sum() - var.sum()) <= 4 * math.sqrt(spread.sum())
+
+    # column frequencies: uniform over the own block and over the off-block
+    # pool of each class; a row takes column j with probability (its count) /
+    # (width), so sum_j (hits_j - mean)^2 / var over a width-w range is about
+    # chi-square with w degrees of freedom
+    def chi_square(cols, members, taken, width):
+        counts = np.bincount(cols, minlength=width)
+        frac = taken[members] / width
+        return ((counts - frac.sum()) ** 2).sum() / (frac * (1 - frac)).sum()
+
+    stat_own = stat_off = 0.0
+    for c in range(k):
+        members = np.flatnonzero(net.labels == c)
+        mine = net.labels[rows] == c
+        cols = a.indices[mine & in_own] - c * block
+        pool = a.indices[mine & ~in_own]
+        pool = np.where(pool >= (c + 1) * block, pool - block, pool)
+        stat_own += chi_square(cols, members, own, block)
+        stat_off += chi_square(pool, members, row_nnz - own, d - block)
+    for stat, dof in ((stat_own, k * block), (stat_off, k * (d - block))):
+        assert abs(stat - dof) <= 4 * math.sqrt(2 * dof), (stat, dof)
+
+
+@st.composite
+def attribute_models(draw):
+    """(n_nodes, n_classes, n_attrs, attr_signal): one class, uneven blocks
+    (n_attrs % n_classes != 0), blocks of one or two columns (own capped at
+    the block) and attr_signal = 1 all reachable."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 5 * k + 3))
+    d = draw(st.integers(k, 14 * k + 5))
+    signal = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    return n, k, d, signal
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(attribute_models(), st.integers(0, 2**31 - 1))
+@example((12, 3, 31, 1.0), 0)     # attr_signal = 1, 31 % 3 != 0
+@example((9, 1, 7, 0.6), 1)       # one class owns every column
+@example((10, 4, 9, 0.9), 2)      # blocks of 2 columns, hi = 3: own capped
+@example((8, 2, 3, 1.0), 3)       # blocks of 1 column, a column no class owns
+def test_synth_attribute_rows_are_born_sorted(model, seed):
+    n, k, d, signal = model
+    sorted_here = []
+    real_sort = sp.csr_matrix.sort_indices
+
+    def spy(self):
+        sorted_here.append(self.indices)
+        real_sort(self)
+
+    with mock.patch.object(sp.csr_matrix, "sort_indices", spy):
+        net = synth_network(n, k, 0.3, 0.05, d, signal, seed=seed)
+    a = net.attributes
+    assert not any(np.shares_memory(a.indices, idx) for idx in sorted_here)
+    assert a.has_canonical_format and (a.data == 1.0).all()
+    block = d // k
+    hi = max(3, 2 * block // 3)
+    for i in range(n):
+        cols = a.indices[a.indptr[i]:a.indptr[i + 1]]
+        assert (np.diff(cols) > 0).all()
+        own = np.count_nonzero(cols // block == net.labels[i])
+        assert own <= block and cols.size - own <= d - block and cols.size <= hi
+        if signal == 1.0 and hi <= block:
+            assert own == cols.size
+    assert np.array_equal(to_dense(a), reference_synth_attributes(n, k, 0.3, 0.05, d,
+                                                                  signal, seed))
 
 
 def test_synth_deterministic():
@@ -182,6 +284,22 @@ def test_synth_and_seeding_keep_wide_attributes_sparse():
         tracemalloc.stop()
     assert sp.issparse(seeded.network.attributes)
     assert peak < 40e6   # one dense 1000 x 20000 float64 copy would take 160 MB
+
+
+def test_synth_and_seeding_hold_two_attribute_copies_not_three():
+    # at 1000 x 10000 in 5 classes the attributes (12.5 MB a copy) outweigh
+    # the per-class K x n_attrs tables of the planting; the input network and
+    # the seeded one are the only copies, so neither builder copies its own
+    tracemalloc.start()
+    try:
+        net = synth_network(1000, 5, 0.01, 0.001, 10000, 0.9, seed=0)
+        seeded = seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    a = seeded.network.attributes
+    copy_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert peak < 2.5 * copy_bytes, (peak, copy_bytes)
 
 
 def test_decode_block_pairs_is_exact_at_scale():
@@ -452,6 +570,35 @@ def test_seed_outliers_is_the_plant_calls_in_sequence():
         for f in fields(PlantedNode):
             assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
     assert seeded.outlier_ids == list(range(net.n_nodes, net.n_nodes + 12))
+
+
+def fixed_labeled_network():
+    """A 200-node, 3-class network with shuffled labels and attribute values
+    not 0/1, built from one generator rather than by synth_network."""
+    rng = make_rng(5)
+    n, d = 200, 60
+    labels = rng.permutation(np.arange(n) % 3)
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < 0.04
+    i, j = i[keep], j[keep]
+    adj = sp.csr_matrix((np.ones(2 * i.size), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                        shape=(n, n))
+    attrs = np.where(rng.random((n, d)) < 0.1, rng.uniform(0.5, 2.0, size=(n, d)), 0.0)
+    return AttributedNetwork(adjacency=adj, attributes=sp.csr_matrix(attrs), labels=labels)
+
+
+def test_seed_outliers_stream_is_pinned():
+    # a fixed digest of this seeding's output: any change to what the
+    # planting draws, or in which order, shows here
+    seeded = seed_outliers(fixed_labeled_network(), SeedingPlan(total_fraction=0.1, seed=3))
+    h = hashlib.sha256()
+    for m in (seeded.network.adjacency, seeded.network.attributes):
+        for arr in (m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)):
+            h.update(arr.tobytes())
+    h.update(seeded.network.labels.astype(np.int64).tobytes())
+    h.update("\n".join(seeded.network.node_names).encode())
+    assert len(seeded.planted) == 20
+    assert h.hexdigest() == "cc562dcef4ea85fad51a1b938284ab255e5f27e9e6641a54a97b17f429deb458"
 
 
 def test_csr_network_and_dense_twin_seed_and_fit_identically():
