@@ -5,9 +5,23 @@ The classifier is a deterministic l2-regularized multinomial logistic
 regression trained by full-batch gradient descent on per-dimension
 standardized features (a deliberately dependency-free stand-in for heavier
 model families; absolute F1 values are not comparable across classifiers).
-Its training loop is class-major (classes x nodes), which keeps the softmax
-reductions on numpy's fast axis. Clustering keeps the best of 10 seeded
-k-means++ starts by final within-cluster sum of squares.
+
+`evaluate_all` fits the classifier 50 times by default (5 train percentages
+x 10 reps), its largest cost. The reps of one percentage have equal size and
+descend as one stack, so each numpy call in the loop covers all of them. The
+stack holds features feature-major (reps x features x nodes) and logits
+class-major (reps x classes x nodes): both products are one batched matmul
+and the softmax reduces the short class axis. A node-major stack (reps x
+nodes x classes) took 2.5-3 times as long for protocol-sbm4k's 50 fits, as
+numpy reduces a length-C last axis slowly. A set trained alone or in a stack
+gets bit-identical weights, so `train_classifier` is the one-set call of the
+same loop. The stacks run on the calling thread: spreading them over 2
+worker threads cut evaluation time further but raised the benchmark's peak
+RSS by 6-12 %, because each worker thread allocates from a fresh glibc arena
+instead of reusing the heap a preceding `fit` freed.
+
+Clustering keeps the best of 10 seeded k-means++ starts by final
+within-cluster sum of squares.
 """
 
 import json
@@ -63,43 +77,92 @@ def train_classifier(x: np.ndarray, y: np.ndarray, steps: int = 500) -> Classifi
     Deterministic for a given input. Records the regularized training loss
     before every step and after the last one.
 
-    The loop runs class-major (weights C x (F+1), logits C x n), so the
-    softmax reduces the short class axis as axis 0: numpy reduces an n x C
-    array along its length-C axis 1 an order of magnitude slower.
+    This is the one-set call of the stacked, feature-major loop that
+    `evaluate_all` trains its splits with (the module docstring says why it
+    is laid out so), and a set fitted here or inside a stack gets
+    bit-identical weights, standardization and loss trace.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("x must be N x F with matching y of length N")
-    classes, yi = np.unique(y, return_inverse=True)
-    if classes.size < 2:
+    return _train_stack(x[None], y[None], steps)[0]
+
+
+def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500) -> list[Classifier]:
+    """`train_classifier` on each of R equal-size training sets (xs R x n x F,
+    ys R x n), one Classifier per set in order.
+
+    Sets with the same classes descend together as one stack. A set that
+    lacks a class trains in a stack of its own class set rather than with
+    that class masked out, because OpenBLAS picks its kernel by the number
+    of class rows: a masked class leaves the other weights a few ulps away
+    from a fit of the set on its own.
+    """
+    fits = [np.unique(y, return_inverse=True) for y in ys]
+    if any(classes.size < 2 for classes, _ in fits):
         raise ValueError("training data must contain at least 2 classes")
-    n = x.shape[0]
+    groups = {}
+    for r, (classes, _) in enumerate(fits):
+        groups.setdefault(tuple(classes.tolist()), []).append(r)
+    out = [None] * len(fits)
+    for members in groups.values():
+        yi = np.stack([fits[r][1] for r in members])
+        stack = _descend(xs[members], yi, fits[members[0]][0], steps)
+        for r, clf in zip(members, stack):
+            out[r] = clf
+    return out
 
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
+
+def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
+             steps: int) -> list[Classifier]:
+    """The gradient-descent loop over a stack of R training sets that all
+    hold every one of the C classes; yi (R x n) indexes classes.
+
+    Each set is standardized on its own and stored feature-major as zt
+    (R x (F+1) x n, the last feature row is the bias), the weights
+    class-major as wt (R x C x (F+1)), so each product is one matmul over
+    the stack and the softmax reduces the short class axis.
+    """
+    r_sets, n = yi.shape
+    n_classes = classes.size
+    mean = xs.mean(axis=1)
+    scale = xs.std(axis=1)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    zt = np.vstack([((x - mean) / scale).T, np.ones(n)])  # (F+1) x n
-    cols = np.arange(n)
-    target = np.zeros((classes.size, n))
-    target[yi, cols] = 1.0
+    n_features = xs.shape[2]
+    zt = np.empty((r_sets, n_features + 1, n))
+    np.divide(xs - mean[:, None, :], scale[:, None, :],
+              out=zt[:, :-1].transpose(0, 2, 1))
+    zt[:, -1] = 1.0
+    # each node's true-class entry in the flattened R x C x n probabilities:
+    # the loss gathers it and the gradient subtracts the one-hot target there
+    flat = (np.arange(r_sets)[:, None] * n_classes + yi) * n + np.arange(n)
 
-    wt = np.zeros((classes.size, zt.shape[0]))  # last column is the bias
-    trace = []
+    wt = np.zeros((r_sets, n_classes, n_features + 1))
+    p = np.empty((r_sets, n_classes, n))
+    pf = p.reshape(-1)
+    grad = np.empty_like(wt)
+    trace = np.empty((steps + 1, r_sets))
     for step in range(steps + 1):
-        logits = wt @ zt
-        e = np.exp(logits - logits.max(axis=0))
-        p = e / e.sum(axis=0)
-        data_loss = -np.log(np.maximum(p[yi, cols], 1e-300)).mean()
-        reg = wt[:, :-1]
-        trace.append(data_loss + 0.5 * 1e-3 * float((reg * reg).sum()))
+        np.matmul(wt, zt, out=p)
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        data_loss = -np.log(np.maximum(pf[flat], 1e-300)).mean(axis=1)
+        reg = wt[:, :, :-1]
+        trace[step] = data_loss + 0.5 * 1e-3 * (reg * reg).sum(axis=(1, 2))
         if step == steps:
             break
-        grad = (p - target) @ zt.T / n
-        grad[:, :-1] += 1e-3 * reg
-        wt -= 0.1 * grad
-    return Classifier(weights=np.ascontiguousarray(wt.T), classes=classes,
-                      feature_mean=mean, feature_scale=scale, loss_trace=trace)
+        pf[flat] -= 1.0
+        np.matmul(p, zt.transpose(0, 2, 1), out=grad)
+        grad /= n
+        grad[:, :, :-1] += 1e-3 * reg
+        grad *= 0.1
+        wt -= grad
+    return [Classifier(weights=np.ascontiguousarray(wt[r].T), classes=classes,
+                       feature_mean=mean[r], feature_scale=scale[r],
+                       loss_trace=trace[:, r].tolist())
+            for r in range(r_sets)]
 
 
 def predict(clf: Classifier, x: np.ndarray) -> np.ndarray:
@@ -260,15 +323,16 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
                  exclude_outliers: bool = False) -> EvalReport:
     """The full metric battery for one embedding of one seeded network.
 
-    truth_ids are node indices of the planted outliers. Classification trains
-    `train_classifier` (class-major gradient descent) on `reps` seeded splits
-    per train percentage and averages. Clustering uses as many clusters as
-    ground-truth classes and runs 10 seeded k-means++ starts, keeping the one
-    with the lowest final within-cluster sum of squares (the earliest on a
-    tie). With exclude_outliers the classification/clustering metrics skip
-    the planted nodes (recall always uses the full ranking); a ValueError
-    names exclude_outliers when the remaining nodes span fewer than 2
-    classes.
+    truth_ids are node indices of the planted outliers. splits are distinct
+    whole train percentages in (0, 100). Classification trains the
+    `train_classifier` model on `reps` seeded splits per train percentage,
+    as one stack per percentage, and averages the F1 over the reps.
+    Clustering uses as many clusters as ground-truth classes and runs 10
+    seeded k-means++ starts, keeping the one with the lowest final
+    within-cluster sum of squares (the earliest on a tie). With
+    exclude_outliers the classification/clustering metrics skip the planted
+    nodes (recall always uses the full ranking); a ValueError names
+    exclude_outliers when the remaining nodes span fewer than 2 classes.
     """
     truth = set(int(i) for i in truth_ids)
     n = net.n_nodes
@@ -282,6 +346,13 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
         raise ValueError("evaluation requires a labeled network")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    for pct in splits:
+        if not (0 < pct < 100 and float(pct).is_integer()):
+            raise ValueError(f"splits must hold whole train percentages in "
+                             f"(0, 100), got {pct}")
+    pcts = [int(pct) for pct in splits]
+    if len(set(pcts)) != len(pcts):
+        raise ValueError(f"splits must not repeat a train percentage, got {pcts}")
 
     ranked = rank_nodes(result.outlier_scores)
     recall = {level: recall_at(ranked, truth, level) for level in RECALL_LEVELS}
@@ -296,19 +367,17 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     y = net.labels[keep]
 
     f1 = {}
-    for pct in splits:
-        if not 0 < pct < 100:
-            raise ValueError(f"train percentage must be in (0, 100), got {pct}")
-        macros, micros = [], []
-        for rep in range(reps):
-            rng = named_rng(seed, f"split-{pct}-{rep}")
-            train = _classification_split(keep.size, pct / 100.0, y, rng)
+    for pct in pcts:
+        trains = np.stack([
+            _classification_split(keep.size, pct / 100.0, y,
+                                  named_rng(seed, f"split-{pct}-{rep}"))
+            for rep in range(reps)])
+        scores = []
+        for train, clf in zip(trains, _train_stack(x[trains], y[trains])):
             test = np.setdiff1d(np.arange(keep.size), train)
-            clf = train_classifier(x[train], y[train])
-            macro, micro = f1_scores(y[test], predict(clf, x[test]))
-            macros.append(macro)
-            micros.append(micro)
-        f1[int(pct)] = (float(np.mean(macros)), float(np.mean(micros)))
+            scores.append(f1_scores(y[test], predict(clf, x[test])))
+        macros, micros = zip(*scores)
+        f1[pct] = (float(np.mean(macros)), float(np.mean(micros)))
 
     k = net.n_classes
     starts = [kmeans_pp_full(x, k, int(named_rng(seed, f"kmeans-{i}").integers(2 ** 63)))
@@ -317,7 +386,7 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     clusters = min(starts, key=lambda start: start[2][-1])[0]
     acc = clustering_accuracy(clusters, y)
 
-    config = {"splits": [int(p) for p in splits], "reps": int(reps),
+    config = {"splits": pcts, "reps": int(reps),
               "seed": int(seed), "exclude_outliers": bool(exclude_outliers),
               "recall_levels": list(RECALL_LEVELS), "n_clusters": int(k),
               "kmeans_starts": 10, "n_nodes": int(n), "n_truth": len(truth)}

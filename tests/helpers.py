@@ -15,8 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from oaembed.core import FactorModel, OutlierScores
-from oaembed.evaluation import Classifier
+from oaembed.evaluation import (Classifier, _classification_split, f1_scores, predict,
+                                train_classifier)
 from oaembed.network import AttributedNetwork
+from oaembed.numerics import named_rng
 
 
 def to_dense(m) -> np.ndarray:
@@ -113,9 +115,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def reference_train_classifier(x: np.ndarray, y: np.ndarray,
                                steps: int = 500) -> Classifier:
-    """The row-major (nodes x classes) gradient-descent loop that
-    `train_classifier` reorganises class-major: the same zero start, step 0.1,
-    l2 weight 1e-3 with the bias row exempt, and loss trace."""
+    """One training set by a row-major (nodes x classes) gradient-descent
+    loop with a dense one-hot target, against `train_classifier`'s stacked,
+    feature-major loop: the same zero start, step 0.1, l2 weight 1e-3 with
+    the bias row exempt, and loss trace."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     classes = np.unique(y)
@@ -140,6 +143,32 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
         w -= 0.1 * (z.T @ (p - target) / n + 1e-3 * w * reg_mask)
     return Classifier(weights=w, classes=classes, feature_mean=mean,
                       feature_scale=scale, loss_trace=trace)
+
+
+def reference_f1_by_split(net: AttributedNetwork, result, truth_ids, splits, reps: int,
+                          seed: int, exclude_outliers: bool = False,
+                          trainer=train_classifier) -> dict:
+    """evaluate_all's F1 map by one fit per split: for each train percentage,
+    rep by rep, draw the split from its named stream, fit `trainer` on that
+    set alone, predict the rest and score; the means over the reps."""
+    keep = np.arange(net.n_nodes)
+    if exclude_outliers:
+        keep = keep[~np.isin(keep, list(truth_ids))]
+    x = result.embedding[keep]
+    y = net.labels[keep]
+    f1 = {}
+    for pct in splits:
+        macros, micros = [], []
+        for rep in range(reps):
+            rng = named_rng(seed, f"split-{pct}-{rep}")
+            train = _classification_split(keep.size, pct / 100.0, y, rng)
+            test = np.setdiff1d(np.arange(keep.size), train)
+            clf = trainer(x[train], y[train])
+            macro, micro = f1_scores(y[test], predict(clf, x[test]))
+            macros.append(macro)
+            micros.append(micro)
+        f1[pct] = (float(np.mean(macros)), float(np.mean(micros)))
+    return f1
 
 
 def class_stats_by_loop(net: AttributedNetwork) -> dict:

@@ -3,7 +3,7 @@ import pytest
 
 import oaembed.evaluation
 from helpers import (brute_force_clustering_accuracy, hypergeom_recall_null,
-                     reference_train_classifier)
+                     reference_f1_by_split, reference_train_classifier)
 from oaembed.errors import ParseError
 from oaembed.evaluation import (RECALL_LEVELS, EvalReport, clustering_accuracy,
                                 evaluate_all, f1_scores, kmeans_pp_full,
@@ -172,6 +172,28 @@ def test_classifier_matches_row_major_reference(case):
     np.testing.assert_allclose(got.loss_trace, ref.loss_trace, rtol=1e-12, atol=0.0)
     probe = np.vstack([x, make_rng(22).normal(scale=3.0, size=(50, x.shape[1]))])
     assert np.array_equal(predict(got, probe), predict(ref, probe))
+
+
+def test_train_stack_matches_one_set_fits():
+    # five equal-size sets; sets 1 and 3 lack label 4, so they train as a
+    # stack of their own next to the stack of the three complete sets
+    rng = make_rng(23)
+    xs, ys = [], []
+    for r in range(5):
+        sizes = [20, 0, 25] if r in (1, 3) else [15, 12, 18]
+        x, y = _blobs(rng, sizes, 4)
+        xs.append(x)
+        ys.append(np.array([-1, 4, 9])[y])
+    stack = oaembed.evaluation._train_stack(np.stack(xs), np.stack(ys), steps=200)
+    assert [clf.classes.tolist() for clf in stack] == [
+        [-1, 4, 9], [-1, 9], [-1, 4, 9], [-1, 9], [-1, 4, 9]]
+    for x, y, got in zip(xs, ys, stack):
+        alone = train_classifier(x, y, steps=200)
+        assert np.array_equal(got.weights, alone.weights)
+        assert np.array_equal(got.classes, alone.classes)
+        assert np.array_equal(got.feature_mean, alone.feature_mean)
+        assert np.array_equal(got.feature_scale, alone.feature_scale)
+        assert got.loss_trace == alone.loss_trace
 
 
 def test_classifier_input_errors():
@@ -368,16 +390,59 @@ def test_evaluate_all_kmeans_tie_keeps_earliest_start(monkeypatch):
     assert report.clustering_accuracy == 1.0
 
 
-def test_evaluate_all_f1_matches_row_major_classifier(monkeypatch):
-    rng = make_rng(16)
+def _noisy_result(net, truth, seed, noise):
+    result = one_hot_result(net, truth)
+    result.embedding = result.embedding + make_rng(seed).normal(
+        scale=noise, size=result.embedding.shape)
+    return result
+
+
+def test_evaluate_all_f1_matches_row_major_classifier():
     net = synth_network(150, 3, 0.2, 0.02, 30, 0.9, seed=16)
-    result = one_hot_result(net, [2, 77])
-    result.embedding = result.embedding + rng.normal(scale=0.8, size=result.embedding.shape)
+    result = _noisy_result(net, [2, 77], 16, 0.8)
     got = evaluate_all(net, result, [2, 77], splits=(10, 50), reps=3, seed=6)
-    monkeypatch.setattr(oaembed.evaluation, "train_classifier", reference_train_classifier)
-    ref = evaluate_all(net, result, [2, 77], splits=(10, 50), reps=3, seed=6)
-    assert got.f1 == ref.f1
+    ref = reference_f1_by_split(net, result, [2, 77], (10, 50), 3, 6,
+                                trainer=reference_train_classifier)
+    assert got.f1 == ref
     assert any(micro < 1.0 for _, micro in got.f1.values())  # not a trivial embedding
+
+
+def test_evaluate_all_f1_matches_one_fit_per_split():
+    net = synth_network(160, 4, 0.2, 0.02, 24, 0.9, seed=17)
+    result = _noisy_result(net, [5, 60, 130], 17, 0.9)
+    report = evaluate_all(net, result, [5, 60, 130], splits=(10, 30, 50), reps=4, seed=7)
+    assert report.f1 == reference_f1_by_split(net, result, [5, 60, 130], (10, 30, 50), 4, 7)
+    assert any(micro < 1.0 for _, micro in report.f1.values())
+
+
+def test_evaluate_all_f1_matches_one_fit_per_split_without_outliers():
+    # 6 training nodes over 4 classes: some splits lack a class and train
+    # apart from the rest of their stack
+    net = synth_network(60, 4, 0.3, 0.03, 16, 0.9, seed=18)
+    truth = [0, 31]
+    result = _noisy_result(net, truth, 18, 0.7)
+    report = evaluate_all(net, result, truth, splits=(10, 40), reps=6, seed=8,
+                          exclude_outliers=True)
+    class_counts = []
+
+    def counting(x, y):
+        class_counts.append(np.unique(y).size)
+        return train_classifier(x, y)
+
+    assert report.f1 == reference_f1_by_split(net, result, truth, (10, 40), 6, 8,
+                                              exclude_outliers=True, trainer=counting)
+    assert min(class_counts) < 4 == max(class_counts)
+
+
+def test_evaluate_all_rejects_fractional_and_repeated_splits():
+    net = synth_network(60, 2, 0.2, 0.02, 10, 0.9, seed=19)
+    result = one_hot_result(net, [4])
+    for splits in ((12.5, 12), (20, 20), (20, 20.0), (float("nan"),)):
+        with pytest.raises(ValueError, match="splits"):
+            evaluate_all(net, result, [4], splits=splits, reps=1)
+    whole = evaluate_all(net, result, [4], splits=(30.0,), reps=2)
+    assert whole == evaluate_all(net, result, [4], splits=(30,), reps=2)
+    assert whole.config["splits"] == [30]
 
 
 def test_evaluate_all_validation():
