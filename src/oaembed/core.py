@@ -29,18 +29,15 @@ residual vectors, _loss_terms weights them by log(1 / score) and _joint sums
 the terms. fit's initial loss, calibration and rounds (each round's scores
 come from the same residuals) use it, as do loss_joint and calibrate_weights.
 
-fit keeps CSR attributes as CSR (sparse files and synth_network build them),
-and converts dense C to CSR when at most 1 in 8 of its entries is nonzero
-(the bag-of-words case): the attribute initialization, the U and V sweeps
-and all attribute residuals then cost O(nnz(C) K + (N + D) K^2) instead of
-O(N D K), and the outputs match the dense path to rounding.
+C is CSR (AttributedNetwork stores no other layout), so the attribute
+initialization, the U and V sweeps and all attribute residuals cost
+O(nnz(C) K + (N + D) K^2), never O(N D K).
 """
 
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError
 from .network import AttributedNetwork, EmbeddingResult
@@ -60,7 +57,9 @@ def check_combine_weights(w, name: str = "combine_weights"):
 class HyperParams:
     """Knobs for fit(). attr_weight and dis_weight default to None, meaning
     'calibrate so the three loss terms start equal'. dim is the embedding
-    width K; budget is the fixed sum of each score vector. init_iters is the
+    width K; budget is the fixed sum of each score vector. dim, iters,
+    init_iters and seed must be Python or numpy integers (bool and float
+    values are rejected, not truncated). init_iters is the
     number of multiplicative updates per factor in each initialization,
     rounded up to a multiple of 3: one pass applies 3 updates that share one
     product with the input matrix (the default 200 runs 67 passes)."""
@@ -77,6 +76,10 @@ class HyperParams:
     loss_tol: float | None = None
 
     def __post_init__(self):
+        for name in ("dim", "iters", "init_iters", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         for name in ("attr_weight", "dis_weight"):
@@ -414,10 +417,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     both the new scores and the round's joint loss. The joint loss is
     recorded after every round and is non-increasing.
 
-    CSR attributes stay CSR at any density; fit never densifies them. Dense
-    attributes with at most 1 in 8 entries nonzero are factorized, and every
-    loss in fit evaluated, on a CSR copy (net.attributes itself is not
-    changed). CSR outputs match the dense path to rounding.
+    The CSR attributes are never densified, and net is not changed.
 
     Returns (FactorModel, OutlierScores, EmbeddingResult, FitDiagnostics).
     """
@@ -430,13 +430,9 @@ def fit(net: AttributedNetwork, hp: HyperParams):
                           f"with score_floor {hp.score_floor}")
     adj = net.adjacency
     attrs = net.attributes
-    sparse = sp.issparse(attrs)
-    if ((attrs.data if sparse else attrs) < 0).any():
+    if (attrs.data < 0).any():
         raise ConfigError("attributes must be nonnegative (initialization is "
                           "a nonnegative factorization)")
-    # CSR nmf_init beats dense from 1000 x 500 up at density <= 1/8 (crossover 0.15-0.2)
-    if not sparse and np.count_nonzero(attrs) * 8 <= attrs.size:
-        attrs = sp.csr_matrix(attrs)
 
     diagnostics = FitDiagnostics()
     g, h = nmf_init(adj, hp.dim, hp.init_iters, named_rng(hp.seed, "init-structure"))

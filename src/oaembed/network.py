@@ -11,8 +11,8 @@ Attribute file: one node per line, either dense ``<id> <v1> <v2> ...`` or
 sparse ``<id> <idx>:<val> ...``. The dimension comes from an optional
 ``%dim D`` header or is inferred (dense: row length, sparse: max index + 1).
 The attribute file defines the node universe; edge and label files may only
-reference nodes that have an attribute row. Sparse files load as CSR
-attributes, dense files as a dense array.
+reference nodes that have an attribute row. Both grammars load as CSR
+attributes.
 
 Label file: ``<node_id> <class_name>`` per line, one line per node. Class
 names are mapped to dense integer ids in sorted-name order.
@@ -36,9 +36,10 @@ class AttributedNetwork:
     """A graph with per-node attribute vectors and optional class labels.
 
     adjacency is N x N CSR (symmetric when undirected). attributes is N x D
-    float64 in the layout it was built in: a dense array, or CSR (sorted
-    indices, no duplicate entries, explicit zeros dropped) for sparse input.
-    labels is an int array with ids in 0..n_classes-1.
+    float64 CSR (sorted indices, no duplicate entries, explicit zeros
+    dropped), whatever 2-D input it was built from: a dense array, a nested
+    list or any scipy sparse matrix. labels is an int array with ids in
+    0..n_classes-1.
 
     A caller's matrices are copied, so the network never edits or aliases
     them. The package's own builders (synth_network, seed_outliers,
@@ -47,7 +48,7 @@ class AttributedNetwork:
     """
 
     adjacency: sp.csr_matrix
-    attributes: np.ndarray | sp.csr_matrix
+    attributes: sp.csr_matrix
     labels: np.ndarray | None = None
     node_names: list[str] = field(default_factory=list)
     directed: bool = False
@@ -56,8 +57,7 @@ class AttributedNetwork:
 
     def __post_init__(self):
         self.adjacency = as_sparse(self.adjacency, "adjacency")
-        sparse = sp.issparse(self.attributes) or isinstance(self.attributes, Handoff)
-        self.attributes = (as_csr if sparse else as_dense)(self.attributes, "attributes")
+        self.attributes = as_csr(self.attributes, "attributes")
         n = self.adjacency.shape[0]
         if self.adjacency.shape[1] != n:
             raise ValueError(f"adjacency must be square, got {self.adjacency.shape}")
@@ -117,6 +117,16 @@ def class_distribution(net: AttributedNetwork) -> np.ndarray:
     return counts / counts.sum()
 
 
+def _check_names(names, what: str = "node name"):
+    """Raise ValueError unless every name reads back as written: a non-empty
+    token with no whitespace that does not start with '#' (a comment) or '%'
+    (a directive). The writers call this before they create anything."""
+    for name in names:
+        if name.split() != [name] or name[0] in "#%":
+            raise ValueError(f"{what} {name!r} cannot be saved: names must be non-empty, "
+                             "contain no whitespace and not start with '#' or '%'")
+
+
 def _data_lines(path: str):
     """Yield (lineno, line) for non-empty, non-comment lines."""
     try:
@@ -130,8 +140,8 @@ def _data_lines(path: str):
 
 
 def _parse_attributes(path: str):
-    """Parse an attribute file into (node_names, N x D attributes): CSR for a
-    sparse idx:val file, a dense array for a dense one."""
+    """Parse an attribute file into (node_names, N x D CSR attributes); a
+    dense row contributes its nonzeros."""
     names: list[str] = []
     seen: dict[str, int] = {}
     rows: list[tuple[np.ndarray | None, np.ndarray]] = []  # (indices, values) per node
@@ -196,6 +206,11 @@ def _parse_attributes(path: str):
         dim = rows[0][1].size
         if declared_dim is not None and declared_dim != dim:
             raise ParseError(f"%dim {declared_dim} != dense row length {dim}", path)
+        for name, (_, v) in zip(names, rows):
+            if v.size != dim:
+                raise ParseError(f"dense row for node {name!r} has {v.size} values, "
+                                 f"expected {dim}", path, seen[name])
+        rows = [(np.flatnonzero(v), v[v != 0]) for _, v in rows]
     else:
         dim = declared_dim if declared_dim is not None else max_idx + 1
         if dim < 1:
@@ -203,16 +218,10 @@ def _parse_attributes(path: str):
         if max_idx >= dim:
             raise ParseError(f"attribute index {max_idx} >= declared dimension {dim}", path)
 
-    if mode == "sparse":
-        indptr = np.cumsum([0] + [idx.size for idx, _ in rows])
-        return names, sp.csr_matrix((np.concatenate([v for _, v in rows]),
-                                     np.concatenate([idx for idx, _ in rows]), indptr),
-                                    shape=(len(names), dim))
-    for name, (_, v) in zip(names, rows):
-        if v.size != dim:
-            raise ParseError(f"dense row for node {name!r} has {v.size} values, "
-                             f"expected {dim}", path, seen[name])
-    return names, np.vstack([v for _, v in rows])
+    indptr = np.cumsum([0] + [idx.size for idx, _ in rows])
+    return names, sp.csr_matrix((np.concatenate([v for _, v in rows]),
+                                 np.concatenate([idx for idx, _ in rows]), indptr),
+                                shape=(len(names), dim))
 
 
 def _parse_edges(path: str, index: dict[str, int]):
@@ -300,14 +309,12 @@ def load_network(edge_path: str, attr_path: str, label_path: str | None = None) 
             col.append(i)
             data.append(w)
     adj = sp.csr_matrix((data, (row, col)), shape=(n, n))
-    if sp.issparse(attrs):
-        attrs = Handoff(attrs)
 
     labels = label_names = None
     if label_path is not None:
         labels, label_names = _parse_labels(label_path, index)
 
-    return AttributedNetwork(adjacency=Handoff(adj), attributes=attrs, labels=labels,
+    return AttributedNetwork(adjacency=Handoff(adj), attributes=Handoff(attrs), labels=labels,
                              node_names=names, directed=directed,
                              has_self_loops=self_loops, label_names=label_names)
 
@@ -317,8 +324,12 @@ def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
 
     Files are edges.txt, attributes.txt (sparse idx:val with a %dim header)
     and, if labeled, labels.txt. Returns the written paths keyed by 'edges',
-    'attributes' and (if labeled) 'labels'.
+    'attributes' and (if labeled) 'labels'. Raises ValueError, before
+    writing anything, for a node or label name the loader cannot read back.
     """
+    _check_names(net.node_names)
+    if net.labels is not None:
+        _check_names(net.label_names, "label name")
     os.makedirs(out_dir, exist_ok=True)
     paths = {"edges": os.path.join(out_dir, "edges.txt"),
              "attributes": os.path.join(out_dir, "attributes.txt")}
@@ -336,8 +347,7 @@ def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
                 line += f" {w!r}"
             fh.write(line + "\n")
 
-    # dense attributes convert to the same nonzeros, in the same column order
-    attrs = sp.csr_matrix(net.attributes)
+    attrs = net.attributes
     bounds = attrs.indptr.tolist()
     with open(paths["attributes"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"%dim {net.n_attrs}\n")
@@ -393,7 +403,10 @@ def save_result(result: EmbeddingResult, out_dir: str) -> dict[str, str]:
     """Write embedding.tsv, scores.tsv, and loss.tsv under out_dir.
 
     Floats are repr()-formatted, so load_result restores them bit-exactly.
+    Raises ValueError, before writing anything, for a node name the loader
+    cannot read back.
     """
+    _check_names(result.node_names)
     os.makedirs(out_dir, exist_ok=True)
     paths = {"embedding": os.path.join(out_dir, "embedding.tsv"),
              "scores": os.path.join(out_dir, "scores.tsv"),

@@ -56,8 +56,9 @@ class Handoff:
 
 
 def _canonical_csr(m, name: str) -> sp.csr_matrix:
-    """float64 CSR with sorted indices and finite entries: a copy of m, or a
-    Handoff's own matrix canonicalised in place.
+    """float64 CSR with sorted indices and finite entries: a copy of m (a
+    sparse matrix or any 2-D array-like), or a Handoff's own matrix
+    canonicalised in place.
 
     Duplicate (row, col) entries are rejected rather than summed: callers
     build matrices from deduplicated sets and silent summing would hide bugs.
@@ -67,11 +68,11 @@ def _canonical_csr(m, name: str) -> sp.csr_matrix:
     O(nnz) pass), never sorted.
     """
     if isinstance(m, Handoff):
-        out = m.matrix
-        stored = out.nnz
-    else:
-        stored = m.nnz if sp.issparse(m) else None
-        out = sp.csr_matrix(m, dtype=np.float64, copy=True)
+        out, stored = m.matrix, m.matrix.nnz
+    elif sp.issparse(m):
+        out, stored = sp.csr_matrix(m, dtype=np.float64, copy=True), m.nnz
+    else:  # csr_matrix would read a 1-D vector as one row; as_dense rejects it
+        out, stored = sp.csr_matrix(as_dense(m, name)), None
     out.sum_duplicates()
     if stored is not None and out.nnz < stored:
         raise ValueError(f"{name} contains duplicate (row, col) entries")
@@ -147,20 +148,15 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
     Factors start uniform in (0.1, 1.0) from the given generator; denominators
     are floored at 1e-12 so exact zeros cannot divide. Every update is a plain
     MU step for its factor, so the Frobenius reconstruction error is
-    non-increasing over updates. Accepts dense arrays or scipy sparse
-    matrices; the sparse path never densifies m. Negative or non-finite
-    entries raise ValueError on either path.
+    non-increasing over updates. m is a scipy sparse matrix and is never
+    densified; negative or non-finite entries raise ValueError.
     """
-    dense = not sp.issparse(m)
-    if dense:
-        m = as_dense(m, "factorization input")
-        if (m < 0).any():
-            raise ValueError("factorization input must be nonnegative")
-    else:
-        if not np.isfinite(m.data).all():
-            raise ValueError("factorization input contains non-finite entries")
-        if (m.data < 0).any():
-            raise ValueError("factorization input must be nonnegative")
+    if not sp.issparse(m):
+        raise TypeError("factorization input must be a scipy sparse matrix")
+    if not np.isfinite(m.data).all():
+        raise ValueError("factorization input contains non-finite entries")
+    if (m.data < 0).any():
+        raise ValueError("factorization input must be nonnegative")
     n, d = m.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"rank k={k} out of range for shape {m.shape}")

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParseError
-from .network import AttributedNetwork, _data_lines
+from .network import AttributedNetwork, _check_names, _data_lines
 from .numerics import Handoff, make_rng, named_rng
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
@@ -112,10 +112,10 @@ class _ClassStats:
     Class probabilities are the class-size shares, fixed for a whole seeding.
     Degree sums, column sums and column nonzero counts are products with one
     dense N x K class indicator: of the degree vector, and of the transposed
-    CSR attributes (dense input is converted) and their nonzero pattern. No
-    N x D array is built, and each class's column sums run over its members
-    in node order. Each class's own and pooled-other attribute distributions
-    are built once here, not once per planted node.
+    CSR attributes and their nonzero pattern. No N x D array is built, and
+    each class's column sums run over its members in node order. Each
+    class's own and pooled-other attribute distributions are built once
+    here, not once per planted node.
     """
 
     def __init__(self, net: AttributedNetwork):
@@ -131,7 +131,7 @@ class _ClassStats:
             raise ValueError(f"class id {int(np.argmin(sizes))} has no members")
         onehot = np.zeros((n, k))
         onehot[np.arange(n), net.labels] = 1.0
-        attrs = sp.csr_matrix(net.attributes)
+        attrs = net.attributes
         nnz_counts = np.diff(attrs.indptr)
         self.class_probs = sizes / n
         self.members = [np.flatnonzero(net.labels == c) for c in range(k)]
@@ -255,7 +255,6 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
     stream, so the result equals the plant_* calls made in that order on that
     stream. Deterministic per plan.seed. Planted nodes are appended after the
     original nodes, named planted_<t>_<kind>, and never link to each other.
-    The augmented network's attributes are CSR, whatever the input layout.
     """
     counts = plan.counts(net.n_nodes)
     if sum(counts) == 0:
@@ -282,7 +281,7 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
          np.cumsum([0] + [p.attr_indices.size for p in planted])),
         shape=(total, net.n_attrs))
     # vstack concatenates into new arrays, so both matrices can be handed over
-    attrs = sp.vstack([sp.csr_matrix(net.attributes), planted_rows], format="csr")
+    attrs = sp.vstack([net.attributes, planted_rows], format="csr")
 
     names = list(net.node_names)
     taken = set(names)
@@ -302,12 +301,15 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
 
 
 def save_truth(seeded: SeededDataset, path: str):
-    """Write `<node_id> <kind>` lines for every planted outlier, in planting order."""
+    """Write `<node_id> <kind>` lines for every planted outlier, in planting
+    order. Raises ValueError, before writing anything, for a node name that
+    load_truth cannot read back."""
+    names = [seeded.network.node_names[i] for i in seeded.outlier_ids]
+    _check_names(names)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    names = seeded.network.node_names
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, p in zip(seeded.outlier_ids, seeded.planted):
-            fh.write(f"{names[i]} {p.kind}\n")
+        for name, p in zip(names, seeded.planted):
+            fh.write(f"{name} {p.kind}\n")
 
 
 def load_truth(path: str) -> list[tuple[str, str]]:

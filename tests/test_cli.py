@@ -80,6 +80,17 @@ def test_seed_outputs(seeded):
         assert sum(1 for line in fh if line.strip()) == 3
 
 
+def test_seed_label_name_it_cannot_save_exits_2(dataset, tmp_path):
+    labels = Path(dataset["labels"]).read_text(encoding="utf-8").replace(" class1", " %c1")
+    (tmp_path / "labels.txt").write_text(labels, encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, stderr = run_cli("seed", "--edges", dataset["edges"],
+                              "--attrs", dataset["attributes"],
+                              "--labels", str(tmp_path / "labels.txt"), "--out", str(out))
+    assert code == 2 and "'%c1'" in stderr
+    assert not out.exists()
+
+
 def test_seed_rerun_byte_identical(dataset, tmp_path):
     outs = []
     for sub in ("a", "b"):

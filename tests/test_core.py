@@ -8,7 +8,7 @@ from helpers import (fd_check_sweep, naive_loss_disagreement, naive_update_attr_
                      naive_update_attr_embed, naive_update_struct_context,
                      naive_update_struct_embed, naive_weighted_sq_loss,
                      rand_model, rand_network, rand_score_triplet, rand_scores,
-                     random_orthogonal)
+                     random_orthogonal, to_dense)
 from oaembed.core import (FactorModel, HyperParams, OutlierScores, _residuals,
                           budget_scores, calibrate_weights, default_dim,
                           final_embedding, final_outlier_score, fit, loss_attribute,
@@ -18,7 +18,7 @@ from oaembed.core import (FactorModel, HyperParams, OutlierScores, _residuals,
                           update_struct_embed)
 from oaembed.errors import ConfigError, NumericError
 from oaembed.network import AttributedNetwork
-from oaembed.numerics import make_rng, nmf_init, row_sq_residuals
+from oaembed.numerics import make_rng
 from oaembed.seeding import SeedingPlan, seed_outliers, synth_network
 
 INV_E = math.exp(-1.0)  # score with unit log-weight
@@ -473,7 +473,7 @@ def test_residuals_match_dense_oracles():
     got = budget_scores(res[0], 1.0, 1e-8)
     assert np.allclose(got, want, rtol=1e-12)
 
-    r2 = ((net.attributes - model.attr_embed @ model.attr_basis) ** 2).sum(axis=1)
+    r2 = ((to_dense(net.attributes) - model.attr_embed @ model.attr_basis) ** 2).sum(axis=1)
     got = budget_scores(res[1], 1.0, 1e-8)
     assert np.allclose(got, budget_scores(r2, 1.0, 1e-8), rtol=1e-12)
 
@@ -549,6 +549,15 @@ def test_hyperparams_validation():
             HyperParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["dim", "iters", "init_iters", "seed"])
+@pytest.mark.parametrize("value", [2.5, 1.5, 2.0, True, "2", None])
+def test_hyperparams_counts_must_be_integers(name, value):
+    with pytest.raises(ConfigError, match=name):
+        HyperParams(**{"dim": 2, name: value})
+    hp = HyperParams(**{"dim": 2, name: np.int64(3)})  # numpy integers are kept
+    assert getattr(hp, name) == 3
+
+
 def test_fit_monotone_and_contract():
     rng = make_rng(20)
     net = rand_network(rng, 30, 12)
@@ -581,49 +590,6 @@ def test_fit_deterministic():
     assert np.array_equal(s1.attribute, s2.attribute)
     assert np.array_equal(r1.embedding, r2.embedding)
     assert r1.loss_trace == r2.loss_trace
-
-
-@pytest.mark.parametrize("attr_p, csr_input, want_csr",
-                         [(0.05, False, True), (0.3, False, False), (0.3, True, True)],
-                         ids=["sparse-attrs", "dense-attrs", "csr-input-dense-attrs"])
-def test_fit_attribute_layout_follows_density(monkeypatch, attr_p, csr_input, want_csr):
-    net = rand_network(make_rng(26), 60, 40, attr_p=attr_p)
-    density = np.count_nonzero(net.attributes) / net.attributes.size
-    assert (density <= 1 / 8) == (want_csr and not csr_input)
-    if csr_input:  # CSR input stays CSR at any density
-        net = AttributedNetwork(adjacency=net.adjacency, attributes=sp.csr_matrix(net.attributes))
-    seen = []
-    residual_layouts = []
-
-    def recording_nmf_init(m, *args):
-        if m.shape == net.attributes.shape:
-            seen.append(sp.issparse(m))
-        return nmf_init(m, *args)
-
-    def recording_row_sq_residuals(m, *args):
-        if m.shape == net.attributes.shape:
-            residual_layouts.append(sp.issparse(m))
-        return row_sq_residuals(m, *args)
-
-    monkeypatch.setattr("oaembed.core.nmf_init", recording_nmf_init)
-    monkeypatch.setattr("oaembed.core.row_sq_residuals", recording_row_sq_residuals)
-    hp = HyperParams(dim=4, attr_weight=0.7, dis_weight=1.3, seed=5)
-    model, scores, result, diag = fit(net, hp)
-    assert seen == [want_csr]
-    # the initial loss and every round read the attribute matrix fit chose
-    assert len(residual_layouts) == 1 + hp.iters
-    assert all(is_csr == want_csr for is_csr in residual_layouts)
-    assert sp.issparse(net.attributes) == csr_input
-    assert result.loss_trace[-1] == pytest.approx(loss_joint(net, model, scores, hp), rel=1e-12)
-    trace = [diag.initial_loss, *result.loss_trace]
-    for prev, cur in zip(trace, trace[1:]):
-        assert cur <= prev + 1e-9 * abs(prev)
-    _, _, again, _ = fit(net, hp)
-    for got, want in ((again.embedding, result.embedding),
-                      (again.outlier_scores, result.outlier_scores),
-                      (again.component_scores, result.component_scores),
-                      (np.array(again.loss_trace), np.array(result.loss_trace))):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_fit_single_node():
@@ -659,7 +625,7 @@ def test_fit_input_validation():
     with pytest.raises(ConfigError):
         fit(net, HyperParams(dim=2, budget=7.0))  # budget > n
     bad = AttributedNetwork(adjacency=net.adjacency,
-                            attributes=net.attributes - 1.0)
+                            attributes=to_dense(net.attributes) - 1.0)
     with pytest.raises(ConfigError):
         fit(bad, HyperParams(dim=2))
 

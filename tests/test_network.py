@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import rand_network, to_dense
+from oaembed.core import HyperParams, fit, loss_joint
 from oaembed.errors import ParseError
 from oaembed.network import (AttributedNetwork, EmbeddingResult, class_distribution,
                              load_network, load_result, save_network, save_result)
 from oaembed.numerics import make_rng
+from oaembed.seeding import SeedingPlan, save_truth, seed_outliers, synth_network
 
 
 def write(path, text):
@@ -76,17 +79,63 @@ def test_sparse_attributes_with_dim_header(tmp_path):
     assert net.attributes[0, 3] == 2.0 and net.attributes[2].sum() == 0.0
 
 
-def test_attribute_layout_follows_file_format(tmp_path):
-    edges = write(tmp_path / "e.txt", "a b\n")
-    # unsorted columns and an explicit zero in the sparse file
-    sparse = load_network(edges, write(tmp_path / "s.txt", "a 3:2.0 0:1.0 1:0.0\nb\n"))
-    assert sp.issparse(sparse.attributes) and sparse.attributes.format == "csr"
-    assert sparse.attributes.has_canonical_format
-    assert sparse.attributes.indices.tolist() == [0, 3]
-    assert np.array_equal(to_dense(sparse.attributes), [[1.0, 0, 0, 2.0], [0, 0, 0, 0]])
-    dense = load_network(edges, write(tmp_path / "d.txt", "a 1.0 0.0 0.0 2.0\nb 0 0 0 0\n"))
-    assert isinstance(dense.attributes, np.ndarray)
-    assert np.array_equal(dense.attributes, to_dense(sparse.attributes))
+def _attribute_case(case, tmp_path):
+    """(network built from one attribute input, its dense attributes or None)."""
+    base = rand_network(make_rng(27), 40, 12)
+    want = to_dense(base.attributes)
+    want[5] = 0.0  # an empty attribute row
+    want[6, want[6] > 0] *= 3.7  # values not 0/1
+    if case == "synth_network":
+        return synth_network(60, 3, 0.2, 0.02, 30, 0.9, seed=27), None
+    if case == "seed_outliers":
+        net = AttributedNetwork(adjacency=base.adjacency, attributes=want,
+                                labels=np.arange(40) % 3)
+        return seed_outliers(net, SeedingPlan(total_fraction=0.1, seed=27)).network, None
+    if case.endswith("-file"):
+        edges = save_network(base, str(tmp_path))["edges"]
+        if case == "dense-file":
+            rows = [[repr(v) for v in row.tolist()] for row in want]
+        else:  # columns in falling order, then an explicit zero
+            rows = [[f"{j}:{row[j].item()!r}" for j in np.flatnonzero(row)[::-1]]
+                    + [f"{np.flatnonzero(row == 0)[0]}:0.0"] for row in want]
+        text = "".join(" ".join([str(i), *toks]) + "\n" for i, toks in enumerate(rows))
+        return load_network(edges, write(tmp_path / "attrs.txt", "%dim 12\n" + text)), want
+    given = {"ndarray": want.copy(), "nested-list": want.tolist(), "csr": sp.csr_matrix(want),
+             "coo": sp.coo_matrix(want)}[case]
+    return AttributedNetwork(adjacency=base.adjacency, attributes=given), want
+
+
+@pytest.mark.parametrize("case", ["ndarray", "nested-list", "csr", "coo", "dense-file",
+                                  "idx-val-file", "synth_network", "seed_outliers"])
+def test_every_attribute_input_is_canonical_csr(case, tmp_path):
+    net, want = _attribute_case(case, tmp_path)
+    attrs = net.attributes
+    assert attrs.format == "csr" and attrs.dtype == np.float64
+    assert attrs.has_canonical_format and (attrs.data != 0).all()
+    if want is not None:
+        assert np.array_equal(to_dense(attrs), want)
+
+    kept = [a.copy() for a in (attrs.data, attrs.indices, attrs.indptr)]
+    hp = HyperParams(dim=3, attr_weight=0.7, dis_weight=1.3, seed=27)
+    model, scores, result, diag = fit(net, hp)
+    assert net.attributes is attrs  # fit leaves the attributes alone
+    for got, was in zip((attrs.data, attrs.indices, attrs.indptr), kept):
+        assert np.array_equal(got, was)
+    assert result.loss_trace[-1] == pytest.approx(loss_joint(net, model, scores, hp), rel=1e-12)
+    trace = [diag.initial_loss, *result.loss_trace]
+    for prev, cur in zip(trace, trace[1:]):
+        assert cur <= prev + 1e-9 * abs(prev)
+    if want is None:
+        return
+    # every input of the same matrix, a dense file and its idx:val twin
+    # included, fits bit for bit like the CSR one
+    _, _, ref, _ = fit(AttributedNetwork(adjacency=net.adjacency,
+                                         attributes=sp.csr_matrix(want)), hp)
+    for got, exp in ((result.embedding, ref.embedding),
+                     (result.outlier_scores, ref.outlier_scores),
+                     (result.component_scores, ref.component_scores),
+                     (np.array(result.loss_trace), np.array(ref.loss_trace))):
+        assert got.tobytes() == exp.tobytes()
 
 
 def test_csr_attribute_validation():
@@ -101,6 +150,8 @@ def test_csr_attribute_validation():
                 sp.csr_matrix(([np.nan], [1], [0, 1, 1]), shape=(2, 4))):
         with pytest.raises(ValueError):
             AttributedNetwork(adjacency=adj, attributes=bad)
+    with pytest.raises(ValueError, match="2-D"):  # not read as a single row
+        AttributedNetwork(adjacency=sp.csr_matrix((1, 1)), attributes=np.ones(3))
 
 
 @pytest.mark.parametrize("attrs", [
@@ -229,16 +280,17 @@ def test_network_save_load_roundtrip(tmp_path):
     back = load_network(paths["edges"], paths["attributes"], paths["labels"])
     assert back.node_names == net.node_names
     assert (back.adjacency != net.adjacency).nnz == 0
-    assert np.array_equal(to_dense(back.attributes), net.attributes)
+    assert np.array_equal(to_dense(back.attributes), to_dense(net.attributes))
     assert np.array_equal(back.labels, net.labels)
     assert back.directed == net.directed
 
 
 def test_save_load_is_byte_identical_for_both_layouts(tmp_path):
     net = rand_network(make_rng(3), 30, 12, attr_p=0.2)
-    net.attributes[4] = 0.0  # an empty attribute row
-    twins = [net, AttributedNetwork(adjacency=net.adjacency,
-                                    attributes=sp.csr_matrix(net.attributes))]
+    attrs = to_dense(net.attributes)
+    attrs[4] = 0.0  # an empty attribute row
+    twins = [AttributedNetwork(adjacency=net.adjacency, attributes=a)
+             for a in (attrs, sp.csr_matrix(attrs))]
     files = []
     for t, twin in enumerate(twins):
         paths = save_network(twin, str(tmp_path / f"first{t}"))
@@ -249,6 +301,32 @@ def test_save_load_is_byte_identical_for_both_layouts(tmp_path):
         assert first == {k: Path(v).read_bytes() for k, v in again.items()}
         files.append(first)
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("bad", ["#x", "%dim", "a b", "a\tb", "x\n", ""])
+@pytest.mark.parametrize("writer", ["save_network", "save_network-label", "save_result",
+                                    "save_truth"])
+def test_writers_reject_names_the_loaders_cannot_read(writer, bad, tmp_path):
+    names = ["n0", "n1", bad]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        if writer.startswith("save_network"):
+            node_names, label_names = ((["n0", "n1", "n2"], ["c0", bad]) if writer.endswith("label")
+                                       else (names, ["c0", "c1"]))
+            save_network(AttributedNetwork(adjacency=sp.csr_matrix((3, 3)), attributes=np.eye(3),
+                                           labels=[0, 1, 1], node_names=node_names,
+                                           label_names=label_names), str(out))
+        elif writer == "save_result":
+            save_result(EmbeddingResult(embedding=np.zeros((3, 2)),
+                                        outlier_scores=np.full(3, 1 / 3),
+                                        component_scores=np.full((3, 3), 1 / 3),
+                                        loss_trace=[1.0], node_names=names), str(out))
+        else:
+            seeded = seed_outliers(synth_network(30, 2, 0.3, 0.02, 10, 0.9, seed=2),
+                                   SeedingPlan(total_fraction=0.1, seed=2))
+            seeded.network.node_names[-1] = bad
+            save_truth(seeded, str(out / "outliers.tsv"))
+    assert not out.exists()
 
 
 def test_directed_weighted_roundtrip(tmp_path):

@@ -150,13 +150,13 @@ def test_nmf_rank_one_recovery():
     p = np.array([1.0, 2.0, 0.5, 3.0])
     q = np.array([0.2, 1.5, 0.7])
     m = np.outer(p, q)
-    fp, fq = nmf_init(m, 1, 200, make_rng(0))
+    fp, fq = nmf_init(sp.csr_matrix(m), 1, 200, make_rng(0))
     err = frobenius_sq_residual(m, fp, fq)
     assert np.sqrt(err) / np.linalg.norm(m) < 1e-3
 
 
 def test_nmf_zero_matrix():
-    p, q = nmf_init(np.zeros((4, 3)), 2, 50, make_rng(0))
+    p, q = nmf_init(sp.csr_matrix(np.zeros((4, 3))), 2, 50, make_rng(0))
     assert (p >= 0).all() and (q >= 0).all()
     assert frobenius_sq_residual(np.zeros((4, 3)), p, q) == pytest.approx(0.0, abs=1e-12)
 
@@ -165,7 +165,7 @@ def test_nmf_monotone_error():
     rng = make_rng(9)
     m = rng.uniform(0.0, 2.0, size=(15, 12))
     # same seed means a run of more passes extends a shorter one, giving the per-pass trace
-    errs = [frobenius_sq_residual(m, *nmf_init(m, 4, t, make_rng(1)))
+    errs = [frobenius_sq_residual(m, *nmf_init(sp.csr_matrix(m), 4, t, make_rng(1)))
             for t in range(1, 12)]
     for prev, cur in zip(errs, errs[1:]):
         assert cur <= prev + 1e-9 * max(abs(prev), 1.0)
@@ -173,7 +173,7 @@ def test_nmf_monotone_error():
 
 def test_nmf_updates_round_up_to_passes_of_three():
     m = make_rng(3).uniform(0.0, 2.0, size=(12, 9))
-    runs = [nmf_init(m, 3, t, make_rng(4)) for t in (1, 2, 3, 4)]
+    runs = [nmf_init(sp.csr_matrix(m), 3, t, make_rng(4)) for t in (1, 2, 3, 4)]
     for p, q in runs[1:3]:
         assert np.array_equal(p, runs[0][0]) and np.array_equal(q, runs[0][1])
     assert not np.array_equal(runs[3][0], runs[0][0])
@@ -192,7 +192,7 @@ def test_nmf_error_matches_plain_mu(kind):
         m += rng.uniform(0, 0.3, (200, 80))
         k = 6
     for updates in (20, 200):
-        err = frobenius_sq_residual(m, *nmf_init(m, k, updates, make_rng(0)))
+        err = frobenius_sq_residual(m, *nmf_init(sp.csr_matrix(m), k, updates, make_rng(0)))
         ref = frobenius_sq_residual(m, *reference_nmf_mu(m, k, updates, make_rng(0)))
         assert err == pytest.approx(ref, rel=0.01)
 
@@ -200,8 +200,8 @@ def test_nmf_error_matches_plain_mu(kind):
 def test_nmf_nonneg_deterministic_sparse_matches_dense():
     rng = make_rng(2)
     dense = np.where(rng.random((10, 8)) < 0.4, rng.uniform(0.1, 2.0, (10, 8)), 0.0)
-    p1, q1 = nmf_init(dense, 3, 40, make_rng(5))
-    p2, q2 = nmf_init(dense, 3, 40, make_rng(5))
+    p1, q1 = nmf_init(sp.csr_matrix(dense), 3, 40, make_rng(5))
+    p2, q2 = nmf_init(sp.csr_matrix(dense), 3, 40, make_rng(5))
     assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
     assert (p1 >= 0).all() and (q1 >= 0).all()
     ps, qs = nmf_init(sp.csr_matrix(dense), 3, 40, make_rng(5))
@@ -224,11 +224,13 @@ def test_nmf_bag_of_words_scale():
 
 def test_nmf_input_errors():
     with pytest.raises(ValueError):
-        nmf_init(np.array([[1.0, -0.5]]), 1, 10, make_rng(0))
+        nmf_init(sp.csr_matrix([[1.0, -0.5]]), 1, 10, make_rng(0))
     with pytest.raises(ValueError):
-        nmf_init(np.ones((3, 3)), 4, 10, make_rng(0))
+        nmf_init(sp.csr_matrix(np.ones((3, 3))), 4, 10, make_rng(0))
     with pytest.raises(ValueError):
-        nmf_init(np.ones((3, 3)), 1, 0, make_rng(0))
+        nmf_init(sp.csr_matrix(np.ones((3, 3))), 1, 0, make_rng(0))
+    with pytest.raises(TypeError, match="sparse"):
+        nmf_init(np.ones((3, 3)), 1, 10, make_rng(0))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             nmf_init(sp.csr_matrix([[bad, 1.0], [1.0, 2.0]]), 1, 5, make_rng(0))
@@ -326,31 +328,51 @@ def test_package_modules_have_no_unused_imports():
     assert unused == []
 
 
+def _defined(stmt) -> list[str]:
+    """Names a module-level statement defines: a function, a class or assigned names."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _reads(tree) -> set[str]:
+    """Names a syntax tree reads: loaded names, attribute names and from-imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def test_package_private_definitions_are_referenced():
     # a module-level _function, _Class or _CONSTANT that nothing in the
     # package reads is dead code left behind by a deletion
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(oaembed.__file__).parent.glob("*.py"))}
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    orphans = []
-    for name, tree in trees.items():
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined = [(stmt.name, stmt.lineno)]
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                defined = [(t.id, stmt.lineno) for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            orphans += [f"{name}:{lineno} {ident}" for ident, lineno in defined
-                        if ident.startswith("_") and not ident.startswith("__")
-                        and ident not in referenced]
+    referenced = set().union(*map(_reads, trees.values()))
+    orphans = [f"{name}:{stmt.lineno} {ident}" for name, tree in trees.items()
+               for stmt in tree.body for ident in _defined(stmt)
+               if ident.startswith("_") and not ident.startswith("__")
+               and ident not in referenced]
+    assert orphans == []
+
+
+def test_every_test_helper_has_a_reader():
+    # an oracle in tests/helpers.py that no test module and no other helper
+    # reads was left behind by a test rewrite
+    here = Path(__file__).parent
+    helpers = ast.parse((here / "helpers.py").read_text())
+    read = set().union(*(_reads(ast.parse(path.read_text()))
+                         for path in sorted(here.glob("test_*.py"))))
+    for stmt in helpers.body:
+        read |= _reads(stmt) - set(_defined(stmt))
+    orphans = [f"helpers.py:{stmt.lineno} {ident}" for stmt in helpers.body
+               for ident in _defined(stmt) if ident not in read]
     assert orphans == []

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from helpers import (block_pairs_by_divmod, class_stats_by_loop, reference_synth_attributes,
                      to_dense)
-from oaembed.core import HyperParams, fit
 from oaembed.errors import ParseError
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng
@@ -599,39 +598,6 @@ def test_seed_outliers_stream_is_pinned():
     h.update("\n".join(seeded.network.node_names).encode())
     assert len(seeded.planted) == 20
     assert h.hexdigest() == "cc562dcef4ea85fad51a1b938284ab255e5f27e9e6641a54a97b17f429deb458"
-
-
-def test_csr_network_and_dense_twin_seed_and_fit_identically():
-    # shuffled labels and values not 0/1; at density <= 1/8 fit factorizes
-    # the dense twin as CSR too, so the two fits must agree bit for bit
-    rng = make_rng(31)
-    base = synth_network(300, 5, 0.08, 0.01, 150, 0.9, seed=31)
-    attrs = base.attributes.copy()
-    attrs.data *= rng.uniform(0.2, 2.5, size=attrs.nnz)
-    assert attrs.nnz * 8 <= attrs.shape[0] * attrs.shape[1]
-    labels = rng.permutation(base.labels)
-    twins = [AttributedNetwork(adjacency=base.adjacency, attributes=a, labels=labels,
-                               label_names=base.label_names)
-             for a in (attrs, to_dense(attrs))]
-    assert sp.issparse(twins[0].attributes) and isinstance(twins[1].attributes, np.ndarray)
-
-    plan = SeedingPlan(total_fraction=0.05, seed=31)
-    from_csr, from_dense = (seed_outliers(net, plan) for net in twins)
-    assert len(from_csr.planted) == len(from_dense.planted) == 15
-    for got, want in zip(from_csr.planted, from_dense.planted):
-        for f in fields(PlantedNode):
-            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
-    assert np.array_equal(to_dense(from_csr.network.attributes),
-                          to_dense(from_dense.network.attributes))
-
-    hp = HyperParams(dim=6, seed=31)
-    (m1, s1, r1, _), (m2, s2, r2, _) = (fit(net, hp) for net in twins)
-    for got, want in ((m1.attr_basis, m2.attr_basis), (m1.align, m2.align),
-                      (s1.attribute, s2.attribute), (r1.embedding, r2.embedding),
-                      (r1.component_scores, r2.component_scores),
-                      (r1.outlier_scores, r2.outlier_scores),
-                      (np.array(r1.loss_trace), np.array(r2.loss_trace))):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_seed_outliers_input_validation():
