@@ -15,17 +15,25 @@ and the softmax reduces the short class axis. A node-major stack (reps x
 nodes x classes) took 2.5-3 times as long for protocol-sbm4k's 50 fits, as
 numpy reduces a length-C last axis slowly. A set trained alone or in a stack
 gets bit-identical weights, so `train_classifier` is the one-set call of the
-same loop. The stacks run on the calling thread: spreading them over 2
-worker threads cut evaluation time further but raised the benchmark's peak
-RSS by 6-12 %, because each worker thread allocates from a fresh glibc arena
-instead of reusing the heap a preceding `fit` freed.
+same loop. Inside `evaluate_all` the stacks skip the per-step loss, about
+a quarter of the descent, which nothing there reads. The stacks of the
+train percentages run on 2 worker threads; their numpy and BLAS calls
+release the GIL. Two, because the benchmark pins BLAS to 2 threads on 2
+cores, and because each stack in flight adds its buffers to peak RSS: a
+worker thread allocates from a fresh glibc arena instead of reusing the
+heap a preceding `fit` freed. The benchmark's protocol-sbm4k run peaks at
+108-110 MB with 2 workers (medians of 10 runs at seeds 0 and 7, 2-core
+Xeon), under the 116-117 MB of a serial loop that still imported
+`scipy.optimize` for the clustering score.
 
 Clustering keeps the best of 10 seeded k-means++ starts by final
-within-cluster sum of squares.
+within-cluster sum of squares, and scores it by an exact maximum-weight
+matching of clusters to classes (Kuhn-Munkres on integer counts).
 """
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +69,11 @@ def recall_at(ranked, truth, l_percent: float) -> float:
 
 @dataclass
 class Classifier:
-    """Fitted multinomial logistic regression; weights include a bias row."""
+    """Fitted multinomial logistic regression; weights include a bias row.
+
+    loss_trace is empty for the classifiers `evaluate_all` trains, which
+    skip the per-step loss.
+    """
 
     weights: np.ndarray       # (n_features + 1) x n_classes
     classes: np.ndarray       # original label values, sorted
@@ -89,9 +101,11 @@ def train_classifier(x: np.ndarray, y: np.ndarray, steps: int = 500) -> Classifi
     return _train_stack(x[None], y[None], steps)[0]
 
 
-def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500) -> list[Classifier]:
+def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500,
+                 record: bool = True) -> list[Classifier]:
     """`train_classifier` on each of R equal-size training sets (xs R x n x F,
-    ys R x n), one Classifier per set in order.
+    ys R x n), one Classifier per set in order. With record false the
+    classifiers carry an empty loss trace and the same weights.
 
     Sets with the same classes descend together as one stack. A set that
     lacks a class trains in a stack of its own class set rather than with
@@ -108,16 +122,17 @@ def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500) -> list[Class
     out = [None] * len(fits)
     for members in groups.values():
         yi = np.stack([fits[r][1] for r in members])
-        stack = _descend(xs[members], yi, fits[members[0]][0], steps)
+        stack = _descend(xs[members], yi, fits[members[0]][0], steps, record)
         for r, clf in zip(members, stack):
             out[r] = clf
     return out
 
 
 def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
-             steps: int) -> list[Classifier]:
+             steps: int, record: bool = True) -> list[Classifier]:
     """The gradient-descent loop over a stack of R training sets that all
-    hold every one of the C classes; yi (R x n) indexes classes.
+    hold every one of the C classes; yi (R x n) indexes classes. With record
+    false it skips the regularized loss, which no iterate depends on.
 
     Each set is standardized on its own and stored feature-major as zt
     (R x (F+1) x n, the last feature row is the bias), the weights
@@ -142,15 +157,16 @@ def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
     p = np.empty((r_sets, n_classes, n))
     pf = p.reshape(-1)
     grad = np.empty_like(wt)
-    trace = np.empty((steps + 1, r_sets))
+    trace = np.empty((steps + 1 if record else 0, r_sets))
+    reg = wt[:, :, :-1]
     for step in range(steps + 1):
         np.matmul(wt, zt, out=p)
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        data_loss = -np.log(np.maximum(pf[flat], 1e-300)).mean(axis=1)
-        reg = wt[:, :, :-1]
-        trace[step] = data_loss + 0.5 * 1e-3 * (reg * reg).sum(axis=(1, 2))
+        if record:
+            data_loss = -np.log(np.maximum(pf[flat], 1e-300)).mean(axis=1)
+            trace[step] = data_loss + 0.5 * 1e-3 * (reg * reg).sum(axis=(1, 2))
         if step == steps:
             break
         pf[flat] -= 1.0
@@ -233,13 +249,13 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centroids[c] = x[mask].mean(axis=0)
-        own = ((x - centroids[labels]) ** 2).sum(axis=1)
-        for c in range(k):
-            if not (labels == c).any():
+        sizes = np.bincount(labels, minlength=k)
+        for c in np.flatnonzero(sizes):
+            centroids[c] = x[labels == c].mean(axis=0)
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            own = ((x - centroids[labels]) ** 2).sum(axis=1)
+            for c in empty:
                 far = int(np.argmax(own))
                 centroids[c] = x[far]
                 own[far] = -1.0
@@ -262,11 +278,51 @@ def clustering_accuracy(pred, truth) -> float:
     _, ti = np.unique(truth, return_inverse=True)
     conf = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
     np.add.at(conf, (pi, ti), 1)
-    # imported here: scipy.optimize is a large import that only clustering needs,
-    # and every CLI process imports this module
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(conf, maximize=True)
-    return float(conf[rows, cols].sum()) / pred.size
+    return float(_max_matching(conf)) / pred.size
+
+
+def _max_matching(w: np.ndarray) -> int:
+    """Largest total weight of a matching of rows to columns of the integer
+    matrix w, each row and column used at most once.
+
+    Kuhn-Munkres by shortest augmenting paths on the orientation with rows
+    <= columns, minimizing -w with row potentials u and column potentials v:
+    O(rows^2 x columns), exact on integers. Index 0 of the column arrays is
+    a virtual column that holds the row being added.
+    """
+    if w.shape[0] > w.shape[1]:
+        w = w.T
+    n, m = w.shape
+    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
+    cost[1:, 1:] = -w
+    u = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(m + 1, dtype=np.int64)
+    row_of = np.zeros(m + 1, dtype=np.int64)  # row matched to each column, 0 if none
+    way = np.zeros(m + 1, dtype=np.int64)     # previous column on the path
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = np.full(m + 1, np.iinfo(np.int64).max // 2)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            cur = cost[i0] - u[i0] - v
+            better = ~used & (cur < slack)
+            slack[better] = cur[better]
+            way[better] = j0
+            free = np.flatnonzero(~used)
+            j0 = free[np.argmin(slack[free])]
+            delta = slack[j0]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j0:  # flip the matching along the path back to column 0
+            prev = way[j0]
+            row_of[j0] = row_of[prev]
+            j0 = prev
+    matched = np.flatnonzero(row_of[1:])
+    return int(w[row_of[1:][matched] - 1, matched].sum())
 
 
 @dataclass
@@ -326,7 +382,8 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     truth_ids are node indices of the planted outliers. splits are distinct
     whole train percentages in (0, 100). Classification trains the
     `train_classifier` model on `reps` seeded splits per train percentage,
-    as one stack per percentage, and averages the F1 over the reps.
+    as one stack per percentage on one of 2 worker threads, and averages the
+    F1 over the reps.
     Clustering uses as many clusters as ground-truth classes and runs 10
     seeded k-means++ starts, keeping the one with the lowest final
     within-cluster sum of squares (the earliest on a tie). With
@@ -366,18 +423,25 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     x = result.embedding[keep]
     y = net.labels[keep]
 
-    f1 = {}
-    for pct in pcts:
+    def classify(pct):
+        # draws only from this percentage's named streams, so the workers
+        # need not run in any order
         trains = np.stack([
             _classification_split(keep.size, pct / 100.0, y,
                                   named_rng(seed, f"split-{pct}-{rep}"))
             for rep in range(reps)])
         scores = []
-        for train, clf in zip(trains, _train_stack(x[trains], y[trains])):
+        for train, clf in zip(trains, _train_stack(x[trains], y[trains], record=False)):
             test = np.setdiff1d(np.arange(keep.size), train)
             scores.append(f1_scores(y[test], predict(clf, x[test])))
         macros, micros = zip(*scores)
-        f1[pct] = (float(np.mean(macros)), float(np.mean(micros)))
+        return float(np.mean(macros)), float(np.mean(micros))
+
+    # 2 workers, largest stack first: the benchmark pins BLAS to 2 threads on
+    # 2 cores, and each stack in flight adds one stack's buffers to peak RSS
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        running = {pct: pool.submit(classify, pct) for pct in sorted(pcts, reverse=True)}
+    f1 = {pct: running[pct].result() for pct in pcts}
 
     k = net.n_classes
     starts = [kmeans_pp_full(x, k, int(named_rng(seed, f"kmeans-{i}").integers(2 ** 63)))

@@ -94,17 +94,24 @@ def brute_force_clustering_accuracy(pred, truth) -> float:
     truth = np.asarray(truth)
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
-    np_, nt = int(pi.max()) + 1, int(ti.max()) + 1
-    conf = np.zeros((np_, nt), dtype=np.int64)
+    conf = np.zeros((int(pi.max()) + 1, int(ti.max()) + 1), dtype=np.int64)
     np.add.at(conf, (pi, ti), 1)
+    return brute_force_matching(conf) / pred.size
+
+
+def brute_force_matching(conf) -> int:
+    """Largest total of conf over injective row-to-column assignments, by
+    enumerating them all."""
+    conf = np.asarray(conf)
+    np_, nt = conf.shape
     best = 0
     if np_ <= nt:
         for perm in itertools.permutations(range(nt), np_):
-            best = max(best, sum(conf[r, perm[r]] for r in range(np_)))
+            best = max(best, sum(int(conf[r, perm[r]]) for r in range(np_)))
     else:
         for perm in itertools.permutations(range(np_), nt):
-            best = max(best, sum(conf[perm[c], c] for c in range(nt)))
-    return best / pred.size
+            best = max(best, sum(int(conf[perm[c], c]) for c in range(nt)))
+    return best
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -415,3 +415,24 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_evaluate_all_leaves_scipy_optimize_unloaded():
+    # the clustering score's matching is solved in numpy, so a full
+    # evaluation, clustering included, never pays for the scipy.optimize import
+    code = "\n".join([
+        "import sys",
+        "from oaembed import HyperParams, SeedingPlan, evaluate_all, fit",
+        "from oaembed import seed_outliers, synth_network",
+        "net = synth_network(60, 3, 0.3, 0.02, 30, 0.9, seed=1)",
+        "seeded = seed_outliers(net, SeedingPlan(total_fraction=0.1, seed=1))",
+        "result = fit(seeded.network, HyperParams(dim=4, seed=1))[2]",
+        "report = evaluate_all(seeded.network, result, seeded.outlier_ids,",
+        "                      splits=(20, 50), reps=2)",
+        "assert 0.0 < report.clustering_accuracy <= 1.0",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(oaembed.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

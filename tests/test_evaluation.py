@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oaembed.evaluation
-from helpers import (brute_force_clustering_accuracy, hypergeom_recall_null,
-                     reference_f1_by_split, reference_train_classifier)
+from helpers import (brute_force_clustering_accuracy, brute_force_matching,
+                     hypergeom_recall_null, reference_f1_by_split,
+                     reference_train_classifier)
 from oaembed.errors import ParseError
 from oaembed.evaluation import (RECALL_LEVELS, EvalReport, clustering_accuracy,
                                 evaluate_all, f1_scores, kmeans_pp_full,
@@ -194,6 +195,15 @@ def test_train_stack_matches_one_set_fits():
         assert np.array_equal(got.feature_mean, alone.feature_mean)
         assert np.array_equal(got.feature_scale, alone.feature_scale)
         assert got.loss_trace == alone.loss_trace
+    # without the trace: the same iterates, and no loss recorded
+    quiet = oaembed.evaluation._train_stack(np.stack(xs), np.stack(ys), steps=200,
+                                            record=False)
+    for got, q in zip(stack, quiet):
+        assert np.array_equal(q.weights, got.weights)
+        assert np.array_equal(q.classes, got.classes)
+        assert np.array_equal(q.feature_mean, got.feature_mean)
+        assert np.array_equal(q.feature_scale, got.feature_scale)
+        assert q.loss_trace == []
 
 
 def test_classifier_input_errors():
@@ -264,16 +274,56 @@ def test_clustering_accuracy_examples():
     assert clustering_accuracy([5, 5, 9, 9], [0, 0, 1, 1]) == 1.0
 
 
+def _labels_from_confusion(conf):
+    """(pred, truth) label vectors whose confusion matrix is conf."""
+    rows, cols = np.nonzero(conf)
+    counts = conf[rows, cols]
+    return np.repeat(rows, counts), np.repeat(cols, counts)
+
+
+# confusion matrices with several optimal matchings
+TIED = [
+    [[2, 2], [2, 2]],
+    [[3, 1, 3], [1, 3, 1], [3, 1, 3]],
+    [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
+    [[5, 0, 5], [0, 5, 0]],
+    [[4, 4], [4, 4], [4, 4], [1, 7]],
+    [[2, 3, 0, 0], [3, 2, 0, 0], [0, 0, 2, 3], [0, 0, 3, 2]],
+]
+
+
 def test_clustering_accuracy_matches_brute_force():
     rng = make_rng(6)
-    for _ in range(20):
-        n = int(rng.integers(4, 30))
-        kp = int(rng.integers(1, 5))
-        kt = int(rng.integers(2, 5))
-        pred = rng.integers(0, kp, size=n)
-        truth = rng.integers(0, kt, size=n)
-        assert clustering_accuracy(pred, truth) == pytest.approx(
-            brute_force_clustering_accuracy(pred, truth), abs=1e-12)
+    # every shape up to 7 clusters x 7 classes, fewer and more clusters than classes
+    for kp in range(1, 8):
+        for kt in range(2, 8):
+            for _ in range(2):
+                n = int(rng.integers(4, 40))
+                pred = rng.integers(0, kp, size=n)
+                truth = rng.integers(0, kt, size=n)
+                assert clustering_accuracy(pred, truth) == pytest.approx(
+                    brute_force_clustering_accuracy(pred, truth), abs=1e-12)
+    for conf in TIED:
+        for m in (np.array(conf), np.array(conf).T):
+            pred, truth = _labels_from_confusion(m)
+            assert clustering_accuracy(pred, truth) == pytest.approx(
+                brute_force_clustering_accuracy(pred, truth), abs=1e-12)
+
+
+def test_max_matching_matches_brute_force_on_degenerate_matrices():
+    # all-zero rows or columns cannot come out of label vectors, but the
+    # solver must not assign through them wrongly either
+    rng = make_rng(24)
+    matrices = [np.array(conf) for conf in TIED]
+    matrices += [np.zeros((3, 3), dtype=np.int64), np.zeros((1, 4), dtype=np.int64)]
+    for _ in range(60):
+        m = rng.integers(0, 6, size=(int(rng.integers(1, 8)), int(rng.integers(1, 8))))
+        m[rng.random(m.shape[0]) < 0.3] = 0
+        m[:, rng.random(m.shape[1]) < 0.3] = 0
+        matrices.append(m)
+    for m in matrices:
+        for w in (m, m.T):
+            assert oaembed.evaluation._max_matching(w) == brute_force_matching(w)
 
 
 def test_clustering_accuracy_errors():
@@ -413,6 +463,27 @@ def test_evaluate_all_f1_matches_one_fit_per_split():
     report = evaluate_all(net, result, [5, 60, 130], splits=(10, 30, 50), reps=4, seed=7)
     assert report.f1 == reference_f1_by_split(net, result, [5, 60, 130], (10, 30, 50), 4, 7)
     assert any(micro < 1.0 for _, micro in report.f1.values())
+
+
+def test_evaluate_all_f1_keyed_by_percentage_in_any_split_order(monkeypatch):
+    net = synth_network(160, 4, 0.2, 0.02, 24, 0.9, seed=17)
+    result = _noisy_result(net, [5, 60, 130], 17, 0.9)
+    ascending = evaluate_all(net, result, [5, 60, 130], splits=(10, 30, 50), reps=3, seed=7)
+    assert len(set(ascending.f1.values())) == 3  # a swapped mapping would show
+    real = predict
+    traces = []
+
+    def recording(clf, x):
+        traces.append(clf.loss_trace)
+        return real(clf, x)
+
+    monkeypatch.setattr(oaembed.evaluation, "predict", recording)
+    shuffled = evaluate_all(net, result, [5, 60, 130], splits=(50, 10, 30), reps=3, seed=7)
+    assert list(shuffled.f1) == [50, 10, 30]
+    assert shuffled.config["splits"] == [50, 10, 30]
+    for pct in (10, 30, 50):
+        assert shuffled.f1[pct] == ascending.f1[pct]
+    assert traces == [[]] * 9  # evaluate_all's classifiers record no loss
 
 
 def test_evaluate_all_f1_matches_one_fit_per_split_without_outliers():
