@@ -10,17 +10,16 @@ __version__ = "0.1.0"
 
 from .core import (FactorModel, FitDiagnostics, HyperParams, OutlierScores,
                    budget_scores, calibrate_weights, default_dim, final_embedding,
-                   final_outlier_score, fit, loss_attribute, loss_disagreement,
-                   loss_joint, loss_structure, update_alignment, update_attr_basis,
-                   update_attr_embed, update_struct_context, update_struct_embed)
+                   final_outlier_score, fit, loss_joint, update_alignment,
+                   update_attr_basis, update_attr_embed, update_struct_context,
+                   update_struct_embed)
 from .errors import ConfigError, NumericError, ParseError
 from .evaluation import (Classifier, EvalReport, clustering_accuracy, evaluate_all,
                          f1_scores, kmeans_pp_full, predict, rank_nodes,
                          recall_at, train_classifier)
-from .network import (AttributedNetwork, EmbeddingResult, class_distribution,
-                      load_network, load_result, save_network, save_result)
+from .network import (AttributedNetwork, EmbeddingResult, load_network, load_result,
+                      save_network, save_result)
 from .seeding import (OUTLIER_KINDS, PlantedNode, SeededDataset, SeedingPlan,
-                      load_truth, plant_attribute, plant_combined, plant_structural,
-                      save_truth, seed_outliers, synth_network)
+                      load_truth, save_truth, seed_outliers, synth_network)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,9 @@ full round never increases the objective.
 Every loss takes one path: _residuals gives the three per-node squared
 residual vectors, _loss_terms weights them by log(1 / score) and _joint sums
 the terms. fit's initial loss, calibration and rounds (each round's scores
-come from the same residuals) use it, as do loss_joint and calibrate_weights.
+come from the same residuals) run it inside fit; loss_joint and
+calibrate_weights run it on a given model and are the objective's public
+entry points.
 
 C is CSR (AttributedNetwork stores no other layout), so the attribute
 initialization, the U and V sweeps and all attribute residuals cost
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .network import AttributedNetwork, EmbeddingResult
-from .numerics import named_rng, nmf_init, row_sq_residuals, svd_small
+from .numerics import check_integer, named_rng, nmf_init, row_sq_residuals, svd_small
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _ZERO_RESIDUAL = 1e-300  # below this, a total residual counts as exactly zero
@@ -77,9 +79,7 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("dim", "iters", "init_iters", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
+            check_integer(getattr(self, name), name)
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         for name in ("attr_weight", "dis_weight"):
@@ -109,11 +109,6 @@ class FactorModel:
     attr_basis: np.ndarray      # K x D
     align: np.ndarray           # K x K
 
-    def copy(self) -> "FactorModel":
-        return FactorModel(self.struct_embed.copy(), self.struct_context.copy(),
-                           self.attr_embed.copy(), self.attr_basis.copy(),
-                           self.align.copy())
-
 
 @dataclass
 class OutlierScores:
@@ -142,36 +137,6 @@ def _node_weights(scores: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(s).all() or (s <= 0).any() or (s > 1).any():
         raise ValueError(f"{name} entries must lie in (0, 1]")
     return -np.log(s)
-
-
-def loss_structure(adj, emb: np.ndarray, ctx: np.ndarray, scores: np.ndarray) -> float:
-    """Score-weighted squared error of the adjacency factorization."""
-    w = _node_weights(scores, "structural scores")
-    return float(w @ row_sq_residuals(adj, emb, ctx))
-
-
-def loss_attribute(attrs, emb: np.ndarray, basis: np.ndarray, scores: np.ndarray) -> float:
-    """Score-weighted squared error of the attribute factorization."""
-    w = _node_weights(scores, "attribute scores")
-    return float(w @ row_sq_residuals(attrs, emb, basis))
-
-
-def orthogonality_defect(align: np.ndarray) -> float:
-    """max |align.T @ align - I|, 0 for exactly orthonormal columns."""
-    k = align.shape[1]
-    return float(np.abs(align.T @ align - np.eye(k)).max())
-
-
-def loss_disagreement(struct_embed: np.ndarray, attr_embed: np.ndarray,
-                      align: np.ndarray, scores: np.ndarray) -> float:
-    """Score-weighted squared mismatch between the two embeddings under align.
-
-    Warns (does not fail) if align strays from orthogonality beyond 1e-6.
-    """
-    w = _node_weights(scores, "disagreement scores")
-    if orthogonality_defect(align) > 1e-6:
-        warnings.warn("align matrix is not orthogonal within 1e-6", stacklevel=2)
-    return float(w @ row_sq_residuals(struct_embed, attr_embed, align.T))
 
 
 def _resolved_weights(hp: HyperParams) -> tuple[float, float]:

@@ -15,10 +15,9 @@ and the softmax reduces the short class axis. A node-major stack (reps x
 nodes x classes) took 2.5-3 times as long for protocol-sbm4k's 50 fits, as
 numpy reduces a length-C last axis slowly. A set trained alone or in a stack
 gets bit-identical weights, so `train_classifier` is the one-set call of the
-same loop. Inside `evaluate_all` the stacks skip the per-step loss, about
-a quarter of the descent, which nothing there reads. The stacks of the
-train percentages run on 2 worker threads; their numpy and BLAS calls
-release the GIL. Two, because the benchmark pins BLAS to 2 threads on 2
+same loop. The loop computes no training loss: no iterate depends on it.
+The stacks of the train percentages run on 2 worker threads; their numpy
+and BLAS calls release the GIL. Two, because the benchmark pins BLAS to 2 threads on 2
 cores, and because each stack in flight adds its buffers to peak RSS: a
 worker thread allocates from a fresh glibc arena instead of reusing the
 heap a preceding `fit` freed. The benchmark's protocol-sbm4k run peaks at
@@ -34,13 +33,12 @@ matching of clusters to classes (Kuhn-Munkres on integer counts).
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
 from .network import AttributedNetwork, EmbeddingResult
-from .numerics import make_rng, named_rng
+from .numerics import check_integer, make_rng, named_rng
 
 RECALL_LEVELS = (5, 10, 15, 20, 25)
 
@@ -69,30 +67,24 @@ def recall_at(ranked, truth, l_percent: float) -> float:
 
 @dataclass
 class Classifier:
-    """Fitted multinomial logistic regression; weights include a bias row.
-
-    loss_trace is empty for the classifiers `evaluate_all` trains, which
-    skip the per-step loss.
-    """
+    """Fitted multinomial logistic regression; weights include a bias row."""
 
     weights: np.ndarray       # (n_features + 1) x n_classes
     classes: np.ndarray       # original label values, sorted
     feature_mean: np.ndarray
     feature_scale: np.ndarray
-    loss_trace: list[float] = field(default_factory=list)
 
 
 def train_classifier(x: np.ndarray, y: np.ndarray, steps: int = 500) -> Classifier:
     """Fit by full-batch gradient descent from a zero start.
 
     The l2 weight is 1e-3 (bias row exempt) and the step size 0.1.
-    Deterministic for a given input. Records the regularized training loss
-    before every step and after the last one.
+    Deterministic for a given input; no training loss is recorded.
 
     This is the one-set call of the stacked, feature-major loop that
     `evaluate_all` trains its splits with (the module docstring says why it
     is laid out so), and a set fitted here or inside a stack gets
-    bit-identical weights, standardization and loss trace.
+    bit-identical weights and standardization.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -101,11 +93,9 @@ def train_classifier(x: np.ndarray, y: np.ndarray, steps: int = 500) -> Classifi
     return _train_stack(x[None], y[None], steps)[0]
 
 
-def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500,
-                 record: bool = True) -> list[Classifier]:
+def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500) -> list[Classifier]:
     """`train_classifier` on each of R equal-size training sets (xs R x n x F,
-    ys R x n), one Classifier per set in order. With record false the
-    classifiers carry an empty loss trace and the same weights.
+    ys R x n), one Classifier per set in order.
 
     Sets with the same classes descend together as one stack. A set that
     lacks a class trains in a stack of its own class set rather than with
@@ -122,17 +112,16 @@ def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500,
     out = [None] * len(fits)
     for members in groups.values():
         yi = np.stack([fits[r][1] for r in members])
-        stack = _descend(xs[members], yi, fits[members[0]][0], steps, record)
+        stack = _descend(xs[members], yi, fits[members[0]][0], steps)
         for r, clf in zip(members, stack):
             out[r] = clf
     return out
 
 
 def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
-             steps: int, record: bool = True) -> list[Classifier]:
+             steps: int) -> list[Classifier]:
     """The gradient-descent loop over a stack of R training sets that all
-    hold every one of the C classes; yi (R x n) indexes classes. With record
-    false it skips the regularized loss, which no iterate depends on.
+    hold every one of the C classes; yi (R x n) indexes classes.
 
     Each set is standardized on its own and stored feature-major as zt
     (R x (F+1) x n, the last feature row is the bias), the weights
@@ -149,26 +138,20 @@ def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
     np.divide(xs - mean[:, None, :], scale[:, None, :],
               out=zt[:, :-1].transpose(0, 2, 1))
     zt[:, -1] = 1.0
-    # each node's true-class entry in the flattened R x C x n probabilities:
-    # the loss gathers it and the gradient subtracts the one-hot target there
+    # each node's true-class entry in the flattened R x C x n probabilities,
+    # where the gradient subtracts the one-hot target
     flat = (np.arange(r_sets)[:, None] * n_classes + yi) * n + np.arange(n)
 
     wt = np.zeros((r_sets, n_classes, n_features + 1))
     p = np.empty((r_sets, n_classes, n))
     pf = p.reshape(-1)
     grad = np.empty_like(wt)
-    trace = np.empty((steps + 1 if record else 0, r_sets))
     reg = wt[:, :, :-1]
-    for step in range(steps + 1):
+    for _ in range(steps):
         np.matmul(wt, zt, out=p)
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        if record:
-            data_loss = -np.log(np.maximum(pf[flat], 1e-300)).mean(axis=1)
-            trace[step] = data_loss + 0.5 * 1e-3 * (reg * reg).sum(axis=(1, 2))
-        if step == steps:
-            break
         pf[flat] -= 1.0
         np.matmul(p, zt.transpose(0, 2, 1), out=grad)
         grad /= n
@@ -176,8 +159,7 @@ def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
         grad *= 0.1
         wt -= grad
     return [Classifier(weights=np.ascontiguousarray(wt[r].T), classes=classes,
-                       feature_mean=mean[r], feature_scale=scale[r],
-                       loss_trace=trace[:, r].tolist())
+                       feature_mean=mean[r], feature_scale=scale[r])
             for r in range(r_sets)]
 
 
@@ -344,15 +326,6 @@ class EvalReport:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "EvalReport":
-        doc = json.loads(text)
-        return EvalReport(
-            recall_at={int(k): v for k, v in doc["recall_at"].items()},
-            f1={int(k): (v["macro"], v["micro"]) for k, v in doc["f1"].items()},
-            clustering_accuracy=doc["clustering_accuracy"],
-            config=doc["config"])
-
     def to_tsv(self) -> str:
         lines = ["metric\tkey\tvalue"]
         for k in sorted(self.recall_at):
@@ -401,6 +374,7 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
         raise ValueError("truth ids out of range")
     if net.labels is None:
         raise ValueError("evaluation requires a labeled network")
+    check_integer(reps, "reps")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     for pct in splits:
@@ -431,7 +405,7 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
                                   named_rng(seed, f"split-{pct}-{rep}"))
             for rep in range(reps)])
         scores = []
-        for train, clf in zip(trains, _train_stack(x[trains], y[trains], record=False)):
+        for train, clf in zip(trains, _train_stack(x[trains], y[trains])):
             test = np.setdiff1d(np.arange(keep.size), train)
             scores.append(f1_scores(y[test], predict(clf, x[test])))
         macros, micros = zip(*scores)
@@ -456,12 +430,3 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
               "kmeans_starts": 10, "n_nodes": int(n), "n_truth": len(truth)}
     return EvalReport(recall_at=recall, f1=f1, clustering_accuracy=acc, config=config)
 
-
-def load_report(path: str) -> EvalReport:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return EvalReport.from_json(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path) from exc
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"malformed report: {exc}", path) from exc

@@ -39,7 +39,8 @@ class AttributedNetwork:
     float64 CSR (sorted indices, no duplicate entries, explicit zeros
     dropped), whatever 2-D input it was built from: a dense array, a nested
     list or any scipy sparse matrix. labels is an int array with ids in
-    0..n_classes-1.
+    0..n_classes-1. node_names (default "0".."N-1") are distinct and must
+    read back from the files save_network writes (see _check_names).
 
     A caller's matrices are copied, so the network never edits or aliases
     them. The package's own builders (synth_network, seed_outliers,
@@ -70,6 +71,7 @@ class AttributedNetwork:
             raise ValueError("node_names length mismatch")
         if len(set(self.node_names)) != n:
             raise ValueError("node_names contains duplicates")
+        _check_names(self.node_names)
         if not self.directed:
             diff = self.adjacency - self.adjacency.T
             if diff.nnz and np.abs(diff.data).max() > 0:
@@ -109,18 +111,11 @@ class AttributedNetwork:
         return (self.adjacency.nnz - diag) // 2 + diag
 
 
-def class_distribution(net: AttributedNetwork) -> np.ndarray:
-    """Per-class probabilities proportional to class sizes."""
-    if net.labels is None:
-        raise ValueError("class_distribution requires a labeled network")
-    counts = np.bincount(net.labels, minlength=net.n_classes).astype(np.float64)
-    return counts / counts.sum()
-
-
 def _check_names(names, what: str = "node name"):
     """Raise ValueError unless every name reads back as written: a non-empty
     token with no whitespace that does not start with '#' (a comment) or '%'
-    (a directive). The writers call this before they create anything."""
+    (a directive). AttributedNetwork and EmbeddingResult check their node
+    names on construction, so every writer can save them."""
     for name in names:
         if name.split() != [name] or name[0] in "#%":
             raise ValueError(f"{what} {name!r} cannot be saved: names must be non-empty, "
@@ -325,9 +320,9 @@ def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
     Files are edges.txt, attributes.txt (sparse idx:val with a %dim header)
     and, if labeled, labels.txt. Returns the written paths keyed by 'edges',
     'attributes' and (if labeled) 'labels'. Raises ValueError, before
-    writing anything, for a node or label name the loader cannot read back.
+    writing anything, for a label name the loader cannot read back (node
+    names are checked when the network is built).
     """
-    _check_names(net.node_names)
     if net.labels is not None:
         _check_names(net.label_names, "label name")
     os.makedirs(out_dir, exist_ok=True)
@@ -373,6 +368,7 @@ class EmbeddingResult:
 
     component_scores columns are the structural, attribute, and disagreement
     scores in that order; outlier_scores is their configured combination.
+    node_names are checked as AttributedNetwork's are.
     """
 
     embedding: np.ndarray
@@ -397,16 +393,14 @@ class EmbeddingResult:
             self.node_names = [str(i) for i in range(n)]
         if len(self.node_names) != n:
             raise ValueError("node_names length mismatch")
+        _check_names(self.node_names)
 
 
 def save_result(result: EmbeddingResult, out_dir: str) -> dict[str, str]:
     """Write embedding.tsv, scores.tsv, and loss.tsv under out_dir.
 
     Floats are repr()-formatted, so load_result restores them bit-exactly.
-    Raises ValueError, before writing anything, for a node name the loader
-    cannot read back.
     """
-    _check_names(result.node_names)
     os.makedirs(out_dir, exist_ok=True)
     paths = {"embedding": os.path.join(out_dir, "embedding.tsv"),
              "scores": os.path.join(out_dir, "scores.tsv"),

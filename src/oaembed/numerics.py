@@ -15,16 +15,27 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import ConfigError
+
 _DIV_FLOOR = 1e-12  # multiplicative-update denominator floor
+
+
+def check_integer(value, name: str):
+    """Raise ConfigError unless value is a Python or numpy integer; bool and
+    float values are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical streams for identical seeds on all platforms."""
+    check_integer(seed, "seed")
     return np.random.default_rng(seed)
 
 
 def named_rng(seed: int, label: str) -> np.random.Generator:
     """Independent substream derived from a master seed and a purpose label."""
+    check_integer(seed, "seed")
     return np.random.default_rng(np.random.SeedSequence([int(seed), zlib.crc32(label.encode("utf-8"))]))
 
 
@@ -105,9 +116,6 @@ class SvdResult:
     x: np.ndarray      # left singular vectors, orthonormal columns
     sigma: np.ndarray  # singular values, non-increasing, >= 0
     y: np.ndarray      # right singular vectors, orthonormal columns
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.x * self.sigma) @ self.y.T
 
 
 def svd_small(m) -> SvdResult:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParseError
-from .network import AttributedNetwork, _check_names, _data_lines
+from .network import AttributedNetwork, _data_lines
 from .numerics import Handoff, make_rng, named_rng
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
@@ -232,29 +232,14 @@ def _plant(kind: str, plan: SeedingPlan, rng, stats: _ClassStats) -> PlantedNode
     return PlantedNode(kind, c, struct_class, attr_class, neighbors, idx, vals)
 
 
-def plant_structural(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
-    """A node whose attributes follow one class while every edge leaves it."""
-    return _plant("structural", plan, rng, _ClassStats(net))
-
-
-def plant_attribute(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
-    """A node whose edges stay inside one class while its attributes pool the rest."""
-    return _plant("attribute", plan, rng, _ClassStats(net))
-
-
-def plant_combined(net: AttributedNetwork, plan: SeedingPlan, rng) -> PlantedNode:
-    """A node structurally anchored to one class with another class's attributes."""
-    return _plant("combined", plan, rng, _ClassStats(net))
-
-
 def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
     """Plant ceil(total_fraction * N) outliers and return the augmented dataset.
 
     The planted nodes come kind by kind (structural, attribute, combined; see
-    SeedingPlan.counts), all drawn from one named_rng(plan.seed, "seeding")
-    stream, so the result equals the plant_* calls made in that order on that
-    stream. Deterministic per plan.seed. Planted nodes are appended after the
-    original nodes, named planted_<t>_<kind>, and never link to each other.
+    SeedingPlan.counts), each by one _plant call on one _ClassStats of net,
+    all drawn from one named_rng(plan.seed, "seeding") stream. Deterministic
+    per plan.seed. Planted nodes are appended after the original nodes,
+    named planted_<t>_<kind>, and never link to each other.
     """
     counts = plan.counts(net.n_nodes)
     if sum(counts) == 0:
@@ -302,10 +287,8 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
 
 def save_truth(seeded: SeededDataset, path: str):
     """Write `<node_id> <kind>` lines for every planted outlier, in planting
-    order. Raises ValueError, before writing anything, for a node name that
-    load_truth cannot read back."""
+    order."""
     names = [seeded.network.node_names[i] for i in seeded.outlier_ids]
-    _check_names(names)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for name, p in zip(names, seeded.planted):

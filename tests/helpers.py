@@ -6,6 +6,7 @@ cross-check the LAPACK SVD), so a bug in the vectorized implementation
 cannot cancel out in the comparison.
 """
 
+import copy
 import io
 import itertools
 import math
@@ -124,8 +125,8 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
                                steps: int = 500) -> Classifier:
     """One training set by a row-major (nodes x classes) gradient-descent
     loop with a dense one-hot target, against `train_classifier`'s stacked,
-    feature-major loop: the same zero start, step 0.1, l2 weight 1e-3 with
-    the bias row exempt, and loss trace."""
+    feature-major loop: the same zero start, step 0.1 and l2 weight 1e-3
+    with the bias row exempt."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     classes = np.unique(y)
@@ -140,16 +141,11 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
     w = np.zeros((z.shape[1], classes.size))
     reg_mask = np.ones_like(w)
     reg_mask[-1, :] = 0.0  # bias row unregularized
-    trace = []
-    for step in range(steps + 1):
+    for _ in range(steps):
         p = _softmax(z @ w)
-        data_loss = -np.log(np.maximum((p * target).sum(axis=1), 1e-300)).mean()
-        trace.append(data_loss + 0.5 * 1e-3 * float((w * w * reg_mask).sum()))
-        if step == steps:
-            break
         w -= 0.1 * (z.T @ (p - target) / n + 1e-3 * w * reg_mask)
     return Classifier(weights=w, classes=classes, feature_mean=mean,
-                      feature_scale=scale, loss_trace=trace)
+                      feature_scale=scale)
 
 
 def reference_f1_by_split(net: AttributedNetwork, result, truth_ids, splits, reps: int,
@@ -524,7 +520,7 @@ def min_fd_gap(net, model, scores, hp, field_name: str, i: int, k: int,
     base = loss_joint(net, model, scores, hp)
     best = np.inf
     for delta in (eps, -eps):
-        probe = model.copy()
+        probe = copy.deepcopy(model)
         getattr(probe, field_name)[i, k] += delta
         best = min(best, loss_joint(net, probe, scores, hp) - base)
     return best
@@ -537,7 +533,7 @@ def fd_check_sweep(net, model, scores, hp, rng, n_coords: int) -> float:
     above -1e-10."""
     from oaembed import core
 
-    work = model.copy()
+    work = copy.deepcopy(model)
     plans = [
         ("struct_embed",
          lambda: core.update_struct_embed(net.adjacency, work, scores, hp), 1),
@@ -556,7 +552,7 @@ def fd_check_sweep(net, model, scores, hp, rng, n_coords: int) -> float:
         for _ in range(per):
             i = int(rng.integers(old.shape[0]))
             k = int(rng.integers(old.shape[1]))
-            probe = work.copy()
+            probe = copy.deepcopy(work)
             setattr(probe, name, mid_matrix(old, new, k if axis == 1 else i, axis))
             worst = min(worst, min_fd_gap(net, probe, scores, hp, name, i, k))
         setattr(work, name, new)

@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,8 +16,8 @@ import scipy.sparse as sp
 from helpers import (brute_force_clustering_accuracy, fd_check_sweep,
                      grid_min_scores, hypergeom_recall_null, rand_model,
                      rand_network, rand_score_triplet, random_orthogonal, run_cli)
-from oaembed.core import (FactorModel, HyperParams, _residuals, budget_scores, fit,
-                          loss_disagreement, update_alignment)
+from oaembed.core import (FactorModel, HyperParams, _loss_terms, _residuals, budget_scores,
+                          fit, update_alignment)
 from oaembed.evaluation import clustering_accuracy, f1_scores, rank_nodes, recall_at
 from oaembed.network import AttributedNetwork, save_network
 from oaembed.numerics import make_rng
@@ -78,14 +79,16 @@ def test_criterion_3_procrustes_optimality(capsys):
         rng = make_rng(3000 + trial)
         model = rand_model(rng, 20, 4, 6)
         scores = rand_score_triplet(rng, 20)
-        best_w = update_alignment(model, scores)
-        best = loss_disagreement(model.struct_embed, model.attr_embed, best_w,
-                                 scores.disagreement)
-        beaten = all(
-            best <= loss_disagreement(model.struct_embed, model.attr_embed,
-                                      random_orthogonal(rng, 4),
-                                      scores.disagreement) + 1e-12
-            for _ in range(1000))
+        zeros_a, zeros_c = np.zeros((20, 20)), np.zeros((20, 6))
+
+        def disagreement(w):
+            # the third of fit's loss terms, for the model with align w
+            return _loss_terms(_residuals(zeros_a, zeros_c, replace(model, align=w)),
+                               scores)[2]
+
+        best = disagreement(update_alignment(model, scores))
+        beaten = all(best <= disagreement(random_orthogonal(rng, 4)) + 1e-12
+                     for _ in range(1000))
         wins += beaten
 
         g = rng.normal(size=(20, 4))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,11 @@ from helpers import (fd_check_sweep, naive_loss_disagreement, naive_update_attr_
                      naive_update_struct_embed, naive_weighted_sq_loss,
                      rand_model, rand_network, rand_score_triplet, rand_scores,
                      random_orthogonal, to_dense)
-from oaembed.core import (FactorModel, HyperParams, OutlierScores, _residuals,
-                          budget_scores, calibrate_weights, default_dim,
-                          final_embedding, final_outlier_score, fit, loss_attribute,
-                          loss_disagreement, loss_joint, loss_structure,
-                          orthogonality_defect, update_alignment, update_attr_basis,
-                          update_attr_embed, update_struct_context,
-                          update_struct_embed)
+from oaembed.core import (FactorModel, HyperParams, OutlierScores, _loss_terms,
+                          _residuals, budget_scores, calibrate_weights, default_dim,
+                          final_embedding, final_outlier_score, fit, loss_joint,
+                          update_alignment, update_attr_basis, update_attr_embed,
+                          update_struct_context, update_struct_embed)
 from oaembed.errors import ConfigError, NumericError
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng
@@ -35,40 +34,59 @@ def scalar_model(g, h, u, v, w=1.0):
 # ---------------------------------------------------------------- losses
 
 
+def loss_terms(model, scores, adj=None, attrs=None):
+    """(structure, attribute, disagreement) terms by the path fit runs; an
+    omitted adjacency or attribute matrix is all zeros."""
+    n = model.struct_embed.shape[0]
+    adj = np.zeros((n, n)) if adj is None else adj
+    attrs = np.zeros((n, model.attr_basis.shape[1])) if attrs is None else attrs
+    return _loss_terms(_residuals(adj, attrs, model), scores)
+
+
+def same_scores(s):
+    return OutlierScores(s, s, s)
+
+
+def structure_model(g, h):
+    k = g.shape[1]
+    return FactorModel(g, h, np.zeros_like(g), np.zeros((k, 1)), np.eye(k))
+
+
 def test_loss_structure_zero_residual():
     rng = make_rng(0)
     g = rng.normal(size=(4, 2))
     h = rng.normal(size=(2, 4))
-    assert loss_structure(g @ h, g, h, rand_scores(rng, 4)) == pytest.approx(0.0, abs=1e-18)
+    got = loss_terms(structure_model(g, h), same_scores(rand_scores(rng, 4)), adj=g @ h)[0]
+    assert got == pytest.approx(0.0, abs=1e-18)
 
 
 def test_loss_structure_scalar():
-    got = loss_structure(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]),
-                         np.array([0.5]))
+    got = loss_terms(scalar_model(g=1.0, h=0.0, u=0.0, v=0.0),
+                     same_scores(np.array([0.5])), adj=np.array([[1.0]]))[0]
     assert got == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_loss_structure_score_one_mutes_node():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    g = np.zeros((2, 1))
-    h = np.zeros((1, 2))
-    full = loss_structure(a, g, h, np.array([0.5, 0.5]))
-    muted = loss_structure(a, g, h, np.array([1.0, 0.5]))
+    model = structure_model(np.zeros((2, 1)), np.zeros((1, 2)))
+    full = loss_terms(model, same_scores(np.array([0.5, 0.5])), adj=a)[0]
+    muted = loss_terms(model, same_scores(np.array([1.0, 0.5])), adj=a)[0]
     assert muted == pytest.approx(full / 2.0, rel=1e-12)
 
 
 def test_loss_structure_suppression_direction():
     a = np.array([[2.0]])
-    g = np.array([[1.0]])
-    h = np.array([[0.0]])
-    losses = [loss_structure(a, g, h, np.array([s])) for s in (0.2, 0.5, 0.9, 1.0)]
+    model = scalar_model(g=1.0, h=0.0, u=0.0, v=0.0)
+    losses = [loss_terms(model, same_scores(np.array([s])), adj=a)[0]
+              for s in (0.2, 0.5, 0.9, 1.0)]
     assert all(x > y for x, y in zip(losses, losses[1:]))
     assert losses[-1] == 0.0
 
 
 def test_loss_attribute_scalar_and_uniform():
-    got = loss_attribute(np.array([[1.0, 1.0]]), np.array([[1.0]]),
-                         np.array([[0.0, 0.0]]), np.array([0.5]))
+    model = FactorModel(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[1.0]]),
+                        np.array([[0.0, 0.0]]), np.eye(1))
+    got = loss_terms(model, same_scores(np.array([0.5])), attrs=np.array([[1.0, 1.0]]))[1]
     assert got == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
     rng = make_rng(1)
@@ -76,7 +94,8 @@ def test_loss_attribute_scalar_and_uniform():
     u = rng.normal(size=(5, 2))
     v = rng.normal(size=(2, 3))
     frob = float(((c - u @ v) ** 2).sum())
-    got = loss_attribute(c, u, v, np.full(5, 0.2))
+    model = FactorModel(np.zeros((5, 2)), np.zeros((2, 5)), u, v, np.eye(2))
+    got = loss_terms(model, same_scores(np.full(5, 0.2)), attrs=c)[1]
     assert got == pytest.approx(math.log(5.0) * frob, rel=1e-12)
 
 
@@ -84,29 +103,24 @@ def test_loss_disagreement_zero_cases_and_scalar():
     rng = make_rng(2)
     u = rng.normal(size=(4, 3))
     r = random_orthogonal(rng, 3)
-    o = rand_scores(rng, 4)
-    assert loss_disagreement(u @ r.T, u, r, o) == pytest.approx(0.0, abs=1e-18)
-    assert loss_disagreement(u, u, np.eye(3), o) == pytest.approx(0.0, abs=1e-18)
-    got = loss_disagreement(np.array([[2.0]]), np.array([[1.0]]), np.array([[1.0]]),
-                            np.array([0.5]))
+    o = same_scores(rand_scores(rng, 4))
+    rotated = FactorModel(u @ r.T, np.zeros((3, 4)), u, np.zeros((3, 1)), r)
+    assert loss_terms(rotated, o)[2] == pytest.approx(0.0, abs=1e-18)
+    equal = FactorModel(u, np.zeros((3, 4)), u, np.zeros((3, 1)), np.eye(3))
+    assert loss_terms(equal, o)[2] == pytest.approx(0.0, abs=1e-18)
+    got = loss_terms(scalar_model(g=2.0, h=0.0, u=1.0, v=0.0, w=1.0),
+                     same_scores(np.array([0.5])))[2]
     assert got == pytest.approx(math.log(2.0), rel=1e-12)
-
-
-def test_loss_disagreement_warns_on_skewed_align():
-    skewed = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.warns(UserWarning):
-        loss_disagreement(np.ones((2, 2)), np.ones((2, 2)), skewed, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.2, 1.5, np.nan])
 def test_loss_score_domain_errors(bad):
-    a = np.array([[1.0]])
-    with pytest.raises(ValueError):
-        loss_structure(a, a, a, np.array([bad]))
-    with pytest.raises(ValueError):
-        loss_attribute(a, a, a, np.array([bad]))
-    with pytest.raises(ValueError):
-        loss_disagreement(a, a, np.array([[1.0]]), np.array([bad]))
+    model = scalar_model(g=1.0, h=1.0, u=1.0, v=1.0)
+    for term in range(3):
+        vectors = [np.array([0.5])] * 3
+        vectors[term] = np.array([bad])
+        with pytest.raises(ValueError):
+            loss_terms(model, OutlierScores(*vectors))
 
 
 def test_loss_joint_matches_naive_oracle():
@@ -130,12 +144,7 @@ def test_loss_joint_additivity():
     model = rand_model(rng, 6, 2, 4)
     scores = rand_score_triplet(rng, 6)
     hp = HyperParams(dim=2, attr_weight=1.0, dis_weight=1.0)
-    parts = (loss_structure(net.adjacency, model.struct_embed, model.struct_context,
-                            scores.structural)
-             + loss_attribute(net.attributes, model.attr_embed, model.attr_basis,
-                              scores.attribute)
-             + loss_disagreement(model.struct_embed, model.attr_embed, model.align,
-                                 scores.disagreement))
+    parts = sum(loss_terms(model, scores, net.adjacency, net.attributes))
     assert loss_joint(net, model, scores, hp) == pytest.approx(parts, rel=1e-12)
 
 
@@ -187,12 +196,7 @@ def test_calibrated_terms_agree():
     model = rand_model(rng, 9, 3, 6)
     scores = rand_score_triplet(rng, 9)
     alpha, beta = calibrate_weights(net, model, scores)
-    l_str = loss_structure(net.adjacency, model.struct_embed, model.struct_context,
-                           scores.structural)
-    l_attr = loss_attribute(net.attributes, model.attr_embed, model.attr_basis,
-                            scores.attribute)
-    l_dis = loss_disagreement(model.struct_embed, model.attr_embed, model.align,
-                              scores.disagreement)
+    l_str, l_attr, l_dis = loss_terms(model, scores, net.adjacency, net.attributes)
     assert alpha * l_attr == pytest.approx(l_str, rel=1e-9)
     assert beta * l_dis == pytest.approx(l_str, rel=1e-9)
 
@@ -360,7 +364,7 @@ def test_alignment_recovers_rotation():
     scores = OutlierScores(rand_scores(rng, 10), rand_scores(rng, 10), np.full(10, 0.1))
     got = update_alignment(model, scores)
     assert np.abs(got - r).max() < 1e-8
-    assert loss_disagreement(g, g @ r, got, scores.disagreement) < 1e-16
+    assert loss_terms(replace(model, align=got), scores)[2] < 1e-16
 
 
 def test_alignment_beats_random_orthogonals_and_previous():
@@ -368,16 +372,16 @@ def test_alignment_beats_random_orthogonals_and_previous():
     model = rand_model(rng, 12, 4, 5)
     scores = rand_score_triplet(rng, 12)
     got = update_alignment(model, scores)
-    assert orthogonality_defect(got) < 1e-8
-    best = loss_disagreement(model.struct_embed, model.attr_embed, got,
-                             scores.disagreement)
-    prev = loss_disagreement(model.struct_embed, model.attr_embed, model.align,
-                             scores.disagreement)
+    assert np.abs(got.T @ got - np.eye(4)).max() < 1e-8
+
+    def disagreement(w):
+        return loss_terms(replace(model, align=w), scores)[2]
+
+    best = disagreement(got)
+    prev = disagreement(model.align)
     assert best <= prev + 1e-12 * max(1.0, prev)
     for _ in range(200):
-        w = random_orthogonal(rng, 4)
-        other = loss_disagreement(model.struct_embed, model.attr_embed, w,
-                                  scores.disagreement)
+        other = disagreement(random_orthogonal(rng, 4))
         assert best <= other + 1e-12 * max(1.0, other)
 
 
@@ -572,7 +576,7 @@ def test_fit_monotone_and_contract():
     for vec in (scores.structural, scores.attribute, scores.disagreement):
         assert vec.sum() == pytest.approx(1.0, abs=1e-9)
         assert (vec >= 1e-8).all() and (vec <= 1.0).all()
-    assert orthogonality_defect(model.align) < 1e-8
+    assert np.abs(model.align.T @ model.align - np.eye(4)).max() < 1e-8
     assert np.array_equal(result.embedding, final_embedding(model))
     assert np.array_equal(result.outlier_scores,
                           final_outlier_score(scores, (0.25, 0.5, 0.25)))

@@ -8,10 +8,11 @@ import scipy.sparse as sp
 from helpers import rand_network, to_dense
 from oaembed.core import HyperParams, fit, loss_joint
 from oaembed.errors import ParseError
-from oaembed.network import (AttributedNetwork, EmbeddingResult, class_distribution,
-                             load_network, load_result, save_network, save_result)
+from oaembed.network import (AttributedNetwork, EmbeddingResult, load_network, load_result,
+                             save_network, save_result)
 from oaembed.numerics import make_rng
-from oaembed.seeding import SeedingPlan, save_truth, seed_outliers, synth_network
+from oaembed.seeding import (SeededDataset, SeedingPlan, _ClassStats, save_truth,
+                             seed_outliers, synth_network)
 
 
 def write(path, text):
@@ -256,16 +257,17 @@ def test_undirected_symmetry_enforced():
 
 
 def test_class_distribution():
+    # the class-size shares the planting rule draws anchor classes from
     net = AttributedNetwork(adjacency=sp.csr_matrix((4, 4)),
                             attributes=np.ones((4, 1)), labels=[0, 0, 1, 1])
-    assert np.allclose(class_distribution(net), [0.5, 0.5])
+    assert np.allclose(_ClassStats(net).class_probs, [0.5, 0.5])
     net = AttributedNetwork(adjacency=sp.csr_matrix((4, 4)),
                             attributes=np.ones((4, 1)), labels=[0, 1, 1, 1])
-    assert np.allclose(class_distribution(net), [0.25, 0.75])
+    assert np.allclose(_ClassStats(net).class_probs, [0.25, 0.75])
     unlabeled = AttributedNetwork(adjacency=sp.csr_matrix((2, 2)),
                                   attributes=np.ones((2, 1)))
     with pytest.raises(ValueError):
-        class_distribution(unlabeled)
+        _ClassStats(unlabeled)
 
 
 def test_network_save_load_roundtrip(tmp_path):
@@ -324,9 +326,28 @@ def test_writers_reject_names_the_loaders_cannot_read(writer, bad, tmp_path):
         else:
             seeded = seed_outliers(synth_network(30, 2, 0.3, 0.02, 10, 0.9, seed=2),
                                    SeedingPlan(total_fraction=0.1, seed=2))
-            seeded.network.node_names[-1] = bad
-            save_truth(seeded, str(out / "outliers.tsv"))
+            net = seeded.network
+            renamed = AttributedNetwork(adjacency=net.adjacency, attributes=net.attributes,
+                                        labels=net.labels, label_names=net.label_names,
+                                        node_names=[*net.node_names[:-1], bad])
+            save_truth(SeededDataset(renamed, seeded.planted), str(out / "outliers.tsv"))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["#x", "%dim", "a b", "a\tb", "x\n", ""])
+def test_types_reject_node_names_the_loaders_cannot_read(bad):
+    # refused when built, not after a fit when the result is saved
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        AttributedNetwork(adjacency=sp.csr_matrix((2, 2)), attributes=np.eye(2),
+                          node_names=["n0", bad])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        EmbeddingResult(embedding=np.zeros((2, 2)), outlier_scores=np.full(2, 0.5),
+                        component_scores=np.full((2, 3), 0.5), loss_trace=[1.0],
+                        node_names=["n0", bad])
+    # a label name is checked only by save_network: embed and evaluate read it fine
+    net = AttributedNetwork(adjacency=sp.csr_matrix((2, 2)), attributes=np.eye(2),
+                            labels=[0, 1], label_names=["c0", bad])
+    assert net.label_names == ["c0", bad]
 
 
 def test_directed_weighted_roundtrip(tmp_path):

@@ -17,6 +17,7 @@ def test_make_rng_reproducible():
     b = make_rng(42).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(43).random(8))
+    assert np.array_equal(a, make_rng(np.int64(42)).random(8))
 
 
 def test_named_rng_substreams():
@@ -24,6 +25,16 @@ def test_named_rng_substreams():
     assert np.array_equal(a, named_rng(7, "alpha").random(8))
     assert not np.array_equal(a, named_rng(7, "beta").random(8))
     assert not np.array_equal(a, named_rng(8, "alpha").random(8))
+    assert np.array_equal(a, named_rng(np.uint32(7), "alpha").random(8))
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), "4", None])
+def test_rng_rejects_seeds_that_are_not_integers(seed):
+    # a float or bool seed was truncated to an integer, or failed with a TypeError
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
+        make_rng(seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        named_rng(seed, "alpha")
 
 
 def test_as_dense_validation():
@@ -83,7 +94,7 @@ def test_svd_diagonal():
     # singular vectors are signed permutations of the identity columns
     assert np.allclose(np.abs(res.x), np.eye(2), atol=1e-12)
     assert np.allclose(np.abs(res.y), np.eye(2), atol=1e-12)
-    assert np.allclose(res.reconstruct(), np.diag([3.0, 2.0]), atol=1e-12)
+    assert np.allclose((res.x * res.sigma) @ res.y.T, np.diag([3.0, 2.0]), atol=1e-12)
 
 
 def _check_svd(m):
@@ -94,7 +105,7 @@ def _check_svd(m):
     assert (res.sigma >= 0).all()
     assert (np.diff(res.sigma) <= 1e-12).all()
     scale = max(np.linalg.norm(m), 1e-30)
-    assert np.linalg.norm(res.reconstruct() - m) <= 1e-8 * scale
+    assert np.linalg.norm((res.x * res.sigma) @ res.y.T - m) <= 1e-8 * scale
     return res
 
 
@@ -352,15 +363,17 @@ def _reads(tree) -> set[str]:
 
 
 def test_package_private_definitions_are_referenced():
-    # a module-level _function, _Class or _CONSTANT that nothing in the
-    # package reads is dead code left behind by a deletion
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(Path(oaembed.__file__).parent.glob("*.py"))}
-    referenced = set().union(*map(_reads, trees.values()))
-    orphans = [f"{name}:{stmt.lineno} {ident}" for name, tree in trees.items()
-               for stmt in tree.body for ident in _defined(stmt)
+    # a module-level _function, _Class or _CONSTANT that nothing else in the
+    # package reads is dead code left behind by a deletion; a read inside its
+    # own definition (a recursive call, a classmethod) does not count
+    stmts = [(path.name, stmt)
+             for path in sorted(Path(oaembed.__file__).parent.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    reads = [_reads(stmt) for _, stmt in stmts]
+    orphans = [f"{name}:{stmt.lineno} {ident}" for t, (name, stmt) in enumerate(stmts)
+               for ident in _defined(stmt)
                if ident.startswith("_") and not ident.startswith("__")
-               and ident not in referenced]
+               and not any(ident in r for u, r in enumerate(reads) if u != t)]
     assert orphans == []
 
 

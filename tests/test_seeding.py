@@ -16,8 +16,8 @@ from oaembed.errors import ParseError
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng
 from oaembed.seeding import (OUTLIER_KINDS, PlantedNode, SeedingPlan, _ClassStats,
-                             _decode_block_pairs, load_truth, plant_attribute, plant_combined,
-                             plant_structural, save_truth, seed_outliers, synth_network)
+                             _decode_block_pairs, _plant, load_truth, save_truth,
+                             seed_outliers, synth_network)
 
 
 def block_of(j, n_classes=3, n_attrs=120):
@@ -215,6 +215,9 @@ def test_synth_param_validation():
         synth_network(10, 2, 0.3, 0.02, 1, 0.9, seed=0)   # attrs < classes
     with pytest.raises(ValueError):
         synth_network(10, 2, 0.3, 0.02, 20, 1.2, seed=0)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            synth_network(10, 2, 0.3, 0.02, 20, 0.9, seed=seed)
 
 
 @st.composite
@@ -367,10 +370,11 @@ def regular_two_class_net(seed=0):
 
 def test_plant_structural_degree_band_and_edges():
     net = regular_two_class_net()
+    stats = _ClassStats(net)
     plan = SeedingPlan(total_fraction=0.05, degree_band=0.1)
     hits = 0
     for trial in range(30):
-        node = plant_structural(net, plan, named_rng(trial, "t"))
+        node = _plant("structural", plan, named_rng(trial, "t"), stats)
         assert node.kind == "structural"
         assert node.struct_class is None
         assert node.attr_class == node.label
@@ -387,10 +391,11 @@ def test_plant_structural_degree_band_and_edges():
 
 def test_plant_structural_attributes_look_native():
     net = synth_network(120, 3, 0.2, 0.01, 120, 0.9, seed=7)
+    stats = _ClassStats(net)
     plan = SeedingPlan(total_fraction=0.05)
     own = total = 0
     for trial in range(30):
-        node = plant_structural(net, plan, named_rng(trial, "s"))
+        node = _plant("structural", plan, named_rng(trial, "s"), stats)
         own += sum(block_of(j) == node.label for j in node.attr_indices)
         total += len(node.attr_indices)
         assert (np.asarray(node.attr_values) > 0).all()
@@ -399,9 +404,10 @@ def test_plant_structural_attributes_look_native():
 
 def test_plant_attribute_edges_and_foreign_attrs():
     net = synth_network(120, 3, 0.2, 0.01, 120, 1.0, seed=8)
+    stats = _ClassStats(net)
     plan = SeedingPlan(total_fraction=0.05)
     for trial in range(20):
-        node = plant_attribute(net, plan, named_rng(trial, "a"))
+        node = _plant("attribute", plan, named_rng(trial, "a"), stats)
         assert node.kind == "attribute"
         assert node.struct_class == node.label
         assert node.attr_class is None
@@ -413,9 +419,10 @@ def test_plant_attribute_edges_and_foreign_attrs():
 
 def test_plant_combined_provenance():
     net = synth_network(120, 3, 0.2, 0.01, 120, 1.0, seed=9)
+    stats = _ClassStats(net)
     plan = SeedingPlan(total_fraction=0.05)
     for trial in range(20):
-        node = plant_combined(net, plan, named_rng(trial, "c"))
+        node = _plant("combined", plan, named_rng(trial, "c"), stats)
         assert node.kind == "combined"
         assert node.struct_class is not None and node.attr_class is not None
         assert node.struct_class != node.attr_class
@@ -426,13 +433,14 @@ def test_plant_combined_provenance():
 
 def test_plant_degree_band_from_class_stats():
     net = synth_network(120, 3, 0.2, 0.01, 60, 0.9, seed=7)
+    stats = _ClassStats(net)
     plan = SeedingPlan(total_fraction=0.05, degree_band=0.1)
     means = {}
     for c in range(3):
         members = np.nonzero(net.labels == c)[0]
         means[c] = np.mean([degree_of(net, int(i)) for i in members])
     for trial in range(15):
-        node = plant_attribute(net, plan, named_rng(trial, "band"))
+        node = _plant("attribute", plan, named_rng(trial, "band"), stats)
         lo = np.ceil(0.9 * means[node.label] - 1e-9)
         hi = np.floor(1.1 * means[node.label] + 1e-9)
         assert lo <= node.neighbors.size <= hi
@@ -443,11 +451,11 @@ def test_plant_requires_usable_network():
     plan = SeedingPlan(total_fraction=0.05)
     unlabeled = AttributedNetwork(adjacency=net.adjacency, attributes=net.attributes)
     with pytest.raises(ValueError):
-        plant_structural(unlabeled, plan, make_rng(0))
+        _plant("structural", plan, make_rng(0), _ClassStats(unlabeled))
     single = AttributedNetwork(adjacency=net.adjacency, attributes=net.attributes,
                                labels=np.zeros(60, dtype=int), label_names=["only"])
     with pytest.raises(ValueError):
-        plant_combined(single, plan, make_rng(0))
+        _plant("combined", plan, make_rng(0), _ClassStats(single))
 
 
 # ----------------------------------------------------------- full seeding
@@ -562,8 +570,8 @@ def test_seed_outliers_is_the_plant_calls_in_sequence():
     seeded = seed_outliers(net, plan)
     n_s, n_a, n_c = plan.counts(net.n_nodes)
     stream = named_rng(plan.seed, "seeding")
-    in_sequence = [plant(net, plan, stream) for plant in
-                   [plant_structural] * n_s + [plant_attribute] * n_a + [plant_combined] * n_c]
+    in_sequence = [_plant(kind, plan, stream, stats) for kind in
+                   ["structural"] * n_s + ["attribute"] * n_a + ["combined"] * n_c]
     assert len(seeded.planted) == len(in_sequence) == 12
     for got, want in zip(seeded.planted, in_sequence):
         for f in fields(PlantedNode):
@@ -614,6 +622,9 @@ def test_seed_outliers_input_validation():
                                  directed=True)
     with pytest.raises(ValueError):
         seed_outliers(directed, SeedingPlan(total_fraction=0.05))
+    for seed in (1.5, True):  # used to plant seed 1
+        with pytest.raises(ValueError, match="seed"):
+            seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=seed))
 
 
 # ------------------------------------------------------------ truth files
