@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .core import HyperParams, check_combine_weights, default_dim, fit
+from .core import HyperParams, check_combine_weights, default_dim, final_outlier_score, fit
 from .errors import ConfigError, NumericError, ParseError
 from .evaluation import evaluate_all, rank_nodes
 from .network import (EmbeddingResult, _data_lines, load_embedding_tsv, load_network,
@@ -218,7 +218,7 @@ def cmd_rank_outliers(opt: dict) -> int:
     names, comps, combined = load_scores_tsv(opt["scores"])
     if opt["weights"] is not None:
         check_combine_weights(opt["weights"], "--weights")
-        combined = comps @ list(opt["weights"])
+        combined = final_outlier_score(comps, opt["weights"])
     order = rank_nodes(combined)
     os.makedirs(opt["out"], exist_ok=True)
     path = os.path.join(opt["out"], "ranked.tsv")
@@ -236,13 +236,13 @@ def cmd_evaluate(opt: dict) -> int:
     net = load_network(opt["edges"], opt["attrs"], opt["labels"])
     emb_names, emb = load_embedding_tsv(opt["embedding"])
     score_names, comps, combined = load_scores_tsv(opt["scores"])
-    if emb_names != net.node_names:
+    if tuple(emb_names) != net.node_names:
         raise ConfigError("embedding nodes do not match the dataset node set")
-    if score_names != net.node_names:
+    if tuple(score_names) != net.node_names:
         raise ConfigError("scores nodes do not match the dataset node set")
     if opt["weights"] is not None:
         check_combine_weights(opt["weights"], "--weights")
-        combined = comps @ list(opt["weights"])
+        combined = final_outlier_score(comps, opt["weights"])
 
     index = {name: i for i, name in enumerate(net.node_names)}
     truth_ids = []
@@ -253,7 +253,7 @@ def cmd_evaluate(opt: dict) -> int:
 
     result = EmbeddingResult(embedding=emb, outlier_scores=combined,
                              component_scores=comps, loss_trace=[],
-                             node_names=list(net.node_names))
+                             node_names=net.node_names)
     report = evaluate_all(net, result, truth_ids, splits=opt["splits"],
                           reps=opt["reps"], seed=opt["seed"],
                           exclude_outliers=opt["exclude-outliers"])

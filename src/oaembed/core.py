@@ -26,10 +26,10 @@ full round never increases the objective.
 
 Every loss takes one path: _residuals gives the three per-node squared
 residual vectors, _loss_terms weights them by log(1 / score) and _joint sums
-the terms. fit's initial loss, calibration and rounds (each round's scores
-come from the same residuals) run it inside fit; loss_joint and
-calibrate_weights run it on a given model and are the objective's public
-entry points.
+the terms. fit is the one way into the objective: its initial loss,
+calibration (_loss_ratios) and rounds (each round's scores come from the
+same residuals) all run this path, and the update functions take the
+resolved attr_weight and dis_weight floats, so only fit reads HyperParams.
 
 C is CSR (AttributedNetwork stores no other layout), so the attribute
 initialization, the U and V sweeps and all attribute residuals cost
@@ -37,7 +37,7 @@ O(nnz(C) K + (N + D) K^2), never O(N D K).
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,12 +139,6 @@ def _node_weights(scores: np.ndarray, name: str) -> np.ndarray:
     return -np.log(s)
 
 
-def _resolved_weights(hp: HyperParams) -> tuple[float, float]:
-    if hp.attr_weight is None or hp.dis_weight is None:
-        raise ValueError("attr_weight and dis_weight must be set (or calibrated) first")
-    return hp.attr_weight, hp.dis_weight
-
-
 def _residuals(adj, attrs, model: FactorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node squared residuals of the structure, attribute and alignment fits."""
     return (row_sq_residuals(adj, model.struct_embed, model.struct_context),
@@ -165,31 +159,15 @@ def _joint(terms, attr_weight: float, dis_weight: float) -> float:
     return l_str + attr_weight * l_attr + dis_weight * l_dis
 
 
-def loss_joint(net: AttributedNetwork, model: FactorModel, scores: OutlierScores,
-               hp: HyperParams) -> float:
-    """Weighted sum of the three loss terms."""
-    attr_weight, dis_weight = _resolved_weights(hp)
-    return _joint(_loss_terms(_residuals(net.adjacency, net.attributes, model), scores),
-                  attr_weight, dis_weight)
-
-
-def calibrate_weights(net: AttributedNetwork, model: FactorModel,
-                      scores: OutlierScores) -> tuple[float, float]:
-    """Weights that make the three loss terms equal at the current point.
-
-    Returns (structure/attribute, structure/disagreement) loss ratios. If any
-    term is zero the ratios are undefined; falls back to (1, 1) with a warning.
-    """
-    return _loss_ratios(*_loss_terms(_residuals(net.adjacency, net.attributes, model), scores))
-
-
-def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, float]:
+def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, float, str | None]:
+    """(attr_weight, dis_weight, note): the weights that make the three loss
+    terms equal, l_str / l_attr and l_str / l_dis. If any term is zero the
+    ratios are undefined; the weights fall back to (1, 1) with a note saying so."""
     if l_attr <= 0.0 or l_dis <= 0.0 or l_str <= 0.0:
-        warnings.warn("degenerate initial losses "
-                      f"(structure={l_str!r}, attribute={l_attr!r}, disagreement={l_dis!r}); "
-                      "falling back to weights (1, 1)", stacklevel=3)
-        return 1.0, 1.0
-    return l_str / l_attr, l_str / l_dis
+        return 1.0, 1.0, ("degenerate initial losses "
+                          f"(structure={l_str!r}, attribute={l_attr!r}, disagreement={l_dis!r}); "
+                          "falling back to weights (1, 1)")
+    return l_str / l_attr, l_str / l_dis, None
 
 
 def _cd_sweep(x: np.ndarray, terms, diag: dict | None, key: str) -> np.ndarray:
@@ -218,10 +196,9 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict | None, key: str) -> np.ndarray:
 
 
 def update_struct_embed(adj, model: FactorModel, scores: OutlierScores,
-                        hp: HyperParams, diag: dict | None = None) -> np.ndarray:
+                        dis_weight: float, diag: dict | None = None) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_embed G: the structure
     term (w1, A H^T, H H^T) plus the alignment term (dis_weight w3, U W^T, I)."""
-    _, dis_weight = _resolved_weights(hp)
     h = model.struct_context
     w1 = _node_weights(scores.structural, "structural scores")
     w3 = _node_weights(scores.disagreement, "disagreement scores")
@@ -242,11 +219,11 @@ def update_struct_context(adj, model: FactorModel, scores: OutlierScores,
 
 
 def update_attr_embed(attrs, model: FactorModel, scores: OutlierScores,
-                      hp: HyperParams, diag: dict | None = None) -> np.ndarray:
+                      attr_weight: float, dis_weight: float,
+                      diag: dict | None = None) -> np.ndarray:
     """One exact coordinate-descent sweep over attr_embed U: the attribute
     term (attr_weight w2, C V^T, V V^T) plus the alignment term
     (dis_weight w3, G W, W^T W)."""
-    attr_weight, dis_weight = _resolved_weights(hp)
     v = model.attr_basis
     w = model.align
     w2 = _node_weights(scores.attribute, "attribute scores")
@@ -270,14 +247,15 @@ def update_alignment(model: FactorModel, scores: OutlierScores) -> np.ndarray:
     """Weighted-Procrustes minimizer of the disagreement term.
 
     Scales both embeddings row-wise by sqrt(log(1/score)), then takes the SVD
-    of their K x K cross-product; x @ y.T is the optimal orthogonal map. The
-    result has orthonormal columns even when the cross-product is singular.
+    x diag(sigma) yt of their K x K cross-product; x @ yt is the optimal
+    orthogonal map. The result has orthonormal columns even when the
+    cross-product is singular.
     """
     w3 = _node_weights(scores.disagreement, "disagreement scores")
     rw = np.sqrt(w3)[:, None]
     cross = (model.struct_embed * rw).T @ (model.attr_embed * rw)
-    res = svd_small(cross)
-    return res.x @ res.y.T
+    x, _, yt = svd_small(cross)
+    return x @ yt
 
 
 def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndarray:
@@ -356,12 +334,18 @@ def final_embedding(model: FactorModel) -> np.ndarray:
     return (model.struct_embed + model.attr_embed @ model.align.T) / 2.0
 
 
-def final_outlier_score(scores: OutlierScores,
+def final_outlier_score(component_scores,
                         combine_weights: tuple[float, float, float]) -> np.ndarray:
-    """Convex combination of the three score vectors."""
+    """Convex combination w1 s1 + w2 s2 + w3 s3 of the columns of the N x 3
+    component-score array (structural, attribute, disagreement). fit and the
+    CLI's --weights both combine scores here, so a stored combined column is
+    reproduced bit for bit from its components."""
     check_combine_weights(combine_weights)
+    c = np.asarray(component_scores, dtype=np.float64)
+    if c.ndim != 2 or c.shape[1] != 3:
+        raise ValueError(f"component scores must be N x 3, got shape {c.shape}")
     w = combine_weights
-    return w[0] * scores.structural + w[1] * scores.attribute + w[2] * scores.disagreement
+    return w[0] * c[:, 0] + w[1] * c[:, 1] + w[2] * c[:, 2]
 
 
 def _check_finite(arr: np.ndarray, what: str, round_no: int):
@@ -420,26 +404,27 @@ def fit(net: AttributedNetwork, hp: HyperParams):
             raise NumericError(f"initial {term} loss is non-finite; "
                                "input magnitudes overflow the squared residuals")
 
-    if hp.attr_weight is None or hp.dis_weight is None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            attr_w, dis_w = _loss_ratios(*terms)
-            diagnostics.notes.extend(str(c.message) for c in caught)
-        hp = replace(hp,
-                     attr_weight=hp.attr_weight if hp.attr_weight is not None else attr_w,
-                     dis_weight=hp.dis_weight if hp.dis_weight is not None else dis_w)
-    diagnostics.initial_loss = _joint(terms, hp.attr_weight, hp.dis_weight)
+    attr_weight, dis_weight = hp.attr_weight, hp.dis_weight
+    if attr_weight is None or dis_weight is None:
+        attr_w, dis_w, note = _loss_ratios(*terms)
+        if note:
+            diagnostics.notes.append(note)
+        attr_weight = attr_w if attr_weight is None else attr_weight
+        dis_weight = dis_w if dis_weight is None else dis_weight
+    diagnostics.initial_loss = _joint(terms, attr_weight, dis_weight)
 
     trace: list[float] = []
     prev = diagnostics.initial_loss
     for round_no in range(1, hp.iters + 1):
         model.align = update_alignment(model, scores)
         _check_finite(model.align, "align update", round_no)
-        model.struct_embed = update_struct_embed(adj, model, scores, hp, diagnostics.skipped)
+        model.struct_embed = update_struct_embed(adj, model, scores, dis_weight,
+                                                 diagnostics.skipped)
         _check_finite(model.struct_embed, "struct_embed update", round_no)
         model.struct_context = update_struct_context(adj, model, scores, diagnostics.skipped)
         _check_finite(model.struct_context, "struct_context update", round_no)
-        model.attr_embed = update_attr_embed(attrs, model, scores, hp, diagnostics.skipped)
+        model.attr_embed = update_attr_embed(attrs, model, scores, attr_weight, dis_weight,
+                                             diagnostics.skipped)
         _check_finite(model.attr_embed, "attr_embed update", round_no)
         model.attr_basis = update_attr_basis(attrs, model, scores, diagnostics.skipped)
         _check_finite(model.attr_basis, "attr_basis update", round_no)
@@ -452,7 +437,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
             scores = OutlierScores(*(budget_scores(r, hp.budget, hp.score_floor)
                                      for r in residuals))
             diagnostics.notes.extend(f"round {round_no}: {c.message}" for c in caught)
-        loss = _joint(_loss_terms(residuals, scores), hp.attr_weight, hp.dis_weight)
+        loss = _joint(_loss_terms(residuals, scores), attr_weight, dis_weight)
         if not np.isfinite(loss):
             raise NumericError(f"joint loss became non-finite in round {round_no}")
         trace.append(loss)
@@ -460,13 +445,11 @@ def fit(net: AttributedNetwork, hp: HyperParams):
             break
         prev = loss
 
+    components = np.column_stack([scores.structural, scores.attribute, scores.disagreement])
     result = EmbeddingResult(
         embedding=final_embedding(model),
-        outlier_scores=final_outlier_score(scores, hp.combine_weights),
-        component_scores=np.column_stack([scores.structural, scores.attribute,
-                                          scores.disagreement]),
-        loss_trace=trace,
-        node_names=list(net.node_names))
+        outlier_scores=final_outlier_score(components, hp.combine_weights),
+        component_scores=components, loss_trace=trace, node_names=net.node_names)
     return model, scores, result, diagnostics
 
 

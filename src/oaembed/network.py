@@ -22,7 +22,7 @@ so a save/load round trip is bit-exact.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,8 +39,9 @@ class AttributedNetwork:
     float64 CSR (sorted indices, no duplicate entries, explicit zeros
     dropped), whatever 2-D input it was built from: a dense array, a nested
     list or any scipy sparse matrix. labels is an int array with ids in
-    0..n_classes-1. node_names (default "0".."N-1") are distinct and must
-    read back from the files save_network writes (see _check_names).
+    0..n_classes-1. node_names (default "0".."N-1") is a tuple of distinct
+    strings that read back from the files save_network writes (see
+    _check_names); being a tuple, it cannot be edited past that check.
 
     A caller's matrices are copied, so the network never edits or aliases
     them. The package's own builders (synth_network, seed_outliers,
@@ -51,7 +52,7 @@ class AttributedNetwork:
     adjacency: sp.csr_matrix
     attributes: sp.csr_matrix
     labels: np.ndarray | None = None
-    node_names: list[str] = field(default_factory=list)
+    node_names: tuple[str, ...] = ()
     directed: bool = False
     has_self_loops: bool = False
     label_names: list[str] | None = None
@@ -65,13 +66,7 @@ class AttributedNetwork:
         if self.attributes.shape[0] != n:
             raise ValueError(
                 f"attribute row count {self.attributes.shape[0]} != node count {n}")
-        if not self.node_names:
-            self.node_names = [str(i) for i in range(n)]
-        if len(self.node_names) != n:
-            raise ValueError("node_names length mismatch")
-        if len(set(self.node_names)) != n:
-            raise ValueError("node_names contains duplicates")
-        _check_names(self.node_names)
+        self.node_names = _check_names(self.node_names, n)
         if not self.directed:
             diff = self.adjacency - self.adjacency.T
             if diff.nnz and np.abs(diff.data).max() > 0:
@@ -111,15 +106,25 @@ class AttributedNetwork:
         return (self.adjacency.nnz - diag) // 2 + diag
 
 
-def _check_names(names, what: str = "node name"):
-    """Raise ValueError unless every name reads back as written: a non-empty
-    token with no whitespace that does not start with '#' (a comment) or '%'
-    (a directive). AttributedNetwork and EmbeddingResult check their node
-    names on construction, so every writer can save them."""
+def _check_names(names, n: int | None, what: str = "node name") -> tuple[str, ...]:
+    """The one naming rule: return names as a tuple, or raise ValueError
+    unless they are distinct strings that each read back as written, a
+    non-empty token with no whitespace that does not start with '#' (a
+    comment) or '%' (a directive). Unless n is None, there must be n names,
+    and no names at all means "0".."n-1". AttributedNetwork and EmbeddingResult
+    store the tuple, so every writer can save their node names."""
+    names = tuple(names)
+    if not names and n is not None:
+        names = tuple(str(i) for i in range(n))
+    if n is not None and len(names) != n:
+        raise ValueError(f"{what}s: expected {n}, got {len(names)}")
     for name in names:
-        if name.split() != [name] or name[0] in "#%":
-            raise ValueError(f"{what} {name!r} cannot be saved: names must be non-empty, "
-                             "contain no whitespace and not start with '#' or '%'")
+        if not isinstance(name, str) or name.split() != [name] or name[0] in "#%":
+            raise ValueError(f"{what} {name!r} cannot be saved: names must be non-empty "
+                             "strings with no whitespace that do not start with '#' or '%'")
+    if len(set(names)) != len(names):
+        raise ValueError(f"{what}s contain duplicates")
+    return names
 
 
 def _data_lines(path: str):
@@ -324,7 +329,7 @@ def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
     names are checked when the network is built).
     """
     if net.labels is not None:
-        _check_names(net.label_names, "label name")
+        _check_names(net.label_names, None, "label name")
     os.makedirs(out_dir, exist_ok=True)
     paths = {"edges": os.path.join(out_dir, "edges.txt"),
              "attributes": os.path.join(out_dir, "attributes.txt")}
@@ -368,14 +373,14 @@ class EmbeddingResult:
 
     component_scores columns are the structural, attribute, and disagreement
     scores in that order; outlier_scores is their configured combination.
-    node_names are checked as AttributedNetwork's are.
+    node_names are checked and stored as a tuple, as AttributedNetwork's are.
     """
 
     embedding: np.ndarray
     outlier_scores: np.ndarray
     component_scores: np.ndarray
     loss_trace: list[float]
-    node_names: list[str] = field(default_factory=list)
+    node_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.embedding = as_dense(self.embedding, "embedding")
@@ -389,17 +394,14 @@ class EmbeddingResult:
         if self.component_scores.shape != (n, 3):
             raise ValueError(f"component_scores must be N x 3, got {self.component_scores.shape}")
         self.loss_trace = [float(v) for v in self.loss_trace]
-        if not self.node_names:
-            self.node_names = [str(i) for i in range(n)]
-        if len(self.node_names) != n:
-            raise ValueError("node_names length mismatch")
-        _check_names(self.node_names)
+        self.node_names = _check_names(self.node_names, n)
 
 
 def save_result(result: EmbeddingResult, out_dir: str) -> dict[str, str]:
     """Write embedding.tsv, scores.tsv, and loss.tsv under out_dir.
 
-    Floats are repr()-formatted, so load_result restores them bit-exactly.
+    Floats are repr()-formatted, so they parse back bit-exactly:
+    load_embedding_tsv and load_scores_tsv read the first two files.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {"embedding": os.path.join(out_dir, "embedding.tsv"),
@@ -470,23 +472,3 @@ def load_scores_tsv(path: str):
         raise ParseError("bad float in scores TSV", path) from None
     vals = vals.reshape(len(rows), 4)
     return names, vals[:, :3], vals[:, 3]
-
-
-def load_loss_tsv(path: str) -> list[float]:
-    _, rows = _read_tsv(path, ["iteration", "loss"])
-    try:
-        return [float(r[1]) for r in rows]
-    except ValueError:
-        raise ParseError("bad float in loss TSV", path) from None
-
-
-def load_result(out_dir: str) -> EmbeddingResult:
-    """Inverse of save_result; node order must agree across the files."""
-    names, emb = load_embedding_tsv(os.path.join(out_dir, "embedding.tsv"))
-    snames, comps, combined = load_scores_tsv(os.path.join(out_dir, "scores.tsv"))
-    if snames != names:
-        raise ParseError("scores.tsv node order differs from embedding.tsv",
-                         os.path.join(out_dir, "scores.tsv"))
-    trace = load_loss_tsv(os.path.join(out_dir, "loss.tsv"))
-    return EmbeddingResult(embedding=emb, outlier_scores=combined,
-                           component_scores=comps, loss_trace=trace, node_names=names)

@@ -109,22 +109,13 @@ def as_csr(m, name: str = "matrix") -> sp.csr_matrix:
     return out
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Full SVD of a square matrix: x @ diag(sigma) @ y.T reconstructs the input."""
+def svd_small(m):
+    """Full SVD of a small square matrix by LAPACK: numpy.linalg.svd's
+    (x, sigma, yt), with x @ diag(sigma) @ yt reconstructing the input.
 
-    x: np.ndarray      # left singular vectors, orthonormal columns
-    sigma: np.ndarray  # singular values, non-increasing, >= 0
-    y: np.ndarray      # right singular vectors, orthonormal columns
-
-
-def svd_small(m) -> SvdResult:
-    """Full SVD of a small square matrix by LAPACK (numpy.linalg.svd).
-
-    Intended for the K x K cross-products of the alignment step. Singular
-    values at or below k * eps * sigma_max are set to exactly 0. Column signs
-    are fixed so the largest-magnitude component of each left singular vector
-    is positive, making the output deterministic for testing.
+    Intended for the K x K cross-products of the alignment step, which reads
+    only the orthogonal product x @ yt; sigma is as LAPACK returns it and the
+    column signs are LAPACK's. m must be square, at least 1 x 1, and finite.
     """
     a = as_dense(m, "svd input")
     k = a.shape[0]
@@ -132,13 +123,7 @@ def svd_small(m) -> SvdResult:
         raise ValueError(f"svd_small requires a square matrix, got {a.shape}")
     if k < 1:
         raise ValueError("svd_small requires at least a 1x1 matrix")
-
-    x, sigma, yt = np.linalg.svd(a)
-    cutoff = k * np.finfo(np.float64).eps * (sigma[0] if sigma[0] > 0 else 1.0)
-    sigma[sigma <= cutoff] = 0.0
-    # Sign convention: dominant component of each left vector positive.
-    flip = np.where(x[np.argmax(np.abs(x), axis=0), np.arange(k)] < 0, -1.0, 1.0)
-    return SvdResult(x=x * flip, sigma=sigma, y=yt.T * flip)
+    return np.linalg.svd(a)
 
 
 def nmf_init(m, k: int, iters: int, rng: np.random.Generator):

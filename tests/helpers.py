@@ -293,13 +293,13 @@ def naive_loss_disagreement(g, u, w, scores) -> float:
     return total
 
 
-def naive_update_struct_embed(adj, model, scores, hp) -> np.ndarray:
+def naive_update_struct_embed(adj, model, scores, dis_weight) -> np.ndarray:
     a = to_dense(adj)
     g = model.struct_embed.copy()
     h = model.struct_context
     u = model.attr_embed
     w = model.align
-    beta = hp.dis_weight
+    beta = dis_weight
     n, k_dim = g.shape
     for i in range(n):
         w1 = math.log(1.0 / scores.structural[i])
@@ -346,13 +346,13 @@ def naive_update_struct_context(adj, model, scores) -> np.ndarray:
     return h
 
 
-def naive_update_attr_embed(attrs, model, scores, hp) -> np.ndarray:
+def naive_update_attr_embed(attrs, model, scores, attr_weight, dis_weight) -> np.ndarray:
     c = to_dense(attrs)
     u = model.attr_embed.copy()
     v = model.attr_basis
     g = model.struct_embed
     w = model.align
-    alpha, beta = hp.attr_weight, hp.dis_weight
+    alpha, beta = attr_weight, dis_weight
     n, k_dim = u.shape
     for i in range(n):
         w2 = math.log(1.0 / scores.attribute[i])
@@ -512,21 +512,27 @@ def mid_matrix(old: np.ndarray, new: np.ndarray, pos: int, axis: int) -> np.ndar
     return m
 
 
-def min_fd_gap(net, model, scores, hp, field_name: str, i: int, k: int,
-               eps: float = 1e-4) -> float:
-    """Smallest loss change from perturbing one coordinate by +-eps."""
-    from oaembed.core import loss_joint
+def joint_loss(net, model, scores, attr_weight, dis_weight) -> float:
+    """The joint loss by the path fit runs."""
+    from oaembed.core import _joint, _loss_terms, _residuals
 
-    base = loss_joint(net, model, scores, hp)
+    terms = _loss_terms(_residuals(net.adjacency, net.attributes, model), scores)
+    return _joint(terms, attr_weight, dis_weight)
+
+
+def min_fd_gap(net, model, scores, attr_weight, dis_weight, field_name: str, i: int,
+               k: int, eps: float = 1e-4) -> float:
+    """Smallest loss change from perturbing one coordinate by +-eps."""
+    base = joint_loss(net, model, scores, attr_weight, dis_weight)
     best = np.inf
     for delta in (eps, -eps):
         probe = copy.deepcopy(model)
         getattr(probe, field_name)[i, k] += delta
-        best = min(best, loss_joint(net, probe, scores, hp) - base)
+        best = min(best, joint_loss(net, probe, scores, attr_weight, dis_weight) - base)
     return best
 
 
-def fd_check_sweep(net, model, scores, hp, rng, n_coords: int) -> float:
+def fd_check_sweep(net, model, scores, attr_weight, dis_weight, rng, n_coords: int) -> float:
     """Run the four factor updates in algorithm order, finite-difference
     probing sampled coordinates at their exact mid-sweep states. Returns the
     worst (most negative) loss gap seen; coordinate optimality means it stays
@@ -536,11 +542,12 @@ def fd_check_sweep(net, model, scores, hp, rng, n_coords: int) -> float:
     work = copy.deepcopy(model)
     plans = [
         ("struct_embed",
-         lambda: core.update_struct_embed(net.adjacency, work, scores, hp), 1),
+         lambda: core.update_struct_embed(net.adjacency, work, scores, dis_weight), 1),
         ("struct_context",
          lambda: core.update_struct_context(net.adjacency, work, scores), 0),
         ("attr_embed",
-         lambda: core.update_attr_embed(net.attributes, work, scores, hp), 1),
+         lambda: core.update_attr_embed(net.attributes, work, scores, attr_weight,
+                                        dis_weight), 1),
         ("attr_basis",
          lambda: core.update_attr_basis(net.attributes, work, scores), 0),
     ]
@@ -554,7 +561,8 @@ def fd_check_sweep(net, model, scores, hp, rng, n_coords: int) -> float:
             k = int(rng.integers(old.shape[1]))
             probe = copy.deepcopy(work)
             setattr(probe, name, mid_matrix(old, new, k if axis == 1 else i, axis))
-            worst = min(worst, min_fd_gap(net, probe, scores, hp, name, i, k))
+            worst = min(worst, min_fd_gap(net, probe, scores, attr_weight, dis_weight,
+                                          name, i, k))
         setattr(work, name, new)
     return worst
 

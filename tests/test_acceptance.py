@@ -65,8 +65,7 @@ def test_criterion_2_coordinate_optimality(capsys):
     net = rand_network(rng, 30, 20)
     model = rand_model(rng, 30, 5, 20)
     scores = rand_score_triplet(rng, 30)
-    hp = HyperParams(dim=5, attr_weight=1.3, dis_weight=0.7)
-    gap = fd_check_sweep(net, model, scores, hp, rng, 100)
+    gap = fd_check_sweep(net, model, scores, 1.3, 0.7, rng, 100)
     ok = gap >= -1e-10
     report(capsys, 2, "coordinate optimality", ok,
            f"100 perturbed coordinates, worst loss change {gap:.3e}")

@@ -9,6 +9,7 @@ import pytest
 
 import oaembed
 from helpers import run_cli
+from oaembed import cli
 from oaembed.evaluation import rank_nodes
 from oaembed.network import load_scores_tsv, save_network
 from oaembed.seeding import synth_network
@@ -258,6 +259,42 @@ def test_rank_outliers_custom_weights(embedded, tmp_path):
         rows = [line.split("\t") for line in fh.read().splitlines()[1:]]
     want_order = [names[i] for i in rank_nodes(comps[:, 1])]
     assert [r[1] for r in rows] == want_order
+
+
+def test_weights_reproduce_the_stored_combined_column(seeded, tmp_path, monkeypatch):
+    """rank-outliers --weights and evaluate --weights recombine the stored
+    components exactly as embed --combine-weights combined them."""
+    weights = "0.2,0.3,0.5"  # not powers of two, so a second formula rounds differently
+    emb = tmp_path / "emb"
+    code, _, stderr = run_cli("embed", "--edges", seeded["edges"], "--attrs", seeded["attrs"],
+                              "--out", str(emb), "--k", "4", "--iters", "3",
+                              "--init-iters", "60", "--seed", "3", "--combine-weights", weights)
+    assert code == 0, stderr
+    scores = str(emb / "scores.tsv")
+    _, _, stored = load_scores_tsv(scores)
+
+    ranked = []
+    for extra in ([], ["--weights", weights]):
+        out = tmp_path / f"rank{len(extra)}"
+        assert run_cli("rank-outliers", "--scores", scores, "--out", str(out), *extra)[0] == 0
+        ranked.append((out / "ranked.tsv").read_bytes())
+    assert ranked[1] == ranked[0]
+
+    seen = []
+    evaluate_all = cli.evaluate_all
+
+    def recording(net, result, *args, **kwargs):
+        seen.append(result.outlier_scores)
+        return evaluate_all(net, result, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_all", recording)
+    code, _, stderr = run_cli("evaluate", "--edges", seeded["edges"], "--attrs", seeded["attrs"],
+                              "--labels", seeded["labels"], "--truth", seeded["truth"],
+                              "--embedding", str(emb / "embedding.tsv"), "--scores", scores,
+                              "--out", str(tmp_path / "eval"), "--splits", "30:30:10",
+                              "--reps", "1", "--weights", weights)
+    assert code == 0, stderr
+    assert seen[0].tobytes() == stored.tobytes()
 
 
 @pytest.mark.parametrize("weights", ["0.5,0.5", "0.2,0.2,0.2", "-0.5,1.0,0.5",

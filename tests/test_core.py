@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import (fd_check_sweep, naive_loss_disagreement, naive_update_attr_basis,
+from helpers import (fd_check_sweep, joint_loss, naive_loss_disagreement, naive_update_attr_basis,
                      naive_update_attr_embed, naive_update_struct_context,
                      naive_update_struct_embed, naive_weighted_sq_loss,
                      rand_model, rand_network, rand_score_triplet, rand_scores,
                      random_orthogonal, to_dense)
-from oaembed.core import (FactorModel, HyperParams, OutlierScores, _loss_terms,
-                          _residuals, budget_scores, calibrate_weights, default_dim,
-                          final_embedding, final_outlier_score, fit, loss_joint,
-                          update_alignment, update_attr_basis, update_attr_embed,
-                          update_struct_context, update_struct_embed)
+from oaembed.core import (FactorModel, HyperParams, OutlierScores, _loss_ratios,
+                          _loss_terms, _residuals, budget_scores, default_dim,
+                          final_embedding, final_outlier_score, fit, update_alignment,
+                          update_attr_basis, update_attr_embed, update_struct_context,
+                          update_struct_embed)
 from oaembed.errors import ConfigError, NumericError
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng
@@ -128,14 +128,13 @@ def test_loss_joint_matches_naive_oracle():
     net = rand_network(rng, 7, 5)
     model = rand_model(rng, 7, 3, 5)
     scores = rand_score_triplet(rng, 7)
-    hp = HyperParams(dim=3, attr_weight=0.7, dis_weight=2.3)
     want = (naive_weighted_sq_loss(net.adjacency, model.struct_embed,
                                    model.struct_context, scores.structural)
             + 0.7 * naive_weighted_sq_loss(net.attributes, model.attr_embed,
                                            model.attr_basis, scores.attribute)
             + 2.3 * naive_loss_disagreement(model.struct_embed, model.attr_embed,
                                             model.align, scores.disagreement))
-    assert loss_joint(net, model, scores, hp) == pytest.approx(want, rel=1e-9)
+    assert joint_loss(net, model, scores, 0.7, 2.3) == pytest.approx(want, rel=1e-9)
 
 
 def test_loss_joint_additivity():
@@ -143,51 +142,42 @@ def test_loss_joint_additivity():
     net = rand_network(rng, 6, 4)
     model = rand_model(rng, 6, 2, 4)
     scores = rand_score_triplet(rng, 6)
-    hp = HyperParams(dim=2, attr_weight=1.0, dis_weight=1.0)
     parts = sum(loss_terms(model, scores, net.adjacency, net.attributes))
-    assert loss_joint(net, model, scores, hp) == pytest.approx(parts, rel=1e-12)
-
-
-def test_loss_joint_requires_resolved_weights():
-    rng = make_rng(5)
-    net = rand_network(rng, 4, 3)
-    with pytest.raises(ValueError):
-        loss_joint(net, rand_model(rng, 4, 2, 3), rand_score_triplet(rng, 4),
-                   HyperParams(dim=2))
+    assert joint_loss(net, model, scores, 1.0, 1.0) == pytest.approx(parts, rel=1e-12)
 
 
 # ------------------------------------------------------------ calibration
 
 
-def crafted_net_model(l_str, l_attr, l_dis):
-    """N=1 instance whose three unit-weight loss terms are the given values."""
+def crafted_terms(l_str, l_attr, l_dis):
+    """Loss terms of an N=1 instance whose three unit-weight terms are the
+    given values, by the path fit runs."""
     a = sp.csr_matrix(np.array([[math.sqrt(l_str)]]))
     c = np.array([[math.sqrt(l_attr)]])
     net = AttributedNetwork(adjacency=a, attributes=c)
     model = scalar_model(g=1.0, h=0.0, u=1.0 - math.sqrt(l_dis), v=0.0, w=1.0)
     scores = OutlierScores(np.array([INV_E]), np.array([INV_E]), np.array([INV_E]))
-    return net, model, scores
+    return loss_terms(model, scores, net.adjacency, net.attributes)
 
 
 def test_calibrate_ratio_arithmetic():
-    net, model, scores = crafted_net_model(10.0, 5.0, 2.0)
-    alpha, beta = calibrate_weights(net, model, scores)
+    alpha, beta, note = _loss_ratios(*crafted_terms(10.0, 5.0, 2.0))
     assert alpha == pytest.approx(2.0, rel=1e-12)
     assert beta == pytest.approx(5.0, rel=1e-12)
+    assert note is None
 
 
 def test_calibrate_equal_terms():
-    net, model, scores = crafted_net_model(2.0, 2.0, 2.0)
-    alpha, beta = calibrate_weights(net, model, scores)
+    alpha, beta, _ = _loss_ratios(*crafted_terms(2.0, 2.0, 2.0))
     assert alpha == pytest.approx(1.0, rel=1e-12)
     assert beta == pytest.approx(1.0, rel=1e-12)
 
 
 def test_calibrate_zero_term_falls_back():
-    net, model, scores = crafted_net_model(10.0, 0.0, 2.0)
-    with pytest.warns(UserWarning):
-        alpha, beta = calibrate_weights(net, model, scores)
+    alpha, beta, note = _loss_ratios(*crafted_terms(10.0, 0.0, 2.0))
     assert (alpha, beta) == (1.0, 1.0)
+    assert note.startswith("degenerate initial losses (structure=")
+    assert note.endswith("falling back to weights (1, 1)")
 
 
 def test_calibrated_terms_agree():
@@ -195,8 +185,8 @@ def test_calibrated_terms_agree():
     net = rand_network(rng, 9, 6)
     model = rand_model(rng, 9, 3, 6)
     scores = rand_score_triplet(rng, 9)
-    alpha, beta = calibrate_weights(net, model, scores)
     l_str, l_attr, l_dis = loss_terms(model, scores, net.adjacency, net.attributes)
+    alpha, beta, _ = _loss_ratios(l_str, l_attr, l_dis)
     assert alpha * l_attr == pytest.approx(l_str, rel=1e-9)
     assert beta * l_dis == pytest.approx(l_str, rel=1e-9)
 
@@ -210,8 +200,7 @@ def unit_scores():
 
 def test_update_struct_embed_scalar():
     model = scalar_model(g=0.0, h=1.0, u=1.0, v=0.0)
-    hp = HyperParams(dim=1, attr_weight=1.0, dis_weight=1.0)
-    got = update_struct_embed(sp.csr_matrix(np.array([[2.0]])), model, unit_scores(), hp)
+    got = update_struct_embed(sp.csr_matrix(np.array([[2.0]])), model, unit_scores(), 1.0)
     assert got[0, 0] == pytest.approx(1.5, rel=1e-12)
 
 
@@ -226,8 +215,7 @@ def test_update_struct_embed_pure_least_squares_limit():
                         attr_basis=rng.normal(size=(n, n)),
                         align=np.eye(n))
     scores = rand_score_triplet(rng, n)
-    hp = HyperParams(dim=n, attr_weight=1.0, dis_weight=1e-12)
-    got = update_struct_embed(sp.csr_matrix(a), model, scores, hp)
+    got = update_struct_embed(sp.csr_matrix(a), model, scores, 1e-12)
     assert np.allclose(got, a, atol=1e-8)
 
 
@@ -251,8 +239,7 @@ def test_update_struct_context_zero_column_guard():
 
 def test_update_attr_embed_scalar():
     model = scalar_model(g=4.0, h=0.0, u=0.0, v=1.0)
-    hp = HyperParams(dim=1, attr_weight=1.0, dis_weight=1.0)
-    got = update_attr_embed(np.array([[2.0]]), model, unit_scores(), hp)
+    got = update_attr_embed(np.array([[2.0]]), model, unit_scores(), 1.0, 1.0)
     assert got[0, 0] == pytest.approx(3.0, rel=1e-12)
 
 
@@ -266,8 +253,7 @@ def test_update_attr_embed_attribute_only_limit():
                         attr_basis=np.eye(n),
                         align=np.eye(n))
     scores = rand_score_triplet(rng, n)
-    hp = HyperParams(dim=n, attr_weight=1.0, dis_weight=1e-12)
-    got = update_attr_embed(c, model, scores, hp)
+    got = update_attr_embed(c, model, scores, 1.0, 1e-12)
     assert np.allclose(got, c, atol=1e-8)
 
 
@@ -291,9 +277,8 @@ def test_update_struct_embed_degenerate_weights_guard():
     # both log-weights vanish when the scores are exactly 1
     model = scalar_model(g=0.7, h=1.0, u=1.0, v=0.0)
     ones = OutlierScores(np.array([1.0]), np.array([1.0]), np.array([1.0]))
-    hp = HyperParams(dim=1, attr_weight=1.0, dis_weight=1.0)
     diag = {}
-    got = update_struct_embed(sp.csr_matrix(np.array([[2.0]])), model, ones, hp, diag)
+    got = update_struct_embed(sp.csr_matrix(np.array([[2.0]])), model, ones, 1.0, diag)
     assert got[0, 0] == 0.7
     assert diag["struct_embed"] == 1
 
@@ -301,9 +286,8 @@ def test_update_struct_embed_degenerate_weights_guard():
 def test_update_attr_embed_degenerate_weights_guard():
     model = scalar_model(g=1.0, h=0.0, u=0.7, v=1.0)
     ones = OutlierScores(np.array([1.0]), np.array([1.0]), np.array([1.0]))
-    hp = HyperParams(dim=1, attr_weight=1.0, dis_weight=1.0)
     diag = {}
-    got = update_attr_embed(np.array([[2.0]]), model, ones, hp, diag)
+    got = update_attr_embed(np.array([[2.0]]), model, ones, 1.0, 1.0, diag)
     assert got[0, 0] == 0.7
     assert diag["attr_embed"] == 1
 
@@ -316,18 +300,17 @@ def test_updates_match_naive_gauss_seidel(skew):
     scores = rand_score_triplet(rng, 7)
     # a skewed align has W^T W != I, exercising the general Gram path
     model.align = model.align + skew * rng.normal(size=(3, 3))
-    hp = HyperParams(dim=3, attr_weight=0.8, dis_weight=1.7)
 
-    got = update_struct_embed(net.adjacency, model, scores, hp)
-    want = naive_update_struct_embed(net.adjacency, model, scores, hp)
+    got = update_struct_embed(net.adjacency, model, scores, 1.7)
+    want = naive_update_struct_embed(net.adjacency, model, scores, 1.7)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
     got = update_struct_context(net.adjacency, model, scores)
     want = naive_update_struct_context(net.adjacency, model, scores)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
-    got = update_attr_embed(net.attributes, model, scores, hp)
-    want = naive_update_attr_embed(net.attributes, model, scores, hp)
+    got = update_attr_embed(net.attributes, model, scores, 0.8, 1.7)
+    want = naive_update_attr_embed(net.attributes, model, scores, 0.8, 1.7)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
     got = update_attr_basis(net.attributes, model, scores)
@@ -340,8 +323,7 @@ def test_updates_are_coordinatewise_optimal():
     net = rand_network(rng, 10, 6)
     model = rand_model(rng, 10, 3, 6)
     scores = rand_score_triplet(rng, 10)
-    hp = HyperParams(dim=3, attr_weight=1.4, dis_weight=0.6)
-    assert fd_check_sweep(net, model, scores, hp, rng, 24) >= -1e-10
+    assert fd_check_sweep(net, model, scores, 1.4, 0.6, rng, 24) >= -1e-10
 
 
 # ------------------------------------------------------------- alignment
@@ -505,15 +487,21 @@ def test_final_embedding_cases():
     assert final_embedding(model)[0, 0] == pytest.approx(3.0)
 
 
+def columns(scores):
+    """The N x 3 component-score array fit stores for the score vectors."""
+    return np.column_stack([scores.structural, scores.attribute, scores.disagreement])
+
+
 def test_final_outlier_score_cases():
     n = 4
-    uniform = OutlierScores(np.full(n, 0.25), np.full(n, 0.25), np.full(n, 0.25))
+    uniform = np.full((n, 3), 0.25)
     assert np.allclose(final_outlier_score(uniform, (1 / 3, 1 / 3, 1 / 3)), 0.25)
 
     rng = make_rng(19)
-    scores = rand_score_triplet(rng, n)
+    triplet = rand_score_triplet(rng, n)
+    scores = columns(triplet)
     assert np.array_equal(final_outlier_score(scores, (0.0, 1.0, 0.0)),
-                          scores.attribute)
+                          triplet.attribute)
     combined = final_outlier_score(scores, (0.25, 0.5, 0.25))
     assert combined.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -526,9 +514,9 @@ def test_final_outlier_score_cases():
 
 
 def test_final_outlier_score_attribute_emphasis_changes_ranking():
-    scores = OutlierScores(structural=np.array([0.7, 0.3]),
-                           attribute=np.array([0.2, 0.8]),
-                           disagreement=np.array([0.7, 0.3]))
+    scores = columns(OutlierScores(structural=np.array([0.7, 0.3]),
+                                   attribute=np.array([0.2, 0.8]),
+                                   disagreement=np.array([0.7, 0.3])))
     equal = final_outlier_score(scores, (1 / 3, 1 / 3, 1 / 3))
     tilted = final_outlier_score(scores, (0.25, 0.5, 0.25))
     assert equal[0] > equal[1]      # node 0 leads when views count equally
@@ -579,7 +567,7 @@ def test_fit_monotone_and_contract():
     assert np.abs(model.align.T @ model.align - np.eye(4)).max() < 1e-8
     assert np.array_equal(result.embedding, final_embedding(model))
     assert np.array_equal(result.outlier_scores,
-                          final_outlier_score(scores, (0.25, 0.5, 0.25)))
+                          final_outlier_score(columns(scores), (0.25, 0.5, 0.25)))
     assert np.array_equal(result.component_scores[:, 1], scores.attribute)
 
 

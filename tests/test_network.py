@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import rand_network, to_dense
-from oaembed.core import HyperParams, fit, loss_joint
+from helpers import joint_loss, rand_network, to_dense
+from oaembed.core import HyperParams, fit
 from oaembed.errors import ParseError
-from oaembed.network import (AttributedNetwork, EmbeddingResult, load_network, load_result,
-                             save_network, save_result)
+from oaembed.network import (AttributedNetwork, EmbeddingResult, load_embedding_tsv,
+                             load_network, load_scores_tsv, save_network, save_result)
 from oaembed.numerics import make_rng
 from oaembed.seeding import (SeededDataset, SeedingPlan, _ClassStats, save_truth,
                              seed_outliers, synth_network)
@@ -76,7 +76,7 @@ def test_sparse_attributes_with_dim_header(tmp_path):
     attrs = write(tmp_path / "a.txt", "%dim 5\na 0:1.0 3:2.0\nb 4:0.5\nc\n")
     net = load_network(edges, attrs)
     assert net.n_nodes == 3 and net.n_attrs == 5
-    assert net.node_names == ["a", "b", "c"]
+    assert net.node_names == ("a", "b", "c")
     assert net.attributes[0, 3] == 2.0 and net.attributes[2].sum() == 0.0
 
 
@@ -122,7 +122,8 @@ def test_every_attribute_input_is_canonical_csr(case, tmp_path):
     assert net.attributes is attrs  # fit leaves the attributes alone
     for got, was in zip((attrs.data, attrs.indices, attrs.indptr), kept):
         assert np.array_equal(got, was)
-    assert result.loss_trace[-1] == pytest.approx(loss_joint(net, model, scores, hp), rel=1e-12)
+    assert result.loss_trace[-1] == pytest.approx(joint_loss(net, model, scores, 0.7, 1.3),
+                                                  rel=1e-12)
     trace = [diag.initial_loss, *result.loss_trace]
     for prev, cur in zip(trace, trace[1:]):
         assert cur <= prev + 1e-9 * abs(prev)
@@ -350,6 +351,47 @@ def test_types_reject_node_names_the_loaders_cannot_read(bad):
     assert net.label_names == ["c0", bad]
 
 
+def _result(node_names):
+    return EmbeddingResult(embedding=np.zeros((2, 2)), outlier_scores=np.full(2, 0.5),
+                           component_scores=np.full((2, 3), 0.5), loss_trace=[1.0],
+                           node_names=node_names)
+
+
+def _network(node_names):
+    return AttributedNetwork(adjacency=sp.csr_matrix((2, 2)), attributes=np.eye(2),
+                             node_names=node_names)
+
+
+@pytest.mark.parametrize("build", [_network, _result])
+@pytest.mark.parametrize("names", [["a", "a"], [0, 1], ["a", 1], [b"a", b"b"], ["a"],
+                                   ["a", "b", "c"]],
+                         ids=["duplicate", "int", "mixed", "bytes", "too-few", "too-many"])
+def test_types_apply_one_node_name_rule(build, names):
+    with pytest.raises(ValueError):
+        build(names)
+
+
+@pytest.mark.parametrize("build", [_network, _result])
+def test_types_store_node_names_as_an_immutable_tuple(build):
+    names = ["a", "b"]
+    obj = build(names)
+    assert obj.node_names == ("a", "b")
+    names[0] = "#x"  # the caller's list is not aliased
+    assert obj.node_names == ("a", "b")
+    with pytest.raises(TypeError):
+        obj.node_names[0] = "#x"  # nor can the checked names be edited in place
+    assert build([]).node_names == ("0", "1")
+
+
+def test_save_network_rejects_duplicate_label_names(tmp_path):
+    # the loader would read two classes with one name as one class
+    net = AttributedNetwork(adjacency=sp.csr_matrix((2, 2)), attributes=np.eye(2),
+                            labels=[0, 1], label_names=["c", "c"])
+    with pytest.raises(ValueError, match="duplicates"):
+        save_network(net, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_directed_weighted_roundtrip(tmp_path):
     adj = sp.csr_matrix(np.array([[0.0, 2.5, 0.0],
                                   [0.0, 0.0, 1.0],
@@ -371,10 +413,23 @@ def make_result(rng, n, k):
                            node_names=[f"v{i}" for i in range(n)])
 
 
+def read_result(out_dir):
+    """The saved result, read back with the package's loaders and, for
+    loss.tsv, a plain parse."""
+    names, emb = load_embedding_tsv(str(out_dir / "embedding.tsv"))
+    snames, comps, combined = load_scores_tsv(str(out_dir / "scores.tsv"))
+    assert snames == names
+    rows = (out_dir / "loss.tsv").read_text().splitlines()
+    assert rows[0] == "iteration\tloss"
+    trace = [float(r.split("\t")[1]) for r in rows[1:]]
+    return EmbeddingResult(embedding=emb, outlier_scores=combined, component_scores=comps,
+                           loss_trace=trace, node_names=names)
+
+
 def test_result_roundtrip_bit_exact(tmp_path):
     result = make_result(make_rng(2), 12, 4)
     save_result(result, str(tmp_path))
-    back = load_result(str(tmp_path))
+    back = read_result(tmp_path)
     assert np.array_equal(back.embedding, result.embedding)
     assert np.array_equal(back.outlier_scores, result.outlier_scores)
     assert np.array_equal(back.component_scores, result.component_scores)
@@ -388,9 +443,9 @@ def test_result_single_node_two_dims(tmp_path):
                              component_scores=np.array([[1.0, 1.0, 1.0]]),
                              loss_trace=[0.0])
     save_result(result, str(tmp_path))
-    back = load_result(str(tmp_path))
+    back = read_result(tmp_path)
     assert np.array_equal(back.embedding, result.embedding)
-    assert back.node_names == ["0"]
+    assert back.node_names == ("0",)
 
 
 def test_scores_file_column_sums(tmp_path):
@@ -401,21 +456,16 @@ def test_scores_file_column_sums(tmp_path):
     assert np.abs(cols.sum(axis=0) - 1.0).max() < 1e-9
 
 
-def test_load_result_misaligned_nodes(tmp_path):
-    save_result(make_result(make_rng(4), 5, 2), str(tmp_path))
-    scores = tmp_path / "scores.tsv"
-    lines = scores.read_text().splitlines()
-    lines[1], lines[2] = lines[2], lines[1]
-    scores.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError):
-        load_result(str(tmp_path))
-
-
-def test_load_result_rejects_malformed_tsv(tmp_path):
+def test_result_loaders_reject_malformed_tsv(tmp_path):
     save_result(make_result(make_rng(5), 4, 2), str(tmp_path))
-    (tmp_path / "loss.tsv").write_text("iteration\tloss\n1\tzap\n")
-    with pytest.raises(ParseError):
-        load_result(str(tmp_path))
+    for name, loader in (("embedding.tsv", load_embedding_tsv),
+                         ("scores.tsv", load_scores_tsv)):
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit("\t", 1)[0] + "\tzap"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError):
+            loader(str(path))
 
 
 def test_citation_corpus_scale(tmp_path):
