@@ -54,7 +54,6 @@ class AttributedNetwork:
     labels: np.ndarray | None = None
     node_names: tuple[str, ...] = ()
     directed: bool = False
-    has_self_loops: bool = False
     label_names: list[str] | None = None
 
     def __post_init__(self):
@@ -72,7 +71,11 @@ class AttributedNetwork:
             if diff.nnz and np.abs(diff.data).max() > 0:
                 raise ValueError("undirected network must have a symmetric adjacency")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind == "f" and not (np.isfinite(labels)
+                                                 & (labels == np.trunc(labels))).all():
+                raise ValueError("labels must be whole-number class ids")
+            self.labels = labels.astype(np.int64, copy=False)
             if self.labels.shape != (n,):
                 raise ValueError("labels length mismatch")
             k = int(self.labels.max()) + 1 if n else 0
@@ -96,6 +99,10 @@ class AttributedNetwork:
         if self.labels is None:
             return 0
         return len(self.label_names)
+
+    @property
+    def has_self_loops(self) -> bool:
+        return bool(self.adjacency.diagonal().any())
 
     @property
     def n_edges(self) -> int:
@@ -225,9 +232,8 @@ def _parse_attributes(path: str):
 
 
 def _parse_edges(path: str, index: dict[str, int]):
-    """Parse an edge file into (directed, has_self_loops, edge dict)."""
+    """Parse an edge file into (directed, edge dict)."""
     directed = False
-    self_loops = False
     edges: dict[tuple[int, int], float] = {}
     for lineno, line in _data_lines(path):
         toks = line.split()
@@ -256,11 +262,9 @@ def _parse_edges(path: str, index: dict[str, int]):
                 raise ParseError(f"bad edge weight {toks[2]!r}", path, lineno) from None
             if not np.isfinite(w) or w <= 0:
                 raise ParseError(f"edge weight must be finite and > 0, got {w}", path, lineno)
-        if i == j:
-            self_loops = True
         key = (i, j) if directed else (min(i, j), max(i, j))
         edges[key] = w  # duplicate edge: last occurrence wins
-    return directed, self_loops, edges
+    return directed, edges
 
 
 def _parse_labels(path: str, index: dict[str, int]):
@@ -296,7 +300,7 @@ def load_network(edge_path: str, attr_path: str, label_path: str | None = None) 
     """
     names, attrs = _parse_attributes(attr_path)
     index = {name: i for i, name in enumerate(names)}
-    directed, self_loops, edges = _parse_edges(edge_path, index)
+    directed, edges = _parse_edges(edge_path, index)
 
     n = len(names)
     row, col, data = [], [], []
@@ -315,8 +319,7 @@ def load_network(edge_path: str, attr_path: str, label_path: str | None = None) 
         labels, label_names = _parse_labels(label_path, index)
 
     return AttributedNetwork(adjacency=Handoff(adj), attributes=Handoff(attrs), labels=labels,
-                             node_names=names, directed=directed,
-                             has_self_loops=self_loops, label_names=label_names)
+                             node_names=names, directed=directed, label_names=label_names)
 
 
 def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
@@ -427,48 +430,45 @@ def save_result(result: EmbeddingResult, out_dir: str) -> dict[str, str]:
     return paths
 
 
-def _read_tsv(path: str, expected_header: list[str] | None = None):
-    """Read a TSV with a header row; returns (header, rows of string cells)."""
+def _load_float_tsv(path: str, columns: tuple[str, ...] | None = None):
+    """Read a TSV whose header is 'node' and then float columns (exactly
+    `columns`, when given) into (node names, N x C float array). A header
+    that does not fit, a row of the wrong length or a cell that is not a
+    finite float raises ParseError."""
     header = None
     rows = []
     for lineno, line in _data_lines(path):
         cells = line.split("\t")
         if header is None:
             header = cells
-            if expected_header is not None and cells != expected_header:
+            if (cells[0] != "node" or len(cells) < 2
+                    or columns is not None and tuple(cells[1:]) != columns):
                 raise ParseError(f"unexpected header {cells!r}", path, lineno)
+        elif len(cells) != len(header):
+            raise ParseError(f"row has {len(cells)} cells, header has {len(header)}",
+                             path, lineno)
         else:
-            if len(cells) != len(header):
-                raise ParseError(f"row has {len(cells)} cells, header has {len(header)}",
-                                 path, lineno)
             rows.append(cells)
     if header is None:
         raise ParseError("empty TSV", path)
-    return header, rows
-
-
-def load_embedding_tsv(path: str):
-    """Read embedding.tsv into (node_names, N x K array)."""
-    header, rows = _read_tsv(path)
-    if not header or header[0] != "node":
-        raise ParseError("embedding TSV must start with a 'node' column", path)
-    if len(header) < 2:
-        raise ParseError("embedding TSV has no dimension columns", path)
-    names = [r[0] for r in rows]
-    try:
-        emb = np.array([[float(c) for c in r[1:]] for r in rows])
-    except ValueError:
-        raise ParseError("bad float in embedding TSV", path) from None
-    return names, emb.reshape(len(rows), len(header) - 1)
-
-
-def load_scores_tsv(path: str):
-    """Read scores.tsv into (node_names, N x 3 component scores, combined scores)."""
-    _, rows = _read_tsv(path, ["node", *SCORE_COLUMNS])
     names = [r[0] for r in rows]
     try:
         vals = np.array([[float(c) for c in r[1:]] for r in rows])
     except ValueError:
-        raise ParseError("bad float in scores TSV", path) from None
-    vals = vals.reshape(len(rows), 4)
+        raise ParseError("bad float cell", path) from None
+    vals = vals.reshape(len(rows), len(header) - 1)  # also when there are no rows
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"non-finite value for node {names[np.argmin(finite)]!r}", path)
+    return names, vals
+
+
+def load_embedding_tsv(path: str):
+    """Read embedding.tsv into (node_names, N x K array)."""
+    return _load_float_tsv(path)
+
+
+def load_scores_tsv(path: str):
+    """Read scores.tsv into (node_names, N x 3 component scores, combined scores)."""
+    names, vals = _load_float_tsv(path, SCORE_COLUMNS)
     return names, vals[:, :3], vals[:, 3]

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import ParseError
 from .network import AttributedNetwork, _data_lines
-from .numerics import Handoff, make_rng, named_rng
+from .numerics import Handoff, check_integer, make_rng, named_rng
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
 
@@ -37,7 +37,8 @@ class SeedingPlan:
     total_fraction of the node count (rounded up) is planted, split equally
     across the three kinds with any remainder handed out in kind order.
     degree_band is the relative half-width around the anchor class's mean
-    degree from which planted degrees are drawn.
+    degree from which planted degrees are drawn. seed must be a Python or
+    numpy integer.
     """
 
     total_fraction: float = 0.05
@@ -45,6 +46,7 @@ class SeedingPlan:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer(self.seed, "seed")
         if not 0 <= self.total_fraction < 0.5:
             raise ValueError(f"total_fraction must be in [0, 0.5), got {self.total_fraction}")
         if not 0 < self.degree_band < 1:
@@ -280,8 +282,7 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
     augmented = AttributedNetwork(
         adjacency=Handoff(adj), attributes=Handoff(attrs),
         labels=np.concatenate([net.labels, [p.label for p in planted]]),
-        node_names=names, directed=False,
-        has_self_loops=net.has_self_loops, label_names=list(net.label_names))
+        node_names=names, directed=False, label_names=list(net.label_names))
     return SeededDataset(network=augmented, planted=planted)
 
 

@@ -10,9 +10,10 @@ import pytest
 import oaembed
 from helpers import run_cli
 from oaembed import cli
+from oaembed.core import HyperParams, default_dim
 from oaembed.evaluation import rank_nodes
 from oaembed.network import load_scores_tsv, save_network
-from oaembed.seeding import synth_network
+from oaembed.seeding import SeedingPlan, synth_network
 
 
 @pytest.fixture(scope="module")
@@ -473,3 +474,130 @@ def test_evaluate_all_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Every flag of the four subcommands, with a value each accepts.
+SURFACE = {
+    "seed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o",
+             "fraction": "0.1", "band": "0.2", "seed": "3"},
+    "embed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o", "k": "4",
+              "iters": "2", "attr-weight": "0.5", "dis-weight": "0.5", "budget": "2",
+              "score-floor": "1e-9", "combine-weights": "0.2,0.3,0.5", "loss-tol": "1e-4",
+              "init-iters": "30", "seed": "3"},
+    "rank-outliers": {"scores": "s.tsv", "out": "o", "weights": "0,1,0"},
+    "evaluate": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "embedding": "m.tsv",
+                 "scores": "s.tsv", "truth": "t.tsv", "out": "o", "splits": "10:30:10",
+                 "reps": "2", "weights": "0,1,0", "exclude-outliers": "true", "seed": "3"},
+}
+REQUIRED = {"seed": ("edges", "attrs", "labels", "out"), "embed": ("edges", "attrs", "out"),
+            "rank-outliers": ("scores", "out"),
+            "evaluate": ("edges", "attrs", "labels", "embedding", "scores", "truth", "out")}
+
+
+@pytest.mark.parametrize("sub,flag", [(sub, flag) for sub, flags in SURFACE.items()
+                                      for flag in flags])
+def test_every_flag_works_on_the_command_line_and_as_a_config_key(sub, flag, tmp_path):
+    flags = SURFACE[sub]
+    required = [tok for key in REQUIRED[sub] if key != flag for tok in (f"--{key}", flags[key])]
+    parser = cli._build_parser()
+    given = vars(parser.parse_args([sub, *required, f"--{flag}", flags[flag]]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag}={flags[flag]}\n")
+    from_config = vars(parser.parse_args(cli._with_config([sub, *required,
+                                                          "--config", str(cfg)])))
+    assert from_config.pop("config") == str(cfg)
+    assert from_config == given
+    if flag in REQUIRED[sub]:
+        with pytest.raises(SystemExit):
+            parser.parse_args([sub, *required])
+    else:  # the flag sets one value; an option not given is not passed on
+        assert len(given) == len(vars(parser.parse_args([sub, *required]))) + 1
+
+
+def test_required_options_alone_run_the_library_defaults(dataset, tmp_path, monkeypatch):
+    seen = {}
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            seen[name] = (args, kwargs)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("seed_outliers", "fit", "evaluate_all"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    seeded = tmp_path / "seeded"
+    assert run_cli("seed", "--edges", dataset["edges"], "--attrs", dataset["attributes"],
+                   "--labels", dataset["labels"], "--out", str(seeded))[0] == 0
+    (_net, plan), kwargs = seen["seed_outliers"]
+    assert plan == SeedingPlan() and kwargs == {}
+
+    inputs = ["--edges", str(seeded / "edges.txt"), "--attrs", str(seeded / "attributes.txt"),
+              "--labels", str(seeded / "labels.txt")]
+    emb = tmp_path / "emb"
+    assert run_cli("embed", *inputs, "--out", str(emb))[0] == 0
+    (net, hp), kwargs = seen["fit"]
+    assert hp == HyperParams(dim=default_dim(net)) and kwargs == {}
+
+    code, _, stderr = run_cli("evaluate", *inputs, "--embedding", str(emb / "embedding.tsv"),
+                              "--scores", str(emb / "scores.tsv"),
+                              "--truth", str(seeded / "outliers.tsv"),
+                              "--out", str(tmp_path / "eval"))
+    assert code == 0, stderr
+    args, kwargs = seen["evaluate_all"]
+    assert len(args) == 3 and kwargs == {}  # splits, reps, seed and exclude_outliers: its own
+
+
+def test_config_exclude_outliers_false_yields_to_the_bare_flag(seeded, embedded, tmp_path,
+                                                               monkeypatch):
+    seen = []
+    evaluate_all = cli.evaluate_all
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["exclude_outliers"])
+        return evaluate_all(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_all", recording)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("exclude-outliers=false\nsplits=30:30:10\nreps=1\n")
+    argv = ["evaluate", "--edges", seeded["edges"], "--attrs", seeded["attrs"],
+            "--labels", seeded["labels"], "--embedding", embedded["embedding"],
+            "--scores", embedded["scores"], "--truth", seeded["truth"], "--config", str(cfg)]
+    for i, extra in enumerate(([], ["--exclude-outliers"], ["--exclude-outliers=no"])):
+        code, _, stderr = run_cli(*argv, "--out", str(tmp_path / str(i)), *extra)
+        assert code == 0, stderr
+    assert seen == [False, True, False]
+
+
+@pytest.mark.parametrize("line,named", [("fraction=abc", "--fraction"), ("seed=1.5", "--seed"),
+                                        ("band=", "--band"), ("frac=0.1", "frac")])
+def test_config_bad_value_or_abbreviated_key_exits_2(dataset, tmp_path, line, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, stderr = run_cli("seed", "--config", str(cfg), "--edges", dataset["edges"],
+                              "--attrs", dataset["attributes"], "--labels", dataset["labels"],
+                              "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert named in stderr
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("column,cell", [(4, "nan"), (1, "inf")])
+def test_rank_outliers_non_finite_score_exits_1(embedded, tmp_path, column, cell):
+    lines = Path(embedded["scores"]).read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split("\t")
+    cells[column] = cell
+    lines[5] = "\t".join(cells)
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "rank"
+    code, _, stderr = run_cli("rank-outliers", "--scores", str(scores), "--out", str(out))
+    assert code == 1
+    assert "non-finite" in stderr and str(scores) in stderr
+    assert not (out / "ranked.tsv").exists()
+
+
+def test_ambiguous_abbreviation_is_not_read_as_a_config_file(tmp_path):
+    code, _, stderr = run_cli("embed", "--co", "0.2,0.3,0.5", "--edges", "e.txt",
+                              "--attrs", "a.txt", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "--combine-weights" in stderr and "--config" in stderr

@@ -251,6 +251,24 @@ def test_missing_file_is_parse_error(tmp_path):
         load_network(str(tmp_path / "nope.txt"), attrs)
 
 
+def test_has_self_loops_is_read_from_the_adjacency():
+    loop = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    assert AttributedNetwork(adjacency=loop, attributes=np.ones((2, 1))).has_self_loops
+    plain = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert not AttributedNetwork(adjacency=plain, attributes=np.ones((2, 1))).has_self_loops
+    with pytest.raises(TypeError):  # no longer a field that could contradict the adjacency
+        AttributedNetwork(adjacency=loop, attributes=np.ones((2, 1)), has_self_loops=False)
+
+
+def test_labels_must_be_whole_numbers():
+    adj, attrs = sp.csr_matrix((3, 3)), np.ones((3, 1))
+    for bad in ([0, 1.7, 0.2], [0.0, 1.0, np.nan], [0.0, np.inf, 1.0]):
+        with pytest.raises(ValueError, match="labels"):
+            AttributedNetwork(adjacency=adj, attributes=attrs, labels=bad)
+    net = AttributedNetwork(adjacency=adj, attributes=attrs, labels=[0.0, 2.0, 1.0])
+    assert net.labels.dtype == np.int64 and net.labels.tolist() == [0, 2, 1]
+
+
 def test_undirected_symmetry_enforced():
     adj = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
@@ -466,6 +484,28 @@ def test_result_loaders_reject_malformed_tsv(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
             loader(str(path))
+
+
+@pytest.mark.parametrize("name,loader", [("embedding.tsv", load_embedding_tsv),
+                                         ("scores.tsv", load_scores_tsv)])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_result_loaders_reject_non_finite_cells(tmp_path, name, loader, cell):
+    save_result(make_result(make_rng(5), 4, 2), str(tmp_path))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit("\t", 1)[0] + "\t" + cell
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="non-finite value for node 'v2'"):
+        loader(str(path))
+
+
+def test_result_loaders_read_a_header_only_file(tmp_path):
+    (tmp_path / "embedding.tsv").write_text("node\tdim0\tdim1\n")
+    names, emb = load_embedding_tsv(str(tmp_path / "embedding.tsv"))
+    assert names == [] and emb.shape == (0, 2)
+    (tmp_path / "scores.tsv").write_text("node\tstructural\tattribute\tdisagreement\tcombined\n")
+    names, comps, combined = load_scores_tsv(str(tmp_path / "scores.tsv"))
+    assert names == [] and comps.shape == (0, 3) and combined.shape == (0,)
 
 
 def test_citation_corpus_scale(tmp_path):

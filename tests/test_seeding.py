@@ -343,6 +343,14 @@ def test_plan_validation():
         SeedingPlan(total_fraction=0.05, degree_band=1.0)
 
 
+def test_plan_checks_seed_when_built():
+    for fraction in (0.05, 0.0):  # even when nothing is planted
+        for seed in (1.5, True, "1"):
+            with pytest.raises(ValueError, match="seed"):
+                SeedingPlan(total_fraction=fraction, seed=seed)
+    assert SeedingPlan(seed=np.int64(3)).seed == 3
+
+
 # --------------------------------------------------------------- planting
 
 
