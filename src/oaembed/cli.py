@@ -177,9 +177,7 @@ _SUBCOMMANDS = {
         "attr-weight": {"type": float, "help": "attribute loss weight (default: calibrated)"},
         "dis-weight": {"type": float, "help": "disagreement loss weight (default: calibrated)"},
         "budget": {"type": float, "help": "total outlier-score budget"},
-        "score-floor": {"type": float, "help": "smallest allowed outlier score"},
         "combine-weights": {"type": _parse_weights, "help": "w1,w2,w3 for the combined score"},
-        "loss-tol": {"type": float, "help": "relative loss-change early-stop threshold"},
         "init-iters": {"type": int, "help": "initialization updates per factor, in passes "
                                             "of 3, rounded up"},
         "seed": _SEED,

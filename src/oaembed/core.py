@@ -47,6 +47,7 @@ from .numerics import check_integer, named_rng, nmf_init, row_sq_residuals, svd_
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _ZERO_RESIDUAL = 1e-300  # below this, a total residual counts as exactly zero
+_SCORE_FLOOR = 1e-8  # fit's smallest score, so log(1/score) stays finite
 
 
 def check_combine_weights(w, name: str = "combine_weights"):
@@ -61,21 +62,20 @@ class HyperParams:
     'calibrate so the three loss terms start equal'. dim is the embedding
     width K; budget is the fixed sum of each score vector. dim, iters,
     init_iters and seed must be Python or numpy integers (bool and float
-    values are rejected, not truncated). init_iters is the
-    number of multiplicative updates per factor in each initialization,
-    rounded up to a multiple of 3: one pass applies 3 updates that share one
-    product with the input matrix (the default 200 runs 67 passes)."""
+    values are rejected, not truncated). A fit runs exactly iters rounds,
+    with every score floored at 1e-8. init_iters is the number of
+    multiplicative updates per factor in each initialization, rounded up to
+    a multiple of 3: one pass applies 3 updates that share one product with
+    the input matrix (the default 200 runs 67 passes)."""
 
     dim: int
     attr_weight: float | None = None
     dis_weight: float | None = None
     budget: float = 1.0
     iters: int = 5
-    score_floor: float = 1e-8
     combine_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
     seed: int = 0
     init_iters: int = 200
-    loss_tol: float | None = None
 
     def __post_init__(self):
         for name in ("dim", "iters", "init_iters", "seed"):
@@ -90,13 +90,9 @@ class HyperParams:
             raise ConfigError(f"budget must be > 0, got {self.budget}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if not 0 < self.score_floor <= 1e-3:
-            raise ConfigError(f"score_floor must be in (0, 1e-3], got {self.score_floor}")
         check_combine_weights(self.combine_weights)
         if self.init_iters < 1:
             raise ConfigError(f"init_iters must be >= 1, got {self.init_iters}")
-        if self.loss_tol is not None and not self.loss_tol > 0:
-            raise ConfigError(f"loss_tol must be > 0, got {self.loss_tol}")
 
 
 @dataclass
@@ -363,8 +359,8 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     the loss weights if unset, then runs `iters` rounds of: align update,
     factor sweeps (struct_embed, struct_context, attr_embed, attr_basis, each
     consuming the others' latest values), then one residual pass that yields
-    both the new scores and the round's joint loss. The joint loss is
-    recorded after every round and is non-increasing.
+    both the new scores (floored at 1e-8) and the round's joint loss. Exactly
+    `iters` rounds run, so loss_trace holds `iters` non-increasing losses.
 
     The CSR attributes are never densified, and net is not changed.
 
@@ -374,9 +370,9 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     if not 1 <= hp.dim <= min(n, d):
         raise ConfigError(f"dim must be in [1, min(n_nodes, n_attrs)] = "
                           f"[1, {min(n, d)}], got {hp.dim}")
-    if not hp.score_floor * n <= hp.budget <= n:
+    if not _SCORE_FLOOR * n <= hp.budget <= n:
         raise ConfigError(f"budget {hp.budget} infeasible for {n} nodes "
-                          f"with score_floor {hp.score_floor}")
+                          f"with score floor {_SCORE_FLOOR}")
     adj = net.adjacency
     attrs = net.attributes
     if (attrs.data < 0).any():
@@ -414,7 +410,6 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     diagnostics.initial_loss = _joint(terms, attr_weight, dis_weight)
 
     trace: list[float] = []
-    prev = diagnostics.initial_loss
     for round_no in range(1, hp.iters + 1):
         model.align = update_alignment(model, scores)
         _check_finite(model.align, "align update", round_no)
@@ -434,16 +429,13 @@ def fit(net: AttributedNetwork, hp: HyperParams):
             _check_finite(r, f"{what} residuals", round_no)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            scores = OutlierScores(*(budget_scores(r, hp.budget, hp.score_floor)
+            scores = OutlierScores(*(budget_scores(r, hp.budget, _SCORE_FLOOR)
                                      for r in residuals))
             diagnostics.notes.extend(f"round {round_no}: {c.message}" for c in caught)
         loss = _joint(_loss_terms(residuals, scores), attr_weight, dis_weight)
         if not np.isfinite(loss):
             raise NumericError(f"joint loss became non-finite in round {round_no}")
         trace.append(loss)
-        if hp.loss_tol is not None and prev - loss <= hp.loss_tol * max(abs(prev), 1e-30):
-            break
-        prev = loss
 
     components = np.column_stack([scores.structural, scores.attribute, scores.disagreement])
     result = EmbeddingResult(

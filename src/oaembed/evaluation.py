@@ -352,11 +352,11 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
                  exclude_outliers: bool = False) -> EvalReport:
     """The full metric battery for one embedding of one seeded network.
 
-    truth_ids are node indices of the planted outliers. splits are distinct
-    whole train percentages in (0, 100). Classification trains the
-    `train_classifier` model on `reps` seeded splits per train percentage,
-    as one stack per percentage on one of 2 worker threads, and averages the
-    F1 over the reps.
+    truth_ids are node indices of the planted outliers. splits are one or
+    more distinct whole train percentages in (0, 100). Classification
+    trains the `train_classifier` model on `reps` seeded splits per train
+    percentage, as one stack per percentage on one of 2 worker threads, and
+    averages the F1 over the reps.
     Clustering uses as many clusters as ground-truth classes and runs 10
     seeded k-means++ starts, keeping the one with the lowest final
     within-cluster sum of squares (the earliest on a tie). With
@@ -382,8 +382,8 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
             raise ValueError(f"splits must hold whole train percentages in "
                              f"(0, 100), got {pct}")
     pcts = [int(pct) for pct in splits]
-    if len(set(pcts)) != len(pcts):
-        raise ValueError(f"splits must not repeat a train percentage, got {pcts}")
+    if not pcts or len(set(pcts)) != len(pcts):
+        raise ValueError(f"splits must name distinct train percentages, got {pcts}")
 
     ranked = rank_nodes(result.outlier_scores)
     recall = {level: recall_at(ranked, truth, level) for level in RECALL_LEVELS}

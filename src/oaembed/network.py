@@ -303,16 +303,13 @@ def load_network(edge_path: str, attr_path: str, label_path: str | None = None) 
     directed, edges = _parse_edges(edge_path, index)
 
     n = len(names)
-    row, col, data = [], [], []
-    for (i, j), w in sorted(edges.items()):
-        row.append(i)
-        col.append(j)
-        data.append(w)
-        if not directed and i != j:
-            row.append(j)
-            col.append(i)
-            data.append(w)
-    adj = sp.csr_matrix((data, (row, col)), shape=(n, n))
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    data = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    if not directed:  # each off-diagonal pair is stored once; mirror it
+        off = pairs[:, 0] != pairs[:, 1]
+        pairs = np.concatenate([pairs, pairs[off, ::-1]])
+        data = np.concatenate([data, data[off]])
+    adj = sp.csr_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
 
     labels = label_names = None
     if label_path is not None:

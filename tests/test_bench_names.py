@@ -1,10 +1,12 @@
 """The benchmark under bench/ reaches the package only by name. A deleted or
 renamed name would surface there as a failed benchmark run; this test makes
 it fail here first, by resolving every `oaembed.<name>[.<name>]` attribute
-chain and every `from oaembed... import` name that bench/*.py uses."""
+chain and every `from oaembed... import` name that bench/*.py uses, and by
+binding every call of such a chain to the callee's signature."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,15 +41,46 @@ def package_names(source: str):
     return found
 
 
-def resolves(parts) -> bool:
+def package_calls(source: str):
+    """(parts, positional count, keyword names, unpacks) for every call of an
+    oaembed.<name>[.<name>...] chain in a module's source; unpacks is true
+    when the call passes *args or **kwargs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (chain := _chain(node.func)):
+            starred = [isinstance(a, ast.Starred) for a in node.args]
+            found.append((tuple(chain), starred.count(False),
+                          tuple(k.arg for k in node.keywords if k.arg is not None),
+                          any(starred) or any(k.arg is None for k in node.keywords)))
+    return found
+
+
+def lookup(parts):
+    """The object that oaembed.<parts> names, or None."""
     obj = importlib.import_module("oaembed")
     for depth, name in enumerate(parts, 1):
         if not hasattr(obj, name):
             try:  # a submodule that nothing has imported yet
                 importlib.import_module("oaembed." + ".".join(parts[:depth]))
             except ImportError:
-                return False
+                return None
         obj = getattr(obj, name)
+    return obj
+
+
+def resolves(parts) -> bool:
+    return lookup(parts) is not None
+
+
+def binds(parts, n_positional, keywords, unpacks) -> bool:
+    """Whether the callee accepts that many positional arguments and those
+    keyword names; with unpacking only the arguments written out are checked."""
+    sig = inspect.signature(lookup(parts))
+    try:
+        (sig.bind_partial if unpacks else sig.bind)(*range(n_positional),
+                                                     **dict.fromkeys(keywords))
+    except TypeError:
+        return False
     return True
 
 
@@ -60,9 +93,33 @@ def test_scanner_finds_chains_and_imports():
     assert not resolves(("core", "nothing_here")) and not resolves(("no_module", "x"))
 
 
+def test_call_scanner_binds_positional_keyword_and_unpacked_calls():
+    src = ("oaembed.core.budget_scores(r, 1.0, 1e-8)\n"
+           "oaembed.HyperParams(dim=2, seed=s)\noaembed.HyperParams(dim=2, no_such=1)\n"
+           "oaembed.fit(net, hp, extra)\noaembed.fit(*args, hp=hp)\n"
+           "oaembed.evaluate_all(net, r, t, **protocol, reps=2)\nother.fit(1, 2, 3)\n")
+    calls = package_calls(src)
+    assert calls == [(("core", "budget_scores"), 3, (), False),
+                     (("HyperParams",), 0, ("dim", "seed"), False),
+                     (("HyperParams",), 0, ("dim", "no_such"), False),
+                     (("fit",), 3, (), False), (("fit",), 0, ("hp",), True),
+                     (("evaluate_all",), 3, ("reps",), True)]
+    assert [binds(*call) for call in calls] == [True, True, False, False, True, True]
+
+
 @pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
 def test_every_package_name_the_benchmark_uses_resolves(path):
     missing = sorted(".".join(("oaembed",) + parts)
                      for parts in package_names(path.read_text(encoding="utf-8"))
                      if not resolves(parts))
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_package_call_the_benchmark_makes_binds(path):
+    # a missing name is the test above's failure; this one checks the arguments
+    unbound = sorted(f"oaembed.{'.'.join(parts)}: {n} positional, keywords {list(kws)}"
+                     for parts, n, kws, unpacks in
+                     package_calls(path.read_text(encoding="utf-8"))
+                     if resolves(parts) and not binds(parts, n, kws, unpacks))
+    assert unbound == []

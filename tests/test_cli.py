@@ -190,6 +190,25 @@ def test_embed_threads_option_removed_exits_2(seeded, tmp_path):
     assert "--threads" in stderr
 
 
+@pytest.mark.parametrize("flag,value", [("loss-tol", "1e-4"), ("score-floor", "1e-9")])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_embed_stop_rule_and_floor_options_removed_exit_2(seeded, tmp_path, flag, value,
+                                                          via_config):
+    # a fit always runs its --iters rounds at the fixed score floor
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={value}\n")
+        given = ["--config", str(cfg)]
+    else:
+        given = [f"--{flag}", value]
+    code, _, stderr = run_cli("embed", "--edges", seeded["edges"], "--attrs", seeded["attrs"],
+                              "--labels", seeded["labels"], "--out", str(tmp_path / "x"),
+                              "--iters", "1", *given)
+    assert code == 2
+    assert flag in stderr
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_input_exits_1(tmp_path):
     code, _, stderr = run_cli("embed", "--edges", "/nonexistent/edges.txt",
                               "--attrs", "/nonexistent/attrs.txt",
@@ -482,8 +501,7 @@ SURFACE = {
              "fraction": "0.1", "band": "0.2", "seed": "3"},
     "embed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o", "k": "4",
               "iters": "2", "attr-weight": "0.5", "dis-weight": "0.5", "budget": "2",
-              "score-floor": "1e-9", "combine-weights": "0.2,0.3,0.5", "loss-tol": "1e-4",
-              "init-iters": "30", "seed": "3"},
+              "combine-weights": "0.2,0.3,0.5", "init-iters": "30", "seed": "3"},
     "rank-outliers": {"scores": "s.tsv", "out": "o", "weights": "0,1,0"},
     "evaluate": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "embedding": "m.tsv",
                  "scores": "s.tsv", "truth": "t.tsv", "out": "o", "splits": "10:30:10",

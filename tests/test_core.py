@@ -529,12 +529,11 @@ def test_final_outlier_score_attribute_emphasis_changes_ranking():
 def test_hyperparams_validation():
     for kwargs in ({"dim": 0}, {"dim": 2, "attr_weight": 0.0},
                    {"dim": 2, "dis_weight": -1.0}, {"dim": 2, "budget": 0.0},
-                   {"dim": 2, "iters": 0}, {"dim": 2, "score_floor": 0.0},
-                   {"dim": 2, "score_floor": 0.1},
+                   {"dim": 2, "iters": 0},
                    {"dim": 2, "combine_weights": (0.5, 0.5, 0.5)},
                    {"dim": 2, "combine_weights": (-0.1, 0.6, 0.5)},
                    {"dim": 2, "combine_weights": (math.nan, 0.5, 0.5)},
-                   {"dim": 2, "init_iters": 0}, {"dim": 2, "loss_tol": 0.0},
+                   {"dim": 2, "init_iters": 0},
                    {"dim": 2, "attr_weight": math.inf},
                    {"dim": 2, "dis_weight": math.inf}):
         with pytest.raises(ConfigError):
@@ -591,13 +590,21 @@ def test_fit_single_node():
     assert result.loss_trace[-1] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_fit_early_stop():
+def test_fit_records_one_loss_per_round():
     rng = make_rng(22)
     net = rand_network(rng, 12, 6)
-    _, _, result, _ = fit(net, HyperParams(dim=2, loss_tol=10.0))
-    assert len(result.loss_trace) == 1
-    _, _, full, _ = fit(net, HyperParams(dim=2, loss_tol=1e-15))
-    assert len(full.loss_trace) >= 1
+    for iters in (1, 2, 7):
+        _, _, result, diag = fit(net, HyperParams(dim=2, iters=iters))
+        assert len(result.loss_trace) == iters
+        trace = [diag.initial_loss, *result.loss_trace]
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur <= prev + 1e-9 * abs(prev)
+
+
+@pytest.mark.parametrize("name", ["loss_tol", "score_floor"])
+def test_hyperparams_has_no_stop_rule_or_floor_option(name):
+    with pytest.raises(TypeError):
+        HyperParams(dim=2, **{name: 1e-4})
 
 
 def test_fit_zero_adjacency_falls_back_with_note():

@@ -493,6 +493,15 @@ def test_evaluate_all_rejects_fractional_and_repeated_splits():
     assert whole.config["splits"] == [30]
 
 
+def test_evaluate_all_rejects_an_empty_split_schedule():
+    # an empty schedule would return a report with no f1 entries at all
+    net = synth_network(63, 3, 0.2, 0.02, 10, 0.9, seed=20)
+    result = one_hot_result(net, [4])
+    for splits in ((), []):
+        with pytest.raises(ValueError, match="splits"):
+            evaluate_all(net, result, [4], splits=splits, reps=1)
+
+
 def test_evaluate_all_validation():
     net = synth_network(50, 2, 0.2, 0.02, 10, 0.9, seed=13)
     result = one_hot_result(net, [1])
