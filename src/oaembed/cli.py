@@ -21,13 +21,14 @@ import argparse
 import inspect
 import os
 import sys
+from itertools import chain
 
 from . import __version__
 from .core import HyperParams, check_combine_weights, default_dim, final_outlier_score, fit
 from .errors import ConfigError, NumericError, ParseError
 from .evaluation import evaluate_all, rank_nodes
-from .network import (EmbeddingResult, _data_lines, load_embedding_tsv, load_network,
-                      load_scores_tsv, save_network, save_result)
+from .network import (EmbeddingResult, _data_lines, _write_lines, load_embedding_tsv,
+                      load_network, load_scores_tsv, save_network, save_result)
 from .seeding import SeedingPlan, save_truth, seed_outliers, load_truth
 
 
@@ -107,11 +108,8 @@ def cmd_embed(edges, attrs, out, labels=None, **params) -> int:
 def cmd_rank_outliers(scores, out, weights=None) -> int:
     names, _comps, combined = _load_scores(scores, weights)
     order = rank_nodes(combined)
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "ranked.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank\tnode\tscore\n")
-        for rank, i in enumerate(order, 1):
-            fh.write(f"{rank}\t{names[i]}\t{float(combined[i])!r}\n")
+    _write_lines(os.path.join(out, "ranked.tsv"), chain(["rank\tnode\tscore"], (
+        f"{rank}\t{names[i]}\t{float(combined[i])!r}" for rank, i in enumerate(order, 1))))
     print(f"ranked\t{len(order)}")
     return 0
 
@@ -138,10 +136,8 @@ def cmd_evaluate(edges, attrs, labels, embedding, scores, truth, out, weights=No
                              component_scores=comps, loss_trace=[],
                              node_names=net.node_names)
     report = evaluate_all(net, result, truth_ids, **protocol)
-    os.makedirs(out, exist_ok=True)
     for name, text in (("report.json", report.to_json()), ("report.tsv", report.to_tsv())):
-        with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_lines(os.path.join(out, name), text.splitlines())
     print(report.to_tsv(), end="")
     return 0
 

@@ -355,12 +355,12 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     Initializes the factor pairs by accelerated nonnegative multiplicative
     updates on the adjacency and attribute matrices (numerics.nmf_init:
     init_iters updates per factor, rounded up to passes of 3 that share one
-    product with the matrix), starts with uniform scores, calibrates
-    the loss weights if unset, then runs `iters` rounds of: align update,
-    factor sweeps (struct_embed, struct_context, attr_embed, attr_basis, each
-    consuming the others' latest values), then one residual pass that yields
-    both the new scores (floored at 1e-8) and the round's joint loss. Exactly
-    `iters` rounds run, so loss_trace holds `iters` non-increasing losses.
+    product with the matrix), starts with uniform scores and their align,
+    calibrates the loss weights if unset, then runs exactly `iters` rounds of:
+    align update (from round 2 on), sweeps of struct_embed, struct_context,
+    attr_embed and attr_basis, each consuming the others' latest values, and
+    one residual pass that yields both the new scores (floored at 1e-8) and
+    the round's joint loss. So loss_trace holds `iters` non-increasing losses.
 
     The CSR attributes are never densified, and net is not changed.
 
@@ -411,8 +411,9 @@ def fit(net: AttributedNetwork, hp: HyperParams):
 
     trace: list[float] = []
     for round_no in range(1, hp.iters + 1):
-        model.align = update_alignment(model, scores)
-        _check_finite(model.align, "align update", round_no)
+        if round_no > 1:  # round 1 would recompute the calibration's align
+            model.align = update_alignment(model, scores)
+            _check_finite(model.align, "align update", round_no)
         model.struct_embed = update_struct_embed(adj, model, scores, dis_weight,
                                                  diagnostics.skipped)
         _check_finite(model.struct_embed, "struct_embed update", round_no)

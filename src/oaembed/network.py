@@ -17,12 +17,19 @@ attributes.
 Label file: ``<node_id> <class_name>`` per line, one line per node. Class
 names are mapped to dense integer ids in sorted-name order.
 
-All output TSVs are UTF-8 with a header row; floats are written with repr()
-so a save/load round trip is bit-exact.
+Output rule: every file the package writes goes through _write_lines, which
+creates its directory and writes UTF-8 lines ending in '\n'; floats are
+written with repr(), so a save/load round trip is bit-exact. The ten files:
+edges.txt, attributes.txt and labels.txt in the grammars above; outliers.tsv,
+``<node_id> <kind>`` per planted node in planting order; embedding.tsv and
+scores.tsv, a ``node`` header and one row of floats per node; loss.tsv
+(``iteration loss``); ranked.tsv (``rank node score``, most outlying first);
+report.json and report.tsv, EvalReport.to_json() and to_tsv().
 """
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -144,6 +151,15 @@ def _data_lines(path: str):
                     yield lineno, line
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path) from exc
+
+
+def _write_lines(path: str, lines) -> str:
+    """The one output rule (module docstring): create path's directory, then
+    write each line of the iterable with a '\\n' ending. Returns path."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    return path
 
 
 def _parse_attributes(path: str):
@@ -292,6 +308,15 @@ def _parse_labels(path: str, index: dict[str, int]):
     return labels, label_names
 
 
+def _undirected_csr(i, j, w, n: int) -> sp.csr_matrix:
+    """The one undirected-edge rule: n x n CSR that stores each pair (i[t], j[t])
+    of weight w[t] both ways and a self-loop once; list each pair once."""
+    off = i != j
+    return sp.csr_matrix((np.concatenate([w, w[off]]),
+                          (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
+                         shape=(n, n))
+
+
 def load_network(edge_path: str, attr_path: str, label_path: str | None = None) -> AttributedNetwork:
     """Load an attributed network from edge, attribute, and optional label files.
 
@@ -303,13 +328,10 @@ def load_network(edge_path: str, attr_path: str, label_path: str | None = None) 
     directed, edges = _parse_edges(edge_path, index)
 
     n = len(names)
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    data = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
-    if not directed:  # each off-diagonal pair is stored once; mirror it
-        off = pairs[:, 0] != pairs[:, 1]
-        pairs = np.concatenate([pairs, pairs[off, ::-1]])
-        data = np.concatenate([data, data[off]])
-    adj = sp.csr_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    i, j = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    w = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    adj = (sp.csr_matrix((w, (i, j)), shape=(n, n)) if directed
+           else _undirected_csr(i, j, w, n))
 
     labels = label_names = None
     if label_path is not None:
@@ -330,37 +352,24 @@ def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
     """
     if net.labels is not None:
         _check_names(net.label_names, None, "label name")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {"edges": os.path.join(out_dir, "edges.txt"),
-             "attributes": os.path.join(out_dir, "attributes.txt")}
-
+    names, attrs = net.node_names, net.attributes
+    bounds = attrs.indptr.tolist()
     # canonical CSR lists each row's columns in ascending order, so the edges
     # come out sorted by (src, dst); undirected pairs are written once, i <= j
     edges = (net.adjacency if net.directed
              else sp.triu(net.adjacency, format="csr")).tocoo()
-    with open(paths["edges"], "w", encoding="utf-8", newline="\n") as fh:
-        if net.directed:
-            fh.write("%directed\n")
-        for i, j, w in zip(edges.row.tolist(), edges.col.tolist(), edges.data.tolist()):
-            line = f"{net.node_names[i]} {net.node_names[j]}"
-            if w != 1.0:
-                line += f" {w!r}"
-            fh.write(line + "\n")
-
-    attrs = net.attributes
-    bounds = attrs.indptr.tolist()
-    with open(paths["attributes"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"%dim {net.n_attrs}\n")
-        for name, lo, hi in zip(net.node_names, bounds, bounds[1:]):
-            toks = [name] + [f"{j}:{v!r}" for j, v in zip(attrs.indices[lo:hi].tolist(),
-                                                          attrs.data[lo:hi].tolist())]
-            fh.write(" ".join(toks) + "\n")
-
+    edge_lines = (f"{names[i]} {names[j]}" + (f" {w!r}" if w != 1.0 else "")
+                  for i, j, w in zip(edges.row.tolist(), edges.col.tolist(), edges.data.tolist()))
+    attr_lines = (" ".join([name] + [f"{j}:{v!r}" for j, v in zip(attrs.indices[lo:hi].tolist(),
+                                                                  attrs.data[lo:hi].tolist())])
+                  for name, lo, hi in zip(names, bounds, bounds[1:]))
+    paths = {"edges": _write_lines(os.path.join(out_dir, "edges.txt"),
+                                   chain(["%directed"] if net.directed else [], edge_lines)),
+             "attributes": _write_lines(os.path.join(out_dir, "attributes.txt"),
+                                        chain([f"%dim {net.n_attrs}"], attr_lines))}
     if net.labels is not None:
-        paths["labels"] = os.path.join(out_dir, "labels.txt")
-        with open(paths["labels"], "w", encoding="utf-8", newline="\n") as fh:
-            for i, name in enumerate(net.node_names):
-                fh.write(f"{name} {net.label_names[net.labels[i]]}\n")
+        paths["labels"] = _write_lines(os.path.join(out_dir, "labels.txt"), (
+            f"{name} {net.label_names[c]}" for name, c in zip(names, net.labels.tolist())))
     return paths
 
 
@@ -398,42 +407,32 @@ class EmbeddingResult:
 
 
 def save_result(result: EmbeddingResult, out_dir: str) -> dict[str, str]:
-    """Write embedding.tsv, scores.tsv, and loss.tsv under out_dir.
+    """Write embedding.tsv, scores.tsv, and loss.tsv under out_dir;
+    load_embedding_tsv and load_scores_tsv read the first two back bit-exactly."""
+    names, k = result.node_names, result.embedding.shape[1]
+    scores = np.column_stack([result.component_scores, result.outlier_scores])
+    losses = (f"{t}\t{v!r}" for t, v in enumerate(result.loss_trace, 1))
+    return {"embedding": _save_float_tsv(os.path.join(out_dir, "embedding.tsv"), names,
+                                         [f"dim{j}" for j in range(k)], result.embedding),
+            "scores": _save_float_tsv(os.path.join(out_dir, "scores.tsv"), names,
+                                      SCORE_COLUMNS, scores),
+            "loss": _write_lines(os.path.join(out_dir, "loss.tsv"),
+                                 chain(["iteration\tloss"], losses))}
 
-    Floats are repr()-formatted, so they parse back bit-exactly:
-    load_embedding_tsv and load_scores_tsv read the first two files.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {"embedding": os.path.join(out_dir, "embedding.tsv"),
-             "scores": os.path.join(out_dir, "scores.tsv"),
-             "loss": os.path.join(out_dir, "loss.tsv")}
 
-    k = result.embedding.shape[1]
-    with open(paths["embedding"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node\t" + "\t".join(f"dim{j}" for j in range(k)) + "\n")
-        for i, name in enumerate(result.node_names):
-            fh.write(name + "\t" + "\t".join(repr(float(v)) for v in result.embedding[i]) + "\n")
-
-    with open(paths["scores"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node\t" + "\t".join(SCORE_COLUMNS) + "\n")
-        for i, name in enumerate(result.node_names):
-            vals = [*result.component_scores[i], result.outlier_scores[i]]
-            fh.write(name + "\t" + "\t".join(repr(float(v)) for v in vals) + "\n")
-
-    with open(paths["loss"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration\tloss\n")
-        for t, v in enumerate(result.loss_trace, 1):
-            fh.write(f"{t}\t{v!r}\n")
-    return paths
+def _save_float_tsv(path: str, names, columns, values: np.ndarray) -> str:
+    """Write a 'node' header and one row of floats per node: _load_float_tsv's inverse."""
+    rows = (name + "\t" + "\t".join(map(repr, row.tolist())) for name, row in zip(names, values))
+    return _write_lines(path, chain(["node\t" + "\t".join(columns)], rows))
 
 
 def _load_float_tsv(path: str, columns: tuple[str, ...] | None = None):
     """Read a TSV whose header is 'node' and then float columns (exactly
     `columns`, when given) into (node names, N x C float array). A header
-    that does not fit, a row of the wrong length or a cell that is not a
-    finite float raises ParseError."""
+    that does not fit, a row of the wrong length, a second row for a node or
+    a cell that is not a finite float raises ParseError."""
     header = None
-    rows = []
+    rows = {}  # node name -> its value cells
     for lineno, line in _data_lines(path):
         cells = line.split("\t")
         if header is None:
@@ -444,13 +443,15 @@ def _load_float_tsv(path: str, columns: tuple[str, ...] | None = None):
         elif len(cells) != len(header):
             raise ParseError(f"row has {len(cells)} cells, header has {len(header)}",
                              path, lineno)
+        elif cells[0] in rows:
+            raise ParseError(f"duplicate row for node {cells[0]!r}", path, lineno)
         else:
-            rows.append(cells)
+            rows[cells[0]] = cells[1:]
     if header is None:
         raise ParseError("empty TSV", path)
-    names = [r[0] for r in rows]
+    names = list(rows)
     try:
-        vals = np.array([[float(c) for c in r[1:]] for r in rows])
+        vals = np.array([[float(c) for c in r] for r in rows.values()])
     except ValueError:
         raise ParseError("bad float cell", path) from None
     vals = vals.reshape(len(rows), len(header) - 1)  # also when there are no rows

@@ -17,14 +17,13 @@ node once, in planting order, and derives the per-kind id lists from that.
 
 import copy
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParseError
-from .network import AttributedNetwork, _data_lines
+from .network import AttributedNetwork, _data_lines, _undirected_csr, _write_lines
 from .numerics import Handoff, check_integer, make_rng, named_rng
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
@@ -257,11 +256,9 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
     new_ids = np.arange(n0, n0 + total)
     edge_new = np.repeat(new_ids, [p.neighbors.size for p in planted])
     edge_old = np.concatenate([p.neighbors for p in planted])
-    coo = net.adjacency.tocoo()
-    adj = sp.csr_matrix((np.concatenate([coo.data, np.ones(2 * edge_old.size)]),
-                         (np.concatenate([coo.row, edge_new, edge_old]),
-                          np.concatenate([coo.col, edge_old, edge_new]))),
-                        shape=(n0 + total, n0 + total))
+    adj = net.adjacency.copy()  # the planted pairs are new entries, added to a resized copy
+    adj.resize(n0 + total, n0 + total)
+    adj = adj + _undirected_csr(edge_new, edge_old, np.ones(edge_old.size), n0 + total)
     planted_rows = sp.csr_matrix(
         (np.concatenate([p.attr_values for p in planted]),
          np.concatenate([p.attr_indices for p in planted]),
@@ -287,13 +284,9 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
 
 
 def save_truth(seeded: SeededDataset, path: str):
-    """Write `<node_id> <kind>` lines for every planted outlier, in planting
-    order."""
+    """Write `<node_id> <kind>` lines for every planted outlier, in planting order."""
     names = [seeded.network.node_names[i] for i in seeded.outlier_ids]
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for name, p in zip(names, seeded.planted):
-            fh.write(f"{name} {p.kind}\n")
+    _write_lines(path, (f"{name} {p.kind}" for name, p in zip(names, seeded.planted)))
 
 
 def load_truth(path: str) -> list[tuple[str, str]]:
@@ -381,9 +374,7 @@ def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
             ei.append(starts[a] + i)
             ej.append(starts[b] + j)
     ei, ej = np.concatenate(ei), np.concatenate(ej)
-    adj = sp.csr_matrix((np.ones(2 * ei.size),
-                         (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-                        shape=(n_nodes, n_nodes))
+    adj = _undirected_csr(ei, ej, np.ones(ei.size), n_nodes)
 
     block = n_attrs // n_classes
     lo_cnt = max(2, block // 3)

@@ -614,6 +614,18 @@ def test_rank_outliers_non_finite_score_exits_1(embedded, tmp_path, column, cell
     assert not (out / "ranked.tsv").exists()
 
 
+def test_rank_outliers_duplicate_node_row_exits_1(embedded, tmp_path):
+    lines = Path(embedded["scores"]).read_text(encoding="utf-8").splitlines()
+    node = lines[3].split("\t", 1)[0]
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("\n".join(lines + [lines[3]]) + "\n", encoding="utf-8")
+    out = tmp_path / "rank"
+    code, _, stderr = run_cli("rank-outliers", "--scores", str(scores), "--out", str(out))
+    assert code == 1
+    assert f"duplicate row for node {node!r}" in stderr and str(scores) in stderr
+    assert not (out / "ranked.tsv").exists()
+
+
 def test_ambiguous_abbreviation_is_not_read_as_a_config_file(tmp_path):
     code, _, stderr = run_cli("embed", "--co", "0.2,0.3,0.5", "--edges", "e.txt",
                               "--attrs", "a.txt", "--out", str(tmp_path / "x"))

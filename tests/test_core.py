@@ -601,6 +601,17 @@ def test_fit_records_one_loss_per_round():
             assert cur <= prev + 1e-9 * abs(prev)
 
 
+@pytest.mark.parametrize("iters", [1, 3])
+def test_fit_updates_the_alignment_once_per_round(monkeypatch, iters):
+    # the alignment for calibration serves round 1, whose scores are still uniform
+    calls = []
+    monkeypatch.setattr("oaembed.core.update_alignment",
+                        lambda *a: calls.append(1) or update_alignment(*a))
+    net = rand_network(make_rng(23), 12, 6)
+    fit(net, HyperParams(dim=2, iters=iters))
+    assert len(calls) == iters
+
+
 @pytest.mark.parametrize("name", ["loss_tol", "score_floor"])
 def test_hyperparams_has_no_stop_rule_or_floor_option(name):
     with pytest.raises(TypeError):

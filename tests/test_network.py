@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from helpers import joint_loss, rand_network, to_dense
 from oaembed.core import HyperParams, fit
 from oaembed.errors import ParseError
-from oaembed.network import (AttributedNetwork, EmbeddingResult, load_embedding_tsv,
-                             load_network, load_scores_tsv, save_network, save_result)
+from oaembed.network import (AttributedNetwork, EmbeddingResult, _undirected_csr, _write_lines,
+                             load_embedding_tsv, load_network, load_scores_tsv, save_network,
+                             save_result)
 from oaembed.numerics import make_rng
 from oaembed.seeding import (SeededDataset, SeedingPlan, _ClassStats, save_truth,
                              seed_outliers, synth_network)
@@ -499,6 +500,19 @@ def test_result_loaders_reject_non_finite_cells(tmp_path, name, loader, cell):
         loader(str(path))
 
 
+@pytest.mark.parametrize("name,loader", [("embedding.tsv", load_embedding_tsv),
+                                         ("scores.tsv", load_scores_tsv)])
+def test_result_loaders_reject_duplicate_node_rows(tmp_path, name, loader):
+    save_result(make_result(make_rng(5), 4, 2), str(tmp_path))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines.append("v1\t" + lines[1].split("\t", 1)[1])  # a second row for node v1
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="duplicate row for node 'v1'") as err:
+        loader(str(path))
+    assert err.value.lineno == 6
+
+
 def test_result_loaders_read_a_header_only_file(tmp_path):
     (tmp_path / "embedding.tsv").write_text("node\tdim0\tdim1\n")
     names, emb = load_embedding_tsv(str(tmp_path / "embedding.tsv"))
@@ -531,3 +545,29 @@ def test_citation_corpus_scale(tmp_path):
     assert net.n_edges == target
     assert net.n_attrs == d
     assert net.n_classes == 3
+
+
+def test_write_lines_creates_the_directory_and_ends_every_line_in_a_newline(tmp_path):
+    path = tmp_path / "a" / "b" / "out.tsv"
+    assert _write_lines(str(path), (line for line in ["x\ty", "é"])) == str(path)
+    assert path.read_bytes() == b"x\ty\n\xc3\xa9\n"
+    _write_lines(str(path), [])
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("i,j,w,n", [
+    ([0, 2, 1], [1, 0, 3], [1.0, 2.5, 0.25], 4),    # weighted pairs, both orientations
+    ([1, 0], [1, 2], [3.5, 1.0], 3),                # a weighted self-loop, stored once
+    ([0, 1], [1, 2], [1.0, 1.0], 5),                # isolated last nodes
+    ([], [], [], 3),                                # no pairs at all
+])
+def test_undirected_csr_matches_a_dense_symmetric_reference(i, j, w, n):
+    ref = np.zeros((n, n))
+    for a, b, x in zip(i, j, w):
+        ref[a, b] = ref[b, a] = x
+    adj = _undirected_csr(np.array(i, dtype=np.int64), np.array(j, dtype=np.int64),
+                          np.array(w, dtype=np.float64), n)
+    assert isinstance(adj, sp.csr_matrix) and adj.shape == (n, n)
+    assert adj.has_canonical_format
+    assert adj.nnz == np.count_nonzero(ref)  # a self-loop is one entry
+    assert np.array_equal(adj.toarray(), ref)

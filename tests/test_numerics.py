@@ -313,6 +313,50 @@ def test_package_never_densifies_sparse_matrices():
     assert calls == []
 
 
+def _file_calls(tree, module: str):
+    """(module, enclosing function, call kind) for every call that opens a
+    file (kind 'read' or 'write'; a mode that is not a constant counts as
+    'write') or writes through pathlib or creates a directory."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                reads = isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+")
+                found.append((module, func, "read" if reads else "write"))
+            elif name in ("makedirs", "mkdir", "write_text", "write_bytes"):
+                found.append((module, func, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_package_writes_files_only_through_write_lines():
+    # one output rule (encoding, line endings, directory creation) for every file
+    calls = [call for path in sorted(Path(oaembed.__file__).parent.glob("*.py"))
+             for call in _file_calls(ast.parse(path.read_text()), path.name)]
+    assert ("network.py", "_data_lines", "read") in calls  # the scanner sees open()
+    assert [c for c in calls if c[2] != "read"] == [("network.py", "_write_lines", "makedirs"),
+                                                     ("network.py", "_write_lines", "write")]
+
+
+def test_file_call_scanner_flags_every_way_to_write():
+    tree = ast.parse(
+        "def f(p, m):\n"
+        "    open(p)\n    open(p, 'rb')\n    open(p, encoding='utf-8')\n"
+        "    open(p, 'w')\n    open(p, mode='a')\n    open(p, 'r+')\n    open(p, m)\n"
+        "    os.makedirs(p)\n    p.mkdir()\n    p.write_text('x')\n")
+    kinds = [kind for _, func, kind in _file_calls(tree, "m.py") if func == "f"]
+    assert kinds == ["read"] * 3 + ["write"] * 4 + ["makedirs", "mkdir", "write_text"]
+
+
 def test_package_modules_have_no_unused_imports():
     # deletions tend to leave imports behind; __init__.py re-exports on purpose
     unused = []

@@ -661,3 +661,18 @@ def test_load_truth_rejects_malformed(tmp_path):
         load_truth(str(unknown))
     with pytest.raises(ParseError):
         load_truth(str(tmp_path / "missing.tsv"))
+
+
+def test_seed_outliers_keeps_the_input_adjacency_on_the_original_block():
+    net = synth_network(300, 3, 0.05, 0.005, 120, 0.9, seed=4)
+    weights = net.adjacency.copy()
+    weights.data = make_rng(4).uniform(0.5, 2.0, size=weights.nnz)
+    weights = (weights + weights.T) / 2 + sp.diags(np.r_[1.5, np.zeros(299)], format="csr")
+    net = AttributedNetwork(adjacency=weights, attributes=net.attributes, labels=net.labels)
+    seeded = seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=4))
+    n0, adj = net.n_nodes, seeded.network.adjacency
+    block = adj[:n0, :n0]
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(block, attr), getattr(net.adjacency, attr))
+    assert adj[n0:, n0:].nnz == 0
+    assert np.array_equal(adj[n0:, :n0].toarray(), adj[:n0, n0:].toarray().T)
