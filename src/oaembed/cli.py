@@ -172,7 +172,6 @@ _SUBCOMMANDS = {
         "iters": {"type": int, "help": "optimization rounds"},
         "attr-weight": {"type": float, "help": "attribute loss weight (default: calibrated)"},
         "dis-weight": {"type": float, "help": "disagreement loss weight (default: calibrated)"},
-        "budget": {"type": float, "help": "total outlier-score budget"},
         "combine-weights": {"type": _parse_weights, "help": "w1,w2,w3 for the combined score"},
         "init-iters": {"type": int, "help": "initialization updates per factor, in passes "
                                             "of 3, rounded up"},

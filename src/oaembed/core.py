@@ -4,10 +4,10 @@ The model approximates the adjacency A (N x N) by struct_embed @ struct_context,
 the attribute matrix C (N x D) by attr_embed @ attr_basis, and couples the two
 node embeddings through an orthogonal K x K map: struct_embed row i should
 match attr_embed row i times align.T. Each of the three squared-error terms
-weights node i by log(1 / score_i), where the per-node scores are positive,
-bounded by 1, and sum to a fixed budget. A node that soaks up budget (score
-near 1) has weight near 0, so a poorly fitting node can be discounted instead
-of distorting the factors; the scores themselves are the outlier signal.
+weights node i by log(1 / score_i), where each score vector sums to 1, as in
+the paper, with entries in [1e-8, 1). A node with a large score has weight
+near 0, so a poorly fitting node can be discounted instead of distorting the
+factors; the scores themselves are the outlier signal.
 
 The joint objective is
 
@@ -21,8 +21,8 @@ the form sum_t sum_i a_t[i] ||T_t[i] - x[i] B_t||^2, so all four factor
 updates run one shared kernel, _cd_sweep: an exact Gauss-Seidel sweep over
 the columns of x. G and U pass two terms (their reconstruction and the
 alignment); H and V pass one, swept on their transposes. Align is the exact
-Procrustes minimizer and the scores the exact budget-rule minimizer, so a
-full round never increases the objective.
+Procrustes minimizer and the scores their exact closed form (proportional to
+the residuals, floored at 1e-8), so a full round never increases the objective.
 
 Every loss takes one path: _residuals gives the three per-node squared
 residual vectors, _loss_terms weights them by log(1 / score) and _joint sums
@@ -60,10 +60,10 @@ def check_combine_weights(w, name: str = "combine_weights"):
 class HyperParams:
     """Knobs for fit(). attr_weight and dis_weight default to None, meaning
     'calibrate so the three loss terms start equal'. dim is the embedding
-    width K; budget is the fixed sum of each score vector. dim, iters,
-    init_iters and seed must be Python or numpy integers (bool and float
-    values are rejected, not truncated). A fit runs exactly iters rounds,
-    with every score floored at 1e-8. init_iters is the number of
+    width K. dim, iters, init_iters and seed must be Python or numpy integers
+    (bool and float values are rejected, not truncated). A fit runs exactly
+    iters rounds; each score vector sums to 1, the paper's constraint, with
+    every score in [1e-8, 1). init_iters is the number of
     multiplicative updates per factor in each initialization, rounded up to
     a multiple of 3: one pass applies 3 updates that share one product with
     the input matrix (the default 200 runs 67 passes)."""
@@ -71,7 +71,6 @@ class HyperParams:
     dim: int
     attr_weight: float | None = None
     dis_weight: float | None = None
-    budget: float = 1.0
     iters: int = 5
     combine_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
     seed: int = 0
@@ -86,8 +85,6 @@ class HyperParams:
             v = getattr(self, name)
             if v is not None and not 0 < v < np.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {v}")
-        if not self.budget > 0:
-            raise ConfigError(f"budget must be > 0, got {self.budget}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         check_combine_weights(self.combine_weights)
@@ -108,7 +105,7 @@ class FactorModel:
 
 @dataclass
 class OutlierScores:
-    """Per-node score vectors; each sums to the budget, entries in (0, 1]."""
+    """Per-node score vectors; each sums to 1, entries in [1e-8, 1) for N >= 2."""
 
     structural: np.ndarray
     attribute: np.ndarray
@@ -256,17 +253,15 @@ def update_alignment(model: FactorModel, scores: OutlierScores) -> np.ndarray:
 
 def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndarray:
     """Exact minimizer of sum_i log(1/s_i) r_i over {s : sum s = budget,
-    floor <= s <= 1}.
+    s >= floor} for a budget in [N * floor, 1]. fit passes 1, the paper's
+    constraint, so for N >= 2 every score lies in [floor, 1).
 
-    The stationarity condition gives s_i = clip(r_i / lam, floor, 1) for a
-    multiplier lam chosen so the scores sum to the budget; with the default
-    budget of 1 this is simply s proportional to r with small entries pinned
-    at the floor. The score sum is piecewise linear in 1/lam between the
-    breakpoints r_i and r_i / floor, so water-filling over the sorted
-    residuals finds the segment holding lam in O(N log N), without iterating;
-    its free entries are then scaled to sum to their share of the budget to
-    machine precision. All-zero residuals yield the uniform budget/N split,
-    with a warning.
+    Stationarity gives s_i = max(r_i / lam, floor): each score is proportional
+    to its residual, with small ones pinned at the floor. One sort finds the
+    free scores, without iterating, and they are scaled to sum to their share
+    of the budget to machine precision. A lone score is the budget; at budget
+    N * floor every score is the floor. All-zero residuals yield the uniform
+    budget/N split, with a warning.
     """
     r = np.asarray(residuals, dtype=np.float64)
     if r.ndim != 1 or r.size == 0:
@@ -274,8 +269,8 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     if not np.isfinite(r).all() or (r < 0).any():
         raise ValueError("residuals must be finite and nonnegative")
     n = r.size
-    if not floor * n <= budget <= n:
-        raise ValueError(f"budget {budget} infeasible for {n} scores with floor {floor}")
+    if not floor * n <= budget <= 1:
+        raise ValueError(f"budget {budget} outside [{n} * floor, 1] for floor {floor}")
     # the scores depend on r only up to scale: if the residual sum could
     # overflow, shift r down by an exact power of two
     shift = np.frexp(r.max())[1] + n.bit_length() - 1023
@@ -284,43 +279,20 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     if r.sum() < _ZERO_RESIDUAL:
         warnings.warn("all residuals are zero; returning uniform scores", stacklevel=2)
         return np.full(n, budget / n)
+    if budget == floor * n:  # the one feasible point
+        return np.full(n, floor)
+    if n == 1:
+        return np.array([budget])
 
-    pos = r > 0
-    n_pos = int(pos.sum())
-    n_zero = n - n_pos
-    # zero-residual entries contribute nothing to the objective; they sit at
-    # the floor unless the budget cannot be spent without them
-    cap = n_pos + floor * n_zero
-    if budget >= cap:
-        zero_val = (budget - n_pos) / n_zero if n_zero else floor
-        return np.where(pos, 1.0, zero_val)
-
-    # the score sum f at every breakpoint, from counts and prefix sums of the
-    # sorted residuals; lam = rs[k] / floor overflows for huge residuals, so
-    # it is never formed: r > lam is tested as floor * r > rs[k]
-    rs = np.sort(r[pos])
-    fs = floor * rs
-    csum = np.concatenate(([0.0], np.cumsum(rs)))
-
-    def last_reached(below, floored, scale):
-        # below = #{r < lam}, floored = #{r <= floor * lam} among positive r;
-        # index of the largest breakpoint with f(lam) >= budget, or -1
-        f = n_pos - below + floor * (floored + n_zero) + scale * (csum[below] - csum[floored]) / rs
-        return np.count_nonzero(f >= budget) - 1
-
-    j = last_reached(np.searchsorted(rs, rs), np.searchsorted(rs, fs, "right"), 1.0)
-    k = last_reached(np.searchsorted(fs, rs), np.searchsorted(rs, rs, "right"), floor)
-    # lam lies just above max(rs[j], rs[k] / floor); j >= 0 since f(rs[0]) = cap
-    if k >= 0 and rs[k] >= fs[j]:
-        hi, lo = floor * r > rs[k], r <= rs[k]
-    else:
-        hi, lo = r > rs[j], r <= fs[j]
-    free = ~(hi | lo)
-    s = np.where(hi, 1.0, floor)
-    budget_free = budget - hi.sum() - floor * lo.sum()
-    total_free = r[free].sum()
-    if free.any() and budget_free > 0 and total_free > 0:
-        s[free] = r[free] * (budget_free / total_free)
+    # the m largest residuals are free while r_(m) / lam > floor, with
+    # lam = sum_{<=m} r / (budget - floor * (N - m)); zero residuals never are
+    rs = np.sort(r)[::-1]
+    above = rs * (budget - floor * np.arange(n - 1, -1, -1)) > floor * np.cumsum(rs)
+    m = int(np.logical_and.accumulate(above).sum())
+    free = r > rs[m] if m < n else np.ones(n, dtype=bool)
+    s = np.full(n, floor)
+    if free.any():  # empty only if rounding floors a tie a few ulps above N * floor
+        s[free] = r[free] * ((budget - floor * (n - free.sum())) / r[free].sum())
     return np.clip(s, floor, 1.0)
 
 
@@ -370,9 +342,6 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     if not 1 <= hp.dim <= min(n, d):
         raise ConfigError(f"dim must be in [1, min(n_nodes, n_attrs)] = "
                           f"[1, {min(n, d)}], got {hp.dim}")
-    if not _SCORE_FLOOR * n <= hp.budget <= n:
-        raise ConfigError(f"budget {hp.budget} infeasible for {n} nodes "
-                          f"with score floor {_SCORE_FLOOR}")
     adj = net.adjacency
     attrs = net.attributes
     if (attrs.data < 0).any():
@@ -387,7 +356,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         if not np.isfinite(factor).all():
             raise NumericError(f"{what} initialization overflowed; input "
                                "magnitudes are too large for squared residuals")
-    uniform = np.full(n, hp.budget / n)
+    uniform = np.full(n, 1.0 / n)
     scores = OutlierScores(uniform.copy(), uniform.copy(), uniform.copy())
     model = FactorModel(g, h, u, v, np.eye(hp.dim))
     # the align matrix has no factorization-based start; use the Procrustes
@@ -430,7 +399,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
             _check_finite(r, f"{what} residuals", round_no)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            scores = OutlierScores(*(budget_scores(r, hp.budget, _SCORE_FLOOR)
+            scores = OutlierScores(*(budget_scores(r, 1.0, _SCORE_FLOOR)
                                      for r in residuals))
             diagnostics.notes.extend(f"round {round_no}: {c.message}" for c in caught)
         loss = _joint(_loss_terms(residuals, scores), attr_weight, dis_weight)

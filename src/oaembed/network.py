@@ -393,7 +393,9 @@ class EmbeddingResult:
 
     def __post_init__(self):
         self.embedding = as_dense(self.embedding, "embedding")
-        n = self.embedding.shape[0]
+        n, k = self.embedding.shape
+        if k == 0:
+            raise ValueError("embedding must have at least one column")
         self.outlier_scores = np.asarray(self.outlier_scores, dtype=np.float64)
         self.component_scores = as_dense(self.component_scores, "component_scores")
         if self.outlier_scores.shape != (n,):

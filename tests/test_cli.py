@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -500,7 +503,7 @@ SURFACE = {
     "seed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o",
              "fraction": "0.1", "band": "0.2", "seed": "3"},
     "embed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o", "k": "4",
-              "iters": "2", "attr-weight": "0.5", "dis-weight": "0.5", "budget": "2",
+              "iters": "2", "attr-weight": "0.5", "dis-weight": "0.5",
               "combine-weights": "0.2,0.3,0.5", "init-iters": "30", "seed": "3"},
     "rank-outliers": {"scores": "s.tsv", "out": "o", "weights": "0,1,0"},
     "evaluate": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "embedding": "m.tsv",
@@ -530,6 +533,34 @@ def test_every_flag_works_on_the_command_line_and_as_a_config_key(sub, flag, tmp
             parser.parse_args([sub, *required])
     else:  # the flag sets one value; an option not given is not passed on
         assert len(given) == len(vars(parser.parse_args([sub, *required]))) + 1
+
+
+@pytest.mark.parametrize("sub,lib", [("embed", HyperParams), ("seed", SeedingPlan)])
+def test_library_fields_and_options_are_one_to_one(sub, lib):
+    # every field has exactly one option and every option not named by the
+    # handler sets a field, so deleting either side alone fails here
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in subparsers.choices[sub]._actions if a.dest not in ("help", "config")]
+    handler = cli._SUBCOMMANDS[sub][1]
+    own = [p.name for p in inspect.signature(handler).parameters.values()
+           if p.kind is not p.VAR_KEYWORD]
+    assert len(dests) == len(set(dests))
+    assert sorted(dests) == sorted(own + [f.name for f in dataclasses.fields(lib)])
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_embed_has_no_budget_option(dataset, tmp_path, how):
+    # each score vector sums to 1, as in the paper
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget=1\n")
+    given = ["--budget", "1"] if how == "flag" else ["--config", str(cfg)]
+    code, _, stderr = run_cli("embed", *given, "--edges", dataset["edges"],
+                              "--attrs", dataset["attributes"], "--labels", dataset["labels"],
+                              "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "budget" in stderr
+    assert not (tmp_path / "x").exists()
 
 
 def test_required_options_alone_run_the_library_defaults(dataset, tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (fd_check_sweep, joint_loss, naive_loss_disagreement, naive_update_attr_basis,
                      naive_update_attr_embed, naive_update_struct_context,
@@ -392,11 +395,23 @@ def test_budget_scores_all_zero_residuals_warns_uniform():
     assert np.allclose(got, 0.25)
 
 
-def test_budget_scores_saturation_branch():
-    got = budget_scores(np.array([3.0, 0.0]), 1.5, 1e-8)
-    assert np.allclose(got, [1.0, 0.5])
-    got = budget_scores(np.array([2.0, 1.0, 1.0]), 3.0, 1e-8)
-    assert np.allclose(got, 1.0)
+def test_budget_scores_budget_above_one_raises():
+    # scores sum to at most 1, so none can need the cap at 1
+    for r, budget in (([3.0, 0.0], 1.5), ([2.0, 1.0, 1.0], 3.0), ([1.0], 1.0 + 1e-12)):
+        with pytest.raises(ValueError, match="budget"):
+            budget_scores(np.array(r), budget, 1e-8)
+
+
+def test_budget_scores_at_the_lowest_budget():
+    # at budget N * floor every score is the floor; an ulp above it, rounding
+    # can floor all of N tied residuals, which must not divide by zero
+    floor = 1e-8
+    for r in ([3.0, 1.0, 0.0], [3.0, 1.0, 0.0, 2.0, 2.0, 5.0], [1.0] * 5):
+        assert budget_scores(np.array(r), len(r) * floor, floor).tolist() == [floor] * len(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = budget_scores(np.ones(5), float(np.nextafter(5 * floor, 1.0)), floor)
+    assert np.allclose(s, floor, rtol=1e-15)
 
 
 def test_budget_scores_minimizes_objective_locally():
@@ -414,7 +429,7 @@ def test_budget_scores_kkt_conditions():
     r = np.exp(rng.normal(scale=2.0, size=40))
     r[::9] = 0.0
     floor = 1e-8
-    for budget in (0.5, 1.0, 5.0, 25.0):
+    for budget in (0.5, 1.0):
         s = budget_scores(r, budget, floor)
         assert s.sum() == pytest.approx(budget, abs=1e-9 * max(1.0, budget))
         assert (s >= floor).all() and (s <= 1.0).all()
@@ -443,9 +458,47 @@ def test_budget_scores_input_errors():
     with pytest.raises(ValueError):
         budget_scores(np.empty(0), 1.0, 1e-8)
     with pytest.raises(ValueError):
-        budget_scores(np.ones(3), 4.0, 1e-8)   # budget > n
+        budget_scores(np.ones(3), 4.0, 1e-8)   # budget > 1
     with pytest.raises(ValueError):
         budget_scores(np.ones(3), 1e-9, 1e-8)  # budget < n * floor
+
+
+@st.composite
+def score_problems(draw):
+    """(residuals, budget): N in 1..60 residuals drawn from a few values, so
+    exact ties are common, among zero and magnitudes 1e-300..1e308; a budget
+    in [N * 1e-8, 1], often exactly 1."""
+    n = draw(st.integers(1, 60))
+    pool = [0.0, *draw(st.lists(st.floats(-300, 308).map(lambda e: 10.0 ** e),
+                                 min_size=1, max_size=6))]
+    r = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    budget = draw(st.one_of(st.just(1.0), st.floats(n * 1e-8, 1.0)))
+    return r, budget
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(score_problems())
+def test_budget_scores_properties(problem):
+    r, budget = problem
+    floor = 1e-8
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = budget_scores(r, budget, floor)
+    assert bool(caught) == (not r.any())  # the uniform split warns, nothing else does
+    if r.size == 1:
+        assert s.tolist() == [budget]
+    assert abs(s.sum() - budget) <= 1e-9 * budget
+    assert (s >= floor).all() and (s <= 1.0).all()
+    if r.size >= 2 and budget == 1.0:
+        assert (s < 1.0).all()
+    free = s > floor * (1 + 1e-9)
+    if r.any() and free.any():  # at budget N * floor every score is the floor
+        # KKT on r / max(r), so the ratios cannot overflow: free scores share
+        # one ratio lam, and floored scores have r <= floor * lam
+        q = r / r.max()
+        lam = np.median(q[free] / s[free])
+        assert np.allclose(q[free] / s[free], lam, rtol=1e-6)
+        assert (q[~free] <= lam * floor * (1 + 1e-6)).all()
 
 
 def test_residuals_match_dense_oracles():
@@ -528,7 +581,7 @@ def test_final_outlier_score_attribute_emphasis_changes_ranking():
 
 def test_hyperparams_validation():
     for kwargs in ({"dim": 0}, {"dim": 2, "attr_weight": 0.0},
-                   {"dim": 2, "dis_weight": -1.0}, {"dim": 2, "budget": 0.0},
+                   {"dim": 2, "dis_weight": -1.0},
                    {"dim": 2, "iters": 0},
                    {"dim": 2, "combine_weights": (0.5, 0.5, 0.5)},
                    {"dim": 2, "combine_weights": (-0.1, 0.6, 0.5)},
@@ -632,8 +685,6 @@ def test_fit_input_validation():
     net = rand_network(rng, 6, 4)
     with pytest.raises(ConfigError):
         fit(net, HyperParams(dim=5))  # dim > min(n, d)
-    with pytest.raises(ConfigError):
-        fit(net, HyperParams(dim=2, budget=7.0))  # budget > n
     bad = AttributedNetwork(adjacency=net.adjacency,
                             attributes=to_dense(net.attributes) - 1.0)
     with pytest.raises(ConfigError):

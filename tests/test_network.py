@@ -370,6 +370,17 @@ def test_types_reject_node_names_the_loaders_cannot_read(bad):
     assert net.label_names == ["c0", bad]
 
 
+def test_result_needs_an_embedding_column(tmp_path):
+    # an N x 0 embedding would save an embedding.tsv that load_embedding_tsv refuses
+    with pytest.raises(ValueError, match="at least one column"):
+        EmbeddingResult(embedding=np.zeros((2, 0)), outlier_scores=np.full(2, 0.5),
+                        component_scores=np.full((2, 3), 0.5), loss_trace=[])
+    one = EmbeddingResult(embedding=np.array([[0.5], [-1.0]]), outlier_scores=np.full(2, 0.5),
+                          component_scores=np.full((2, 3), 0.5), loss_trace=[])
+    names, emb = load_embedding_tsv(save_result(one, str(tmp_path))["embedding"])
+    assert list(names) == ["0", "1"] and np.array_equal(emb, one.embedding)
+
+
 def _result(node_names):
     return EmbeddingResult(embedding=np.zeros((2, 2)), outlier_scores=np.full(2, 0.5),
                            component_scores=np.full((2, 3), 0.5), loss_trace=[1.0],
