@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .network import AttributedNetwork, EmbeddingResult
-from .numerics import check_integer, named_rng, nmf_init, row_sq_residuals, svd_small
+from .numerics import (check_integer, named_rng, nmf_init, row_sq_norms, row_sq_residuals,
+                       svd_small)
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _ZERO_RESIDUAL = 1e-300  # below this, a total residual counts as exactly zero
@@ -66,15 +67,17 @@ class HyperParams:
     every score in [1e-8, 1). init_iters is the number of
     multiplicative updates per factor in each initialization, rounded up to
     a multiple of 3: one pass applies 3 updates that share one product with
-    the input matrix (the default 200 runs 67 passes)."""
+    the input matrix (the default 3 runs one pass). Detection quality
+    follows the rounds, not how far the initialization converges, so the
+    defaults spend a fit's time in its 15 rounds."""
 
     dim: int
     attr_weight: float | None = None
     dis_weight: float | None = None
-    iters: int = 5
+    iters: int = 15
     combine_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
     seed: int = 0
-    init_iters: int = 200
+    init_iters: int = 3
 
     def __post_init__(self):
         for name in ("dim", "iters", "init_iters", "seed"):
@@ -132,10 +135,15 @@ def _node_weights(scores: np.ndarray, name: str) -> np.ndarray:
     return -np.log(s)
 
 
-def _residuals(adj, attrs, model: FactorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node squared residuals of the structure, attribute and alignment fits."""
-    return (row_sq_residuals(adj, model.struct_embed, model.struct_context),
-            row_sq_residuals(attrs, model.attr_embed, model.attr_basis),
+def _residuals(adj, attrs, model: FactorModel, norms=(None, None),
+               products=(None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node squared residuals of the structure, attribute and alignment
+    fits. norms are (row_sq_norms(adj), row_sq_norms(attrs)) and products
+    (A H^T, C V^T), where the caller already holds them."""
+    return (row_sq_residuals(adj, model.struct_embed, model.struct_context,
+                             norms[0], products[0]),
+            row_sq_residuals(attrs, model.attr_embed, model.attr_basis,
+                             norms[1], products[1]),
             row_sq_residuals(model.struct_embed, model.attr_embed, model.align.T))
 
 
@@ -189,13 +197,16 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict | None, key: str) -> np.ndarray:
 
 
 def update_struct_embed(adj, model: FactorModel, scores: OutlierScores,
-                        dis_weight: float, diag: dict | None = None) -> np.ndarray:
+                        dis_weight: float, diag: dict | None = None,
+                        ah: np.ndarray | None = None) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_embed G: the structure
-    term (w1, A H^T, H H^T) plus the alignment term (dis_weight w3, U W^T, I)."""
+    term (w1, A H^T, H H^T) plus the alignment term (dis_weight w3, U W^T, I).
+    ah is A H^T if the caller already holds it."""
     h = model.struct_context
     w1 = _node_weights(scores.structural, "structural scores")
     w3 = _node_weights(scores.disagreement, "disagreement scores")
-    terms = ((w1, np.asarray(adj @ h.T), h @ h.T),
+    ah = np.asarray(adj @ h.T) if ah is None else ah
+    terms = ((w1, ah, h @ h.T),
              (dis_weight * w3, model.attr_embed @ model.align.T, np.eye(h.shape[0])))
     return _cd_sweep(model.struct_embed, terms, diag, "struct_embed")
 
@@ -213,15 +224,16 @@ def update_struct_context(adj, model: FactorModel, scores: OutlierScores,
 
 def update_attr_embed(attrs, model: FactorModel, scores: OutlierScores,
                       attr_weight: float, dis_weight: float,
-                      diag: dict | None = None) -> np.ndarray:
+                      diag: dict | None = None, cv: np.ndarray | None = None) -> np.ndarray:
     """One exact coordinate-descent sweep over attr_embed U: the attribute
     term (attr_weight w2, C V^T, V V^T) plus the alignment term
-    (dis_weight w3, G W, W^T W)."""
+    (dis_weight w3, G W, W^T W). cv is C V^T if the caller already holds it."""
     v = model.attr_basis
     w = model.align
     w2 = _node_weights(scores.attribute, "attribute scores")
     w3 = _node_weights(scores.disagreement, "disagreement scores")
-    terms = ((attr_weight * w2, np.asarray(attrs @ v.T), v @ v.T),
+    cv = np.asarray(attrs @ v.T) if cv is None else cv
+    terms = ((attr_weight * w2, cv, v @ v.T),
              (dis_weight * w3, model.struct_embed @ w, w.T @ w))
     return _cd_sweep(model.attr_embed, terms, diag, "attr_embed")
 
@@ -334,6 +346,13 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     one residual pass that yields both the new scores (floored at 1e-8) and
     the round's joint loss. So loss_trace holds `iters` non-increasing losses.
 
+    A round forms four sparse products, each once: A^T (G*w1) for the H
+    sweep, then A H^T, C^T (U*w2) for the V sweep, then C V^T. A H^T and
+    C V^T go to the round's residuals and on to the next round's G and U
+    sweeps, which align and the scores leave valid; the initial residual
+    pass hands round 1 its pair the same way. ||A_i||^2 and ||C_i||^2 are
+    formed once per fit.
+
     The CSR attributes are never densified, and net is not changed.
 
     Returns (FactorModel, OutlierScores, EmbeddingResult, FitDiagnostics).
@@ -363,7 +382,12 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     # optimum for the initial embeddings so calibration sees a sensible value
     model.align = update_alignment(model, scores)
 
-    terms = _loss_terms(_residuals(adj, attrs, model), scores)
+    # H and V change only in their own sweeps, so A H^T and C V^T stay
+    # valid until the next one
+    norms = (row_sq_norms(adj), row_sq_norms(attrs))
+    ah = np.asarray(adj @ model.struct_context.T)
+    cv = np.asarray(attrs @ model.attr_basis.T)
+    terms = _loss_terms(_residuals(adj, attrs, model, norms, (ah, cv)), scores)
     for term, value in zip(("structure", "attribute", "disagreement"), terms):
         if not np.isfinite(value):
             raise NumericError(f"initial {term} loss is non-finite; "
@@ -384,17 +408,19 @@ def fit(net: AttributedNetwork, hp: HyperParams):
             model.align = update_alignment(model, scores)
             _check_finite(model.align, "align update", round_no)
         model.struct_embed = update_struct_embed(adj, model, scores, dis_weight,
-                                                 diagnostics.skipped)
+                                                 diagnostics.skipped, ah)
         _check_finite(model.struct_embed, "struct_embed update", round_no)
         model.struct_context = update_struct_context(adj, model, scores, diagnostics.skipped)
         _check_finite(model.struct_context, "struct_context update", round_no)
+        ah = np.asarray(adj @ model.struct_context.T)
         model.attr_embed = update_attr_embed(attrs, model, scores, attr_weight, dis_weight,
-                                             diagnostics.skipped)
+                                             diagnostics.skipped, cv)
         _check_finite(model.attr_embed, "attr_embed update", round_no)
         model.attr_basis = update_attr_basis(attrs, model, scores, diagnostics.skipped)
         _check_finite(model.attr_basis, "attr_basis update", round_no)
+        cv = np.asarray(attrs @ model.attr_basis.T)
 
-        residuals = _residuals(adj, attrs, model)
+        residuals = _residuals(adj, attrs, model, norms, (ah, cv))
         for what, r in zip(("structure", "attribute", "disagreement"), residuals):
             _check_finite(r, f"{what} residuals", round_no)
         with warnings.catch_warnings(record=True) as caught:

@@ -169,12 +169,20 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
     return p, q
 
 
-def row_sq_residuals(m, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def row_sq_norms(m) -> np.ndarray:
+    """||m_i||^2 for each row of a sparse m (0 on an empty row)."""
+    return np.asarray(m.multiply(m).sum(axis=1)).ravel()
+
+
+def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, norms: np.ndarray | None = None,
+                     mq: np.ndarray | None = None) -> np.ndarray:
     """Per-row squared reconstruction error: out[i] = sum_j (m[i,j] - (p@q)[i,j])^2.
 
     Dense m is subtracted from p @ q. Sparse m is never densified: out[i] =
     ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T, clamped at 0 against
-    cancellation on rows that p @ q fits almost exactly.
+    cancellation on rows that p @ q fits almost exactly. A caller that
+    already holds row_sq_norms(m) or the product m @ q.T passes them as norms
+    and mq; the result is bit-identical to forming them here.
     """
     n, d = m.shape
     if p.shape[0] != n or q.shape[1] != d or p.shape[1] != q.shape[0]:
@@ -182,7 +190,8 @@ def row_sq_residuals(m, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     if not sp.issparse(m):
         r = p @ q - m
         return np.einsum("ij,ij->i", r, r)
-    norms = np.asarray(m.multiply(m).sum(axis=1)).ravel()
-    cross = np.einsum("ij,ij->i", p, np.asarray(m @ q.T))
+    norms = row_sq_norms(m) if norms is None else norms
+    mq = np.asarray(m @ q.T) if mq is None else mq
+    cross = np.einsum("ij,ij->i", p, mq)
     fit = np.einsum("ij,ij->i", p @ (q @ q.T), p)
     return np.maximum(norms - 2.0 * cross + fit, 0.0)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from helpers import frobenius_sq_residual, jacobi_eigvals, reference_nmf_mu, to_dense
 import oaembed
 from oaembed.numerics import (Handoff, as_csr, as_dense, as_sparse, make_rng, named_rng,
-                              nmf_init, row_sq_residuals, svd_small)
+                              nmf_init, row_sq_norms, row_sq_residuals, svd_small)
 
 
 def test_make_rng_reproducible():
@@ -284,6 +284,24 @@ def test_row_sq_residuals_dense_and_sparse():
     want = (full ** 2).sum(axis=1)
     assert np.allclose(got_dense, want, rtol=1e-12, atol=1e-12)
     assert np.allclose(got_sparse, want, rtol=1e-12, atol=1e-12)
+
+
+def test_row_sq_residuals_handed_on_norms_and_product_are_bit_identical():
+    rng = make_rng(10)
+    n, d, k = 300, 50, 5
+    m = sp.random(n, d, density=0.1, format="csr", random_state=np.random.default_rng(3))
+    m = sp.csr_matrix(sp.diags((rng.random(n) < 0.8).astype(float)) @ m)
+    m.eliminate_zeros()  # about 20 % of the rows are empty
+    empty = np.diff(m.indptr) == 0
+    assert empty.sum() > 20
+    p = rng.normal(size=(n, k))
+    q = rng.normal(size=(k, d))
+    norms = row_sq_norms(m)
+    assert (norms[empty] == 0).all() and (norms[~empty] > 0).all()
+    want = row_sq_residuals(m, p, q)
+    assert np.array_equal(row_sq_residuals(m, p, q, norms, np.asarray(m @ q.T)), want)
+    assert np.array_equal(row_sq_residuals(m, p, q, norms=norms), want)
+    assert np.array_equal(row_sq_residuals(m, p, q, mq=np.asarray(m @ q.T)), want)
 
 
 def test_row_sq_residuals_sparse_cancellation():
