@@ -16,18 +16,35 @@ nodes x classes) took 2.5-3 times as long for protocol-sbm4k's 50 fits, as
 numpy reduces a length-C last axis slowly. A set trained alone or in a stack
 gets bit-identical weights, so `train_classifier` is the one-set call of the
 same loop. The loop computes no training loss: no iterate depends on it.
-The stacks of the train percentages run on 2 worker threads; their numpy
-and BLAS calls release the GIL. Two, because the benchmark pins BLAS to 2 threads on 2
-cores, and because each stack in flight adds its buffers to peak RSS: a
-worker thread allocates from a fresh glibc arena instead of reusing the
-heap a preceding `fit` freed. The benchmark's protocol-sbm4k run peaks at
-108-110 MB with 2 workers (medians of 10 runs at seeds 0 and 7, 2-core
-Xeon), under the 116-117 MB of a serial loop that still imported
-`scipy.optimize` for the clustering score.
+It subtracts the one-hot target as a dense array, which gives the bits of a
+scatter onto the true-class entries (p - 0.0 is p) in less time.
+
+The stacks of the train percentages run on 2 worker threads, largest first;
+their numpy and BLAS calls release the GIL. Two, because the benchmark pins
+BLAS to 2 threads on 2 cores, and because each stack in flight adds its
+buffers to peak RSS: a worker thread allocates from a fresh glibc arena
+instead of reusing the heap a preceding `fit` freed. The clustering is one
+more task on the same pool, submitted after the stacks: it fills the time
+one worker would otherwise idle while the other finishes the last stack.
+Its 10 starts are one task, run in seed order, so only one start's buffers
+are in flight and a caller that watches `kmeans_pp_full` sees the starts in
+order; 10 tasks would run 2 at a time in no fixed order. The benchmark's
+protocol-sbm4k run peaks at 108.6-109.3 MB with the clustering in the pool
+and 108.5-108.9 MB with it after the pool (medians of 10 runs at seeds 0
+and 7, 2-core Xeon), under the 116-117 MB of a serial loop that still
+imported `scipy.optimize` for the clustering score.
 
 Clustering keeps the best of 10 seeded k-means++ starts by final
 within-cluster sum of squares, and scores it by an exact maximum-weight
-matching of clusters to classes (Kuhn-Munkres on integer counts).
+matching of clusters to classes (Kuhn-Munkres on integer counts). A Lloyd
+step assigns each point by the argmin of |c|^2 - 2 x.c, an N x k product,
+instead of a direct N x k x F difference table (2.4 MB at protocol-sbm4k's
+size; the Gram form halves the time of the 10 starts there). A point whose
+two nearest centroids lie within both forms' rounding bound of each other
+takes the argmin of its direct distances, and the sum of squares is taken
+directly on the assigned centroids, so labels, centroids and trace equal a
+direct table's bit for bit, duplicate centroids and equidistant points
+included.
 """
 
 import json
@@ -138,21 +155,24 @@ def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
     np.divide(xs - mean[:, None, :], scale[:, None, :],
               out=zt[:, :-1].transpose(0, 2, 1))
     zt[:, -1] = 1.0
-    # each node's true-class entry in the flattened R x C x n probabilities,
-    # where the gradient subtracts the one-hot target
-    flat = (np.arange(r_sets)[:, None] * n_classes + yi) * n + np.arange(n)
+    # the one-hot target, subtracted whole: off the true class p - 0.0 is p
+    # bit for bit (p >= 0), and a dense subtract is faster than a scatter
+    target = np.zeros((r_sets, n_classes, n))
+    target[np.arange(r_sets)[:, None], yi, np.arange(n)] = 1.0
 
     wt = np.zeros((r_sets, n_classes, n_features + 1))
     p = np.empty((r_sets, n_classes, n))
-    pf = p.reshape(-1)
+    per_node = np.empty((r_sets, 1, n))  # the softmax's max, then its sum
     grad = np.empty_like(wt)
     reg = wt[:, :, :-1]
     for _ in range(steps):
         np.matmul(wt, zt, out=p)
-        p -= p.max(axis=1, keepdims=True)
+        np.max(p, axis=1, keepdims=True, out=per_node)
+        p -= per_node
         np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        pf[flat] -= 1.0
+        np.sum(p, axis=1, keepdims=True, out=per_node)
+        p /= per_node
+        p -= target
         np.matmul(p, zt.transpose(0, 2, 1), out=grad)
         grad /= n
         grad[:, :, :-1] += 1e-3 * reg
@@ -222,12 +242,34 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
         centroids[t] = x[idx]
         d2 = np.minimum(d2, ((x - centroids[t]) ** 2).sum(axis=1))
 
+    # twice the rounding bound of both distance forms, per point: a point whose
+    # two nearest centroids lie closer than this in the Gram form is a near tie
+    tie_scale = 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps
+    x_norm = np.sqrt((x ** 2).sum(axis=1))
     labels = np.full(n, -1)
     trace = []
     for _ in range(100):
-        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(dists, axis=1)
-        trace.append(float(dists[np.arange(n), new_labels].sum()))
+        # argmin over |c|^2 - 2 x.c, which drops each point's constant |x|^2:
+        # N x k, not the N x k x F of a direct difference table
+        c_sq = (centroids ** 2).sum(axis=1)
+        score = x @ centroids.T
+        score *= -2.0
+        score += c_sq
+        new_labels = np.argmin(score, axis=1)
+        if k > 1:
+            # near ties take the argmin of their direct distances, so every
+            # label is the one a direct table would give, duplicate centroids
+            # and equidistant points included
+            two = np.partition(score, 1, axis=1)
+            near = np.flatnonzero(two[:, 1] - two[:, 0]
+                                  <= tie_scale * (x_norm + math.sqrt(c_sq.max())) ** 2)
+            if near.size:
+                xn = x[near]
+                new_labels[near] = np.argmin(np.column_stack(
+                    [((xn - c) ** 2).sum(axis=1) for c in centroids]), axis=1)
+        # the direct form on the assigned centroids sums the same length-F
+        # rows in the same order as a direct table would
+        trace.append(float(((x - centroids[new_labels]) ** 2).sum(axis=1).sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -352,19 +394,24 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
                  exclude_outliers: bool = False) -> EvalReport:
     """The full metric battery for one embedding of one seeded network.
 
-    truth_ids are node indices of the planted outliers. splits are one or
-    more distinct whole train percentages in (0, 100). Classification
-    trains the `train_classifier` model on `reps` seeded splits per train
-    percentage, as one stack per percentage on one of 2 worker threads, and
-    averages the F1 over the reps.
+    truth_ids are integer node indices of the planted outliers; a float or
+    bool id is refused, not truncated. splits are one or more distinct
+    whole train percentages in (0, 100). Classification trains the
+    `train_classifier` model on `reps` seeded splits per train percentage,
+    as one stack per percentage on one of 2 worker threads, and averages the
+    F1 over the reps.
     Clustering uses as many clusters as ground-truth classes and runs 10
-    seeded k-means++ starts, keeping the one with the lowest final
-    within-cluster sum of squares (the earliest on a tie). With
+    seeded k-means++ starts in order, as one more task on the same 2
+    workers, keeping the one with the lowest final within-cluster sum of
+    squares (the earliest on a tie). With
     exclude_outliers the classification/clustering metrics skip the planted
     nodes (recall always uses the full ranking); a ValueError names
     exclude_outliers when the remaining nodes span fewer than 2 classes.
     """
-    truth = set(int(i) for i in truth_ids)
+    truth = set()
+    for i in truth_ids:
+        check_integer(i, "each of truth_ids")
+        truth.add(int(i))
     n = net.n_nodes
     if result.embedding.shape[0] != n:
         raise ValueError("embedding row count does not match the network")
@@ -406,23 +453,32 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
             for rep in range(reps)])
         scores = []
         for train, clf in zip(trains, _train_stack(x[trains], y[trains])):
-            test = np.setdiff1d(np.arange(keep.size), train)
+            # the other nodes in ascending order, as setdiff1d gives them,
+            # without its sort
+            held_out = np.ones(keep.size, dtype=bool)
+            held_out[train] = False
+            test = np.flatnonzero(held_out)
             scores.append(f1_scores(y[test], predict(clf, x[test])))
         macros, micros = zip(*scores)
         return float(np.mean(macros)), float(np.mean(micros))
 
-    # 2 workers, largest stack first: the benchmark pins BLAS to 2 threads on
-    # 2 cores, and each stack in flight adds one stack's buffers to peak RSS
+    k = net.n_classes
+
+    def cluster():
+        # one task, so the starts run one after another in seed order
+        starts = [kmeans_pp_full(x, k, int(named_rng(seed, f"kmeans-{i}").integers(2 ** 63)))
+                  for i in range(10)]
+        # lowest final within-cluster sum of squares; min keeps the earliest on a tie
+        return clustering_accuracy(min(starts, key=lambda start: start[2][-1])[0], y)
+
+    # 2 workers, largest stack first, then the clustering into the gap the
+    # stacks leave: the benchmark pins BLAS to 2 threads on 2 cores, and each
+    # stack in flight adds one stack's buffers to peak RSS
     with ThreadPoolExecutor(max_workers=2) as pool:
         running = {pct: pool.submit(classify, pct) for pct in sorted(pcts, reverse=True)}
+        clustered = pool.submit(cluster)
     f1 = {pct: running[pct].result() for pct in pcts}
-
-    k = net.n_classes
-    starts = [kmeans_pp_full(x, k, int(named_rng(seed, f"kmeans-{i}").integers(2 ** 63)))
-              for i in range(10)]
-    # lowest final within-cluster sum of squares; min keeps the earliest on a tie
-    clusters = min(starts, key=lambda start: start[2][-1])[0]
-    acc = clustering_accuracy(clusters, y)
+    acc = clustered.result()
 
     config = {"splits": pcts, "reps": int(reps),
               "seed": int(seed), "exclude_outliers": bool(exclude_outliers),

@@ -19,7 +19,7 @@ from oaembed.core import FactorModel, OutlierScores
 from oaembed.evaluation import (Classifier, _classification_split, f1_scores, predict,
                                 train_classifier)
 from oaembed.network import AttributedNetwork
-from oaembed.numerics import named_rng
+from oaembed.numerics import make_rng, named_rng
 
 
 def to_dense(m) -> np.ndarray:
@@ -113,6 +113,45 @@ def brute_force_matching(conf) -> int:
         for perm in itertools.permutations(range(np_), nt):
             best = max(best, sum(int(conf[perm[c], c]) for c in range(nt)))
     return best
+
+
+def reference_kmeans_pp_full(points, k: int, seed: int):
+    """`kmeans_pp_full` with the direct N x k x F distance table in each
+    Lloyd step instead of the Gram form: the same k-means++ seeding, stop
+    rule and empty-cluster re-seeding, so (labels, centroids, trace) must
+    match bit for bit."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    rng = make_rng(seed)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for t in range(1, k):
+        total = d2.sum()
+        idx = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
+        centroids[t] = x[idx]
+        d2 = np.minimum(d2, ((x - centroids[t]) ** 2).sum(axis=1))
+
+    labels = np.full(n, -1)
+    trace = []
+    for _ in range(100):
+        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        trace.append(float(dists[np.arange(n), new_labels].sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        sizes = np.bincount(labels, minlength=k)
+        for c in np.flatnonzero(sizes):
+            centroids[c] = x[labels == c].mean(axis=0)
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            own = ((x - centroids[labels]) ** 2).sum(axis=1)
+            for c in empty:
+                far = int(np.argmax(own))
+                centroids[c] = x[far]
+                own[far] = -1.0
+    return labels, centroids, trace
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import oaembed.evaluation
 from helpers import (brute_force_clustering_accuracy, brute_force_matching,
                      hypergeom_recall_null, reference_f1_by_split,
-                     reference_train_classifier)
+                     reference_kmeans_pp_full, reference_train_classifier)
 from oaembed.evaluation import (RECALL_LEVELS, EvalReport, clustering_accuracy,
                                 evaluate_all, f1_scores, kmeans_pp_full, predict,
                                 rank_nodes, recall_at, train_classifier)
@@ -251,6 +252,53 @@ def test_kmeans_errors():
         kmeans_pp_full(np.empty((0, 2)), 1, seed=0)[0]
 
 
+def _cloud(rng, n, f, k, spread):
+    """n points around k centers; spread 1 makes the blobs overlap."""
+    centers = rng.normal(size=(k, f))
+    return centers[rng.integers(k, size=n)] + rng.normal(scale=spread, size=(n, f))
+
+
+def _kmeans_cases():
+    for n, f, k in ((200, 2, 3), (500, 15, 5), (300, 33, 7), (64, 8, 4), (50, 3, 1)):
+        yield pytest.param(_cloud(make_rng(n), n, f, k, 1.0), k, id=f"blobs-{n}x{f}-k{k}")
+    few = _cloud(make_rng(1), 150, 5, 3, 0.5)
+    yield pytest.param(few[make_rng(2).integers(30, size=150)], 6, id="few-distinct-points")
+    yield pytest.param(_cloud(make_rng(3), 25, 3, 5, 1.0), 25, id="k-equals-n")
+    # more clusters than distinct points: duplicate centroids, exact ties
+    half = _cloud(make_rng(4), 41, 33, 4, 1.0)
+    half[:20] = half[0]
+    yield pytest.param(half, 41, id="half-one-point-k-equals-n")
+    # a grid of tenths puts points at nearly or exactly equal distances
+    tenths = np.round(_cloud(make_rng(5), 300, 3, 8, 1.0), 1)
+    yield pytest.param(tenths, 8, id="tenths-grid")
+    # |x|^2 dwarfs the distances: the Gram form cannot rank many points
+    yield pytest.param(1e7 + _cloud(make_rng(6), 150, 20, 3, 1.0), 3, id="large-offset")
+
+
+@pytest.mark.parametrize("points, k", list(_kmeans_cases()))
+def test_kmeans_matches_direct_distance_table(points, k):
+    # the Gram-form assignment must reproduce the direct N x k x F table's
+    # labels, centroids and trace bit for bit, ties included
+    for seed in range(6):
+        labels, centroids, trace = kmeans_pp_full(points, k, seed)
+        ref_labels, ref_centroids, ref_trace = reference_kmeans_pp_full(points, k, seed)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(centroids, ref_centroids)
+        assert trace == ref_trace
+
+
+def test_kmeans_peak_allocation_below_one_distance_table():
+    x = _cloud(make_rng(22), 4000, 15, 5, 1.0)
+    table_bytes = x.shape[0] * 5 * x.shape[1] * 8  # one N x k x F float64 array
+    tracemalloc.start()
+    try:
+        kmeans_pp_full(x, 5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes
+
+
 # ---------------------------------------------------------------- matching
 
 
@@ -426,6 +474,28 @@ def test_evaluate_all_kmeans_tie_keeps_earliest_start(monkeypatch):
     assert report.clustering_accuracy == 1.0
 
 
+@pytest.mark.parametrize("exclude_outliers", [False, True])
+def test_evaluate_all_equals_a_serial_composition(exclude_outliers):
+    # the classifier stacks and the clustering share one worker pool; the
+    # report must equal one fit per split and the 10 direct-table k-means
+    # starts run one after another
+    net = synth_network(150, 3, 0.2, 0.02, 15, 0.9, seed=24)
+    truth = [4, 70, 111]
+    result = _noisy_result(net, truth, 24, 0.7)
+    report = evaluate_all(net, result, truth, splits=(20, 50), reps=3, seed=9,
+                          exclude_outliers=exclude_outliers)
+    assert report.f1 == reference_f1_by_split(net, result, truth, (20, 50), 3, 9,
+                                              exclude_outliers=exclude_outliers)
+    keep = np.setdiff1d(np.arange(150), truth) if exclude_outliers else np.arange(150)
+    starts = [reference_kmeans_pp_full(result.embedding[keep], 3,
+                                       int(named_rng(9, f"kmeans-{i}").integers(2 ** 63)))
+              for i in range(10)]
+    accuracies = [clustering_accuracy(labels, net.labels[keep]) for labels, _, _ in starts]
+    assert len(set(accuracies)) > 1  # the starts disagree, so the choice matters
+    best = min(range(10), key=lambda i: starts[i][2][-1])
+    assert report.clustering_accuracy == accuracies[best]
+
+
 def _noisy_result(net, truth, seed, noise):
     result = one_hot_result(net, truth)
     result.embedding = result.embedding + make_rng(seed).normal(
@@ -500,6 +570,18 @@ def test_evaluate_all_rejects_an_empty_split_schedule():
     for splits in ((), []):
         with pytest.raises(ValueError, match="splits"):
             evaluate_all(net, result, [4], splits=splits, reps=1)
+
+
+def test_evaluate_all_refuses_non_integer_truth_ids():
+    # these used to run as nodes 2, 1 and 3
+    net = synth_network(50, 2, 0.2, 0.02, 10, 0.9, seed=13)
+    result = one_hot_result(net, [1])
+    for truth in ([2.7], [True], [np.float64(3.9)], [1, 2.0]):
+        with pytest.raises(ValueError, match="truth_ids"):
+            evaluate_all(net, result, truth, splits=(30,), reps=1)
+    ints = evaluate_all(net, result, [1, 3], splits=(30,), reps=1)
+    assert evaluate_all(net, result, np.array([1, 3]), splits=(30,), reps=1) == ints
+    assert evaluate_all(net, result, iter([3, 1]), splits=(30,), reps=1) == ints
 
 
 def test_evaluate_all_validation():
