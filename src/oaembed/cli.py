@@ -7,6 +7,12 @@ passed on, so every default is the library's own (`SeedingPlan`,
 `HyperParams`, `evaluate_all`), and `--help` reads it from there.
 `--exclude-outliers[=BOOL]` alone means true.
 
+Library modules load on first use: each handler imports the modules its
+subcommand runs, and the parser imports only the library callable of the
+subcommand being parsed. So `rank-outliers`, `--help` and `--version` run on
+numpy alone (`oaembed.tables`), while `seed`, `embed` and `evaluate` also
+import `scipy.sparse` through `oaembed.network`.
+
 Every option can also come from a `--config` file of `key=value` lines (keys
 are the long option names without the leading dashes). Each line is read as
 `--key=value` ahead of the command line's options, so explicit command-line
@@ -21,15 +27,13 @@ import argparse
 import inspect
 import os
 import sys
+from importlib import import_module
 from itertools import chain
 
 from . import __version__
-from .core import HyperParams, check_combine_weights, default_dim, final_outlier_score, fit
 from .errors import ConfigError, NumericError, ParseError
-from .evaluation import evaluate_all, rank_nodes
-from .network import (EmbeddingResult, _data_lines, _write_lines, load_embedding_tsv,
-                      load_network, load_scores_tsv, save_network, save_result)
-from .seeding import SeedingPlan, save_truth, seed_outliers, load_truth
+from .tables import (_data_lines, _write_lines, check_combine_weights, final_outlier_score,
+                     load_embedding_tsv, load_scores_tsv, rank_nodes)
 
 
 def _parse_bool(s: str) -> bool:
@@ -78,6 +82,9 @@ def _load_scores(path: str, weights=None):
 
 
 def cmd_seed(edges, attrs, labels, out, **plan) -> int:
+    from .network import load_network, save_network
+    from .seeding import SeedingPlan, save_truth, seed_outliers
+
     _require_files(edges=edges, attrs=attrs, labels=labels)
     net = load_network(edges, attrs, labels)
     seeded = seed_outliers(net, SeedingPlan(**plan))
@@ -91,6 +98,9 @@ def cmd_seed(edges, attrs, labels, out, **plan) -> int:
 
 
 def cmd_embed(edges, attrs, out, labels=None, **params) -> int:
+    from .core import HyperParams, default_dim, fit
+    from .network import load_network, save_result
+
     _require_files(edges=edges, attrs=attrs, labels=labels)
     net = load_network(edges, attrs, labels)
     dim = params.pop("dim", None)
@@ -116,6 +126,10 @@ def cmd_rank_outliers(scores, out, weights=None) -> int:
 
 def cmd_evaluate(edges, attrs, labels, embedding, scores, truth, out, weights=None,
                  **protocol) -> int:
+    from .evaluation import evaluate_all
+    from .network import EmbeddingResult, load_network
+    from .seeding import load_truth
+
     _require_files(edges=edges, attrs=attrs, labels=labels, embedding=embedding,
                    scores=scores, truth=truth)
     net = load_network(edges, attrs, labels)
@@ -148,10 +162,11 @@ _WEIGHTS = {"type": _parse_weights,
             "help": "w1,w2,w3 to recombine the component scores (default: the stored "
                     "combined column)"}
 
-# name -> (help, handler, the library callable whose defaults apply,
+# name -> (help, handler, "module.callable" whose defaults apply,
 #          {option: add_argument keywords})
 _SUBCOMMANDS = {
-    "seed": ("plant ground-truth outliers into a labeled network", cmd_seed, SeedingPlan, {
+    "seed": ("plant ground-truth outliers into a labeled network", cmd_seed,
+             "seeding.SeedingPlan", {
         "edges": {"required": True, "help": "edge list file"},
         "attrs": {"required": True, "help": "attribute file"},
         "labels": {"required": True, "help": "label file"},
@@ -162,7 +177,8 @@ _SUBCOMMANDS = {
                  "help": "relative degree band around the class mean"},
         "seed": _SEED,
     }),
-    "embed": ("fit the joint factorization and write the embedding", cmd_embed, HyperParams, {
+    "embed": ("fit the joint factorization and write the embedding", cmd_embed,
+              "core.HyperParams", {
         "edges": {"required": True, "help": "edge list file"},
         "attrs": {"required": True, "help": "attribute file"},
         "labels": {"help": "label file (enables the default embedding width)"},
@@ -182,7 +198,8 @@ _SUBCOMMANDS = {
         "out": _OUT,
         "weights": _WEIGHTS,
     }),
-    "evaluate": ("score an embedding against planted ground truth", cmd_evaluate, evaluate_all, {
+    "evaluate": ("score an embedding against planted ground truth", cmd_evaluate,
+                 "evaluation.evaluate_all", {
         "edges": {"required": True, "help": "edge list file of the seeded dataset"},
         "attrs": {"required": True, "help": "attribute file of the seeded dataset"},
         "labels": {"required": True, "help": "label file of the seeded dataset"},
@@ -200,7 +217,10 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(parsing: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all four subcommands. Only the help of `parsing`, the
+    subcommand on the command line, shows the library defaults, so only its
+    library module is imported."""
     parser = argparse.ArgumentParser(
         prog="oaembed",
         description="Outlier-aware embedding of attributed networks.")
@@ -209,7 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, _handler, lib, opts) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        params = inspect.signature(lib).parameters if lib else {}
+        params = {}
+        if lib and name == parsing:
+            module, _, attr = lib.rpartition(".")
+            params = inspect.signature(
+                getattr(import_module(f".{module}", __package__), attr)).parameters
         for opt, kwargs in opts.items():
             param = params.get(kwargs.get("dest", opt.replace("-", "_")))
             if param is not None and param.default not in (None, param.empty):
@@ -247,7 +271,8 @@ def _with_config(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        opts = vars(_build_parser().parse_args(_with_config(argv)))
+        parsing = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        opts = vars(_build_parser(parsing).parse_args(_with_config(argv)))
         opts.pop("config", None)
         return _SUBCOMMANDS[opts.pop("subcommand")][1](**opts)
     except SystemExit as exc:  # argparse handles --help/--version/usage errors

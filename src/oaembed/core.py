@@ -45,16 +45,11 @@ from .errors import ConfigError, NumericError
 from .network import AttributedNetwork, EmbeddingResult
 from .numerics import (check_integer, named_rng, nmf_init, row_sq_norms, row_sq_residuals,
                        svd_small)
+from .tables import check_combine_weights, final_outlier_score
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _ZERO_RESIDUAL = 1e-300  # below this, a total residual counts as exactly zero
 _SCORE_FLOOR = 1e-8  # fit's smallest score, so log(1/score) stays finite
-
-
-def check_combine_weights(w, name: str = "combine_weights"):
-    """Raise ConfigError unless w is 3 nonnegative weights summing to 1 (NaN fails)."""
-    if not (len(w) == 3 and all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
-        raise ConfigError(f"{name} must be 3 nonnegative values summing to 1, got {w}")
 
 
 @dataclass
@@ -312,20 +307,6 @@ def final_embedding(model: FactorModel) -> np.ndarray:
     """Per-node average of the structure embedding and the mapped attribute
     embedding: (struct_embed + attr_embed @ align.T) / 2."""
     return (model.struct_embed + model.attr_embed @ model.align.T) / 2.0
-
-
-def final_outlier_score(component_scores,
-                        combine_weights: tuple[float, float, float]) -> np.ndarray:
-    """Convex combination w1 s1 + w2 s2 + w3 s3 of the columns of the N x 3
-    component-score array (structural, attribute, disagreement). fit and the
-    CLI's --weights both combine scores here, so a stored combined column is
-    reproduced bit for bit from its components."""
-    check_combine_weights(combine_weights)
-    c = np.asarray(component_scores, dtype=np.float64)
-    if c.ndim != 2 or c.shape[1] != 3:
-        raise ValueError(f"component scores must be N x 3, got shape {c.shape}")
-    w = combine_weights
-    return w[0] * c[:, 0] + w[1] * c[:, 1] + w[2] * c[:, 2]
 
 
 def _check_finite(arr: np.ndarray, what: str, round_no: int):

@@ -56,18 +56,9 @@ import numpy as np
 
 from .network import AttributedNetwork, EmbeddingResult
 from .numerics import check_integer, make_rng, named_rng
+from .tables import rank_nodes
 
 RECALL_LEVELS = (5, 10, 15, 20, 25)
-
-
-def rank_nodes(scores: np.ndarray) -> np.ndarray:
-    """Node indices sorted by descending score, ties by ascending index."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("scores must be a 1-D vector")
-    if not np.isfinite(s).all():
-        raise ValueError("scores must be finite")
-    return np.lexsort((np.arange(s.size), -s))
 
 
 def recall_at(ranked, truth, l_percent: float) -> float:

@@ -17,14 +17,7 @@ attributes.
 Label file: ``<node_id> <class_name>`` per line, one line per node. Class
 names are mapped to dense integer ids in sorted-name order.
 
-Output rule: every file the package writes goes through _write_lines, which
-creates its directory and writes UTF-8 lines ending in '\n'; floats are
-written with repr(), so a save/load round trip is bit-exact. The ten files:
-edges.txt, attributes.txt and labels.txt in the grammars above; outliers.tsv,
-``<node_id> <kind>`` per planted node in planting order; embedding.tsv and
-scores.tsv, a ``node`` header and one row of floats per node; loss.tsv
-(``iteration loss``); ranked.tsv (``rank node score``, most outlying first);
-report.json and report.tsv, EvalReport.to_json() and to_tsv().
+Every file is written through the output rule of `oaembed.tables`.
 """
 
 import os
@@ -36,6 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ParseError
 from .numerics import Handoff, as_csr, as_dense, as_sparse
+from .tables import SCORE_COLUMNS, _data_lines, _save_float_tsv, _write_lines
 
 
 @dataclass
@@ -139,27 +133,6 @@ def _check_names(names, n: int | None, what: str = "node name") -> tuple[str, ..
     if len(set(names)) != len(names):
         raise ValueError(f"{what}s contain duplicates")
     return names
-
-
-def _data_lines(path: str):
-    """Yield (lineno, line) for non-empty, non-comment lines."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    yield lineno, line
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path) from exc
-
-
-def _write_lines(path: str, lines) -> str:
-    """The one output rule (module docstring): create path's directory, then
-    write each line of the iterable with a '\\n' ending. Returns path."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in lines)
-    return path
 
 
 def _parse_attributes(path: str):
@@ -373,9 +346,6 @@ def save_network(net: AttributedNetwork, out_dir: str) -> dict[str, str]:
     return paths
 
 
-SCORE_COLUMNS = ("structural", "attribute", "disagreement", "combined")
-
-
 @dataclass
 class EmbeddingResult:
     """A fitted embedding with per-node outlier scores and the loss trace.
@@ -410,7 +380,8 @@ class EmbeddingResult:
 
 def save_result(result: EmbeddingResult, out_dir: str) -> dict[str, str]:
     """Write embedding.tsv, scores.tsv, and loss.tsv under out_dir;
-    load_embedding_tsv and load_scores_tsv read the first two back bit-exactly."""
+    tables.load_embedding_tsv and tables.load_scores_tsv read the first two
+    back bit-exactly."""
     names, k = result.node_names, result.embedding.shape[1]
     scores = np.column_stack([result.component_scores, result.outlier_scores])
     losses = (f"{t}\t{v!r}" for t, v in enumerate(result.loss_trace, 1))
@@ -420,55 +391,3 @@ def save_result(result: EmbeddingResult, out_dir: str) -> dict[str, str]:
                                       SCORE_COLUMNS, scores),
             "loss": _write_lines(os.path.join(out_dir, "loss.tsv"),
                                  chain(["iteration\tloss"], losses))}
-
-
-def _save_float_tsv(path: str, names, columns, values: np.ndarray) -> str:
-    """Write a 'node' header and one row of floats per node: _load_float_tsv's inverse."""
-    rows = (name + "\t" + "\t".join(map(repr, row.tolist())) for name, row in zip(names, values))
-    return _write_lines(path, chain(["node\t" + "\t".join(columns)], rows))
-
-
-def _load_float_tsv(path: str, columns: tuple[str, ...] | None = None):
-    """Read a TSV whose header is 'node' and then float columns (exactly
-    `columns`, when given) into (node names, N x C float array). A header
-    that does not fit, a row of the wrong length, a second row for a node or
-    a cell that is not a finite float raises ParseError."""
-    header = None
-    rows = {}  # node name -> its value cells
-    for lineno, line in _data_lines(path):
-        cells = line.split("\t")
-        if header is None:
-            header = cells
-            if (cells[0] != "node" or len(cells) < 2
-                    or columns is not None and tuple(cells[1:]) != columns):
-                raise ParseError(f"unexpected header {cells!r}", path, lineno)
-        elif len(cells) != len(header):
-            raise ParseError(f"row has {len(cells)} cells, header has {len(header)}",
-                             path, lineno)
-        elif cells[0] in rows:
-            raise ParseError(f"duplicate row for node {cells[0]!r}", path, lineno)
-        else:
-            rows[cells[0]] = cells[1:]
-    if header is None:
-        raise ParseError("empty TSV", path)
-    names = list(rows)
-    try:
-        vals = np.array([[float(c) for c in r] for r in rows.values()])
-    except ValueError:
-        raise ParseError("bad float cell", path) from None
-    vals = vals.reshape(len(rows), len(header) - 1)  # also when there are no rows
-    finite = np.isfinite(vals).all(axis=1)
-    if not finite.all():
-        raise ParseError(f"non-finite value for node {names[np.argmin(finite)]!r}", path)
-    return names, vals
-
-
-def load_embedding_tsv(path: str):
-    """Read embedding.tsv into (node_names, N x K array)."""
-    return _load_float_tsv(path)
-
-
-def load_scores_tsv(path: str):
-    """Read scores.tsv into (node_names, N x 3 component scores, combined scores)."""
-    names, vals = _load_float_tsv(path, SCORE_COLUMNS)
-    return names, vals[:, :3], vals[:, 3]

@@ -23,8 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParseError
-from .network import AttributedNetwork, _data_lines, _undirected_csr, _write_lines
+from .network import AttributedNetwork, _undirected_csr
 from .numerics import Handoff, check_integer, make_rng, named_rng
+from .tables import _data_lines, _write_lines
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
 

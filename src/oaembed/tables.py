@@ -1,0 +1,129 @@
+"""Line files, float tables and the outlier ranking: the package's numpy-only layer.
+
+Everything `oaembed rank-outliers` runs lives here: reading scores.tsv,
+recombining and ranking its columns, and writing ranked.tsv. Nothing here
+imports scipy, so that subcommand starts without it; `network`, `core`,
+`evaluation` and `seeding` import what they use from this module.
+
+Output rule: every file the package writes goes through _write_lines, which
+creates its directory and writes UTF-8 lines ending in '\n'; floats are
+written with repr(), so a save/load round trip is bit-exact. The ten files:
+edges.txt, attributes.txt and labels.txt in the grammars of `oaembed.network`;
+outliers.tsv, ``<node_id> <kind>`` per planted node in planting order;
+embedding.tsv and scores.tsv, a ``node`` header and one row of floats per
+node; loss.tsv (``iteration loss``); ranked.tsv (``rank node score``, most
+outlying first); report.json and report.tsv, EvalReport.to_json() and
+to_tsv().
+"""
+
+import os
+from itertools import chain
+
+import numpy as np
+
+from .errors import ConfigError, ParseError
+
+SCORE_COLUMNS = ("structural", "attribute", "disagreement", "combined")
+
+
+def _data_lines(path: str):
+    """Yield (lineno, line) for non-empty, non-comment lines."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path) from exc
+
+
+def _write_lines(path: str, lines) -> str:
+    """The one output rule (module docstring): create path's directory, then
+    write each line of the iterable with a '\\n' ending. Returns path."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    return path
+
+
+def _save_float_tsv(path: str, names, columns, values: np.ndarray) -> str:
+    """Write a 'node' header and one row of floats per node: _load_float_tsv's inverse."""
+    rows = (name + "\t" + "\t".join(map(repr, row.tolist())) for name, row in zip(names, values))
+    return _write_lines(path, chain(["node\t" + "\t".join(columns)], rows))
+
+
+def _load_float_tsv(path: str, columns: tuple[str, ...] | None = None):
+    """Read a TSV whose header is 'node' and then float columns (exactly
+    `columns`, when given) into (node names, N x C float array). A header
+    that does not fit, a row of the wrong length, a second row for a node or
+    a cell that is not a finite float raises ParseError."""
+    header = None
+    rows = {}  # node name -> its value cells
+    for lineno, line in _data_lines(path):
+        cells = line.split("\t")
+        if header is None:
+            header = cells
+            if (cells[0] != "node" or len(cells) < 2
+                    or columns is not None and tuple(cells[1:]) != columns):
+                raise ParseError(f"unexpected header {cells!r}", path, lineno)
+        elif len(cells) != len(header):
+            raise ParseError(f"row has {len(cells)} cells, header has {len(header)}",
+                             path, lineno)
+        elif cells[0] in rows:
+            raise ParseError(f"duplicate row for node {cells[0]!r}", path, lineno)
+        else:
+            rows[cells[0]] = cells[1:]
+    if header is None:
+        raise ParseError("empty TSV", path)
+    names = list(rows)
+    try:
+        vals = np.array([[float(c) for c in r] for r in rows.values()])
+    except ValueError:
+        raise ParseError("bad float cell", path) from None
+    vals = vals.reshape(len(rows), len(header) - 1)  # also when there are no rows
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"non-finite value for node {names[np.argmin(finite)]!r}", path)
+    return names, vals
+
+
+def load_embedding_tsv(path: str):
+    """Read embedding.tsv into (node_names, N x K array)."""
+    return _load_float_tsv(path)
+
+
+def load_scores_tsv(path: str):
+    """Read scores.tsv into (node_names, N x 3 component scores, combined scores)."""
+    names, vals = _load_float_tsv(path, SCORE_COLUMNS)
+    return names, vals[:, :3], vals[:, 3]
+
+
+def check_combine_weights(w, name: str = "combine_weights"):
+    """Raise ConfigError unless w is 3 nonnegative weights summing to 1 (NaN fails)."""
+    if not (len(w) == 3 and all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
+        raise ConfigError(f"{name} must be 3 nonnegative values summing to 1, got {w}")
+
+
+def final_outlier_score(component_scores,
+                        combine_weights: tuple[float, float, float]) -> np.ndarray:
+    """Convex combination w1 s1 + w2 s2 + w3 s3 of the columns of the N x 3
+    component-score array (structural, attribute, disagreement). fit and the
+    CLI's --weights both combine scores here, so a stored combined column is
+    reproduced bit for bit from its components."""
+    check_combine_weights(combine_weights)
+    c = np.asarray(component_scores, dtype=np.float64)
+    if c.ndim != 2 or c.shape[1] != 3:
+        raise ValueError(f"component scores must be N x 3, got shape {c.shape}")
+    w = combine_weights
+    return w[0] * c[:, 0] + w[1] * c[:, 1] + w[2] * c[:, 2]
+
+
+def rank_nodes(scores: np.ndarray) -> np.ndarray:
+    """Node indices sorted by descending score, ties by ascending index."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError("scores must be a 1-D vector")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    return np.lexsort((np.arange(s.size), -s))

@@ -18,10 +18,11 @@ from helpers import (brute_force_clustering_accuracy, fd_check_sweep,
                      rand_network, rand_score_triplet, random_orthogonal, run_cli)
 from oaembed.core import (FactorModel, HyperParams, _loss_terms, _residuals, budget_scores,
                           fit, update_alignment)
-from oaembed.evaluation import clustering_accuracy, f1_scores, rank_nodes, recall_at
+from oaembed.evaluation import clustering_accuracy, f1_scores, recall_at
 from oaembed.network import AttributedNetwork, save_network
 from oaembed.numerics import make_rng
 from oaembed.seeding import SeedingPlan, seed_outliers, synth_network
+from oaembed.tables import rank_nodes
 
 
 def report(capsys, number, name, ok, detail):

@@ -14,9 +14,9 @@ import oaembed
 from helpers import run_cli
 from oaembed import cli
 from oaembed.core import HyperParams, default_dim
-from oaembed.evaluation import rank_nodes
-from oaembed.network import load_scores_tsv, save_network
+from oaembed.network import save_network
 from oaembed.seeding import SeedingPlan, synth_network
+from oaembed.tables import load_scores_tsv, rank_nodes
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,16 @@ def test_version_and_usage():
     assert code == 0
     for sub in ("seed", "embed", "rank-outliers", "evaluate"):
         assert sub in stdout
+
+
+@pytest.mark.parametrize("sub,shown", [("seed", "plant (default 0.05)"),
+                                       ("embed", "rounds (default 15)"),
+                                       ("evaluate", "percentage (default 10)")])
+def test_subcommand_help_shows_the_library_defaults(sub, shown):
+    # the parser looks up the defaults of the subcommand on the command line
+    code, stdout, _ = run_cli(sub, "--help")
+    assert code == 0
+    assert shown in " ".join(stdout.split())
 
 
 def test_seed_outputs(seeded):
@@ -304,13 +314,13 @@ def test_weights_reproduce_the_stored_combined_column(seeded, tmp_path, monkeypa
     assert ranked[1] == ranked[0]
 
     seen = []
-    evaluate_all = cli.evaluate_all
+    evaluate_all = oaembed.evaluation.evaluate_all
 
     def recording(net, result, *args, **kwargs):
         seen.append(result.outlier_scores)
         return evaluate_all(net, result, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_all", recording)
+    monkeypatch.setattr(oaembed.evaluation, "evaluate_all", recording)
     code, _, stderr = run_cli("evaluate", "--edges", seeded["edges"], "--attrs", seeded["attrs"],
                               "--labels", seeded["labels"], "--truth", seeded["truth"],
                               "--embedding", str(emb / "embedding.tsv"), "--scores", scores,
@@ -468,13 +478,50 @@ def test_evaluate_zero_reps_exits_2(seeded, embedded, tmp_path):
     assert not (out / "report.json").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # every CLI process pays for its imports; only clustering needs scipy.optimize
-    code = "import sys, oaembed.cli; print('scipy.optimize' in sys.modules)"
+_START = {"oaembed", "oaembed.errors", "oaembed.tables"}  # what every CLI process imports
+_SEEDED = ["--edges", "{seeded}/edges.txt", "--attrs", "{seeded}/attributes.txt",
+           "--labels", "{seeded}/labels.txt"]
+
+
+@pytest.mark.parametrize("argv,modules,unloaded", [
+    (None, {"oaembed"}, "scipy"),
+    (["--help"], _START, "scipy"),
+    (["--version"], _START, "scipy"),
+    (["rank-outliers", "--scores", "{embedded}/scores.tsv", "--out", "{out}"], _START, "scipy"),
+    (["seed", "--edges", "{edges}", "--attrs", "{attributes}", "--labels", "{labels}",
+      "--out", "{out}"],
+     _START | {"oaembed.network", "oaembed.numerics", "oaembed.seeding"}, "scipy.optimize"),
+    (["embed", *_SEEDED, "--out", "{out}", "--k", "4", "--iters", "3"],
+     _START | {"oaembed.network", "oaembed.numerics", "oaembed.core"}, "scipy.optimize"),
+    (["evaluate", *_SEEDED, "--embedding", "{embedded}/embedding.tsv",
+      "--scores", "{embedded}/scores.tsv", "--truth", "{seeded}/outliers.tsv",
+      "--out", "{out}", "--splits", "30:30:10", "--reps", "1"],
+     _START | {"oaembed.network", "oaembed.numerics", "oaembed.evaluation", "oaembed.seeding"},
+     "scipy.optimize"),
+], ids=["import", "help", "version", "rank-outliers", "seed", "embed", "evaluate"])
+def test_cli_process_imports_only_what_its_subcommand_runs(argv, modules, unloaded, dataset,
+                                                           seeded, embedded, tmp_path):
+    # every CLI process pays for its imports: rank-outliers, --help and
+    # --version need numpy alone, and only clustering would need scipy.optimize
+    paths = {**dataset, "seeded": seeded["out"], "embedded": embedded["out"],
+             "out": str(tmp_path / "out")}
+    run = ("import oaembed\ncode = 0" if argv is None else "\n".join([
+        f"sys.argv = ['oaembed', *{[arg.format(**paths) for arg in argv]!r}]",
+        "try:",
+        "    runpy.run_module('oaembed.cli', run_name='__main__')",
+        "except SystemExit as exc:",
+        "    code = exc.code"]))
+    code = "\n".join([
+        "import json, runpy, sys", run,
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'oaembed'),",
+        f"                  {unloaded!r} in sys.modules]))"])
     env = {**os.environ, "PYTHONPATH": str(Path(oaembed.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    exit_code, loaded, found = json.loads(out.stdout.splitlines()[-1])
+    assert exit_code == 0, out.stderr
+    assert set(loaded) == modules
+    assert not found
 
 
 def test_evaluate_all_leaves_scipy_optimize_unloaded():
@@ -572,8 +619,9 @@ def test_required_options_alone_run_the_library_defaults(dataset, tmp_path, monk
             return real(*args, **kwargs)
         return call
 
-    for name in ("seed_outliers", "fit", "evaluate_all"):
-        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    for module, name in ((oaembed.seeding, "seed_outliers"), (oaembed.core, "fit"),
+                         (oaembed.evaluation, "evaluate_all")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     seeded = tmp_path / "seeded"
     assert run_cli("seed", "--edges", dataset["edges"], "--attrs", dataset["attributes"],
                    "--labels", dataset["labels"], "--out", str(seeded))[0] == 0
@@ -599,13 +647,13 @@ def test_required_options_alone_run_the_library_defaults(dataset, tmp_path, monk
 def test_config_exclude_outliers_false_yields_to_the_bare_flag(seeded, embedded, tmp_path,
                                                                monkeypatch):
     seen = []
-    evaluate_all = cli.evaluate_all
+    evaluate_all = oaembed.evaluation.evaluate_all
 
     def recording(*args, **kwargs):
         seen.append(kwargs["exclude_outliers"])
         return evaluate_all(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_all", recording)
+    monkeypatch.setattr(oaembed.evaluation, "evaluate_all", recording)
     cfg = tmp_path / "eval.cfg"
     cfg.write_text("exclude-outliers=false\nsplits=30:30:10\nreps=1\n")
     argv = ["evaluate", "--edges", seeded["edges"], "--attrs", seeded["attrs"],

@@ -16,14 +16,15 @@ from helpers import (fd_check_sweep, joint_loss, naive_loss_disagreement, naive_
 from oaembed import core
 from oaembed.core import (FactorModel, HyperParams, OutlierScores, _loss_ratios,
                           _loss_terms, _residuals, budget_scores, default_dim,
-                          final_embedding, final_outlier_score, fit, update_alignment,
+                          final_embedding, fit, update_alignment,
                           update_attr_basis, update_attr_embed, update_struct_context,
                           update_struct_embed)
 from oaembed.errors import ConfigError, NumericError
-from oaembed.evaluation import rank_nodes, recall_at
+from oaembed.evaluation import recall_at
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng
 from oaembed.seeding import SeedingPlan, seed_outliers, synth_network
+from oaembed.tables import final_outlier_score, rank_nodes
 
 INV_E = math.exp(-1.0)  # score with unit log-weight
 

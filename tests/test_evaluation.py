@@ -10,10 +10,11 @@ from helpers import (brute_force_clustering_accuracy, brute_force_matching,
                      reference_kmeans_pp_full, reference_train_classifier)
 from oaembed.evaluation import (RECALL_LEVELS, EvalReport, clustering_accuracy,
                                 evaluate_all, f1_scores, kmeans_pp_full, predict,
-                                rank_nodes, recall_at, train_classifier)
+                                recall_at, train_classifier)
 from oaembed.network import AttributedNetwork, EmbeddingResult
 from oaembed.numerics import make_rng, named_rng
 from oaembed.seeding import synth_network
+from oaembed.tables import rank_nodes
 
 
 # ----------------------------------------------------------------- ranking

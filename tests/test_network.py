@@ -8,12 +8,12 @@ import scipy.sparse as sp
 from helpers import joint_loss, rand_network, to_dense
 from oaembed.core import HyperParams, fit
 from oaembed.errors import ParseError
-from oaembed.network import (AttributedNetwork, EmbeddingResult, _undirected_csr, _write_lines,
-                             load_embedding_tsv, load_network, load_scores_tsv, save_network,
-                             save_result)
+from oaembed.network import (AttributedNetwork, EmbeddingResult, _undirected_csr, load_network,
+                             save_network, save_result)
 from oaembed.numerics import make_rng
 from oaembed.seeding import (SeededDataset, SeedingPlan, _ClassStats, save_truth,
                              seed_outliers, synth_network)
+from oaembed.tables import _write_lines, load_embedding_tsv, load_scores_tsv
 
 
 def write(path, text):
