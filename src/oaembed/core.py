@@ -34,6 +34,11 @@ resolved attr_weight and dis_weight floats, so only fit reads HyperParams.
 C is CSR (AttributedNetwork stores no other layout), so the attribute
 initialization, the U and V sweeps and all attribute residuals cost
 O(nnz(C) K + (N + D) K^2), never O(N D K).
+
+A fit forms each shared quantity once and hands it on as an optional
+argument, which a direct call of an update function may leave out: A^T, C^T
+and the row norms once per fit; the three log(1 / score) weight vectors once
+per new set of scores; A H^T and C V^T once per change of H and V.
 """
 
 import warnings
@@ -130,6 +135,21 @@ def _node_weights(scores: np.ndarray, name: str) -> np.ndarray:
     return -np.log(s)
 
 
+def _weight(scores: OutlierScores, weights, i: int) -> np.ndarray:
+    """w1, w2 or w3 (i = 0, 1, 2): weights[i] where the caller holds
+    _score_weights(scores), else log(1/s) of that score vector alone."""
+    if weights is not None:
+        return weights[i]
+    name = ("structural", "attribute", "disagreement")[i]
+    return _node_weights(getattr(scores, name), f"{name} scores")
+
+
+def _score_weights(scores: OutlierScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w1, w2, w3): log(1/s) of the structural, attribute and disagreement
+    scores, the per-node weights of the three loss terms."""
+    return tuple(_weight(scores, None, i) for i in range(3))
+
+
 def _residuals(adj, attrs, model: FactorModel, norms=(None, None),
                products=(None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node squared residuals of the structure, attribute and alignment
@@ -142,12 +162,12 @@ def _residuals(adj, attrs, model: FactorModel, norms=(None, None),
             row_sq_residuals(model.struct_embed, model.attr_embed, model.align.T))
 
 
-def _loss_terms(residuals, scores: OutlierScores) -> tuple[float, float, float]:
-    """(structure, attribute, disagreement) loss terms, unweighted."""
-    r1, r2, r3 = residuals
-    return (float(_node_weights(scores.structural, "structural scores") @ r1),
-            float(_node_weights(scores.attribute, "attribute scores") @ r2),
-            float(_node_weights(scores.disagreement, "disagreement scores") @ r3))
+def _loss_terms(residuals, scores: OutlierScores,
+                weights=None) -> tuple[float, float, float]:
+    """(structure, attribute, disagreement) loss terms, unweighted. weights
+    is _score_weights(scores) if the caller already holds it."""
+    weights = _score_weights(scores) if weights is None else weights
+    return tuple(float(w @ r) for w, r in zip(weights, residuals))
 
 
 def _joint(terms, attr_weight: float, dis_weight: float) -> float:
@@ -174,32 +194,45 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict | None, key: str) -> np.ndarray:
     term is (a_t, T_t B_t^T, B_t B_t^T): row weights of length M, an M x K
     cross product and a K x K Gram. A coordinate whose quadratic coefficient
     is below 1e-12 is left unchanged and counted under diag[key].
+
+    A term whose Gram is diagonal (the identity of the G sweep's alignment
+    term, or any Gram at K = 1) couples no columns: its share of each column
+    update is coef * (x @ 0), exactly zero for finite x, and adding it to a
+    sum that starts from 0 changes no bit. So it enters the quadratic
+    coefficients and the base but runs no column products.
     """
     x = np.array(x, dtype=np.float64, order="F")  # x[:, k] contiguous
-    den = sum(a[:, None] * np.diag(gram) for a, _, gram in terms)  # M x K
+    diags = [np.diag(gram) for _, _, gram in terms]
+    den = sum(a[:, None] * dg for (a, _, _), dg in zip(terms, diags))  # M x K
+    num = sum(a[:, None] * cross for a, cross, _ in terms)
     ok = den >= _DEGENERATE_DEN
-    den = np.where(ok, den, np.inf)
+    n_skipped = ok.size - np.count_nonzero(ok)
     # x[:, k] = base[:, k] - sum_t coef_t[:, k] * (x @ off_t[:, k]), where off_t
     # is the Gram with a zero diagonal, so column k drops out of its own update;
     # a skipped coordinate has coef 0 and base equal to its current value
-    base = np.where(ok, sum(a[:, None] * cross for a, cross, _ in terms) / den, x)
-    parts = [(a[:, None] / den, gram - np.diag(np.diag(gram))) for a, _, gram in terms]
+    if n_skipped:
+        den = np.where(ok, den, np.inf)
+        base = np.where(ok, num / den, x)
+    else:
+        base = np.divide(num, den, out=num)
+    parts = [(a[:, None] / den, off) for (a, _, gram), dg in zip(terms, diags)
+             if (off := gram - np.diag(dg)).any()]
     for k in range(x.shape[1]):
         x[:, k] = base[:, k] - sum(coef[:, k] * (x @ off[:, k]) for coef, off in parts)
-    if diag is not None and not ok.all():
-        diag[key] = diag.get(key, 0) + int(ok.size - np.count_nonzero(ok))
+    if diag is not None and n_skipped:
+        diag[key] = diag.get(key, 0) + int(n_skipped)
     return x
 
 
 def update_struct_embed(adj, model: FactorModel, scores: OutlierScores,
                         dis_weight: float, diag: dict | None = None,
-                        ah: np.ndarray | None = None) -> np.ndarray:
+                        ah: np.ndarray | None = None, weights=None) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_embed G: the structure
     term (w1, A H^T, H H^T) plus the alignment term (dis_weight w3, U W^T, I).
-    ah is A H^T if the caller already holds it."""
+    ah is A H^T and weights _score_weights(scores) if the caller already
+    holds them."""
     h = model.struct_context
-    w1 = _node_weights(scores.structural, "structural scores")
-    w3 = _node_weights(scores.disagreement, "disagreement scores")
+    w1, w3 = _weight(scores, weights, 0), _weight(scores, weights, 2)
     ah = np.asarray(adj @ h.T) if ah is None else ah
     terms = ((w1, ah, h @ h.T),
              (dis_weight * w3, model.attr_embed @ model.align.T, np.eye(h.shape[0])))
@@ -207,26 +240,32 @@ def update_struct_embed(adj, model: FactorModel, scores: OutlierScores,
 
 
 def update_struct_context(adj, model: FactorModel, scores: OutlierScores,
-                          diag: dict | None = None) -> np.ndarray:
+                          diag: dict | None = None, weights=None,
+                          adj_t=None) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_context H. Its columns are
     independent, so the kernel sweeps H^T with unit row weights and the scores
-    folded into the term (A^T (G*w1), G^T (G*w1))."""
+    folded into the term (A^T (G*w1), G^T (G*w1)). weights is
+    _score_weights(scores) and adj_t is adj.T if the caller already holds
+    them."""
     g = model.struct_embed
-    gw = g * _node_weights(scores.structural, "structural scores")[:, None]
-    terms = ((np.ones(adj.shape[1]), np.asarray(adj.T @ gw), g.T @ gw),)
+    w1 = _weight(scores, weights, 0)
+    adj_t = adj.T if adj_t is None else adj_t
+    gw = g * w1[:, None]
+    terms = ((np.ones(adj.shape[1]), np.asarray(adj_t @ gw), g.T @ gw),)
     return _cd_sweep(model.struct_context.T, terms, diag, "struct_context").T
 
 
 def update_attr_embed(attrs, model: FactorModel, scores: OutlierScores,
                       attr_weight: float, dis_weight: float,
-                      diag: dict | None = None, cv: np.ndarray | None = None) -> np.ndarray:
+                      diag: dict | None = None, cv: np.ndarray | None = None,
+                      weights=None) -> np.ndarray:
     """One exact coordinate-descent sweep over attr_embed U: the attribute
     term (attr_weight w2, C V^T, V V^T) plus the alignment term
-    (dis_weight w3, G W, W^T W). cv is C V^T if the caller already holds it."""
+    (dis_weight w3, G W, W^T W). cv is C V^T and weights
+    _score_weights(scores) if the caller already holds them."""
     v = model.attr_basis
     w = model.align
-    w2 = _node_weights(scores.attribute, "attribute scores")
-    w3 = _node_weights(scores.disagreement, "disagreement scores")
+    w2, w3 = _weight(scores, weights, 1), _weight(scores, weights, 2)
     cv = np.asarray(attrs @ v.T) if cv is None else cv
     terms = ((attr_weight * w2, cv, v @ v.T),
              (dis_weight * w3, model.struct_embed @ w, w.T @ w))
@@ -234,24 +273,30 @@ def update_attr_embed(attrs, model: FactorModel, scores: OutlierScores,
 
 
 def update_attr_basis(attrs, model: FactorModel, scores: OutlierScores,
-                      diag: dict | None = None) -> np.ndarray:
+                      diag: dict | None = None, weights=None,
+                      attrs_t=None) -> np.ndarray:
     """One exact coordinate-descent sweep over attr_basis V, on V^T as for
-    struct_context, with the term (ones, C^T (U*w2), U^T (U*w2))."""
+    struct_context, with the term (ones, C^T (U*w2), U^T (U*w2)). weights is
+    _score_weights(scores) and attrs_t is attrs.T if the caller already
+    holds them."""
     u = model.attr_embed
-    uw = u * _node_weights(scores.attribute, "attribute scores")[:, None]
-    terms = ((np.ones(attrs.shape[1]), np.asarray(attrs.T @ uw), u.T @ uw),)
+    w2 = _weight(scores, weights, 1)
+    attrs_t = attrs.T if attrs_t is None else attrs_t
+    uw = u * w2[:, None]
+    terms = ((np.ones(attrs.shape[1]), np.asarray(attrs_t @ uw), u.T @ uw),)
     return _cd_sweep(model.attr_basis.T, terms, diag, "attr_basis").T
 
 
-def update_alignment(model: FactorModel, scores: OutlierScores) -> np.ndarray:
+def update_alignment(model: FactorModel, scores: OutlierScores, weights=None) -> np.ndarray:
     """Weighted-Procrustes minimizer of the disagreement term.
 
     Scales both embeddings row-wise by sqrt(log(1/score)), then takes the SVD
     x diag(sigma) yt of their K x K cross-product; x @ yt is the optimal
     orthogonal map. The result has orthonormal columns even when the
-    cross-product is singular.
+    cross-product is singular. weights is _score_weights(scores) if the
+    caller already holds it.
     """
-    w3 = _node_weights(scores.disagreement, "disagreement scores")
+    w3 = _weight(scores, weights, 2)
     rw = np.sqrt(w3)[:, None]
     cross = (model.struct_embed * rw).T @ (model.attr_embed * rw)
     x, _, yt = svd_small(cross)
@@ -331,8 +376,12 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     sweep, then A H^T, C^T (U*w2) for the V sweep, then C V^T. A H^T and
     C V^T go to the round's residuals and on to the next round's G and U
     sweeps, which align and the scores leave valid; the initial residual
-    pass hands round 1 its pair the same way. ||A_i||^2 and ||C_i||^2 are
-    formed once per fit.
+    pass hands round 1 its pair the same way. The weights w1, w2 and w3
+    (log(1/score)) are formed once per new scores: the uniform start's serve
+    the initial align, the calibration and round 1, and each round's serve
+    its loss and the next round's five updates. A^T and C^T (CSC objects)
+    serve both initializations and every H and V sweep, and ||A_i||^2 and
+    ||C_i||^2 every residual pass; each is formed once per fit.
 
     The CSR attributes are never densified, and net is not changed.
 
@@ -349,8 +398,11 @@ def fit(net: AttributedNetwork, hp: HyperParams):
                           "a nonnegative factorization)")
 
     diagnostics = FitDiagnostics()
-    g, h = nmf_init(adj, hp.dim, hp.init_iters, named_rng(hp.seed, "init-structure"))
-    u, v = nmf_init(attrs, hp.dim, hp.init_iters, named_rng(hp.seed, "init-attributes"))
+    # sparse .T builds a new CSC object on each call, so build each once
+    adj_t, attrs_t = adj.T, attrs.T
+    g, h = nmf_init(adj, hp.dim, hp.init_iters, named_rng(hp.seed, "init-structure"), adj_t)
+    u, v = nmf_init(attrs, hp.dim, hp.init_iters, named_rng(hp.seed, "init-attributes"),
+                    attrs_t)
     for what, factor in (("structure", g), ("structure", h),
                          ("attribute", u), ("attribute", v)):
         if not np.isfinite(factor).all():
@@ -358,17 +410,18 @@ def fit(net: AttributedNetwork, hp: HyperParams):
                                "magnitudes are too large for squared residuals")
     uniform = np.full(n, 1.0 / n)
     scores = OutlierScores(uniform.copy(), uniform.copy(), uniform.copy())
+    weights = _score_weights(scores)
     model = FactorModel(g, h, u, v, np.eye(hp.dim))
     # the align matrix has no factorization-based start; use the Procrustes
     # optimum for the initial embeddings so calibration sees a sensible value
-    model.align = update_alignment(model, scores)
+    model.align = update_alignment(model, scores, weights)
 
     # H and V change only in their own sweeps, so A H^T and C V^T stay
     # valid until the next one
     norms = (row_sq_norms(adj), row_sq_norms(attrs))
     ah = np.asarray(adj @ model.struct_context.T)
     cv = np.asarray(attrs @ model.attr_basis.T)
-    terms = _loss_terms(_residuals(adj, attrs, model, norms, (ah, cv)), scores)
+    terms = _loss_terms(_residuals(adj, attrs, model, norms, (ah, cv)), scores, weights)
     for term, value in zip(("structure", "attribute", "disagreement"), terms):
         if not np.isfinite(value):
             raise NumericError(f"initial {term} loss is non-finite; "
@@ -386,18 +439,20 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     trace: list[float] = []
     for round_no in range(1, hp.iters + 1):
         if round_no > 1:  # round 1 would recompute the calibration's align
-            model.align = update_alignment(model, scores)
+            model.align = update_alignment(model, scores, weights)
             _check_finite(model.align, "align update", round_no)
         model.struct_embed = update_struct_embed(adj, model, scores, dis_weight,
-                                                 diagnostics.skipped, ah)
+                                                 diagnostics.skipped, ah, weights)
         _check_finite(model.struct_embed, "struct_embed update", round_no)
-        model.struct_context = update_struct_context(adj, model, scores, diagnostics.skipped)
+        model.struct_context = update_struct_context(adj, model, scores, diagnostics.skipped,
+                                                     weights, adj_t)
         _check_finite(model.struct_context, "struct_context update", round_no)
         ah = np.asarray(adj @ model.struct_context.T)
         model.attr_embed = update_attr_embed(attrs, model, scores, attr_weight, dis_weight,
-                                             diagnostics.skipped, cv)
+                                             diagnostics.skipped, cv, weights)
         _check_finite(model.attr_embed, "attr_embed update", round_no)
-        model.attr_basis = update_attr_basis(attrs, model, scores, diagnostics.skipped)
+        model.attr_basis = update_attr_basis(attrs, model, scores, diagnostics.skipped,
+                                             weights, attrs_t)
         _check_finite(model.attr_basis, "attr_basis update", round_no)
         cv = np.asarray(attrs @ model.attr_basis.T)
 
@@ -409,7 +464,8 @@ def fit(net: AttributedNetwork, hp: HyperParams):
             scores = OutlierScores(*(budget_scores(r, 1.0, _SCORE_FLOOR)
                                      for r in residuals))
             diagnostics.notes.extend(f"round {round_no}: {c.message}" for c in caught)
-        loss = _joint(_loss_terms(residuals, scores), attr_weight, dis_weight)
+        weights = _score_weights(scores)
+        loss = _joint(_loss_terms(residuals, scores, weights), attr_weight, dis_weight)
         if not np.isfinite(loss):
             raise NumericError(f"joint loss became non-finite in round {round_no}")
         trace.append(loss)

@@ -211,7 +211,8 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
 
     Returns (labels, centroids, per-iteration within-cluster-sum-of-squares
     trace). Empty clusters are re-seeded to the point farthest from its own
-    centroid. Deterministic per seed.
+    centroid, unless that point lies within rounding of it; such a cluster
+    keeps its centroid. Deterministic per seed.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -270,8 +271,14 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
             own = ((x - centroids[labels]) ** 2).sum(axis=1)
+            # a point within the assignment's rounding bound of its centroid
+            # already sits on it: re-seeding there would only swap clusters
+            # at every step (k above the number of distinct points)
+            near_own = tie_scale * (x_norm + math.sqrt(c_sq.max())) ** 2
             for c in empty:
                 far = int(np.argmax(own))
+                if own[far] <= near_own[far]:
+                    break
                 centroids[c] = x[far]
                 own[far] = -1.0
     return labels, centroids, trace

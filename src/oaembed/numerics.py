@@ -126,7 +126,7 @@ def svd_small(m):
     return np.linalg.svd(a)
 
 
-def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
+def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt=None):
     """Nonnegative factorization m ~ p @ q by accelerated multiplicative updates.
 
     Each pass forms m.T @ p and the Gram p.T @ p once and applies three
@@ -142,7 +142,8 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
     are floored at 1e-12 so exact zeros cannot divide. Every update is a plain
     MU step for its factor, so the Frobenius reconstruction error is
     non-increasing over updates. m is a scipy sparse matrix and is never
-    densified; negative or non-finite entries raise ValueError.
+    densified; negative or non-finite entries raise ValueError. mt is m.T if
+    the caller already holds it.
     """
     if not sp.issparse(m):
         raise TypeError("factorization input must be a scipy sparse matrix")
@@ -158,7 +159,7 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator):
 
     p = rng.uniform(0.1, 1.0, size=(n, k))
     q = rng.uniform(0.1, 1.0, size=(k, d))
-    mt = m.T  # sparse .T builds a new CSC object on each call, so build it once
+    mt = m.T if mt is None else mt  # sparse .T builds a new CSC object on each call
     for _ in range(-(-iters // 3)):
         mp, pp = np.asarray(mt @ p).T, p.T @ p
         for _ in range(3):

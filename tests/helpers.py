@@ -10,16 +10,18 @@ import copy
 import io
 import itertools
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import scipy.sparse as sp
 
+from oaembed import core
 from oaembed.core import FactorModel, OutlierScores
 from oaembed.evaluation import (Classifier, _classification_split, f1_scores, predict,
                                 train_classifier)
 from oaembed.network import AttributedNetwork
-from oaembed.numerics import make_rng, named_rng
+from oaembed.numerics import make_rng, named_rng, nmf_init
 
 
 def to_dense(m) -> np.ndarray:
@@ -118,8 +120,9 @@ def brute_force_matching(conf) -> int:
 def reference_kmeans_pp_full(points, k: int, seed: int):
     """`kmeans_pp_full` with the direct N x k x F distance table in each
     Lloyd step instead of the Gram form: the same k-means++ seeding, stop
-    rule and empty-cluster re-seeding, so (labels, centroids, trace) must
-    match bit for bit."""
+    rule and empty-cluster re-seeding (none onto a point within the rounding
+    bound of its own centroid), so (labels, centroids, trace) must match bit
+    for bit."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     rng = make_rng(seed)
@@ -132,9 +135,12 @@ def reference_kmeans_pp_full(points, k: int, seed: int):
         centroids[t] = x[idx]
         d2 = np.minimum(d2, ((x - centroids[t]) ** 2).sum(axis=1))
 
+    tie_scale = 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps
+    x_norm = np.sqrt((x ** 2).sum(axis=1))
     labels = np.full(n, -1)
     trace = []
     for _ in range(100):
+        c_sq = (centroids ** 2).sum(axis=1)
         dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(dists, axis=1)
         trace.append(float(dists[np.arange(n), new_labels].sum()))
@@ -147,8 +153,11 @@ def reference_kmeans_pp_full(points, k: int, seed: int):
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
             own = ((x - centroids[labels]) ** 2).sum(axis=1)
+            near_own = tie_scale * (x_norm + math.sqrt(c_sq.max())) ** 2
             for c in empty:
                 far = int(np.argmax(own))
+                if own[far] <= near_own[far]:
+                    break
                 centroids[c] = x[far]
                 own[far] = -1.0
     return labels, centroids, trace
@@ -441,6 +450,57 @@ def naive_update_attr_basis(attrs, model, scores) -> np.ndarray:
                 num += math.log(1.0 / scores.attribute[i]) * (c[i, d] - pred) * u[i, k]
             v[k, d] = num / den
     return v
+
+
+def reference_cd_sweep(x, terms, diag, key) -> np.ndarray:
+    """core._cd_sweep as it was before it dropped terms with an all-zero
+    off-diagonal Gram: every term's column product runs, both masks always
+    apply, and each Gram's diagonal is taken twice. The kernel must match it
+    bit for bit."""
+    x = np.array(x, dtype=np.float64, order="F")
+    den = sum(a[:, None] * np.diag(gram) for a, _, gram in terms)
+    ok = den >= 1e-12
+    den = np.where(ok, den, np.inf)
+    base = np.where(ok, sum(a[:, None] * cross for a, cross, _ in terms) / den, x)
+    parts = [(a[:, None] / den, gram - np.diag(np.diag(gram))) for a, _, gram in terms]
+    for k in range(x.shape[1]):
+        x[:, k] = base[:, k] - sum(coef[:, k] * (x @ off[:, k]) for coef, off in parts)
+    if diag is not None and not ok.all():
+        diag[key] = diag.get(key, 0) + int(ok.size - np.count_nonzero(ok))
+    return x
+
+
+def reference_fit(net: AttributedNetwork, hp):
+    """fit's initialization and rounds as plain calls of the public update_*
+    functions with nothing handed on: each call forms its own score weights,
+    sparse transposes and products, and each residual pass its own row
+    norms. fit forms each of these once and must match this bit for bit.
+    Returns (model, scores, loss trace)."""
+    adj, attrs = net.adjacency, net.attributes
+    g, h = nmf_init(adj, hp.dim, hp.init_iters, named_rng(hp.seed, "init-structure"))
+    u, v = nmf_init(attrs, hp.dim, hp.init_iters, named_rng(hp.seed, "init-attributes"))
+    uniform = np.full(net.n_nodes, 1.0 / net.n_nodes)
+    scores = OutlierScores(uniform.copy(), uniform.copy(), uniform.copy())
+    model = FactorModel(g, h, u, v, np.eye(hp.dim))
+    model.align = core.update_alignment(model, scores)
+    terms = core._loss_terms(core._residuals(adj, attrs, model), scores)
+    attr_w, dis_w, _ = core._loss_ratios(*terms)
+    attr_weight = attr_w if hp.attr_weight is None else hp.attr_weight
+    dis_weight = dis_w if hp.dis_weight is None else hp.dis_weight
+    trace = []
+    for round_no in range(1, hp.iters + 1):
+        if round_no > 1:
+            model.align = core.update_alignment(model, scores)
+        model.struct_embed = core.update_struct_embed(adj, model, scores, dis_weight)
+        model.struct_context = core.update_struct_context(adj, model, scores)
+        model.attr_embed = core.update_attr_embed(attrs, model, scores, attr_weight, dis_weight)
+        model.attr_basis = core.update_attr_basis(attrs, model, scores)
+        residuals = core._residuals(adj, attrs, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scores = OutlierScores(*(core.budget_scores(r, 1.0, 1e-8) for r in residuals))
+        trace.append(core._joint(core._loss_terms(residuals, scores), attr_weight, dis_weight))
+    return model, scores, trace
 
 
 def jacobi_eigvals(s) -> np.ndarray:

@@ -12,7 +12,7 @@ from helpers import (fd_check_sweep, joint_loss, naive_loss_disagreement, naive_
                      naive_update_attr_embed, naive_update_struct_context,
                      naive_update_struct_embed, naive_weighted_sq_loss,
                      rand_model, rand_network, rand_score_triplet, rand_scores,
-                     random_orthogonal, to_dense)
+                     random_orthogonal, reference_cd_sweep, reference_fit, to_dense)
 from oaembed import core
 from oaembed.core import (FactorModel, HyperParams, OutlierScores, _loss_ratios,
                           _loss_terms, _residuals, budget_scores, default_dim,
@@ -330,6 +330,37 @@ def test_updates_are_coordinatewise_optimal():
     model = rand_model(rng, 10, 3, 6)
     scores = rand_score_triplet(rng, 10)
     assert fd_check_sweep(net, model, scores, 1.4, 0.6, rng, 24) >= -1e-10
+
+
+def _sweep_terms(rng, m, k, n_terms, zero_rows):
+    """Random (weights, cross, Gram) terms; the last Gram is the identity, as
+    in the alignment term of the G sweep, and zero_rows rows weigh 0 in every
+    term, so their coordinates are skipped."""
+    terms = []
+    for t in range(n_terms):
+        a = rng.uniform(0.1, 2.0, size=m)
+        a[:zero_rows] = 0.0
+        b = rng.normal(size=(k, k + 3))
+        gram = np.eye(k) if t == n_terms - 1 and n_terms > 1 else b @ b.T
+        terms.append((a, rng.normal(size=(m, k)), gram))
+    return terms
+
+
+@pytest.mark.parametrize("m, k, n_terms, zero_rows", [
+    (30, 4, 2, 0), (30, 4, 2, 3), (25, 5, 1, 0), (25, 5, 1, 2), (12, 1, 2, 0), (12, 1, 1, 1),
+    (40, 12, 2, 0)])
+def test_cd_sweep_matches_the_kernel_without_zero_gram_skips(m, k, n_terms, zero_rows):
+    # dropping a term whose off-diagonal Gram is all zeros, and the masks when
+    # nothing is skipped, must change no bit of the sweep or its skip count
+    rng = make_rng(100 + m + k)
+    x = rng.normal(size=(m, k))
+    terms = _sweep_terms(rng, m, k, n_terms, zero_rows)
+    got_diag, want_diag = {}, {}
+    got = core._cd_sweep(x, terms, got_diag, "x")
+    want = reference_cd_sweep(x, terms, want_diag, "x")
+    assert np.array_equal(got, want)
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got_diag == want_diag == ({"x": zero_rows * k} if zero_rows else {})
 
 
 # ------------------------------------------------------------- alignment
@@ -752,6 +783,91 @@ def test_fit_updates_the_alignment_once_per_round(monkeypatch, iters):
     net = rand_network(make_rng(23), 12, 6)
     fit(net, HyperParams(dim=2, iters=iters))
     assert len(calls) == iters
+
+
+class _TransposeCounted(sp.csr_matrix):
+    """Counts the transposes built of it."""
+
+    transposes = 0
+
+    def transpose(self, axes=None, copy=False):
+        self.transposes += 1
+        return super().transpose(axes, copy)
+
+
+def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch):
+    # the three log(1/score) vectors of each new OutlierScores serve every
+    # update and the loss; A^T and C^T serve the initialization and all rounds
+    net = rand_network(make_rng(26), 40, 15)
+    net.adjacency, net.attributes = (_TransposeCounted(net.adjacency),
+                                     _TransposeCounted(net.attributes))
+    weighed = []
+    node_weights = core._node_weights
+    monkeypatch.setattr(core, "_node_weights",
+                        lambda *a: weighed.append(1) or node_weights(*a))
+    at_round_end = []
+    solve = core.budget_scores
+
+    def spy(r, budget, floor):
+        at_round_end.append(len(weighed))
+        return solve(r, budget, floor)
+
+    monkeypatch.setattr(core, "budget_scores", spy)
+    hp = HyperParams(dim=3, seed=1, iters=4)
+    fit(net, hp)
+    ends = at_round_end[::3]
+    assert ends == [3 * r for r in range(1, hp.iters + 1)]  # the uniform start's, then each round's
+    assert len(weighed) == 3 * (hp.iters + 1)
+    assert (net.adjacency.transposes, net.attributes.transposes) == (1, 1)
+
+
+def _directed_network(rng, n, d):
+    """Directed, weighted, with a self-loop on every third node."""
+    adj = sp.random(n, n, density=0.15, random_state=rng, format="lil",
+                    data_rvs=lambda size: rng.uniform(0.5, 3.0, size))
+    for i in range(0, n, 3):
+        adj[i, i] = 2.0
+    attrs = sp.random(n, d, density=0.4, random_state=rng, format="csr",
+                      data_rvs=lambda size: rng.uniform(0.2, 2.0, size))
+    return AttributedNetwork(adjacency=adj.tocsr(), attributes=attrs, directed=True)
+
+
+def _isolated_network(rng, n, d):
+    """Node 0 has no edges and no attributes; the only edge is the last
+    node's self-loop. At n = 5, d = 4, K = 2 and fit seed 1 every round skips
+    all attr_embed coordinates."""
+    adj = sp.csr_matrix(([1.0], ([n - 1], [n - 1])), shape=(n, n))
+    attrs = rng.uniform(0.5, 1.5, size=(n, d))
+    attrs[0] = 0.0
+    return AttributedNetwork(adjacency=adj, attributes=attrs)
+
+
+def _sweep_small_input():
+    net = synth_network(300, 3, 0.05, 0.005, 120, 0.9, seed=0)
+    return seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=0)).network
+
+
+@pytest.mark.parametrize("build, dim", [
+    (lambda: _directed_network(make_rng(27), 30, 12), 4),
+    (lambda: _isolated_network(make_rng(28), 5, 4), 2),
+    (lambda: rand_network(make_rng(29), 14, 6), 6),  # K = min(N, D)
+    (_sweep_small_input, 3),
+    (_sweep_small_input, 12),
+], ids=["directed-weighted-self-loops", "isolated-node-empty-row", "k-min-n-d",
+        "sweep-small-k3", "sweep-small-k12"])
+def test_fit_matches_the_plain_update_calls(build, dim):
+    # fit hands on the score weights, the transposes, A H^T, C V^T and the row
+    # norms; the update calls forming each of them afresh give the same bits
+    net = build()
+    hp = HyperParams(dim=dim, seed=1)
+    model, _, result, diag = fit(net, hp)
+    ref_model, ref_scores, ref_trace = reference_fit(net, hp)
+    assert np.array_equal(result.embedding, final_embedding(ref_model))
+    assert np.array_equal(result.component_scores, columns(ref_scores))
+    assert result.loss_trace == ref_trace
+    assert np.array_equal(model.align, ref_model.align)
+    if net.attributes[0].nnz == 0:
+        assert diag.skipped["attr_embed"] > 0
 
 
 @pytest.mark.parametrize("name", ["loss_tol", "score_floor"])

@@ -243,6 +243,19 @@ def test_kmeans_duplicate_points_survive():
     assert ((labels >= 0) & (labels < 3)).all()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_converges_with_more_clusters_than_distinct_points(seed):
+    # the copies' mean lands a rounding error off the point, so an empty
+    # cluster re-seeded onto a copy would take them all and the two clusters
+    # would swap at every step until the iteration cap
+    base = np.random.default_rng(0).normal(size=(21, 33))
+    pts = np.vstack([base, np.repeat(base[:1], 20, axis=0)])
+    labels, _, trace = kmeans_pp_full(pts, 41, seed)
+    assert len(trace) < 100
+    assert len(set(labels[21:])) == 1 and labels[0] == labels[21]
+    assert len(set(labels)) == 21
+
+
 def test_kmeans_errors():
     pts = np.ones((3, 2))
     with pytest.raises(ValueError):
