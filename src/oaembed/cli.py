@@ -9,9 +9,12 @@ passed on, so every default is the library's own (`SeedingPlan`,
 
 Library modules load on first use: each handler imports the modules its
 subcommand runs, and the parser imports only the library callable of the
-subcommand being parsed. So `rank-outliers`, `--help` and `--version` run on
-numpy alone (`oaembed.tables`), while `seed`, `embed` and `evaluate` also
-import `scipy.sparse` through `oaembed.network`.
+subcommand being parsed (and `inspect` to read its defaults). So
+`rank-outliers`, `--help` and `--version` run on the standard library and
+`oaembed.tables` alone: `rank-outliers` reads scores.tsv into lists and
+ranks in Python, and loads numpy only to recombine scores for `--weights`
+(`final_outlier_score`). `seed`, `embed` and `evaluate` import numpy and
+`scipy.sparse` through `oaembed.network`.
 
 Every option can also come from a `--config` file of `key=value` lines (keys
 are the long option names without the leading dashes). Each line is read as
@@ -24,7 +27,6 @@ mismatched inputs, 3 numeric failure during optimization.
 """
 
 import argparse
-import inspect
 import os
 import sys
 from importlib import import_module
@@ -32,8 +34,9 @@ from itertools import chain
 
 from . import __version__
 from .errors import ConfigError, NumericError, ParseError
-from .tables import (_data_lines, _write_lines, check_combine_weights, final_outlier_score,
-                     load_embedding_tsv, load_scores_tsv, rank_nodes)
+from .tables import (SCORE_COLUMNS, _data_lines, _read_float_rows, _write_lines,
+                     check_combine_weights, final_outlier_score, load_embedding_tsv,
+                     load_scores_tsv)
 
 
 def _parse_bool(s: str) -> bool:
@@ -116,10 +119,17 @@ def cmd_embed(edges, attrs, out, labels=None, **params) -> int:
 
 
 def cmd_rank_outliers(scores, out, weights=None) -> int:
-    names, _comps, combined = _load_scores(scores, weights)
-    order = rank_nodes(combined)
+    if weights is None:  # the stored combined column, read without numpy
+        _cols, names, rows = _read_float_rows(scores, SCORE_COLUMNS)
+        combined = [row[3] for row in rows]
+    else:
+        names, _comps, combined = _load_scores(scores, weights)
+        combined = combined.tolist()
+    # rank_nodes's rule: descending score, ties by ascending index (a stable
+    # sort keeps equal keys in index order, also under reverse=True)
+    order = sorted(range(len(combined)), key=combined.__getitem__, reverse=True)
     _write_lines(os.path.join(out, "ranked.tsv"), chain(["rank\tnode\tscore"], (
-        f"{rank}\t{names[i]}\t{float(combined[i])!r}" for rank, i in enumerate(order, 1))))
+        f"{rank}\t{names[i]}\t{combined[i]!r}" for rank, i in enumerate(order, 1))))
     print(f"ranked\t{len(order)}")
     return 0
 
@@ -231,6 +241,8 @@ def _build_parser(parsing: str | None = None) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         params = {}
         if lib and name == parsing:
+            import inspect
+
             module, _, attr = lib.rpartition(".")
             params = inspect.signature(
                 getattr(import_module(f".{module}", __package__), attr)).parameters

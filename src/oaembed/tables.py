@@ -1,9 +1,13 @@
-"""Line files, float tables and the outlier ranking: the package's numpy-only layer.
+"""Line files, float tables and the outlier ranking: the package's scipy-free layer.
 
 Everything `oaembed rank-outliers` runs lives here: reading scores.tsv,
-recombining and ranking its columns, and writing ranked.tsv. Nothing here
-imports scipy, so that subcommand starts without it; `network`, `core`,
-`evaluation` and `seeding` import what they use from this module.
+recombining its columns and writing ranked.tsv. `network`, `core`,
+`evaluation` and `seeding` import what they use from this module. Importing
+it loads no numpy: only the functions that return an array
+(_load_float_tsv, load_embedding_tsv, load_scores_tsv, final_outlier_score
+and rank_nodes) import numpy, when first called. So `rank-outliers`, which
+reads scores.tsv with _read_float_rows and sorts in Python, runs on the
+standard library alone unless given --weights.
 
 Output rule: every file the package writes goes through _write_lines, which
 creates its directory and writes UTF-8 lines ending in '\n'; floats are
@@ -16,10 +20,11 @@ outlying first); report.json and report.tsv, EvalReport.to_json() and
 to_tsv().
 """
 
+from __future__ import annotations
+
+import math
 import os
 from itertools import chain
-
-import numpy as np
 
 from .errors import ConfigError, ParseError
 
@@ -53,13 +58,15 @@ def _save_float_tsv(path: str, names, columns, values: np.ndarray) -> str:
     return _write_lines(path, chain(["node\t" + "\t".join(columns)], rows))
 
 
-def _load_float_tsv(path: str, columns: tuple[str, ...] | None = None):
+def _read_float_rows(path: str, columns: tuple[str, ...] | None = None):
     """Read a TSV whose header is 'node' and then float columns (exactly
-    `columns`, when given) into (node names, N x C float array). A header
-    that does not fit, a row of the wrong length, a second row for a node or
-    a cell that is not a finite float raises ParseError."""
+    `columns`, when given) into (column names, node names, one list of
+    floats per node), all lists, with the standard library alone. The first
+    bad line in file order raises ParseError with its line number: a header
+    that does not fit, a row of the wrong length, a second row for a node,
+    or a cell that is not a finite float (the cell is named)."""
     header = None
-    rows = {}  # node name -> its value cells
+    rows = {}  # node name -> its floats
     for lineno, line in _data_lines(path):
         cells = line.split("\t")
         if header is None:
@@ -67,25 +74,34 @@ def _load_float_tsv(path: str, columns: tuple[str, ...] | None = None):
             if (cells[0] != "node" or len(cells) < 2
                     or columns is not None and tuple(cells[1:]) != columns):
                 raise ParseError(f"unexpected header {cells!r}", path, lineno)
-        elif len(cells) != len(header):
+            continue
+        if len(cells) != len(header):
             raise ParseError(f"row has {len(cells)} cells, header has {len(header)}",
                              path, lineno)
-        elif cells[0] in rows:
-            raise ParseError(f"duplicate row for node {cells[0]!r}", path, lineno)
-        else:
-            rows[cells[0]] = cells[1:]
+        name = cells[0]
+        if name in rows:
+            raise ParseError(f"duplicate row for node {name!r}", path, lineno)
+        row = []
+        for cell in cells[1:]:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"bad float cell {cell!r}", path, lineno) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value for node {name!r}: {cell!r}", path, lineno)
+            row.append(value)
+        rows[name] = row
     if header is None:
         raise ParseError("empty TSV", path)
-    names = list(rows)
-    try:
-        vals = np.array([[float(c) for c in r] for r in rows.values()])
-    except ValueError:
-        raise ParseError("bad float cell", path) from None
-    vals = vals.reshape(len(rows), len(header) - 1)  # also when there are no rows
-    finite = np.isfinite(vals).all(axis=1)
-    if not finite.all():
-        raise ParseError(f"non-finite value for node {names[np.argmin(finite)]!r}", path)
-    return names, vals
+    return header[1:], list(rows), list(rows.values())
+
+
+def _load_float_tsv(path: str, columns: tuple[str, ...] | None = None):
+    """_read_float_rows as (node names, N x C float array)."""
+    import numpy as np
+
+    cols, names, rows = _read_float_rows(path, columns)
+    return names, np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
 
 
 def load_embedding_tsv(path: str):
@@ -111,6 +127,8 @@ def final_outlier_score(component_scores,
     component-score array (structural, attribute, disagreement). fit and the
     CLI's --weights both combine scores here, so a stored combined column is
     reproduced bit for bit from its components."""
+    import numpy as np
+
     check_combine_weights(combine_weights)
     c = np.asarray(component_scores, dtype=np.float64)
     if c.ndim != 2 or c.shape[1] != 3:
@@ -120,7 +138,10 @@ def final_outlier_score(component_scores,
 
 
 def rank_nodes(scores: np.ndarray) -> np.ndarray:
-    """Node indices sorted by descending score, ties by ascending index."""
+    """Node indices sorted by descending score, ties by ascending index.
+    `oaembed rank-outliers` sorts by the same rule in Python (cli.py)."""
+    import numpy as np
+
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("scores must be a 1-D vector")

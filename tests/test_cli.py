@@ -5,10 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oaembed
 from helpers import run_cli
@@ -16,7 +19,7 @@ from oaembed import cli
 from oaembed.core import HyperParams, default_dim
 from oaembed.network import save_network
 from oaembed.seeding import SeedingPlan, synth_network
-from oaembed.tables import load_scores_tsv, rank_nodes
+from oaembed.tables import SCORE_COLUMNS, final_outlier_score, load_scores_tsv, rank_nodes
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +297,50 @@ def test_rank_outliers_custom_weights(embedded, tmp_path):
     assert [r[1] for r in rows] == want_order
 
 
+@pytest.mark.parametrize("weights", [None, "0.2,0.3,0.5"])
+def test_rank_outliers_writes_the_rank_nodes_ranking_byte_for_byte(embedded, tmp_path, weights):
+    # rank-outliers ranks in Python, without numpy; the library reference is
+    # load_scores_tsv + final_outlier_score + rank_nodes
+    extra = [] if weights is None else ["--weights", weights]
+    out = tmp_path / "rank"
+    code, _, stderr = run_cli("rank-outliers", "--scores", embedded["scores"], "--out", str(out),
+                              *extra)
+    assert code == 0, stderr
+    names, comps, combined = load_scores_tsv(embedded["scores"])
+    if weights is not None:
+        combined = final_outlier_score(comps, tuple(map(float, weights.split(","))))
+    want = "".join(f"{rank}\t{names[i]}\t{float(combined[i])!r}\n"
+                   for rank, i in enumerate(rank_nodes(combined), 1))
+    assert (out / "ranked.tsv").read_bytes() == ("rank\tnode\tscore\n" + want).encode()
+
+
+_TIED_SCORES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                0.25, 1.0, -1.0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TIED_SCORES | st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+@example([])
+@example([-0.0])
+@example([0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 5e-324])
+def test_rank_outliers_orders_ties_as_rank_nodes_does(combined):
+    # two implementations of one rule, a stable Python sort in the CLI and
+    # np.lexsort in rank_nodes: descending score, ties (0.0 == -0.0
+    # included) by ascending index
+    with tempfile.TemporaryDirectory() as tmp:
+        scores = os.path.join(tmp, "scores.tsv")
+        Path(scores).write_text("".join(
+            ["node\t" + "\t".join(SCORE_COLUMNS) + "\n"]
+            + [f"n{i}\t0.0\t0.0\t0.0\t{v!r}\n" for i, v in enumerate(combined)]))
+        code, _, stderr = run_cli("rank-outliers", "--scores", scores, "--out", tmp)
+        assert code == 0, stderr
+        rows = [line.split("\t")
+                for line in Path(tmp, "ranked.tsv").read_text().splitlines()[1:]]
+    order = rank_nodes(np.array(combined, dtype=np.float64)).tolist()
+    assert [r[1] for r in rows] == [f"n{i}" for i in order]
+    assert [r[2] for r in rows] == [repr(combined[i]) for i in order]
+
+
 def test_weights_reproduce_the_stored_combined_column(seeded, tmp_path, monkeypatch):
     """rank-outliers --weights and evaluate --weights recombine the stored
     components exactly as embed --combine-weights combined them."""
@@ -483,26 +530,31 @@ _SEEDED = ["--edges", "{seeded}/edges.txt", "--attrs", "{seeded}/attributes.txt"
            "--labels", "{seeded}/labels.txt"]
 
 
+_STDLIB_ONLY = ("numpy", "inspect")  # no numpy, so no scipy either, and no inspect
+
+
 @pytest.mark.parametrize("argv,modules,unloaded", [
-    (None, {"oaembed"}, "scipy"),
-    (["--help"], _START, "scipy"),
-    (["--version"], _START, "scipy"),
-    (["rank-outliers", "--scores", "{embedded}/scores.tsv", "--out", "{out}"], _START, "scipy"),
+    (None, {"oaembed"}, _STDLIB_ONLY),
+    (["--help"], _START, _STDLIB_ONLY),
+    (["--version"], _START, _STDLIB_ONLY),
+    (["rank-outliers", "--scores", "{embedded}/scores.tsv", "--out", "{out}"], _START,
+     _STDLIB_ONLY),
     (["seed", "--edges", "{edges}", "--attrs", "{attributes}", "--labels", "{labels}",
       "--out", "{out}"],
-     _START | {"oaembed.network", "oaembed.numerics", "oaembed.seeding"}, "scipy.optimize"),
+     _START | {"oaembed.network", "oaembed.numerics", "oaembed.seeding"}, ("scipy.optimize",)),
     (["embed", *_SEEDED, "--out", "{out}", "--k", "4", "--iters", "3"],
-     _START | {"oaembed.network", "oaembed.numerics", "oaembed.core"}, "scipy.optimize"),
+     _START | {"oaembed.network", "oaembed.numerics", "oaembed.core"}, ("scipy.optimize",)),
     (["evaluate", *_SEEDED, "--embedding", "{embedded}/embedding.tsv",
       "--scores", "{embedded}/scores.tsv", "--truth", "{seeded}/outliers.tsv",
       "--out", "{out}", "--splits", "30:30:10", "--reps", "1"],
      _START | {"oaembed.network", "oaembed.numerics", "oaembed.evaluation", "oaembed.seeding"},
-     "scipy.optimize"),
+     ("scipy.optimize",)),
 ], ids=["import", "help", "version", "rank-outliers", "seed", "embed", "evaluate"])
 def test_cli_process_imports_only_what_its_subcommand_runs(argv, modules, unloaded, dataset,
                                                            seeded, embedded, tmp_path):
     # every CLI process pays for its imports: rank-outliers, --help and
-    # --version need numpy alone, and only clustering would need scipy.optimize
+    # --version run on the standard library alone, and only clustering would
+    # need scipy.optimize
     paths = {**dataset, "seeded": seeded["out"], "embedded": embedded["out"],
              "out": str(tmp_path / "out")}
     run = ("import oaembed\ncode = 0" if argv is None else "\n".join([
@@ -514,7 +566,7 @@ def test_cli_process_imports_only_what_its_subcommand_runs(argv, modules, unload
     code = "\n".join([
         "import json, runpy, sys", run,
         "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'oaembed'),",
-        f"                  {unloaded!r} in sys.modules]))"])
+        f"                  [m for m in {unloaded!r} if m in sys.modules]]))"])
     env = {**os.environ, "PYTHONPATH": str(Path(oaembed.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)

@@ -494,8 +494,10 @@ def test_result_loaders_reject_malformed_tsv(tmp_path):
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit("\t", 1)[0] + "\tzap"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             loader(str(path))
+        assert err.value.lineno == 3
+        assert "bad float cell 'zap'" in str(err.value)
 
 
 @pytest.mark.parametrize("name,loader", [("embedding.tsv", load_embedding_tsv),
@@ -507,8 +509,25 @@ def test_result_loaders_reject_non_finite_cells(tmp_path, name, loader, cell):
     lines = path.read_text().splitlines()
     lines[3] = lines[3].rsplit("\t", 1)[0] + "\t" + cell
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="non-finite value for node 'v2'"):
+    with pytest.raises(ParseError, match="non-finite value for node 'v2'") as err:
         loader(str(path))
+    assert err.value.lineno == 4
+    assert str(err.value).endswith(f"{cell!r}")
+
+
+@pytest.mark.parametrize("name,loader", [("embedding.tsv", load_embedding_tsv),
+                                         ("scores.tsv", load_scores_tsv)])
+def test_result_loaders_report_the_first_bad_row_in_file_order(tmp_path, name, loader):
+    # a bad cell on line 3 is reported although a short row follows on line 5
+    save_result(make_result(make_rng(5), 4, 2), str(tmp_path))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit("\t", 1)[0] + "\tinf"
+    lines[4] = lines[4].rsplit("\t", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="non-finite value for node 'v1'") as err:
+        loader(str(path))
+    assert err.value.lineno == 3
 
 
 @pytest.mark.parametrize("name,loader", [("embedding.tsv", load_embedding_tsv),
