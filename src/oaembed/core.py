@@ -35,10 +35,12 @@ C is CSR (AttributedNetwork stores no other layout), so the attribute
 initialization, the U and V sweeps and all attribute residuals cost
 O(nnz(C) K + (N + D) K^2), never O(N D K).
 
-A fit forms each shared quantity once and hands it on as an optional
-argument, which a direct call of an update function may leave out: A^T, C^T
-and the row norms once per fit; the three log(1 / score) weight vectors once
-per new set of scores; A H^T and C V^T once per change of H and V.
+Each shared quantity has one source, the fit that forms it, and every
+kernel takes it as a required argument and forms none itself: A^T, C^T and
+the row norms once per fit; the three log(1 / score) weight vectors
+(_score_weights, which also validates the scores) once per new set of
+scores; A H^T and C V^T once per change of H and V. So an update reads only
+the weights, never the scores, and the G and U sweeps read no input matrix.
 """
 
 import warnings
@@ -50,7 +52,7 @@ from .errors import ConfigError, NumericError
 from .network import AttributedNetwork, EmbeddingResult
 from .numerics import (check_integer, named_rng, nmf_init, row_sq_norms, row_sq_residuals,
                        svd_small)
-from .tables import check_combine_weights, final_outlier_score
+from .tables import check_combine_weights, final_outlier_score, is_real
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _ZERO_RESIDUAL = 1e-300  # below this, a total residual counts as exactly zero
@@ -62,14 +64,15 @@ class HyperParams:
     """Knobs for fit(). attr_weight and dis_weight default to None, meaning
     'calibrate so the three loss terms start equal'. dim is the embedding
     width K. dim, iters, init_iters and seed must be Python or numpy integers
-    (bool and float values are rejected, not truncated). A fit runs exactly
-    iters rounds; each score vector sums to 1, the paper's constraint, with
-    every score in [1e-8, 1). init_iters is the number of
-    multiplicative updates per factor in each initialization, rounded up to
-    a multiple of 3: one pass applies 3 updates that share one product with
-    the input matrix (the default 3 runs one pass). Detection quality
-    follows the rounds, not how far the initialization converges, so the
-    defaults spend a fit's time in its 15 rounds."""
+    (bool and float values are rejected, not truncated); attr_weight,
+    dis_weight and the combine_weights entries must be real numbers, not
+    bool. A fit runs exactly iters rounds; each score vector sums to 1, the
+    paper's constraint, with every score in [1e-8, 1). init_iters is the
+    number of multiplicative updates per factor in each initialization,
+    rounded up to a multiple of 3: one pass applies 3 updates that share one
+    product with the input matrix (the default 3 runs one pass). Detection
+    quality follows the rounds, not how far the initialization converges, so
+    the defaults spend a fit's time in its 15 rounds."""
 
     dim: int
     attr_weight: float | None = None
@@ -86,8 +89,8 @@ class HyperParams:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         for name in ("attr_weight", "dis_weight"):
             v = getattr(self, name)
-            if v is not None and not 0 < v < np.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {v}")
+            if v is not None and not (is_real(v) and 0 < v < np.inf):
+                raise ConfigError(f"{name} must be a finite real number > 0, got {v!r}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         check_combine_weights(self.combine_weights)
@@ -125,48 +128,37 @@ class FitDiagnostics:
     notes: list[str] = field(default_factory=list)
 
 
-def _node_weights(scores: np.ndarray, name: str) -> np.ndarray:
-    """log(1/s) per node; validates s is 1-D with entries in (0, 1]."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector")
-    if not np.isfinite(s).all() or (s <= 0).any() or (s > 1).any():
-        raise ValueError(f"{name} entries must lie in (0, 1]")
-    return -np.log(s)
-
-
-def _weight(scores: OutlierScores, weights, i: int) -> np.ndarray:
-    """w1, w2 or w3 (i = 0, 1, 2): weights[i] where the caller holds
-    _score_weights(scores), else log(1/s) of that score vector alone."""
-    if weights is not None:
-        return weights[i]
-    name = ("structural", "attribute", "disagreement")[i]
-    return _node_weights(getattr(scores, name), f"{name} scores")
-
-
 def _score_weights(scores: OutlierScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w1, w2, w3): log(1/s) of the structural, attribute and disagreement
-    scores, the per-node weights of the three loss terms."""
-    return tuple(_weight(scores, None, i) for i in range(3))
+    scores, the per-node weights of the three loss terms. Each score vector
+    must be 1-D with finite entries in (0, 1]."""
+    weights = []
+    for name in ("structural", "attribute", "disagreement"):
+        s = np.asarray(getattr(scores, name), dtype=np.float64)
+        if s.ndim != 1:
+            raise ValueError(f"{name} scores must be a 1-D vector")
+        if not np.isfinite(s).all() or (s <= 0).any() or (s > 1).any():
+            raise ValueError(f"{name} scores entries must lie in (0, 1]")
+        weights.append(-np.log(s))
+    return tuple(weights)
 
 
-def _residuals(adj, attrs, model: FactorModel, norms=(None, None),
-               products=(None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _residuals(adj, attrs, model: FactorModel, norms,
+               products) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node squared residuals of the structure, attribute and alignment
     fits. norms are (row_sq_norms(adj), row_sq_norms(attrs)) and products
-    (A H^T, C V^T), where the caller already holds them."""
+    (A H^T, C V^T); the dense alignment rows are subtracted directly."""
+    dis = model.attr_embed @ model.align.T - model.struct_embed
     return (row_sq_residuals(adj, model.struct_embed, model.struct_context,
                              norms[0], products[0]),
             row_sq_residuals(attrs, model.attr_embed, model.attr_basis,
                              norms[1], products[1]),
-            row_sq_residuals(model.struct_embed, model.attr_embed, model.align.T))
+            np.einsum("ij,ij->i", dis, dis))
 
 
-def _loss_terms(residuals, scores: OutlierScores,
-                weights=None) -> tuple[float, float, float]:
-    """(structure, attribute, disagreement) loss terms, unweighted. weights
-    is _score_weights(scores) if the caller already holds it."""
-    weights = _score_weights(scores) if weights is None else weights
+def _loss_terms(residuals, weights) -> tuple[float, float, float]:
+    """(structure, attribute, disagreement) loss terms, unweighted, from the
+    three residual vectors and _score_weights(scores)."""
     return tuple(float(w @ r) for w, r in zip(weights, residuals))
 
 
@@ -186,7 +178,7 @@ def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, floa
     return l_str / l_attr, l_str / l_dis, None
 
 
-def _cd_sweep(x: np.ndarray, terms, diag: dict | None, key: str) -> np.ndarray:
+def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
     """One exact Gauss-Seidel sweep over the columns of the M x K matrix x.
 
     Minimizes sum_t sum_i a_t[i] ||T_t[i] - x[i] B_t||^2 one column at a time,
@@ -219,85 +211,65 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict | None, key: str) -> np.ndarray:
              if (off := gram - np.diag(dg)).any()]
     for k in range(x.shape[1]):
         x[:, k] = base[:, k] - sum(coef[:, k] * (x @ off[:, k]) for coef, off in parts)
-    if diag is not None and n_skipped:
+    if n_skipped:
         diag[key] = diag.get(key, 0) + int(n_skipped)
     return x
 
 
-def update_struct_embed(adj, model: FactorModel, scores: OutlierScores,
-                        dis_weight: float, diag: dict | None = None,
-                        ah: np.ndarray | None = None, weights=None) -> np.ndarray:
+def update_struct_embed(model: FactorModel, weights, dis_weight: float, ah: np.ndarray,
+                        diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_embed G: the structure
     term (w1, A H^T, H H^T) plus the alignment term (dis_weight w3, U W^T, I).
-    ah is A H^T and weights _score_weights(scores) if the caller already
-    holds them."""
+    weights is _score_weights(scores), and ah is A H^T for the current H."""
     h = model.struct_context
-    w1, w3 = _weight(scores, weights, 0), _weight(scores, weights, 2)
-    ah = np.asarray(adj @ h.T) if ah is None else ah
+    w1, _, w3 = weights
     terms = ((w1, ah, h @ h.T),
              (dis_weight * w3, model.attr_embed @ model.align.T, np.eye(h.shape[0])))
     return _cd_sweep(model.struct_embed, terms, diag, "struct_embed")
 
 
-def update_struct_context(adj, model: FactorModel, scores: OutlierScores,
-                          diag: dict | None = None, weights=None,
-                          adj_t=None) -> np.ndarray:
+def update_struct_context(adj_t, model: FactorModel, weights, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_context H. Its columns are
     independent, so the kernel sweeps H^T with unit row weights and the scores
-    folded into the term (A^T (G*w1), G^T (G*w1)). weights is
-    _score_weights(scores) and adj_t is adj.T if the caller already holds
-    them."""
+    folded into the term (A^T (G*w1), G^T (G*w1)). adj_t is A^T."""
     g = model.struct_embed
-    w1 = _weight(scores, weights, 0)
-    adj_t = adj.T if adj_t is None else adj_t
-    gw = g * w1[:, None]
-    terms = ((np.ones(adj.shape[1]), np.asarray(adj_t @ gw), g.T @ gw),)
+    gw = g * weights[0][:, None]
+    terms = ((np.ones(adj_t.shape[0]), np.asarray(adj_t @ gw), g.T @ gw),)
     return _cd_sweep(model.struct_context.T, terms, diag, "struct_context").T
 
 
-def update_attr_embed(attrs, model: FactorModel, scores: OutlierScores,
-                      attr_weight: float, dis_weight: float,
-                      diag: dict | None = None, cv: np.ndarray | None = None,
-                      weights=None) -> np.ndarray:
+def update_attr_embed(model: FactorModel, weights, attr_weight: float, dis_weight: float,
+                      cv: np.ndarray, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over attr_embed U: the attribute
     term (attr_weight w2, C V^T, V V^T) plus the alignment term
-    (dis_weight w3, G W, W^T W). cv is C V^T and weights
-    _score_weights(scores) if the caller already holds them."""
+    (dis_weight w3, G W, W^T W). cv is C V^T for the current V."""
     v = model.attr_basis
     w = model.align
-    w2, w3 = _weight(scores, weights, 1), _weight(scores, weights, 2)
-    cv = np.asarray(attrs @ v.T) if cv is None else cv
+    _, w2, w3 = weights
     terms = ((attr_weight * w2, cv, v @ v.T),
              (dis_weight * w3, model.struct_embed @ w, w.T @ w))
     return _cd_sweep(model.attr_embed, terms, diag, "attr_embed")
 
 
-def update_attr_basis(attrs, model: FactorModel, scores: OutlierScores,
-                      diag: dict | None = None, weights=None,
-                      attrs_t=None) -> np.ndarray:
+def update_attr_basis(attrs_t, model: FactorModel, weights, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over attr_basis V, on V^T as for
-    struct_context, with the term (ones, C^T (U*w2), U^T (U*w2)). weights is
-    _score_weights(scores) and attrs_t is attrs.T if the caller already
-    holds them."""
+    struct_context, with the term (ones, C^T (U*w2), U^T (U*w2)). attrs_t is
+    C^T."""
     u = model.attr_embed
-    w2 = _weight(scores, weights, 1)
-    attrs_t = attrs.T if attrs_t is None else attrs_t
-    uw = u * w2[:, None]
-    terms = ((np.ones(attrs.shape[1]), np.asarray(attrs_t @ uw), u.T @ uw),)
+    uw = u * weights[1][:, None]
+    terms = ((np.ones(attrs_t.shape[0]), np.asarray(attrs_t @ uw), u.T @ uw),)
     return _cd_sweep(model.attr_basis.T, terms, diag, "attr_basis").T
 
 
-def update_alignment(model: FactorModel, scores: OutlierScores, weights=None) -> np.ndarray:
+def update_alignment(model: FactorModel, weights) -> np.ndarray:
     """Weighted-Procrustes minimizer of the disagreement term.
 
-    Scales both embeddings row-wise by sqrt(log(1/score)), then takes the SVD
-    x diag(sigma) yt of their K x K cross-product; x @ yt is the optimal
-    orthogonal map. The result has orthonormal columns even when the
-    cross-product is singular. weights is _score_weights(scores) if the
-    caller already holds it.
+    Scales both embeddings row-wise by sqrt(w3), the disagreement weights of
+    _score_weights(scores), then takes the SVD x diag(sigma) yt of their
+    K x K cross-product; x @ yt is the optimal orthogonal map. The result has
+    orthonormal columns even when the cross-product is singular.
     """
-    w3 = _weight(scores, weights, 2)
-    rw = np.sqrt(w3)[:, None]
+    rw = np.sqrt(weights[2])[:, None]
     cross = (model.struct_embed * rw).T @ (model.attr_embed * rw)
     x, _, yt = svd_small(cross)
     return x @ yt
@@ -381,7 +353,9 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     the initial align, the calibration and round 1, and each round's serve
     its loss and the next round's five updates. A^T and C^T (CSC objects)
     serve both initializations and every H and V sweep, and ||A_i||^2 and
-    ||C_i||^2 every residual pass; each is formed once per fit.
+    ||C_i||^2 every residual pass; each is formed once per fit. fit is the
+    only source of these inputs: the kernels take them as required
+    arguments.
 
     The CSR attributes are never densified, and net is not changed.
 
@@ -414,14 +388,14 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     model = FactorModel(g, h, u, v, np.eye(hp.dim))
     # the align matrix has no factorization-based start; use the Procrustes
     # optimum for the initial embeddings so calibration sees a sensible value
-    model.align = update_alignment(model, scores, weights)
+    model.align = update_alignment(model, weights)
 
     # H and V change only in their own sweeps, so A H^T and C V^T stay
     # valid until the next one
     norms = (row_sq_norms(adj), row_sq_norms(attrs))
     ah = np.asarray(adj @ model.struct_context.T)
     cv = np.asarray(attrs @ model.attr_basis.T)
-    terms = _loss_terms(_residuals(adj, attrs, model, norms, (ah, cv)), scores, weights)
+    terms = _loss_terms(_residuals(adj, attrs, model, norms, (ah, cv)), weights)
     for term, value in zip(("structure", "attribute", "disagreement"), terms):
         if not np.isfinite(value):
             raise NumericError(f"initial {term} loss is non-finite; "
@@ -439,20 +413,19 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     trace: list[float] = []
     for round_no in range(1, hp.iters + 1):
         if round_no > 1:  # round 1 would recompute the calibration's align
-            model.align = update_alignment(model, scores, weights)
+            model.align = update_alignment(model, weights)
             _check_finite(model.align, "align update", round_no)
-        model.struct_embed = update_struct_embed(adj, model, scores, dis_weight,
-                                                 diagnostics.skipped, ah, weights)
+        model.struct_embed = update_struct_embed(model, weights, dis_weight, ah,
+                                                 diagnostics.skipped)
         _check_finite(model.struct_embed, "struct_embed update", round_no)
-        model.struct_context = update_struct_context(adj, model, scores, diagnostics.skipped,
-                                                     weights, adj_t)
+        model.struct_context = update_struct_context(adj_t, model, weights,
+                                                     diagnostics.skipped)
         _check_finite(model.struct_context, "struct_context update", round_no)
         ah = np.asarray(adj @ model.struct_context.T)
-        model.attr_embed = update_attr_embed(attrs, model, scores, attr_weight, dis_weight,
-                                             diagnostics.skipped, cv, weights)
+        model.attr_embed = update_attr_embed(model, weights, attr_weight, dis_weight, cv,
+                                             diagnostics.skipped)
         _check_finite(model.attr_embed, "attr_embed update", round_no)
-        model.attr_basis = update_attr_basis(attrs, model, scores, diagnostics.skipped,
-                                             weights, attrs_t)
+        model.attr_basis = update_attr_basis(attrs_t, model, weights, diagnostics.skipped)
         _check_finite(model.attr_basis, "attr_basis update", round_no)
         cv = np.asarray(attrs @ model.attr_basis.T)
 
@@ -465,7 +438,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
                                      for r in residuals))
             diagnostics.notes.extend(f"round {round_no}: {c.message}" for c in caught)
         weights = _score_weights(scores)
-        loss = _joint(_loss_terms(residuals, scores, weights), attr_weight, dis_weight)
+        loss = _joint(_loss_terms(residuals, weights), attr_weight, dis_weight)
         if not np.isfinite(loss):
             raise NumericError(f"joint loss became non-finite in round {round_no}")
         trace.append(loss)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .network import AttributedNetwork, EmbeddingResult
 from .numerics import check_integer, make_rng, named_rng
-from .tables import rank_nodes
+from .tables import is_real, rank_nodes
 
 RECALL_LEVELS = (5, 10, 15, 20, 25)
 
@@ -394,10 +394,10 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
 
     truth_ids are integer node indices of the planted outliers; a float or
     bool id is refused, not truncated. splits are one or more distinct
-    whole train percentages in (0, 100). Classification trains the
-    `train_classifier` model on `reps` seeded splits per train percentage,
-    as one stack per percentage on one of 2 worker threads, and averages the
-    F1 over the reps.
+    whole train percentages in (0, 100); a bool is refused. Classification
+    trains the `train_classifier` model on `reps` seeded splits per train
+    percentage, as one stack per percentage on one of 2 worker threads, and
+    averages the F1 over the reps.
     Clustering uses as many clusters as ground-truth classes and runs 10
     seeded k-means++ starts in order, as one more task on the same 2
     workers, keeping the one with the lowest final within-cluster sum of
@@ -423,7 +423,7 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     for pct in splits:
-        if not (0 < pct < 100 and float(pct).is_integer()):
+        if not (is_real(pct) and 0 < pct < 100 and float(pct).is_integer()):
             raise ValueError(f"splits must hold whole train percentages in "
                              f"(0, 100), got {pct}")
     pcts = [int(pct) for pct in splits]

@@ -1,6 +1,6 @@
 """Shared numeric kernels: seeded RNG streams, matrix validation, small-matrix
-SVD, multiplicative-update factorization, and squared-residual reductions
-(sparse rows by Gram expansion, clamped at 0, so nothing densifies).
+SVD, multiplicative-update factorization, and the sparse squared-residual
+reduction (rows by Gram expansion, clamped at 0, so nothing densifies).
 
 Dense matrices are plain float64 ndarrays; sparse matrices are scipy CSR with
 sorted indices and no duplicate entries (adjacencies: strictly positive
@@ -126,7 +126,7 @@ def svd_small(m):
     return np.linalg.svd(a)
 
 
-def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt=None):
+def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt):
     """Nonnegative factorization m ~ p @ q by accelerated multiplicative updates.
 
     Each pass forms m.T @ p and the Gram p.T @ p once and applies three
@@ -142,8 +142,8 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt=None):
     are floored at 1e-12 so exact zeros cannot divide. Every update is a plain
     MU step for its factor, so the Frobenius reconstruction error is
     non-increasing over updates. m is a scipy sparse matrix and is never
-    densified; negative or non-finite entries raise ValueError. mt is m.T if
-    the caller already holds it.
+    densified; negative or non-finite entries raise ValueError. mt is m.T,
+    which the caller forms once (sparse .T builds a new object on each call).
     """
     if not sp.issparse(m):
         raise TypeError("factorization input must be a scipy sparse matrix")
@@ -159,7 +159,6 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt=None):
 
     p = rng.uniform(0.1, 1.0, size=(n, k))
     q = rng.uniform(0.1, 1.0, size=(k, d))
-    mt = m.T if mt is None else mt  # sparse .T builds a new CSC object on each call
     for _ in range(-(-iters // 3)):
         mp, pp = np.asarray(mt @ p).T, p.T @ p
         for _ in range(3):
@@ -175,24 +174,19 @@ def row_sq_norms(m) -> np.ndarray:
     return np.asarray(m.multiply(m).sum(axis=1)).ravel()
 
 
-def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, norms: np.ndarray | None = None,
-                     mq: np.ndarray | None = None) -> np.ndarray:
-    """Per-row squared reconstruction error: out[i] = sum_j (m[i,j] - (p@q)[i,j])^2.
+def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, norms: np.ndarray,
+                     mq: np.ndarray) -> np.ndarray:
+    """Per-row squared reconstruction error of a sparse m:
+    out[i] = sum_j (m[i,j] - (p@q)[i,j])^2.
 
-    Dense m is subtracted from p @ q. Sparse m is never densified: out[i] =
-    ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T, clamped at 0 against
-    cancellation on rows that p @ q fits almost exactly. A caller that
-    already holds row_sq_norms(m) or the product m @ q.T passes them as norms
-    and mq; the result is bit-identical to forming them here.
+    m is never densified: out[i] = ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T,
+    clamped at 0 against cancellation on rows that p @ q fits almost exactly.
+    norms is row_sq_norms(m) and mq the product m @ q.T, both formed by the
+    caller.
     """
     n, d = m.shape
     if p.shape[0] != n or q.shape[1] != d or p.shape[1] != q.shape[0]:
         raise ValueError(f"non-conformal shapes: m {m.shape}, p {p.shape}, q {q.shape}")
-    if not sp.issparse(m):
-        r = p @ q - m
-        return np.einsum("ij,ij->i", r, r)
-    norms = row_sq_norms(m) if norms is None else norms
-    mq = np.asarray(m @ q.T) if mq is None else mq
     cross = np.einsum("ij,ij->i", p, mq)
     fit = np.einsum("ij,ij->i", p @ (q @ q.T), p)
     return np.maximum(norms - 2.0 * cross + fit, 0.0)

@@ -115,10 +115,24 @@ def load_scores_tsv(path: str):
     return names, vals[:, :3], vals[:, 3]
 
 
+def is_real(x) -> bool:
+    """Whether x is a Python or numpy real number; a bool is not one."""
+    import numbers  # not at module level: rank-outliers without --weights never calls this
+
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def check_combine_weights(w, name: str = "combine_weights"):
-    """Raise ConfigError unless w is 3 nonnegative weights summing to 1 (NaN fails)."""
-    if not (len(w) == 3 and all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
-        raise ConfigError(f"{name} must be 3 nonnegative values summing to 1, got {w}")
+    """Raise ConfigError unless w is an indexable triple of nonnegative real
+    numbers summing to 1 (NaN, bool and non-number entries fail, as do a set
+    and a w without a length)."""
+    try:
+        ok = (len(w) == 3 and all(is_real(w[i]) and w[i] >= 0 for i in range(3))
+              and abs(sum(w) - 1.0) <= 1e-9)
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be 3 nonnegative values summing to 1, got {w!r}")
 
 
 def final_outlier_score(component_scores,

@@ -12,6 +12,7 @@ import itertools
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +22,7 @@ from oaembed.core import FactorModel, OutlierScores
 from oaembed.evaluation import (Classifier, _classification_split, f1_scores, predict,
                                 train_classifier)
 from oaembed.network import AttributedNetwork
-from oaembed.numerics import make_rng, named_rng, nmf_init
+from oaembed.numerics import make_rng, named_rng, nmf_init, row_sq_norms
 
 
 def to_dense(m) -> np.ndarray:
@@ -470,36 +471,69 @@ def reference_cd_sweep(x, terms, diag, key) -> np.ndarray:
     return x
 
 
+def fit_inputs(model, adj=None, attrs=None) -> SimpleNamespace:
+    """The matrix inputs fit hands the kernels, formed afresh for model: the
+    adjacency and attributes as CSR (an omitted one is all zeros), their
+    transposes adj_t and attrs_t, norms (their row_sq_norms) and the
+    products ah = A H^T and cv = C V^T."""
+    n = model.struct_embed.shape[0]
+    adj = sp.csr_matrix((n, n) if adj is None else adj, dtype=np.float64)
+    attrs = sp.csr_matrix((n, model.attr_basis.shape[1]) if attrs is None else attrs,
+                          dtype=np.float64)
+    return SimpleNamespace(adj=adj, attrs=attrs, adj_t=adj.T, attrs_t=attrs.T,
+                           norms=(row_sq_norms(adj), row_sq_norms(attrs)),
+                           ah=np.asarray(adj @ model.struct_context.T),
+                           cv=np.asarray(attrs @ model.attr_basis.T))
+
+
+def residuals(model, adj=None, attrs=None):
+    """core._residuals with its inputs formed afresh by fit_inputs."""
+    x = fit_inputs(model, adj, attrs)
+    return core._residuals(x.adj, x.attrs, model, x.norms, (x.ah, x.cv))
+
+
+def loss_terms(model, scores, adj=None, attrs=None):
+    """(structure, attribute, disagreement) terms by the path fit runs; an
+    omitted adjacency or attribute matrix is all zeros."""
+    return core._loss_terms(residuals(model, adj, attrs), core._score_weights(scores))
+
+
 def reference_fit(net: AttributedNetwork, hp):
     """fit's initialization and rounds as plain calls of the public update_*
-    functions with nothing handed on: each call forms its own score weights,
-    sparse transposes and products, and each residual pass its own row
-    norms. fit forms each of these once and must match this bit for bit.
+    functions, with every input formed afresh just before the call that
+    reads it: the score weights, the sparse transposes, A H^T, C V^T and the
+    row norms. fit forms each of these once and must match this bit for bit.
     Returns (model, scores, loss trace)."""
     adj, attrs = net.adjacency, net.attributes
-    g, h = nmf_init(adj, hp.dim, hp.init_iters, named_rng(hp.seed, "init-structure"))
-    u, v = nmf_init(attrs, hp.dim, hp.init_iters, named_rng(hp.seed, "init-attributes"))
+    g, h = nmf_init(adj, hp.dim, hp.init_iters, named_rng(hp.seed, "init-structure"), adj.T)
+    u, v = nmf_init(attrs, hp.dim, hp.init_iters, named_rng(hp.seed, "init-attributes"),
+                    attrs.T)
     uniform = np.full(net.n_nodes, 1.0 / net.n_nodes)
     scores = OutlierScores(uniform.copy(), uniform.copy(), uniform.copy())
     model = FactorModel(g, h, u, v, np.eye(hp.dim))
-    model.align = core.update_alignment(model, scores)
-    terms = core._loss_terms(core._residuals(adj, attrs, model), scores)
-    attr_w, dis_w, _ = core._loss_ratios(*terms)
+    model.align = core.update_alignment(model, core._score_weights(scores))
+    attr_w, dis_w, _ = core._loss_ratios(*loss_terms(model, scores, adj, attrs))
     attr_weight = attr_w if hp.attr_weight is None else hp.attr_weight
     dis_weight = dis_w if hp.dis_weight is None else hp.dis_weight
     trace = []
     for round_no in range(1, hp.iters + 1):
         if round_no > 1:
-            model.align = core.update_alignment(model, scores)
-        model.struct_embed = core.update_struct_embed(adj, model, scores, dis_weight)
-        model.struct_context = core.update_struct_context(adj, model, scores)
-        model.attr_embed = core.update_attr_embed(attrs, model, scores, attr_weight, dis_weight)
-        model.attr_basis = core.update_attr_basis(attrs, model, scores)
-        residuals = core._residuals(adj, attrs, model)
+            model.align = core.update_alignment(model, core._score_weights(scores))
+        model.struct_embed = core.update_struct_embed(
+            model, core._score_weights(scores), dis_weight,
+            np.asarray(adj @ model.struct_context.T), {})
+        model.struct_context = core.update_struct_context(
+            adj.T, model, core._score_weights(scores), {})
+        model.attr_embed = core.update_attr_embed(
+            model, core._score_weights(scores), attr_weight, dis_weight,
+            np.asarray(attrs @ model.attr_basis.T), {})
+        model.attr_basis = core.update_attr_basis(attrs.T, model, core._score_weights(scores), {})
+        round_residuals = residuals(model, adj, attrs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scores = OutlierScores(*(core.budget_scores(r, 1.0, 1e-8) for r in residuals))
-        trace.append(core._joint(core._loss_terms(residuals, scores), attr_weight, dis_weight))
+            scores = OutlierScores(*(core.budget_scores(r, 1.0, 1e-8) for r in round_residuals))
+        trace.append(core._joint(core._loss_terms(round_residuals, core._score_weights(scores)),
+                                 attr_weight, dis_weight))
     return model, scores, trace
 
 
@@ -613,10 +647,8 @@ def mid_matrix(old: np.ndarray, new: np.ndarray, pos: int, axis: int) -> np.ndar
 
 def joint_loss(net, model, scores, attr_weight, dis_weight) -> float:
     """The joint loss by the path fit runs."""
-    from oaembed.core import _joint, _loss_terms, _residuals
-
-    terms = _loss_terms(_residuals(net.adjacency, net.attributes, model), scores)
-    return _joint(terms, attr_weight, dis_weight)
+    return core._joint(loss_terms(model, scores, net.adjacency, net.attributes),
+                       attr_weight, dis_weight)
 
 
 def min_fd_gap(net, model, scores, attr_weight, dis_weight, field_name: str, i: int,
@@ -636,19 +668,20 @@ def fd_check_sweep(net, model, scores, attr_weight, dis_weight, rng, n_coords: i
     probing sampled coordinates at their exact mid-sweep states. Returns the
     worst (most negative) loss gap seen; coordinate optimality means it stays
     above -1e-10."""
-    from oaembed import core
-
     work = copy.deepcopy(model)
+    weights = core._score_weights(scores)
+    adj, attrs = net.adjacency, net.attributes
     plans = [
         ("struct_embed",
-         lambda: core.update_struct_embed(net.adjacency, work, scores, dis_weight), 1),
+         lambda: core.update_struct_embed(work, weights, dis_weight,
+                                          np.asarray(adj @ work.struct_context.T), {}), 1),
         ("struct_context",
-         lambda: core.update_struct_context(net.adjacency, work, scores), 0),
+         lambda: core.update_struct_context(adj.T, work, weights, {}), 0),
         ("attr_embed",
-         lambda: core.update_attr_embed(net.attributes, work, scores, attr_weight,
-                                        dis_weight), 1),
+         lambda: core.update_attr_embed(work, weights, attr_weight, dis_weight,
+                                        np.asarray(attrs @ work.attr_basis.T), {}), 1),
         ("attr_basis",
-         lambda: core.update_attr_basis(net.attributes, work, scores), 0),
+         lambda: core.update_attr_basis(attrs.T, work, weights, {}), 0),
     ]
     worst = np.inf
     per = max(1, n_coords // len(plans))

@@ -14,10 +14,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from helpers import (brute_force_clustering_accuracy, fd_check_sweep,
-                     grid_min_scores, hypergeom_recall_null, rand_model,
-                     rand_network, rand_score_triplet, random_orthogonal, run_cli)
-from oaembed.core import (FactorModel, HyperParams, _loss_terms, _residuals, budget_scores,
-                          fit, update_alignment)
+                     grid_min_scores, hypergeom_recall_null, loss_terms, rand_model,
+                     rand_network, rand_score_triplet, random_orthogonal, residuals, run_cli)
+from oaembed.core import (FactorModel, HyperParams, _score_weights, budget_scores, fit,
+                          update_alignment)
 from oaembed.evaluation import clustering_accuracy, f1_scores, recall_at
 from oaembed.network import AttributedNetwork, save_network
 from oaembed.numerics import make_rng
@@ -79,14 +79,12 @@ def test_criterion_3_procrustes_optimality(capsys):
         rng = make_rng(3000 + trial)
         model = rand_model(rng, 20, 4, 6)
         scores = rand_score_triplet(rng, 20)
-        zeros_a, zeros_c = np.zeros((20, 20)), np.zeros((20, 6))
 
         def disagreement(w):
             # the third of fit's loss terms, for the model with align w
-            return _loss_terms(_residuals(zeros_a, zeros_c, replace(model, align=w)),
-                               scores)[2]
+            return loss_terms(replace(model, align=w), scores)[2]
 
-        best = disagreement(update_alignment(model, scores))
+        best = disagreement(update_alignment(model, _score_weights(scores)))
         beaten = all(best <= disagreement(random_orthogonal(rng, 4)) + 1e-12
                      for _ in range(1000))
         wins += beaten
@@ -95,7 +93,7 @@ def test_criterion_3_procrustes_optimality(capsys):
         r = random_orthogonal(rng, 4)
         aligned = FactorModel(g, np.zeros((4, 20)), g @ r, np.zeros((4, 6)),
                               np.eye(4))
-        w = update_alignment(aligned, scores)
+        w = update_alignment(aligned, _score_weights(scores))
         recovered = recovered and np.abs(w - r).max() < 1e-8
 
     ok = wins == 10 and recovered
@@ -126,7 +124,7 @@ def test_criterion_4_score_update_optimality(capsys):
         k = int(rng_i.integers(1, min(n, d) + 1))
         net = rand_network(rng_i, n, d)
         model = rand_model(rng_i, n, k, d)
-        for r in _residuals(net.adjacency, net.attributes, model):
+        for r in residuals(model, net.adjacency, net.attributes):
             vec = budget_scores(r, 1.0, 1e-8)
             sums_ok = sums_ok and abs(vec.sum() - 1.0) <= 1e-9
             bounds_ok = bounds_ok and (vec >= 1e-8).all() and (vec <= 1.0).all()

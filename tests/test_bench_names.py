@@ -123,3 +123,40 @@ def test_every_package_call_the_benchmark_makes_binds(path):
                      package_calls(path.read_text(encoding="utf-8"))
                      if resolves(parts) and not binds(parts, n, kws, unpacks))
     assert unbound == []
+
+
+def misread_hook_args(source: str):
+    """Every `_arg(args, kwargs, pos, "name")` inside a `HOOKS["module.func"]`
+    entry of a module's source whose position does not hold that parameter
+    of oaembed.module.func, as (hook, pos, name, the parameter there). A hook
+    reads a positional argument by its index, so a moved parameter would
+    hand it the wrong object."""
+    wrong = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)):
+            continue
+        for key, value in zip(node.value.keys, node.value.values):
+            params = list(inspect.signature(lookup(tuple(key.value.split(".")))).parameters)
+            for call in ast.walk(value):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                    pos, name = (arg.value for arg in call.args[2:4])
+                    there = params[pos] if pos < len(params) else None
+                    if there != name:
+                        wrong.append((key.value, pos, name, there))
+    return wrong
+
+
+def test_hook_scanner_finds_a_moved_positional_read():
+    src = ('HOOKS = {"numerics.nmf_init": lambda t, a, kw, out: t.count(\n'
+           '    "x", f(_arg(a, kw, 0, "m"), _arg(a, kw, 2, "k"), _arg(a, kw, 9, "iters")))}\n')
+    assert misread_hook_args(src) == [("numerics.nmf_init", 2, "k", "iters"),
+                                      ("numerics.nmf_init", 9, "iters", None)]
+
+
+def test_bench_hooks_read_the_parameters_they_name():
+    # nmf_init's gflop count reads (m, k, iters) by position; a misread would
+    # be swallowed by the tracer and report 0
+    source = (BENCH / "layers.py").read_text(encoding="utf-8")
+    assert '_arg(a, kw, 0, "m")' in source
+    assert misread_hook_args(source) == []

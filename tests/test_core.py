@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -8,14 +9,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (fd_check_sweep, joint_loss, naive_loss_disagreement, naive_update_attr_basis,
+from helpers import (fd_check_sweep, fit_inputs, joint_loss, loss_terms,
+                     naive_loss_disagreement, naive_update_attr_basis,
                      naive_update_attr_embed, naive_update_struct_context,
                      naive_update_struct_embed, naive_weighted_sq_loss,
                      rand_model, rand_network, rand_score_triplet, rand_scores,
-                     random_orthogonal, reference_cd_sweep, reference_fit, to_dense)
-from oaembed import core
+                     random_orthogonal, reference_cd_sweep, reference_fit, residuals,
+                     to_dense)
+from oaembed import core, numerics
 from oaembed.core import (FactorModel, HyperParams, OutlierScores, _loss_ratios,
-                          _loss_terms, _residuals, budget_scores, default_dim,
+                          _score_weights, budget_scores, default_dim,
                           final_embedding, fit, update_alignment,
                           update_attr_basis, update_attr_embed, update_struct_context,
                           update_struct_embed)
@@ -40,15 +43,6 @@ def scalar_model(g, h, u, v, w=1.0):
 # ---------------------------------------------------------------- losses
 
 
-def loss_terms(model, scores, adj=None, attrs=None):
-    """(structure, attribute, disagreement) terms by the path fit runs; an
-    omitted adjacency or attribute matrix is all zeros."""
-    n = model.struct_embed.shape[0]
-    adj = np.zeros((n, n)) if adj is None else adj
-    attrs = np.zeros((n, model.attr_basis.shape[1])) if attrs is None else attrs
-    return _loss_terms(_residuals(adj, attrs, model), scores)
-
-
 def same_scores(s):
     return OutlierScores(s, s, s)
 
@@ -62,8 +56,10 @@ def test_loss_structure_zero_residual():
     rng = make_rng(0)
     g = rng.normal(size=(4, 2))
     h = rng.normal(size=(2, 4))
-    got = loss_terms(structure_model(g, h), same_scores(rand_scores(rng, 4)), adj=g @ h)[0]
-    assert got == pytest.approx(0.0, abs=1e-18)
+    a = g @ h
+    got = loss_terms(structure_model(g, h), same_scores(rand_scores(rng, 4)), adj=a)[0]
+    # the sparse Gram form cancels ||A_i||^2 against the fit to rounding
+    assert got == pytest.approx(0.0, abs=1e-15 * (a ** 2).sum())
 
 
 def test_loss_structure_scalar():
@@ -206,7 +202,8 @@ def unit_scores():
 
 def test_update_struct_embed_scalar():
     model = scalar_model(g=0.0, h=1.0, u=1.0, v=0.0)
-    got = update_struct_embed(sp.csr_matrix(np.array([[2.0]])), model, unit_scores(), 1.0)
+    got = update_struct_embed(model, _score_weights(unit_scores()), 1.0,
+                              fit_inputs(model, adj=[[2.0]]).ah, {})
     assert got[0, 0] == pytest.approx(1.5, rel=1e-12)
 
 
@@ -221,13 +218,14 @@ def test_update_struct_embed_pure_least_squares_limit():
                         attr_basis=rng.normal(size=(n, n)),
                         align=np.eye(n))
     scores = rand_score_triplet(rng, n)
-    got = update_struct_embed(sp.csr_matrix(a), model, scores, 1e-12)
+    got = update_struct_embed(model, _score_weights(scores), 1e-12, fit_inputs(model, adj=a).ah,
+                              {})
     assert np.allclose(got, a, atol=1e-8)
 
 
 def test_update_struct_context_single_node():
     model = scalar_model(g=1.0, h=7.0, u=0.0, v=0.0)
-    got = update_struct_context(sp.csr_matrix(np.array([[3.0]])), model, unit_scores())
+    got = update_struct_context(sp.csr_matrix([[3.0]]).T, model, _score_weights(unit_scores()), {})
     assert got[0, 0] == pytest.approx(3.0, rel=1e-12)
 
 
@@ -237,7 +235,8 @@ def test_update_struct_context_zero_column_guard():
     model.struct_embed[:, 1] = 0.0
     scores = rand_score_triplet(rng, 4)
     diag = {}
-    got = update_struct_context(sp.csr_matrix(np.ones((4, 4))), model, scores, diag)
+    got = update_struct_context(sp.csr_matrix(np.ones((4, 4))).T, model, _score_weights(scores),
+                                diag)
     assert np.array_equal(got[1], model.struct_context[1])  # untouched row
     assert diag["struct_context"] == 4
     assert not np.array_equal(got[0], model.struct_context[0])
@@ -245,7 +244,8 @@ def test_update_struct_context_zero_column_guard():
 
 def test_update_attr_embed_scalar():
     model = scalar_model(g=4.0, h=0.0, u=0.0, v=1.0)
-    got = update_attr_embed(np.array([[2.0]]), model, unit_scores(), 1.0, 1.0)
+    got = update_attr_embed(model, _score_weights(unit_scores()), 1.0, 1.0,
+                            fit_inputs(model, attrs=[[2.0]]).cv, {})
     assert got[0, 0] == pytest.approx(3.0, rel=1e-12)
 
 
@@ -259,13 +259,14 @@ def test_update_attr_embed_attribute_only_limit():
                         attr_basis=np.eye(n),
                         align=np.eye(n))
     scores = rand_score_triplet(rng, n)
-    got = update_attr_embed(c, model, scores, 1.0, 1e-12)
+    got = update_attr_embed(model, _score_weights(scores), 1.0, 1e-12,
+                            fit_inputs(model, attrs=c).cv, {})
     assert np.allclose(got, c, atol=1e-8)
 
 
 def test_update_attr_basis_single_node():
     model = scalar_model(g=0.0, h=0.0, u=1.0, v=-3.0)
-    got = update_attr_basis(np.array([[5.0]]), model, unit_scores())
+    got = update_attr_basis(sp.csr_matrix([[5.0]]).T, model, _score_weights(unit_scores()), {})
     assert got[0, 0] == pytest.approx(5.0, rel=1e-12)
 
 
@@ -274,7 +275,8 @@ def test_update_attr_basis_zero_column_guard():
     model = rand_model(rng, 4, 2, 3)
     model.attr_embed[:, 0] = 0.0
     diag = {}
-    got = update_attr_basis(np.ones((4, 3)), model, rand_score_triplet(rng, 4), diag)
+    got = update_attr_basis(sp.csr_matrix(np.ones((4, 3))).T, model,
+                            _score_weights(rand_score_triplet(rng, 4)), diag)
     assert np.array_equal(got[0], model.attr_basis[0])
     assert diag["attr_basis"] == 3
 
@@ -284,7 +286,8 @@ def test_update_struct_embed_degenerate_weights_guard():
     model = scalar_model(g=0.7, h=1.0, u=1.0, v=0.0)
     ones = OutlierScores(np.array([1.0]), np.array([1.0]), np.array([1.0]))
     diag = {}
-    got = update_struct_embed(sp.csr_matrix(np.array([[2.0]])), model, ones, 1.0, diag)
+    got = update_struct_embed(model, _score_weights(ones), 1.0,
+                              fit_inputs(model, adj=[[2.0]]).ah, diag)
     assert got[0, 0] == 0.7
     assert diag["struct_embed"] == 1
 
@@ -293,7 +296,8 @@ def test_update_attr_embed_degenerate_weights_guard():
     model = scalar_model(g=1.0, h=0.0, u=0.7, v=1.0)
     ones = OutlierScores(np.array([1.0]), np.array([1.0]), np.array([1.0]))
     diag = {}
-    got = update_attr_embed(np.array([[2.0]]), model, ones, 1.0, 1.0, diag)
+    got = update_attr_embed(model, _score_weights(ones), 1.0, 1.0,
+                            fit_inputs(model, attrs=[[2.0]]).cv, diag)
     assert got[0, 0] == 0.7
     assert diag["attr_embed"] == 1
 
@@ -307,19 +311,22 @@ def test_updates_match_naive_gauss_seidel(skew):
     # a skewed align has W^T W != I, exercising the general Gram path
     model.align = model.align + skew * rng.normal(size=(3, 3))
 
-    got = update_struct_embed(net.adjacency, model, scores, 1.7)
+    x = fit_inputs(model, net.adjacency, net.attributes)
+    weights = _score_weights(scores)
+
+    got = update_struct_embed(model, weights, 1.7, x.ah, {})
     want = naive_update_struct_embed(net.adjacency, model, scores, 1.7)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
-    got = update_struct_context(net.adjacency, model, scores)
+    got = update_struct_context(x.adj_t, model, weights, {})
     want = naive_update_struct_context(net.adjacency, model, scores)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
-    got = update_attr_embed(net.attributes, model, scores, 0.8, 1.7)
+    got = update_attr_embed(model, weights, 0.8, 1.7, x.cv, {})
     want = naive_update_attr_embed(net.attributes, model, scores, 0.8, 1.7)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
-    got = update_attr_basis(net.attributes, model, scores)
+    got = update_attr_basis(x.attrs_t, model, weights, {})
     want = naive_update_attr_basis(net.attributes, model, scores)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -344,6 +351,18 @@ def _sweep_terms(rng, m, k, n_terms, zero_rows):
         gram = np.eye(k) if t == n_terms - 1 and n_terms > 1 else b @ b.T
         terms.append((a, rng.normal(size=(m, k)), gram))
     return terms
+
+
+def test_handed_on_kernels_take_no_defaulted_parameters():
+    # each input fit hands on has one source: a kernel that could form it
+    # itself when the argument is left out would be a second one
+    kernels = (update_struct_embed, update_struct_context, update_attr_embed,
+               update_attr_basis, update_alignment, core._residuals, core._loss_terms,
+               core._cd_sweep, numerics.nmf_init, numerics.row_sq_residuals)
+    defaulted = [f"{fn.__module__}.{fn.__name__}({name})" for fn in kernels
+                 for name, param in inspect.signature(fn).parameters.items()
+                 if param.default is not inspect.Parameter.empty]
+    assert defaulted == []
 
 
 @pytest.mark.parametrize("m, k, n_terms, zero_rows", [
@@ -371,7 +390,7 @@ def test_alignment_identity_when_embeddings_agree():
     g = rng.normal(size=(8, 3))
     model = FactorModel(g, np.zeros((3, 8)), g.copy(), np.zeros((3, 4)), np.eye(3))
     scores = OutlierScores(rand_scores(rng, 8), rand_scores(rng, 8), np.full(8, 1 / 8))
-    got = update_alignment(model, scores)
+    got = update_alignment(model, _score_weights(scores))
     assert np.allclose(got, np.eye(3), atol=1e-9)
 
 
@@ -381,7 +400,7 @@ def test_alignment_recovers_rotation():
     r = random_orthogonal(rng, 3)
     model = FactorModel(g, np.zeros((3, 10)), g @ r, np.zeros((3, 4)), np.eye(3))
     scores = OutlierScores(rand_scores(rng, 10), rand_scores(rng, 10), np.full(10, 0.1))
-    got = update_alignment(model, scores)
+    got = update_alignment(model, _score_weights(scores))
     assert np.abs(got - r).max() < 1e-8
     assert loss_terms(replace(model, align=got), scores)[2] < 1e-16
 
@@ -390,7 +409,7 @@ def test_alignment_beats_random_orthogonals_and_previous():
     rng = make_rng(15)
     model = rand_model(rng, 12, 4, 5)
     scores = rand_score_triplet(rng, 12)
-    got = update_alignment(model, scores)
+    got = update_alignment(model, _score_weights(scores))
     assert np.abs(got.T @ got - np.eye(4)).max() < 1e-8
 
     def disagreement(w):
@@ -539,7 +558,7 @@ def test_residuals_match_dense_oracles():
     rng = make_rng(17)
     net = rand_network(rng, 6, 4)
     model = rand_model(rng, 6, 2, 4)
-    res = _residuals(net.adjacency, net.attributes, model)
+    res = residuals(model, net.adjacency, net.attributes)
     a = net.adjacency.toarray()
     r1 = ((a - model.struct_embed @ model.struct_context) ** 2).sum(axis=1)
     want = budget_scores(r1, 1.0, 1e-8)
@@ -622,9 +641,21 @@ def test_hyperparams_validation():
                    {"dim": 2, "combine_weights": (math.nan, 0.5, 0.5)},
                    {"dim": 2, "init_iters": 0},
                    {"dim": 2, "attr_weight": math.inf},
-                   {"dim": 2, "dis_weight": math.inf}):
+                   {"dim": 2, "dis_weight": math.inf},
+                   # bool used to pass as 1.0 and a string as a bare TypeError
+                   {"dim": 2, "attr_weight": True},
+                   {"dim": 2, "dis_weight": True},
+                   {"dim": 2, "combine_weights": (True, False, False)},
+                   {"dim": 2, "attr_weight": "1"},
+                   {"dim": 2, "dis_weight": "1"},
+                   {"dim": 2, "combine_weights": "abc"},
+                   {"dim": 2, "combine_weights": ("0.25", 0.5, 0.25)},
+                   {"dim": 2, "combine_weights": None},
+                   {"dim": 2, "combine_weights": {0.2, 0.3, 0.5}}):
         with pytest.raises(ConfigError):
             HyperParams(**kwargs)
+    assert HyperParams(dim=2, attr_weight=np.float64(0.5), dis_weight=2,
+                       combine_weights=[np.float64(0.5), 0, 0.5]).attr_weight == 0.5
 
 
 @pytest.mark.parametrize("name", ["dim", "iters", "init_iters", "seed"])
@@ -802,9 +833,9 @@ def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch)
     net.adjacency, net.attributes = (_TransposeCounted(net.adjacency),
                                      _TransposeCounted(net.attributes))
     weighed = []
-    node_weights = core._node_weights
-    monkeypatch.setattr(core, "_node_weights",
-                        lambda *a: weighed.append(1) or node_weights(*a))
+    score_weights = core._score_weights
+    monkeypatch.setattr(core, "_score_weights",
+                        lambda *a: weighed.append(1) or score_weights(*a))
     at_round_end = []
     solve = core.budget_scores
 
@@ -816,8 +847,8 @@ def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch)
     hp = HyperParams(dim=3, seed=1, iters=4)
     fit(net, hp)
     ends = at_round_end[::3]
-    assert ends == [3 * r for r in range(1, hp.iters + 1)]  # the uniform start's, then each round's
-    assert len(weighed) == 3 * (hp.iters + 1)
+    assert ends == list(range(1, hp.iters + 1))  # the uniform start's, then each round's
+    assert len(weighed) == hp.iters + 1
     assert (net.adjacency.transposes, net.attributes.transposes) == (1, 1)
 
 

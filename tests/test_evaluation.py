@@ -569,7 +569,7 @@ def test_evaluate_all_f1_matches_one_fit_per_split_without_outliers():
 def test_evaluate_all_rejects_fractional_and_repeated_splits():
     net = synth_network(60, 2, 0.2, 0.02, 10, 0.9, seed=19)
     result = one_hot_result(net, [4])
-    for splits in ((12.5, 12), (20, 20), (20, 20.0), (float("nan"),)):
+    for splits in ((12.5, 12), (20, 20), (20, 20.0), (float("nan"),), (True,), ("30",)):
         with pytest.raises(ValueError, match="splits"):
             evaluate_all(net, result, [4], splits=splits, reps=1)
     whole = evaluate_all(net, result, [4], splits=(30.0,), reps=2)

@@ -151,17 +151,23 @@ def test_svd_input_errors():
         svd_small(np.array([[np.nan]]))
 
 
+def nmf(m, k, iters, rng):
+    """nmf_init of m as CSR, handed its transpose as fit hands it."""
+    m = sp.csr_matrix(m)
+    return nmf_init(m, k, iters, rng, m.T)
+
+
 def test_nmf_rank_one_recovery():
     p = np.array([1.0, 2.0, 0.5, 3.0])
     q = np.array([0.2, 1.5, 0.7])
     m = np.outer(p, q)
-    fp, fq = nmf_init(sp.csr_matrix(m), 1, 200, make_rng(0))
+    fp, fq = nmf(m, 1, 200, make_rng(0))
     err = frobenius_sq_residual(m, fp, fq)
     assert np.sqrt(err) / np.linalg.norm(m) < 1e-3
 
 
 def test_nmf_zero_matrix():
-    p, q = nmf_init(sp.csr_matrix(np.zeros((4, 3))), 2, 50, make_rng(0))
+    p, q = nmf(np.zeros((4, 3)), 2, 50, make_rng(0))
     assert (p >= 0).all() and (q >= 0).all()
     assert frobenius_sq_residual(np.zeros((4, 3)), p, q) == pytest.approx(0.0, abs=1e-12)
 
@@ -170,7 +176,7 @@ def test_nmf_monotone_error():
     rng = make_rng(9)
     m = rng.uniform(0.0, 2.0, size=(15, 12))
     # same seed means a run of more passes extends a shorter one, giving the per-pass trace
-    errs = [frobenius_sq_residual(m, *nmf_init(sp.csr_matrix(m), 4, t, make_rng(1)))
+    errs = [frobenius_sq_residual(m, *nmf(m, 4, t, make_rng(1)))
             for t in range(1, 12)]
     for prev, cur in zip(errs, errs[1:]):
         assert cur <= prev + 1e-9 * max(abs(prev), 1.0)
@@ -178,7 +184,7 @@ def test_nmf_monotone_error():
 
 def test_nmf_updates_round_up_to_passes_of_three():
     m = make_rng(3).uniform(0.0, 2.0, size=(12, 9))
-    runs = [nmf_init(sp.csr_matrix(m), 3, t, make_rng(4)) for t in (1, 2, 3, 4)]
+    runs = [nmf(m, 3, t, make_rng(4)) for t in (1, 2, 3, 4)]
     for p, q in runs[1:3]:
         assert np.array_equal(p, runs[0][0]) and np.array_equal(q, runs[0][1])
     assert not np.array_equal(runs[3][0], runs[0][0])
@@ -197,7 +203,7 @@ def test_nmf_error_matches_plain_mu(kind):
         m += rng.uniform(0, 0.3, (200, 80))
         k = 6
     for updates in (20, 200):
-        err = frobenius_sq_residual(m, *nmf_init(sp.csr_matrix(m), k, updates, make_rng(0)))
+        err = frobenius_sq_residual(m, *nmf(m, k, updates, make_rng(0)))
         ref = frobenius_sq_residual(m, *reference_nmf_mu(m, k, updates, make_rng(0)))
         assert err == pytest.approx(ref, rel=0.01)
 
@@ -205,11 +211,11 @@ def test_nmf_error_matches_plain_mu(kind):
 def test_nmf_nonneg_deterministic_sparse_matches_dense():
     rng = make_rng(2)
     dense = np.where(rng.random((10, 8)) < 0.4, rng.uniform(0.1, 2.0, (10, 8)), 0.0)
-    p1, q1 = nmf_init(sp.csr_matrix(dense), 3, 40, make_rng(5))
-    p2, q2 = nmf_init(sp.csr_matrix(dense), 3, 40, make_rng(5))
+    p1, q1 = nmf(dense, 3, 40, make_rng(5))
+    p2, q2 = nmf(dense, 3, 40, make_rng(5))
     assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
     assert (p1 >= 0).all() and (q1 >= 0).all()
-    ps, qs = nmf_init(sp.csr_matrix(dense), 3, 40, make_rng(5))
+    ps, qs = nmf(dense, 3, 40, make_rng(5))
     assert np.allclose(p1, ps, atol=1e-12) and np.allclose(q1, qs, atol=1e-12)
 
 
@@ -222,23 +228,23 @@ def test_nmf_bag_of_words_scale():
     m = sp.csr_matrix((np.ones(nnz), (rows, cols)), shape=(n, d))
     m.sum_duplicates()
     m.data[:] = 1.0
-    p, q = nmf_init(m, 18, 25, make_rng(0))
+    p, q = nmf(m, 18, 25, make_rng(0))
     assert np.isfinite(p).all() and np.isfinite(q).all()
     assert (p >= 0).all() and (q >= 0).all()
 
 
 def test_nmf_input_errors():
     with pytest.raises(ValueError):
-        nmf_init(sp.csr_matrix([[1.0, -0.5]]), 1, 10, make_rng(0))
+        nmf([[1.0, -0.5]], 1, 10, make_rng(0))
     with pytest.raises(ValueError):
-        nmf_init(sp.csr_matrix(np.ones((3, 3))), 4, 10, make_rng(0))
+        nmf(np.ones((3, 3)), 4, 10, make_rng(0))
     with pytest.raises(ValueError):
-        nmf_init(sp.csr_matrix(np.ones((3, 3))), 1, 0, make_rng(0))
+        nmf(np.ones((3, 3)), 1, 0, make_rng(0))
     with pytest.raises(TypeError, match="sparse"):
-        nmf_init(np.ones((3, 3)), 1, 10, make_rng(0))
+        nmf_init(np.ones((3, 3)), 1, 10, make_rng(0), np.ones((3, 3)))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            nmf_init(sp.csr_matrix([[bad, 1.0], [1.0, 2.0]]), 1, 5, make_rng(0))
+            nmf([[bad, 1.0], [1.0, 2.0]], 1, 5, make_rng(0))
 
 
 def test_frobenius_exact_factorization():
@@ -271,22 +277,23 @@ def test_frobenius_dimension_mismatch():
         frobenius_sq_residual(np.ones((3, 3)), np.ones((3, 2)), np.ones((2, 4)))
 
 
-def test_row_sq_residuals_dense_and_sparse():
+def sq_residuals(m, p, q):
+    """row_sq_residuals with its norms and product formed here."""
+    return row_sq_residuals(m, p, q, row_sq_norms(m), np.asarray(m @ q.T))
+
+
+def test_row_sq_residuals_match_a_dense_reference():
     rng = make_rng(8)
     n, d, k = 1500, 6, 3
     p = rng.normal(size=(n, k))
     q = rng.normal(size=(k, d))
-    dense = np.where(rng.random((n, d)) < 0.2, 1.0, 0.0)
-    m = sp.csr_matrix(dense)
-    got_dense = row_sq_residuals(dense, p, q)
-    got_sparse = row_sq_residuals(m, p, q)
+    m = sp.csr_matrix(np.where(rng.random((n, d)) < 0.2, 1.0, 0.0))
     full = to_dense(m) - p @ q
     want = (full ** 2).sum(axis=1)
-    assert np.allclose(got_dense, want, rtol=1e-12, atol=1e-12)
-    assert np.allclose(got_sparse, want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(sq_residuals(m, p, q), want, rtol=1e-12, atol=1e-12)
 
 
-def test_row_sq_residuals_handed_on_norms_and_product_are_bit_identical():
+def test_row_sq_norms_and_residuals_of_empty_rows():
     rng = make_rng(10)
     n, d, k = 300, 50, 5
     m = sp.random(n, d, density=0.1, format="csr", random_state=np.random.default_rng(3))
@@ -298,10 +305,8 @@ def test_row_sq_residuals_handed_on_norms_and_product_are_bit_identical():
     q = rng.normal(size=(k, d))
     norms = row_sq_norms(m)
     assert (norms[empty] == 0).all() and (norms[~empty] > 0).all()
-    want = row_sq_residuals(m, p, q)
-    assert np.array_equal(row_sq_residuals(m, p, q, norms, np.asarray(m @ q.T)), want)
-    assert np.array_equal(row_sq_residuals(m, p, q, norms=norms), want)
-    assert np.array_equal(row_sq_residuals(m, p, q, mq=np.asarray(m @ q.T)), want)
+    want = ((to_dense(m) - p @ q) ** 2).sum(axis=1)  # an empty row's is ||p_i q||^2
+    assert np.allclose(sq_residuals(m, p, q), want, rtol=1e-12, atol=1e-12)
 
 
 def test_row_sq_residuals_sparse_cancellation():
@@ -313,7 +318,7 @@ def test_row_sq_residuals_sparse_cancellation():
     m[150:190] += np.where(rng.random((40, d)) < 0.2, 1e-6, 0.0)
     m[190:195] = 0.0  # all-zero rows of m
     p[195:] = 0.0  # zero rows of p
-    got = row_sq_residuals(sp.csr_matrix(m), p, q)
+    got = sq_residuals(sp.csr_matrix(m), p, q)
     fit = p @ q
     want = ((m - fit) ** 2).sum(axis=1)
     scale = (m ** 2).sum(axis=1) + (fit ** 2).sum(axis=1)
