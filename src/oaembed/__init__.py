@@ -22,7 +22,7 @@ _NAMES = {
              "update_attr_embed", "update_struct_context", "update_struct_embed"),
     "errors": ("ConfigError", "NumericError", "ParseError"),
     "evaluation": ("Classifier", "EvalReport", "clustering_accuracy", "evaluate_all",
-                   "f1_scores", "kmeans_pp_full", "predict", "recall_at", "train_classifier"),
+                   "f1_scores", "kmeans_pp_full", "predict", "recall_at"),
     "network": ("AttributedNetwork", "EmbeddingResult", "load_network", "save_network",
                 "save_result"),
     "seeding": ("OUTLIER_KINDS", "PlantedNode", "SeededDataset", "SeedingPlan", "load_truth",

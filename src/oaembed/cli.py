@@ -23,7 +23,7 @@ values win. All randomness stems from `--seed`, so rerunning a subcommand
 with the same inputs and seed reproduces its output files byte for byte.
 
 Exit codes: 0 success, 1 file/parse problems, 2 bad configuration or
-mismatched inputs, 3 numeric failure during optimization.
+mismatched inputs, 3 numeric failure during optimization, 4 out of memory.
 """
 
 import argparse
@@ -199,8 +199,8 @@ _SUBCOMMANDS = {
         "attr-weight": {"type": float, "help": "attribute loss weight (default: calibrated)"},
         "dis-weight": {"type": float, "help": "disagreement loss weight (default: calibrated)"},
         "combine-weights": {"type": _parse_weights, "help": "w1,w2,w3 for the combined score"},
-        "init-iters": {"type": int, "help": "initialization updates per factor, in passes "
-                                            "of 3, rounded up"},
+        "init-passes": {"type": int, "help": "nonnegative factorization passes per "
+                                             "initialization"},
         "seed": _SEED,
     }),
     "rank-outliers": ("rank nodes by combined outlier score", cmd_rank_outliers, None, {
@@ -298,6 +298,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint():

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ParseError (and OSError) to 1,
-ConfigError (a ValueError) to 2, NumericError to 3.
+ConfigError (a ValueError) to 2, NumericError to 3, and the built-in
+MemoryError to 4.
 """
 
 

@@ -13,9 +13,9 @@ stack holds features feature-major (reps x features x nodes) and logits
 class-major (reps x classes x nodes): both products are one batched matmul
 and the softmax reduces the short class axis. A node-major stack (reps x
 nodes x classes) took 2.5-3 times as long for protocol-sbm4k's 50 fits, as
-numpy reduces a length-C last axis slowly. A set trained alone or in a stack
-gets bit-identical weights, so `train_classifier` is the one-set call of the
-same loop. The loop computes no training loss: no iterate depends on it.
+numpy reduces a length-C last axis slowly. A set trained alone (a stack of
+one) or in a stack gets bit-identical weights. The loop computes no training
+loss: no iterate depends on it.
 It subtracts the one-hot target as a dense array, which gives the bits of a
 scatter onto the true-class entries (p - 0.0 is p) in less time.
 
@@ -83,27 +83,11 @@ class Classifier:
     feature_scale: np.ndarray
 
 
-def train_classifier(x: np.ndarray, y: np.ndarray, steps: int = 500) -> Classifier:
-    """Fit by full-batch gradient descent from a zero start.
-
-    The l2 weight is 1e-3 (bias row exempt) and the step size 0.1.
-    Deterministic for a given input; no training loss is recorded.
-
-    This is the one-set call of the stacked, feature-major loop that
-    `evaluate_all` trains its splits with (the module docstring says why it
-    is laid out so), and a set fitted here or inside a stack gets
-    bit-identical weights and standardization.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError("x must be N x F with matching y of length N")
-    return _train_stack(x[None], y[None], steps)[0]
-
-
 def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500) -> list[Classifier]:
-    """`train_classifier` on each of R equal-size training sets (xs R x n x F,
-    ys R x n), one Classifier per set in order.
+    """Fit the classifier on each of R equal-size training sets (xs R x n x F,
+    ys R x n) by full-batch gradient descent from a zero start, one
+    Classifier per set in order. The l2 weight is 1e-3 (bias row exempt)
+    and the step size 0.1; the fit is deterministic for a given input.
 
     Sets with the same classes descend together as one stack. A set that
     lacks a class trains in a stack of its own class set rather than with
@@ -395,7 +379,7 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     truth_ids are integer node indices of the planted outliers; a float or
     bool id is refused, not truncated. splits are one or more distinct
     whole train percentages in (0, 100); a bool is refused. Classification
-    trains the `train_classifier` model on `reps` seeded splits per train
+    trains the classifier (`_train_stack`) on `reps` seeded splits per train
     percentage, as one stack per percentage on one of 2 worker threads, and
     averages the F1 over the reps.
     Clustering uses as many clusters as ground-truth classes and runs 10

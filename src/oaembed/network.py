@@ -102,10 +102,6 @@ class AttributedNetwork:
         return len(self.label_names)
 
     @property
-    def has_self_loops(self) -> bool:
-        return bool(self.adjacency.diagonal().any())
-
-    @property
     def n_edges(self) -> int:
         """Distinct edges: each undirected pair counted once, self loops once."""
         if self.directed:

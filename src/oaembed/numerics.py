@@ -135,8 +135,7 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt):
     plain MU sweep, is shared by three updates of the same factor (Gillis and
     Glineur, "Accelerated multiplicative updates and hierarchical ALS
     algorithms for nonnegative matrix factorization", Neural Computation 24,
-    2012). `iters` counts updates per factor and is rounded up to a multiple
-    of 3, so iters = 1, 2 and 3 give the same single pass.
+    2012). `iters` counts passes, so each factor gets 3 * iters updates.
 
     Factors start uniform in (0.1, 1.0) from the given generator; denominators
     are floored at 1e-12 so exact zeros cannot divide. Every update is a plain
@@ -159,7 +158,7 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt):
 
     p = rng.uniform(0.1, 1.0, size=(n, k))
     q = rng.uniform(0.1, 1.0, size=(k, d))
-    for _ in range(-(-iters // 3)):
+    for _ in range(iters):
         mp, pp = np.asarray(mt @ p).T, p.T @ p
         for _ in range(3):
             q *= mp / np.maximum(pp @ q, _DIV_FLOOR)

@@ -19,8 +19,7 @@ import scipy.sparse as sp
 
 from oaembed import core
 from oaembed.core import FactorModel, OutlierScores
-from oaembed.evaluation import (Classifier, _classification_split, f1_scores, predict,
-                                train_classifier)
+from oaembed.evaluation import Classifier, _classification_split, _train_stack, f1_scores, predict
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng, nmf_init, row_sq_norms
 
@@ -170,10 +169,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def train_alone(x: np.ndarray, y: np.ndarray, steps: int = 500) -> Classifier:
+    """One training set fitted by evaluate_all's trainer as a stack of one."""
+    return _train_stack(x[None], y[None], steps)[0]
+
+
 def reference_train_classifier(x: np.ndarray, y: np.ndarray,
                                steps: int = 500) -> Classifier:
     """One training set by a row-major (nodes x classes) gradient-descent
-    loop with a dense one-hot target, against `train_classifier`'s stacked,
+    loop with a dense one-hot target, against `_train_stack`'s stacked,
     feature-major loop: the same zero start, step 0.1 and l2 weight 1e-3
     with the bias row exempt."""
     x = np.asarray(x, dtype=np.float64)
@@ -199,7 +203,7 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
 
 def reference_f1_by_split(net: AttributedNetwork, result, truth_ids, splits, reps: int,
                           seed: int, exclude_outliers: bool = False,
-                          trainer=train_classifier) -> dict:
+                          trainer=train_alone) -> dict:
     """evaluate_all's F1 map by one fit per split: for each train percentage,
     rep by rep, draw the split from its named stream, fit `trainer` on that
     set alone, predict the rest and score; the means over the reps."""
@@ -505,8 +509,8 @@ def reference_fit(net: AttributedNetwork, hp):
     row norms. fit forms each of these once and must match this bit for bit.
     Returns (model, scores, loss trace)."""
     adj, attrs = net.adjacency, net.attributes
-    g, h = nmf_init(adj, hp.dim, hp.init_iters, named_rng(hp.seed, "init-structure"), adj.T)
-    u, v = nmf_init(attrs, hp.dim, hp.init_iters, named_rng(hp.seed, "init-attributes"),
+    g, h = nmf_init(adj, hp.dim, hp.init_passes, named_rng(hp.seed, "init-structure"), adj.T)
+    u, v = nmf_init(attrs, hp.dim, hp.init_passes, named_rng(hp.seed, "init-attributes"),
                     attrs.T)
     uniform = np.full(net.n_nodes, 1.0 / net.n_nodes)
     scores = OutlierScores(uniform.copy(), uniform.copy(), uniform.copy())

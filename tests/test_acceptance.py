@@ -290,7 +290,7 @@ def run_pipeline(data, out_dir):
                          "--attrs", os.path.join(seeded, "attributes.txt"),
                          "--labels", os.path.join(seeded, "labels.txt"),
                          "--out", emb, "--k", "4", "--iters", "2",
-                         "--init-iters", "60", "--seed", "5")[0])
+                         "--init-passes", "20", "--seed", "5")[0])
     rank = os.path.join(out_dir, "rank")
     steps.append(run_cli("rank-outliers",
                          "--scores", os.path.join(emb, "scores.tsv"),

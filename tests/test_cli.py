@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -54,7 +55,7 @@ def embedded(seeded, tmp_path_factory):
                                    "--attrs", seeded["attrs"],
                                    "--labels", seeded["labels"],
                                    "--out", out, "--k", "4", "--iters", "3",
-                                   "--init-iters", "60", "--seed", "3")
+                                   "--init-passes", "20", "--seed", "3")
     assert code == 0, stderr
     return {"out": out,
             "embedding": os.path.join(out, "embedding.tsv"),
@@ -164,7 +165,7 @@ def test_embed_default_k_from_labels(seeded, tmp_path):
     code, stdout, _ = run_cli("embed", "--edges", seeded["edges"],
                               "--attrs", seeded["attrs"],
                               "--labels", seeded["labels"],
-                              "--out", out, "--iters", "1", "--init-iters", "30")
+                              "--out", out, "--iters", "1", "--init-passes", "10")
     assert code == 0
     assert stdout.splitlines()[0] == "k\t9"  # 3 classes x 3
 
@@ -186,7 +187,7 @@ def test_embed_rerun_byte_identical(seeded, tmp_path):
                              "--attrs", seeded["attrs"],
                              "--labels", seeded["labels"],
                              "--out", out, "--k", "3", "--iters", "2",
-                             "--init-iters", "40", "--seed", "5")
+                             "--init-passes", "14", "--seed", "5")
         assert code == 0
         outs.append(out)
     for name in ("embedding.tsv", "scores.tsv", "loss.tsv"):
@@ -348,7 +349,7 @@ def test_weights_reproduce_the_stored_combined_column(seeded, tmp_path, monkeypa
     emb = tmp_path / "emb"
     code, _, stderr = run_cli("embed", "--edges", seeded["edges"], "--attrs", seeded["attrs"],
                               "--out", str(emb), "--k", "4", "--iters", "3",
-                              "--init-iters", "60", "--seed", "3", "--combine-weights", weights)
+                              "--init-passes", "20", "--seed", "3", "--combine-weights", weights)
     assert code == 0, stderr
     scores = str(emb / "scores.tsv")
     _, _, stored = load_scores_tsv(scores)
@@ -486,7 +487,7 @@ def test_evaluate_misaligned_embedding_exits_2(dataset, seeded, embedded,
                          "--attrs", dataset["attributes"],
                          "--labels", dataset["labels"],
                          "--out", small, "--k", "2", "--iters", "1",
-                         "--init-iters", "30")
+                         "--init-passes", "10")
     assert code == 0
     code, _, stderr = run_cli("evaluate", "--edges", seeded["edges"],
                               "--attrs", seeded["attrs"],
@@ -603,7 +604,7 @@ SURFACE = {
              "fraction": "0.1", "band": "0.2", "seed": "3"},
     "embed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o", "k": "4",
               "iters": "2", "attr-weight": "0.5", "dis-weight": "0.5",
-              "combine-weights": "0.2,0.3,0.5", "init-iters": "30", "seed": "3"},
+              "combine-weights": "0.2,0.3,0.5", "init-passes": "10", "seed": "3"},
     "rank-outliers": {"scores": "s.tsv", "out": "o", "weights": "0,1,0"},
     "evaluate": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "embedding": "m.tsv",
                  "scores": "s.tsv", "truth": "t.tsv", "out": "o", "splits": "10:30:10",
@@ -646,6 +647,22 @@ def test_library_fields_and_options_are_one_to_one(sub, lib):
            if p.kind is not p.VAR_KEYWORD]
     assert len(dests) == len(set(dests))
     assert sorted(dests) == sorted(own + [f.name for f in dataclasses.fields(lib)])
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_embed_refuses_the_old_init_iters_option(dataset, tmp_path, how):
+    # init-iters counted updates per factor; an old setting must fail rather
+    # than run three times the passes as --init-passes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("init-iters=30\n")
+    given = ["--init-iters", "30"] if how == "flag" else ["--config", str(cfg)]
+    code, _, stderr = run_cli("embed", *given, "--edges", dataset["edges"],
+                              "--attrs", dataset["attributes"], "--labels", dataset["labels"],
+                              "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "init-iters" in stderr
+    assert how == "flag" or "unknown config keys" in stderr
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
@@ -762,3 +779,36 @@ def test_ambiguous_abbreviation_is_not_read_as_a_config_file(tmp_path):
                               "--attrs", "a.txt", "--out", str(tmp_path / "x"))
     assert code == 2
     assert "--combine-weights" in stderr and "--config" in stderr
+
+
+_MEMORY_LIMIT = 400 * 2**20  # bytes of address space
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_LIMIT, _MEMORY_LIMIT))
+
+
+def test_embed_out_of_memory_exits_4(tmp_path):
+    # a 10000-node chain with one attribute per node: K = 10000 needs
+    # 763 MiB per factor, over the child's 400 MB address-space limit, while
+    # K = 5 fits under the same limit
+    n = 10000
+    edges, attrs = tmp_path / "edges.txt", tmp_path / "attributes.txt"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    attrs.write_text(f"%dim {n}\n" + "".join(f"{i} {i}:1\n" for i in range(n)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(oaembed.__file__).parents[1])}
+
+    def embed(k, out):
+        return subprocess.run([sys.executable, "-m", "oaembed.cli", "embed",
+                               "--edges", str(edges), "--attrs", str(attrs),
+                               "--out", str(tmp_path / out), "--k", str(k), "--iters", "1"],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=_limit_memory)
+
+    big = embed(n, "big")
+    assert big.returncode == 4, big.stderr
+    assert big.stderr.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in big.stderr
+    small = embed(5, "small")
+    assert small.returncode == 0, small.stderr

@@ -115,16 +115,6 @@ def test_loss_disagreement_zero_cases_and_scalar():
     assert got == pytest.approx(math.log(2.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.2, 1.5, np.nan])
-def test_loss_score_domain_errors(bad):
-    model = scalar_model(g=1.0, h=1.0, u=1.0, v=1.0)
-    for term in range(3):
-        vectors = [np.array([0.5])] * 3
-        vectors[term] = np.array([bad])
-        with pytest.raises(ValueError):
-            loss_terms(model, OutlierScores(*vectors))
-
-
 def test_loss_joint_matches_naive_oracle():
     rng = make_rng(3)
     net = rand_network(rng, 7, 5)
@@ -639,7 +629,7 @@ def test_hyperparams_validation():
                    {"dim": 2, "combine_weights": (0.5, 0.5, 0.5)},
                    {"dim": 2, "combine_weights": (-0.1, 0.6, 0.5)},
                    {"dim": 2, "combine_weights": (math.nan, 0.5, 0.5)},
-                   {"dim": 2, "init_iters": 0},
+                   {"dim": 2, "init_passes": 0},
                    {"dim": 2, "attr_weight": math.inf},
                    {"dim": 2, "dis_weight": math.inf},
                    # bool used to pass as 1.0 and a string as a bare TypeError
@@ -658,7 +648,14 @@ def test_hyperparams_validation():
                        combine_weights=[np.float64(0.5), 0, 0.5]).attr_weight == 0.5
 
 
-@pytest.mark.parametrize("name", ["dim", "iters", "init_iters", "seed"])
+def test_hyperparams_refuses_the_old_init_iters_name():
+    # init_iters counted updates per factor; an old setting must fail rather
+    # than run three times the passes as init_passes
+    with pytest.raises(TypeError, match="init_iters"):
+        HyperParams(dim=2, init_iters=30)
+
+
+@pytest.mark.parametrize("name", ["dim", "iters", "init_passes", "seed"])
 @pytest.mark.parametrize("value", [2.5, 1.5, 2.0, True, "2", None])
 def test_hyperparams_counts_must_be_integers(name, value):
     with pytest.raises(ConfigError, match=name):
@@ -739,7 +736,7 @@ def test_fit_forms_each_sparse_product_once_per_round(monkeypatch):
         return solve(r, budget, floor)
 
     monkeypatch.setattr(core, "budget_scores", spy)
-    hp = HyperParams(dim=3, seed=1, init_iters=3, iters=3)
+    hp = HyperParams(dim=3, seed=1, init_passes=1, iters=3)
     _, _, result, _ = fit(net, hp)
     assert len(result.loss_trace) == 3
 
@@ -754,11 +751,14 @@ def test_fit_forms_each_sparse_product_once_per_round(monkeypatch):
 
 
 def test_default_rounds_detect_at_least_as_well_as_a_long_initialization():
-    """Detection quality follows the rounds, not how far the initialization
-    converges: on sweep-small-shaped networks at its four widths, the defaults
-    (one nmf_init pass, 15 rounds) find at least as many planted nodes as 67
-    passes and 5 rounds (here 0.846 against 0.796 mean recall@25; at K = 9
-    alone these four networks tie)."""
+    """With a strong attribute signal (attr_signal 0.9) detection quality
+    follows the rounds, not how far the initialization converges: on
+    sweep-small-shaped networks at its four widths, the defaults (one nmf_init
+    pass, 15 rounds) find at least as many planted nodes as 67 passes and 5
+    rounds (here 0.846 against 0.796 mean recall@25; at K = 9 alone these four
+    networks tie). With a weak one (attr_signal 0.3) more passes help: on
+    2000-node networks at K = 15, 10 passes and 10 rounds reach 0.55 mean
+    recall@25 where 1 pass and 15 rounds reach 0.29 in the same fit time."""
     found = {"default": 0, "long-init": 0}
     for s in range(4):
         seeded = seed_outliers(synth_network(300, 3, 0.05, 0.005, 120, 0.9, seed=s),
@@ -766,7 +766,7 @@ def test_default_rounds_detect_at_least_as_well_as_a_long_initialization():
         truth = seeded.outlier_ids
         for dim in (3, 6, 9, 12):
             for name, hp in (("default", HyperParams(dim=dim, seed=s)),
-                             ("long-init", HyperParams(dim=dim, seed=s, init_iters=200,
+                             ("long-init", HyperParams(dim=dim, seed=s, init_passes=67,
                                                        iters=5))):
                 _, _, result, _ = fit(seeded.network, hp)
                 recall = recall_at(rank_nodes(result.outlier_scores), truth, 25)

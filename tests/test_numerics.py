@@ -1,4 +1,5 @@
 import ast
+import itertools
 import re
 from pathlib import Path
 
@@ -161,13 +162,13 @@ def test_nmf_rank_one_recovery():
     p = np.array([1.0, 2.0, 0.5, 3.0])
     q = np.array([0.2, 1.5, 0.7])
     m = np.outer(p, q)
-    fp, fq = nmf(m, 1, 200, make_rng(0))
+    fp, fq = nmf(m, 1, 67, make_rng(0))
     err = frobenius_sq_residual(m, fp, fq)
     assert np.sqrt(err) / np.linalg.norm(m) < 1e-3
 
 
 def test_nmf_zero_matrix():
-    p, q = nmf(np.zeros((4, 3)), 2, 50, make_rng(0))
+    p, q = nmf(np.zeros((4, 3)), 2, 17, make_rng(0))
     assert (p >= 0).all() and (q >= 0).all()
     assert frobenius_sq_residual(np.zeros((4, 3)), p, q) == pytest.approx(0.0, abs=1e-12)
 
@@ -182,13 +183,27 @@ def test_nmf_monotone_error():
         assert cur <= prev + 1e-9 * max(abs(prev), 1.0)
 
 
-def test_nmf_updates_round_up_to_passes_of_three():
+class _ProductCounted(sp.csr_matrix):
+    """Counts its products with dense matrices in the shared list `products`."""
+
+    products: list
+
+    def __matmul__(self, other):
+        self.products.append(1)
+        return super().__matmul__(other)
+
+
+def test_nmf_runs_exactly_iters_passes():
+    # each pass forms one product with m^T (for q) and one with m (for p)
     m = make_rng(3).uniform(0.0, 2.0, size=(12, 9))
-    runs = [nmf(m, 3, t, make_rng(4)) for t in (1, 2, 3, 4)]
-    for p, q in runs[1:3]:
-        assert np.array_equal(p, runs[0][0]) and np.array_equal(q, runs[0][1])
-    assert not np.array_equal(runs[3][0], runs[0][0])
-    assert not np.array_equal(runs[3][1], runs[0][1])
+    runs = []
+    for passes in (1, 2, 3, 4):
+        counted = _ProductCounted(m), _ProductCounted(m.T)
+        products = counted[0].products = counted[1].products = []
+        runs.append(nmf_init(counted[0], 3, passes, make_rng(4), counted[1]))
+        assert len(products) == 2 * passes
+    for (p1, q1), (p2, q2) in itertools.combinations(runs, 2):
+        assert not np.array_equal(p1, p2) and not np.array_equal(q1, q2)
 
 
 @pytest.mark.parametrize("kind", ["sparse", "dense"])
@@ -202,20 +217,20 @@ def test_nmf_error_matches_plain_mu(kind):
         m = rng.uniform(0, 1, (200, 5)) @ rng.uniform(0, 1, (5, 80))
         m += rng.uniform(0, 0.3, (200, 80))
         k = 6
-    for updates in (20, 200):
-        err = frobenius_sq_residual(m, *nmf(m, k, updates, make_rng(0)))
-        ref = frobenius_sq_residual(m, *reference_nmf_mu(m, k, updates, make_rng(0)))
+    for passes in (7, 67):  # each pass applies 3 updates per factor
+        err = frobenius_sq_residual(m, *nmf(m, k, passes, make_rng(0)))
+        ref = frobenius_sq_residual(m, *reference_nmf_mu(m, k, 3 * passes, make_rng(0)))
         assert err == pytest.approx(ref, rel=0.01)
 
 
 def test_nmf_nonneg_deterministic_sparse_matches_dense():
     rng = make_rng(2)
     dense = np.where(rng.random((10, 8)) < 0.4, rng.uniform(0.1, 2.0, (10, 8)), 0.0)
-    p1, q1 = nmf(dense, 3, 40, make_rng(5))
-    p2, q2 = nmf(dense, 3, 40, make_rng(5))
+    p1, q1 = nmf(dense, 3, 14, make_rng(5))
+    p2, q2 = nmf(dense, 3, 14, make_rng(5))
     assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
     assert (p1 >= 0).all() and (q1 >= 0).all()
-    ps, qs = nmf(dense, 3, 40, make_rng(5))
+    ps, qs = nmf(dense, 3, 14, make_rng(5))
     assert np.allclose(p1, ps, atol=1e-12) and np.allclose(q1, qs, atol=1e-12)
 
 
@@ -228,23 +243,23 @@ def test_nmf_bag_of_words_scale():
     m = sp.csr_matrix((np.ones(nnz), (rows, cols)), shape=(n, d))
     m.sum_duplicates()
     m.data[:] = 1.0
-    p, q = nmf(m, 18, 25, make_rng(0))
+    p, q = nmf(m, 18, 9, make_rng(0))
     assert np.isfinite(p).all() and np.isfinite(q).all()
     assert (p >= 0).all() and (q >= 0).all()
 
 
 def test_nmf_input_errors():
     with pytest.raises(ValueError):
-        nmf([[1.0, -0.5]], 1, 10, make_rng(0))
+        nmf([[1.0, -0.5]], 1, 4, make_rng(0))
     with pytest.raises(ValueError):
-        nmf(np.ones((3, 3)), 4, 10, make_rng(0))
+        nmf(np.ones((3, 3)), 4, 4, make_rng(0))
     with pytest.raises(ValueError):
         nmf(np.ones((3, 3)), 1, 0, make_rng(0))
     with pytest.raises(TypeError, match="sparse"):
-        nmf_init(np.ones((3, 3)), 1, 10, make_rng(0), np.ones((3, 3)))
+        nmf_init(np.ones((3, 3)), 1, 4, make_rng(0), np.ones((3, 3)))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            nmf([[bad, 1.0], [1.0, 2.0]], 1, 5, make_rng(0))
+            nmf([[bad, 1.0], [1.0, 2.0]], 1, 2, make_rng(0))
 
 
 def test_frobenius_exact_factorization():

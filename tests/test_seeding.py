@@ -40,7 +40,7 @@ def test_synth_basic_shape_and_labels():
     counts = np.bincount(net.labels)
     assert counts.tolist() == [30, 30, 30]
     assert list(net.label_names) == ["class0", "class1", "class2"]
-    assert not net.directed and not net.has_self_loops
+    assert not net.directed and not net.adjacency.diagonal().any()
     # contiguous blocks: labels are sorted
     assert (np.diff(net.labels) >= 0).all()
 
