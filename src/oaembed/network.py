@@ -14,13 +14,22 @@ The attribute file defines the node universe; edge and label files may only
 reference nodes that have an attribute row. Both grammars load as CSR
 attributes.
 
+Each file is read in one pass and checked row by row, so the first bad line
+in file order raises ParseError with its line number; in the attribute file
+that includes a ragged dense row, a dense row length that differs from
+``%dim`` and a sparse index at or past ``%dim``. Only whole-file conditions
+name no line: an empty attribute file, a sparse one with no entries and no
+``%dim``, and a label file that misses nodes.
+
 Label file: ``<node_id> <class_name>`` per line, one line per node. Class
 names are mapped to dense integer ids in sorted-name order.
 
 Every file is written through the output rule of `oaembed.tables`.
 """
 
+import math
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -132,88 +141,76 @@ def _check_names(names, n: int | None, what: str = "node name") -> tuple[str, ..
 
 
 def _parse_attributes(path: str):
-    """Parse an attribute file into (node_names, N x D CSR attributes); a
-    dense row contributes its nonzeros."""
-    names: list[str] = []
-    seen: dict[str, int] = {}
-    rows: list[tuple[np.ndarray | None, np.ndarray]] = []  # (indices, values) per node
-    declared_dim = None
-    mode = None  # "dense" | "sparse"
-    max_idx = -1
+    """Parse an attribute file into (node_names, N x D CSR attributes) in one
+    pass: each row's entries go onto the CSR arrays as it is read, a dense
+    row's nonzeros (-0.0 is dropped) or a sparse row's entries as written,
+    and each check runs on the row that breaks it."""
+    names: dict[str, None] = {}  # insertion-ordered, so a set that keeps file order
+    indices = array("q")  # int64, so an index past int64 is a bad token
+    values = array("d")
+    indptr = [0]
+    dim = None  # %dim, else the first dense row's length, else max index + 1
     for lineno, line in _data_lines(path):
-        toks = line.split()
-        if toks[0].startswith("%"):
-            if toks[0] == "%dim" and len(toks) == 2:
-                if rows:
-                    raise ParseError("%dim must precede all data rows", path, lineno)
-                try:
-                    declared_dim = int(toks[1])
-                except ValueError:
-                    raise ParseError(f"bad %dim value {toks[1]!r}", path, lineno) from None
-                if declared_dim < 1:
-                    raise ParseError("%dim must be >= 1", path, lineno)
-            else:
-                raise ParseError(f"unknown directive {toks[0]!r}", path, lineno)
+        node, *vals = line.split()
+        if node.startswith("%"):
+            if node != "%dim" or len(vals) != 1:
+                raise ParseError(f"unknown directive {node!r}", path, lineno)
+            if names:
+                raise ParseError("%dim must precede all data rows", path, lineno)
+            try:
+                dim = int(vals[0])
+            except ValueError:
+                raise ParseError(f"bad %dim value {vals[0]!r}", path, lineno) from None
+            if dim < 1:
+                raise ParseError("%dim must be >= 1", path, lineno)
             continue
-        node, vals = toks[0], toks[1:]
-        if node in seen:
+        if node in names:
             raise ParseError(f"duplicate attribute row for node {node!r}", path, lineno)
-        if mode is None:
-            mode = "sparse" if (not vals or any(":" in t for t in vals)) else "dense"
-        if mode == "dense":
+        if not names:  # the first data row decides the grammar
+            dense = bool(vals) and not any(":" in t for t in vals)
+        if dense:
             if not vals:
                 raise ParseError("dense attribute row has no values", path, lineno)
             try:
-                v = np.array([float(t) for t in vals])
+                row = [float(t) for t in vals]
             except ValueError:
                 raise ParseError("bad dense attribute value", path, lineno) from None
-            idx = None
+            dim = dim or len(row)
+            if len(row) != dim:
+                raise ParseError(f"dense row for node {node!r} has {len(row)} values, "
+                                 f"expected {dim}" if names else
+                                 f"%dim {dim} != dense row length {len(row)}", path, lineno)
+            indices.extend([j for j, v in enumerate(row) if v != 0])
+            values.extend([v for v in row if v != 0])
         else:
-            pairs = []
             for t in vals:
                 head, sep, tail = t.partition(":")
                 if not sep:
                     raise ParseError(f"expected idx:val token, got {t!r}", path, lineno)
                 try:
-                    pairs.append((int(head), float(tail)))
-                except ValueError:
+                    indices.append(int(head))
+                    values.append(float(tail))
+                except (ValueError, OverflowError):
                     raise ParseError(f"bad idx:val token {t!r}", path, lineno) from None
-            idx = np.array([p[0] for p in pairs], dtype=np.int64)
-            v = np.array([p[1] for p in pairs])
-            if idx.size:
-                if idx.min() < 0:
-                    raise ParseError("negative attribute index", path, lineno)
-                if np.unique(idx).size != idx.size:
-                    raise ParseError("duplicate attribute index in row", path, lineno)
-                max_idx = max(max_idx, int(idx.max()))
-        if v.size and not np.isfinite(v).all():
+            row_idx = indices[indptr[-1]:]
+            if min(row_idx, default=0) < 0:
+                raise ParseError("negative attribute index", path, lineno)
+            if len(set(row_idx)) != len(row_idx):
+                raise ParseError("duplicate attribute index in row", path, lineno)
+            if dim and max(row_idx, default=0) >= dim:
+                raise ParseError(f"attribute index {max(row_idx)} >= declared dimension {dim}",
+                                 path, lineno)
+        if not all(map(math.isfinite, values[indptr[-1]:])):
             raise ParseError("non-finite attribute value", path, lineno)
-        seen[node] = lineno
-        names.append(node)
-        rows.append((idx, v))
+        names[node] = None
+        indptr.append(len(indices))
 
     if not names:
         raise ParseError("attribute file has no data rows", path)
-    if mode == "dense":
-        dim = rows[0][1].size
-        if declared_dim is not None and declared_dim != dim:
-            raise ParseError(f"%dim {declared_dim} != dense row length {dim}", path)
-        for name, (_, v) in zip(names, rows):
-            if v.size != dim:
-                raise ParseError(f"dense row for node {name!r} has {v.size} values, "
-                                 f"expected {dim}", path, seen[name])
-        rows = [(np.flatnonzero(v), v[v != 0]) for _, v in rows]
-    else:
-        dim = declared_dim if declared_dim is not None else max_idx + 1
-        if dim < 1:
-            raise ParseError("cannot infer attribute dimension (no nonzeros, no %dim)", path)
-        if max_idx >= dim:
-            raise ParseError(f"attribute index {max_idx} >= declared dimension {dim}", path)
-
-    indptr = np.cumsum([0] + [idx.size for idx, _ in rows])
-    return names, sp.csr_matrix((np.concatenate([v for _, v in rows]),
-                                 np.concatenate([idx for idx, _ in rows]), indptr),
-                                shape=(len(names), dim))
+    if dim is None and not indices:
+        raise ParseError("cannot infer attribute dimension (no nonzeros, no %dim)", path)
+    return list(names), sp.csr_matrix((values, indices, indptr),
+                                      shape=(len(names), dim or max(indices) + 1))
 
 
 def _parse_edges(path: str, index: dict[str, int]):

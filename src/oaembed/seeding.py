@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .network import AttributedNetwork, _undirected_csr
 from .numerics import Handoff, check_integer, make_rng, named_rng
-from .tables import _data_lines, _write_lines
+from .tables import _data_lines, _write_lines, is_real
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
 
@@ -38,7 +38,8 @@ class SeedingPlan:
     across the three kinds with any remainder handed out in kind order.
     degree_band is the relative half-width around the anchor class's mean
     degree from which planted degrees are drawn. seed must be a Python or
-    numpy integer.
+    numpy integer, and both fractions real numbers (a bool is not one);
+    anything else raises ConfigError.
     """
 
     total_fraction: float = 0.05
@@ -47,10 +48,10 @@ class SeedingPlan:
 
     def __post_init__(self):
         check_integer(self.seed, "seed")
-        if not 0 <= self.total_fraction < 0.5:
-            raise ValueError(f"total_fraction must be in [0, 0.5), got {self.total_fraction}")
-        if not 0 < self.degree_band < 1:
-            raise ValueError(f"degree_band must be in (0, 1), got {self.degree_band}")
+        if not (is_real(self.total_fraction) and 0 <= self.total_fraction < 0.5):
+            raise ConfigError(f"total_fraction must be in [0, 0.5), got {self.total_fraction!r}")
+        if not (is_real(self.degree_band) and 0 < self.degree_band < 1):
+            raise ConfigError(f"degree_band must be in (0, 1), got {self.degree_band!r}")
 
     def counts(self, n_nodes: int) -> tuple[int, int, int]:
         """Planted count per kind for an n_nodes network."""

@@ -19,9 +19,11 @@ import scipy.sparse as sp
 
 from oaembed import core
 from oaembed.core import FactorModel, OutlierScores
+from oaembed.errors import ParseError
 from oaembed.evaluation import Classifier, _classification_split, _train_stack, f1_scores, predict
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng, nmf_init, row_sq_norms
+from oaembed.tables import _data_lines
 
 
 def to_dense(m) -> np.ndarray:
@@ -709,6 +711,93 @@ def hypergeom_recall_null(n: int, n_truth: int, top: int) -> tuple[float, float]
     mean_hits = top * frac
     var_hits = top * frac * (1.0 - frac) * (n - top) / (n - 1)
     return mean_hits / n_truth, math.sqrt(var_hits) / n_truth
+
+
+# A two-phase attribute-file parser (per-row arrays, then a second loop over
+# dense rows); test_network.py binds network._parse_attributes to it.
+def reference_parse_attributes(path: str):
+    """Parse an attribute file into (node_names, N x D CSR attributes); a
+    dense row contributes its nonzeros."""
+    names: list[str] = []
+    seen: dict[str, int] = {}
+    rows: list[tuple[np.ndarray | None, np.ndarray]] = []  # (indices, values) per node
+    declared_dim = None
+    mode = None  # "dense" | "sparse"
+    max_idx = -1
+    for lineno, line in _data_lines(path):
+        toks = line.split()
+        if toks[0].startswith("%"):
+            if toks[0] == "%dim" and len(toks) == 2:
+                if rows:
+                    raise ParseError("%dim must precede all data rows", path, lineno)
+                try:
+                    declared_dim = int(toks[1])
+                except ValueError:
+                    raise ParseError(f"bad %dim value {toks[1]!r}", path, lineno) from None
+                if declared_dim < 1:
+                    raise ParseError("%dim must be >= 1", path, lineno)
+            else:
+                raise ParseError(f"unknown directive {toks[0]!r}", path, lineno)
+            continue
+        node, vals = toks[0], toks[1:]
+        if node in seen:
+            raise ParseError(f"duplicate attribute row for node {node!r}", path, lineno)
+        if mode is None:
+            mode = "sparse" if (not vals or any(":" in t for t in vals)) else "dense"
+        if mode == "dense":
+            if not vals:
+                raise ParseError("dense attribute row has no values", path, lineno)
+            try:
+                v = np.array([float(t) for t in vals])
+            except ValueError:
+                raise ParseError("bad dense attribute value", path, lineno) from None
+            idx = None
+        else:
+            pairs = []
+            for t in vals:
+                head, sep, tail = t.partition(":")
+                if not sep:
+                    raise ParseError(f"expected idx:val token, got {t!r}", path, lineno)
+                try:
+                    pairs.append((int(head), float(tail)))
+                except ValueError:
+                    raise ParseError(f"bad idx:val token {t!r}", path, lineno) from None
+            idx = np.array([p[0] for p in pairs], dtype=np.int64)
+            v = np.array([p[1] for p in pairs])
+            if idx.size:
+                if idx.min() < 0:
+                    raise ParseError("negative attribute index", path, lineno)
+                if np.unique(idx).size != idx.size:
+                    raise ParseError("duplicate attribute index in row", path, lineno)
+                max_idx = max(max_idx, int(idx.max()))
+        if v.size and not np.isfinite(v).all():
+            raise ParseError("non-finite attribute value", path, lineno)
+        seen[node] = lineno
+        names.append(node)
+        rows.append((idx, v))
+
+    if not names:
+        raise ParseError("attribute file has no data rows", path)
+    if mode == "dense":
+        dim = rows[0][1].size
+        if declared_dim is not None and declared_dim != dim:
+            raise ParseError(f"%dim {declared_dim} != dense row length {dim}", path)
+        for name, (_, v) in zip(names, rows):
+            if v.size != dim:
+                raise ParseError(f"dense row for node {name!r} has {v.size} values, "
+                                 f"expected {dim}", path, seen[name])
+        rows = [(np.flatnonzero(v), v[v != 0]) for _, v in rows]
+    else:
+        dim = declared_dim if declared_dim is not None else max_idx + 1
+        if dim < 1:
+            raise ParseError("cannot infer attribute dimension (no nonzeros, no %dim)", path)
+        if max_idx >= dim:
+            raise ParseError(f"attribute index {max_idx} >= declared dimension {dim}", path)
+
+    indptr = np.cumsum([0] + [idx.size for idx, _ in rows])
+    return names, sp.csr_matrix((np.concatenate([v for _, v in rows]),
+                                 np.concatenate([idx for idx, _ in rows]), indptr),
+                                shape=(len(names), dim))
 
 
 def run_cli(*args: str) -> tuple[int, str, str]:

@@ -1,15 +1,18 @@
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import joint_loss, rand_network, to_dense
+from helpers import joint_loss, rand_network, reference_parse_attributes, to_dense
 from oaembed.core import HyperParams, fit
 from oaembed.errors import ParseError
-from oaembed.network import (AttributedNetwork, EmbeddingResult, _undirected_csr, load_network,
-                             save_network, save_result)
+from oaembed.network import (AttributedNetwork, EmbeddingResult, _parse_attributes,
+                             _undirected_csr, load_network, save_network, save_result)
 from oaembed.numerics import make_rng
 from oaembed.seeding import (SeededDataset, SeedingPlan, _ClassStats, save_truth,
                              seed_outliers, synth_network)
@@ -213,24 +216,101 @@ def test_edge_parse_errors(tmp_path, bad, lineno):
     assert "e.txt" in str(exc.value)
 
 
-@pytest.mark.parametrize("bad", [
-    "0 1.0\n0 2.0\n",          # duplicate node row
-    "0 1.0\n1 zap\n",          # bad dense value
-    "0 0:1.0\n1 3\n",          # sparse row with a dense token
-    "0 0:1.0 0:2.0\n",         # duplicate index in row
-    "0 -1:1.0\n",              # negative index
-    "0 1.0\n%dim 2\n1 1.0\n",  # %dim after data
-    "%dim 0\n0 0:1.0\n",       # bad dim
-    "%foo\n0 0:1.0\n",         # unknown directive
-    "0 1.0 2.0\n1 1.0\n",      # ragged dense rows
-    "%dim 2\n0 5:1.0\n",       # index out of declared range
-    "",                        # no rows at all
-])
-def test_attribute_parse_errors(tmp_path, bad):
+_ATTRIBUTE_ERRORS = [
+    ("0 1.0\n0 2.0\n", 2),          # duplicate node row
+    ("0 1.0\n1 zap\n", 2),          # bad dense value
+    ("0 0:1.0\n1 3\n", 2),          # sparse row with a dense token
+    ("0 0:1.0 0:2.0\n", 1),         # duplicate index in row
+    ("0 -1:1.0\n", 1),              # negative index
+    ("0 1.0\n%dim 2\n1 1.0\n", 2),  # %dim after data
+    ("%dim 0\n0 0:1.0\n", 1),       # bad dim
+    ("%foo\n0 0:1.0\n", 1),         # unknown directive
+    ("0 1.0 2.0\n1 1.0\n", 2),      # ragged dense rows
+    ("%dim 2\n0 5:1.0\n", 2),       # index out of declared range
+    ("%dim 2\n0 0:1\n1 99999999999999999999:1\n", 3),  # index past int64
+    ("%dim 3\n0 1 2\n", 2),         # dense row length != %dim
+    ("0 1 2\n1 1\n2 zap 1\n", 2),   # the ragged row comes before the bad value
+    ("", None),                     # no rows at all
+]
+
+
+@pytest.mark.parametrize("bad,lineno", _ATTRIBUTE_ERRORS,
+                         ids=[bad for bad, _ in _ATTRIBUTE_ERRORS])
+def test_attribute_parse_errors(tmp_path, bad, lineno):
+    # the first bad line in file order is the one named
     edges = write(tmp_path / "e.txt", "")
     attrs = write(tmp_path / "a.txt", bad)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         load_network(edges, attrs)
+    assert exc.value.lineno == lineno
+    assert exc.value.path == attrs and "a.txt" in str(exc.value)
+
+
+_CLEAN_VALUES = st.sampled_from(["0", "-0.0", "0.0", "1", "2.5", "-3", "1e-300"])
+_ANY_VALUES = _CLEAN_VALUES | st.sampled_from(["nan", "-inf", "zap", "", "1:2"])
+_INDICES = st.sampled_from(["-1", "0", "1", "2", "3", "4", "7", "x", ""])
+
+
+@st.composite
+def _clean_attribute_files(draw):
+    """Files both parsers should mostly accept: equal-length dense rows or
+    sparse rows of distinct in-range indices, with a %dim that may disagree."""
+    dense = draw(st.booleans())
+    n_rows = draw(st.integers(1, 5))
+    if dense:
+        width = draw(st.integers(1, 4))
+        rows = [draw(st.lists(_CLEAN_VALUES, min_size=width, max_size=width))
+                for _ in range(n_rows)]
+        dim = draw(st.sampled_from([None, width, width + 1]))
+    else:
+        rows = [[f"{j}:{draw(_CLEAN_VALUES)}"
+                 for j in draw(st.lists(st.integers(0, 4), unique=True, max_size=4))]
+                for _ in range(n_rows)]
+        dim = draw(st.sampled_from([None, 3, 5, 6]))
+    lines = [] if dim is None else [f"%dim {dim}"]
+    return "\n".join(lines + [" ".join([f"n{i}"] + row) for i, row in enumerate(rows)]) + "\n"
+
+
+@st.composite
+def _noisy_attribute_files(draw):
+    """Any mix of directives, comments, blank lines and dense, sparse or mixed
+    rows, with bad values, bad indices and repeated node names."""
+    token = _ANY_VALUES | st.builds("{}:{}".format, _INDICES, _ANY_VALUES)
+    line = (st.sampled_from(["%dim 0", "%dim 2", "%dim 3", "%dim 5", "%dim x", "%dim",
+                             "%dir", "# note", ""])
+            | st.builds(lambda name, toks: " ".join([name] + toks),
+                        st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+                        st.lists(_ANY_VALUES, max_size=4) | st.lists(token, max_size=4)))
+    return "\n".join(draw(st.lists(line, max_size=7))) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_clean_attribute_files() | _noisy_attribute_files())
+@example("%dim 4\n%dim 2\na 1:0.0 0:-0.0\nb\n")
+@example("a 0 -0.0\nb 0.0 0\n")
+@example("a\nb\n")
+def test_attribute_parser_agrees_with_the_two_phase_reference(text):
+    # one pass accepts and refuses what the two-phase parser did, builds the
+    # same CSR bit for bit, and names the first bad line, never a later one
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "attributes.txt", text)
+        try:
+            ref = reference_parse_attributes(path)
+        except ParseError as exc:
+            ref = exc
+        try:
+            got = _parse_attributes(path)
+        except ParseError as exc:
+            got = exc
+    if isinstance(ref, ParseError) or isinstance(got, ParseError):
+        assert isinstance(ref, ParseError) and isinstance(got, ParseError), (ref, got)
+        if ref.lineno is not None:
+            assert got.lineno is not None and got.lineno <= ref.lineno
+        return
+    assert got[0] == ref[0] and got[1].shape == ref[1].shape
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got[1], field), getattr(ref[1], field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 @pytest.mark.parametrize("bad", [

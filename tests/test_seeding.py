@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (block_pairs_by_divmod, class_stats_by_loop, reference_synth_attributes,
                      to_dense)
-from oaembed.errors import ParseError
+from oaembed.errors import ConfigError, ParseError
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng
 from oaembed.seeding import (OUTLIER_KINDS, PlantedNode, SeedingPlan, _ClassStats,
@@ -341,6 +341,15 @@ def test_plan_validation():
         SeedingPlan(total_fraction=0.05, degree_band=0.0)
     with pytest.raises(ValueError):
         SeedingPlan(total_fraction=0.05, degree_band=1.0)
+
+
+@pytest.mark.parametrize("field", ["total_fraction", "degree_band"])
+@pytest.mark.parametrize("value", [False, True, "0.1", None, math.nan])
+def test_plan_refuses_bool_and_non_number_settings(field, value):
+    # unchecked, False would plant nothing and "0.1" or None would fail
+    # inside a comparison; HyperParams refuses the same values
+    with pytest.raises(ConfigError, match=field):
+        SeedingPlan(**{field: value})
 
 
 def test_plan_checks_seed_when_built():
