@@ -206,8 +206,17 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
         base = np.divide(num, den, out=num)
     parts = [(a[:, None] / den, off) for (a, _, gram), dg in zip(terms, diags)
              if (off := gram - np.diag(dg)).any()]
-    for k in range(x.shape[1]):
-        x[:, k] = base[:, k] - sum(coef[:, k] * (x @ off[:, k]) for coef, off in parts)
+    if not parts:
+        x[:] = base
+    else:
+        t, acc = np.empty(x.shape[0]), np.empty(x.shape[0])  # one column's buffers
+        for k in range(x.shape[1]):
+            for i, (coef, off) in enumerate(parts):
+                np.matmul(x, off[:, k], out=t)
+                np.multiply(coef[:, k], t, out=t)
+                # the first part enters as 0 + t, which turns -0.0 into +0.0
+                np.add(acc if i else 0.0, t, out=acc)
+            np.subtract(base[:, k], acc, out=x[:, k])
     if n_skipped:
         diag[key] = diag.get(key, 0) + int(n_skipped)
     return x

@@ -19,20 +19,20 @@ loss: no iterate depends on it.
 It subtracts the one-hot target as a dense array, which gives the bits of a
 scatter onto the true-class entries (p - 0.0 is p) in less time.
 
-The stacks of the train percentages run on 2 worker threads, largest first;
+The stacks of the train percentages run largest first, then the
+clustering, drawn from one queue by the calling thread and one pool thread;
 their numpy and BLAS calls release the GIL. Two, because the benchmark pins
 BLAS to 2 threads on 2 cores, and because each stack in flight adds its
-buffers to peak RSS: a worker thread allocates from a fresh glibc arena
-instead of reusing the heap a preceding `fit` freed. The clustering is one
-more task on the same pool, submitted after the stacks: it fills the time
-one worker would otherwise idle while the other finishes the last stack.
-Its 10 starts are one task, run in seed order, so only one start's buffers
-are in flight and a caller that watches `kmeans_pp_full` sees the starts in
-order; 10 tasks would run 2 at a time in no fixed order. The benchmark's
-protocol-sbm4k run peaks at 108.6-109.3 MB with the clustering in the pool
-and 108.5-108.9 MB with it after the pool (medians of 10 runs at seeds 0
-and 7, 2-core Xeon), under the 116-117 MB of a serial loop that still
-imported `scipy.optimize` for the clustering score.
+buffers to peak RSS. The calling thread is one of the two because a pool
+thread allocates from a fresh glibc arena, while the caller reuses the heap
+a preceding `fit` freed: in the benchmark's protocol-sbm4k run,
+`evaluate_all` lifts the process's peak RSS 8.1-8.4 MB above `fit`'s this
+way, and 14.3-14.4 MB with two pool threads (3 runs each, 2-core Xeon).
+The clustering fills the time one thread would otherwise idle while the
+other finishes the last stack. Its 10 starts are one task, run in seed
+order, so only one start's buffers are in flight and a caller that watches
+`kmeans_pp_full` sees the starts in order. Every task draws only from its
+own named streams, so which thread runs it changes no bit.
 
 Clustering keeps the best of 10 seeded k-means++ starts by final
 within-cluster sum of squares, and scores it by an exact maximum-weight
@@ -49,8 +49,10 @@ included.
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -104,7 +106,9 @@ def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500) -> list[Class
     out = [None] * len(fits)
     for members in groups.values():
         yi = np.stack([fits[r][1] for r in members])
-        stack = _descend(xs[members], yi, fits[members[0]][0], steps)
+        # one group of every set descends on xs itself, not on a copy of it
+        stack = _descend(xs if len(members) == len(fits) else xs[members], yi,
+                         fits[members[0]][0], steps)
         for r, clf in zip(members, stack):
             out[r] = clf
     return out
@@ -127,8 +131,9 @@ def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
     scale = np.where(scale < 1e-12, 1.0, scale)
     n_features = xs.shape[2]
     zt = np.empty((r_sets, n_features + 1, n))
-    np.divide(xs - mean[:, None, :], scale[:, None, :],
-              out=zt[:, :-1].transpose(0, 2, 1))
+    z = zt[:, :-1].transpose(0, 2, 1)  # standardized in place, with no temporary
+    np.subtract(xs, mean[:, None, :], out=z)
+    np.divide(z, scale[:, None, :], out=z)
     zt[:, -1] = 1.0
     # the one-hot target, subtracted whole: off the true class p - 0.0 is p
     # bit for bit (p >= 0), and a dense subtract is faster than a scatter
@@ -380,11 +385,11 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     bool id is refused, not truncated. splits are one or more distinct
     whole train percentages in (0, 100); a bool is refused. Classification
     trains the classifier (`_train_stack`) on `reps` seeded splits per train
-    percentage, as one stack per percentage on one of 2 worker threads, and
-    averages the F1 over the reps.
+    percentage, as one stack per percentage, and averages the F1 over the
+    reps. The calling thread and one pool thread run the stacks.
     Clustering uses as many clusters as ground-truth classes and runs 10
-    seeded k-means++ starts in order, as one more task on the same 2
-    workers, keeping the one with the lowest final within-cluster sum of
+    seeded k-means++ starts in order, as one more task for the same two
+    threads, keeping the one with the lowest final within-cluster sum of
     squares (the earliest on a tie). With
     exclude_outliers the classification/clustering metrics skip the planted
     nodes (recall always uses the full ranking); a ValueError names
@@ -453,14 +458,26 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
         # lowest final within-cluster sum of squares; min keeps the earliest on a tie
         return clustering_accuracy(min(starts, key=lambda start: start[2][-1])[0], y)
 
-    # 2 workers, largest stack first, then the clustering into the gap the
-    # stacks leave: the benchmark pins BLAS to 2 threads on 2 cores, and each
-    # stack in flight adds one stack's buffers to peak RSS
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        running = {pct: pool.submit(classify, pct) for pct in sorted(pcts, reverse=True)}
-        clustered = pool.submit(cluster)
-    f1 = {pct: running[pct].result() for pct in pcts}
-    acc = clustered.result()
+    # largest stack first, then the clustering into the gap the stacks leave;
+    # deque.popleft is atomic, so each task runs once, on whichever thread
+    queue = deque([(pct, partial(classify, pct)) for pct in sorted(pcts, reverse=True)]
+                  + [("cluster", cluster)])
+    done = {}
+
+    def work():
+        while True:
+            try:
+                key, task = queue.popleft()
+            except IndexError:  # drained
+                return
+            done[key] = task()
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(work)
+        work()
+        helper.result()
+    f1 = {pct: done[pct] for pct in pcts}
+    acc = done["cluster"]
 
     config = {"splits": pcts, "reps": int(reps),
               "seed": int(seed), "exclude_outliers": bool(exclude_outliers),

@@ -159,6 +159,8 @@ def _parse_attributes(path: str):
                 raise ParseError("%dim must precede all data rows", path, lineno)
             try:
                 dim = int(vals[0])
+                if dim >= 2 ** 63:  # past int64, which no CSR shape holds
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"bad %dim value {vals[0]!r}", path, lineno) from None
             if dim < 1:

@@ -169,8 +169,18 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt):
 
 
 def row_sq_norms(m) -> np.ndarray:
-    """||m_i||^2 for each row of a sparse m (0 on an empty row)."""
-    return np.asarray(m.multiply(m).sum(axis=1)).ravel()
+    """||m_i||^2 for each row of a CSR m (0 on an empty row).
+
+    The reduceat that scipy's sum(axis=1) runs, over the squared stored
+    values: one nnz-long transient, not the copy of m that m.multiply(m)
+    makes, and the same bits, except that a stored zero (which the library's
+    matrices never hold) or an underflowing square stays in the pairwise
+    sum where multiply dropped it, which can move the last bit.
+    """
+    out = np.zeros(m.shape[0])
+    rows = np.flatnonzero(np.diff(m.indptr))
+    out[rows] = np.add.reduceat(m.data * m.data, m.indptr[rows])
+    return out
 
 
 def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, norms: np.ndarray,

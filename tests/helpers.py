@@ -477,6 +477,13 @@ def reference_cd_sweep(x, terms, diag, key) -> np.ndarray:
     return x
 
 
+def reference_row_sq_norms(m) -> np.ndarray:
+    """numerics.row_sq_norms as it was before it summed the squared stored
+    values in place: the row sums of m.multiply(m), a full copy of m that
+    drops the entries whose square is 0."""
+    return np.asarray(m.multiply(m).sum(axis=1)).ravel()
+
+
 def fit_inputs(model, adj=None, attrs=None) -> SimpleNamespace:
     """The matrix inputs fit hands the kernels, formed afresh for model: the
     adjacency and attributes as CSR (an omitted one is all zeros), their

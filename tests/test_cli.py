@@ -246,6 +246,23 @@ def test_malformed_input_exits_1(tmp_path):
     assert "edges.txt:1" in stderr
 
 
+@pytest.mark.parametrize("command", ["seed", "embed"])
+def test_dim_past_int64_exits_1_without_a_traceback(tmp_path, command):
+    # it used to escape from scipy's CSR constructor as an OverflowError
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a b\n")
+    attrs = tmp_path / "attrs.txt"
+    attrs.write_text("%dim 99999999999999999999\na 0:1\nb 1:1\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a x\nb y\n")
+    extra = ("--labels", str(labels)) if command == "seed" else ("--k", "1")
+    code, _, stderr = run_cli(command, "--edges", str(edges), "--attrs", str(attrs),
+                              "--out", str(tmp_path / "x"), *extra)
+    assert code == 1
+    assert "attrs.txt:1" in stderr and "bad %dim value" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_missing_required_option_exits_2(dataset, tmp_path):
     code, _, stderr = run_cli("seed", "--edges", dataset["edges"],
                               "--attrs", dataset["attributes"],

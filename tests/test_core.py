@@ -707,12 +707,7 @@ class _CountedCsc(_Counted, sp.csc_matrix):
 
 
 class _CountedCsr(_Counted, sp.csr_matrix):
-    """Also tallies multiply calls (the row norms) under tag + "*"; its
-    transpose tallies under tag + "T"."""
-
-    def multiply(self, other):
-        self._note(self.tag + "*")
-        return super().multiply(other)
+    """Its transpose tallies under tag + "T"."""
 
     def transpose(self, axes=None, copy=False):
         t = _CountedCsc(super().transpose(axes, copy))
@@ -736,6 +731,13 @@ def test_fit_forms_each_sparse_product_once_per_round(monkeypatch):
         return solve(r, budget, floor)
 
     monkeypatch.setattr(core, "budget_scores", spy)
+    norms = core.row_sq_norms
+
+    def count_norms(m):  # the row norms tally under tag + "*"
+        m._note(m.tag + "*")
+        return norms(m)
+
+    monkeypatch.setattr(core, "row_sq_norms", count_norms)
     hp = HyperParams(dim=3, seed=1, init_passes=1, iters=3)
     _, _, result, _ = fit(net, hp)
     assert len(result.loss_trace) == 3

@@ -1,5 +1,8 @@
 import json
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,6 +195,22 @@ def test_train_stack_matches_one_set_fits():
         assert np.array_equal(got.classes, alone.classes)
         assert np.array_equal(got.feature_mean, alone.feature_mean)
         assert np.array_equal(got.feature_scale, alone.feature_scale)
+
+
+def test_train_stack_peak_allocation_below_two_and_a_half_stacks():
+    # the sets standardize straight into the feature-major stack, and a stack
+    # of every set descends on xs itself: about 2.1 x xs.nbytes here, against
+    # 3.4 x with a copy of xs and an xs-sized difference before the division
+    rng = make_rng(24)
+    xs = rng.normal(size=(10, 420, 15))
+    ys = np.stack([rng.permutation(np.arange(420) % 5) for _ in range(10)])
+    tracemalloc.start()
+    try:
+        oaembed.evaluation._train_stack(xs, ys, steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * xs.nbytes
 
 
 def test_classifier_input_errors():
@@ -439,6 +458,60 @@ def test_evaluate_all_deterministic():
     a = evaluate_all(net, result, [5], splits=(30,), reps=2, seed=4)
     b = evaluate_all(net, result, [5], splits=(30,), reps=2, seed=4)
     assert a == b
+
+
+def test_evaluate_all_works_on_the_calling_thread_and_one_other(monkeypatch):
+    # the caller is one of the two workers, so its stacks reuse the heap the
+    # caller already holds instead of a second thread's fresh arena
+    net = synth_network(100, 3, 0.2, 0.02, 16, 0.9, seed=15)
+    result = one_hot_result(net, [5])
+    threads = []
+
+    def on_thread(fn):
+        def run(*args):
+            threads.append(threading.get_ident())
+            return fn(*args)
+        return run
+
+    for name in ("_descend", "kmeans_pp_full"):
+        monkeypatch.setattr(oaembed.evaluation, name,
+                            on_thread(getattr(oaembed.evaluation, name)))
+    report = evaluate_all(net, result, [5], reps=2, seed=5)
+    monkeypatch.undo()
+    assert report == evaluate_all(net, result, [5], reps=2, seed=5)
+    assert len(threads) >= 5 + 10  # a stack per percentage, 10 k-means starts
+    assert threading.get_ident() in threads
+    assert len(set(threads)) <= 2
+
+
+def test_evaluate_all_runs_each_task_once_under_frequent_thread_switches(monkeypatch):
+    # three concurrent calls, six threads on the shared queues with a switch
+    # every microsecond: a task lost or run twice changes a report or the
+    # number of stacks
+    net = synth_network(100, 3, 0.2, 0.02, 16, 0.9, seed=16)
+    result = one_hot_result(net, [5])
+    splits = tuple(range(5, 95, 10))
+    stacks = []
+    descend = oaembed.evaluation._descend
+
+    def counted(*args):
+        stacks.append(args[0].shape)
+        return descend(*args)
+
+    monkeypatch.setattr(oaembed.evaluation, "_descend", counted)
+    want = evaluate_all(net, result, [5], splits=splits, reps=1, seed=6)
+    per_call = sorted(stacks)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            calls = [pool.submit(evaluate_all, net, result, [5], splits=splits, reps=1, seed=6)
+                     for _ in range(3)]
+            got = [call.result(timeout=120) for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+    assert sorted(stacks) == sorted(per_call * 4)
 
 
 def test_evaluate_all_keeps_lowest_wcss_kmeans_start(monkeypatch):

@@ -228,6 +228,7 @@ _ATTRIBUTE_ERRORS = [
     ("0 1.0 2.0\n1 1.0\n", 2),      # ragged dense rows
     ("%dim 2\n0 5:1.0\n", 2),       # index out of declared range
     ("%dim 2\n0 0:1\n1 99999999999999999999:1\n", 3),  # index past int64
+    ("%dim 99999999999999999999\n0 0:1\n", 1),   # %dim past int64
     ("%dim 3\n0 1 2\n", 2),         # dense row length != %dim
     ("0 1 2\n1 1\n2 zap 1\n", 2),   # the ragged row comes before the bad value
     ("", None),                     # no rows at all

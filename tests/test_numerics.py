@@ -1,16 +1,19 @@
 import ast
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import frobenius_sq_residual, jacobi_eigvals, reference_nmf_mu, to_dense
+from helpers import (frobenius_sq_residual, jacobi_eigvals, reference_nmf_mu,
+                     reference_row_sq_norms, to_dense)
 import oaembed
 from oaembed.numerics import (Handoff, as_csr, as_dense, as_sparse, make_rng, named_rng,
                               nmf_init, row_sq_norms, row_sq_residuals, svd_small)
+from oaembed.seeding import SeedingPlan, seed_outliers, synth_network
 
 
 def test_make_rng_reproducible():
@@ -322,6 +325,57 @@ def test_row_sq_norms_and_residuals_of_empty_rows():
     assert (norms[empty] == 0).all() and (norms[~empty] > 0).all()
     want = ((to_dense(m) - p @ q) ** 2).sum(axis=1)  # an empty row's is ||p_i q||^2
     assert np.allclose(sq_residuals(m, p, q), want, rtol=1e-12, atol=1e-12)
+
+
+def _sparse_with_empty_rows(rng, n, d):
+    """A CSR with about a fifth of its rows empty and rows of up to d
+    entries, long enough for the pairwise sum's blocks."""
+    dense = np.where(rng.random((n, d)) < rng.random((n, 1)) ** 2, 1.0, 0.0)
+    dense[rng.random(n) < 0.2] = 0.0
+    m = sp.csr_matrix(dense)
+    assert (np.diff(m.indptr) == 0).sum() > n // 10 and np.diff(m.indptr).max() > 128
+    return m
+
+
+@pytest.mark.parametrize("case", ["ten-decades", "unit", "adjacency", "attributes"])
+def test_row_sq_norms_equal_the_multiply_formula_bit_for_bit(case):
+    rng = make_rng(31)
+    if case in ("adjacency", "attributes"):  # as fit receives them
+        net = synth_network(300, 3, 0.05, 0.005, 120, 0.9, seed=4)
+        m = getattr(seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=4)).network, case)
+    else:
+        m = _sparse_with_empty_rows(rng, 300, 400)
+        if case == "ten-decades":
+            m.data = 10.0 ** rng.uniform(-5, 5, m.nnz) * rng.choice([-1.0, 1.0], m.nnz)
+    got = row_sq_norms(m)
+    want = reference_row_sq_norms(m)
+    assert got.dtype == want.dtype and got.shape == want.shape == (m.shape[0],)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_row_sq_norms_with_stored_zeros_stay_within_rounding():
+    # multiply drops a stored zero and the reduction keeps it, which can
+    # regroup the pairwise sum; AttributedNetwork never stores one
+    rng = make_rng(32)
+    m = _sparse_with_empty_rows(rng, 300, 400)
+    m.data = rng.uniform(0.1, 10.0, m.nnz) * (rng.random(m.nnz) < 0.7)
+    assert (m.data == 0).sum() > m.nnz // 5
+    want = reference_row_sq_norms(m)
+    np.testing.assert_allclose(row_sq_norms(m), want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(row_sq_norms(m) == 0, want == 0)
+
+
+def test_row_sq_norms_peak_allocation_below_the_matrix():
+    # one nnz-long vector of squares, not a copy of m (2 x m's bytes before)
+    m = sp.random(2000, 500, density=0.05, format="csr", random_state=np.random.default_rng(5))
+    own = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    tracemalloc.start()
+    try:
+        row_sq_norms(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < own
 
 
 def test_row_sq_residuals_sparse_cancellation():
