@@ -19,20 +19,18 @@ loss: no iterate depends on it.
 It subtracts the one-hot target as a dense array, which gives the bits of a
 scatter onto the true-class entries (p - 0.0 is p) in less time.
 
-The stacks of the train percentages run largest first, then the
-clustering, drawn from one queue by the calling thread and one pool thread;
-their numpy and BLAS calls release the GIL. Two, because the benchmark pins
-BLAS to 2 threads on 2 cores, and because each stack in flight adds its
-buffers to peak RSS. The calling thread is one of the two because a pool
-thread allocates from a fresh glibc arena, while the caller reuses the heap
-a preceding `fit` freed: in the benchmark's protocol-sbm4k run,
-`evaluate_all` lifts the process's peak RSS 8.1-8.4 MB above `fit`'s this
-way, and 14.3-14.4 MB with two pool threads (3 runs each, 2-core Xeon).
-The clustering fills the time one thread would otherwise idle while the
-other finishes the last stack. Its 10 starts are one task, run in seed
-order, so only one start's buffers are in flight and a caller that watches
-`kmeans_pp_full` sees the starts in order. Every task draws only from its
-own named streams, so which thread runs it changes no bit.
+Each stack takes 200 descent steps, a fixed count chosen on a grid: five
+inputs (three unsaturated 4000-node block models, a Cora-like bag of words
+and the benchmark's protocol network) x five train percentages x ten seeds,
+against a 2000-step reference. At 200 steps no ten-seed mean falls below the
+reference's ten-seed range; where 2000 steps converge (largest gradient entry
+below 1e-4) the means agree within 0.0003; on the Cora-like input they lie
+above the reference at 10-20 % train, which a longer descent overfits. 150
+steps moved one Cora-like seed's F1@50 by 0.0026 against 500 steps, 200 steps
+by at most 0.0016. Everything runs on the calling thread, one stack at a time.
+On protocol-sbm4k's input that takes 0.61-0.62 s, against 0.77-0.83 s for 500
+steps on two threads, and adds nothing to the peak RSS a preceding `fit`
+reached, against 6.5 MB (median of 5, 2 BLAS threads, 2-core Xeon).
 
 Clustering keeps the best of 10 seeded k-means++ starts by final
 within-cluster sum of squares, and scores it by an exact maximum-weight
@@ -49,10 +47,7 @@ included.
 
 import json
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -85,11 +80,12 @@ class Classifier:
     feature_scale: np.ndarray
 
 
-def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 500) -> list[Classifier]:
+def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 200) -> list[Classifier]:
     """Fit the classifier on each of R equal-size training sets (xs R x n x F,
     ys R x n) by full-batch gradient descent from a zero start, one
-    Classifier per set in order. The l2 weight is 1e-3 (bias row exempt)
-    and the step size 0.1; the fit is deterministic for a given input.
+    Classifier per set in order. The l2 weight is 1e-3 (bias row exempt),
+    the step size 0.1 and the default of 200 steps the measured count the
+    module docstring gives; the fit is deterministic for a given input.
 
     Sets with the same classes descend together as one stack. A set that
     lacks a class trains in a stack of its own class set rather than with
@@ -386,11 +382,10 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     whole train percentages in (0, 100); a bool is refused. Classification
     trains the classifier (`_train_stack`) on `reps` seeded splits per train
     percentage, as one stack per percentage, and averages the F1 over the
-    reps. The calling thread and one pool thread run the stacks.
-    Clustering uses as many clusters as ground-truth classes and runs 10
-    seeded k-means++ starts in order, as one more task for the same two
-    threads, keeping the one with the lowest final within-cluster sum of
-    squares (the earliest on a tie). With
+    reps. Clustering uses as many clusters as ground-truth classes and runs
+    10 seeded k-means++ starts in order, keeping the one with the lowest
+    final within-cluster sum of squares (the earliest on a tie). Everything
+    runs on the calling thread. With
     exclude_outliers the classification/clustering metrics skip the planted
     nodes (recall always uses the full ranking); a ValueError names
     exclude_outliers when the remaining nodes span fewer than 2 classes.
@@ -411,6 +406,11 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     check_integer(reps, "reps")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    try:
+        splits = list(splits)  # read once: a generator is not read twice
+    except TypeError:
+        raise ValueError(f"splits must hold whole train percentages in "
+                         f"(0, 100), got {splits!r}") from None
     for pct in splits:
         if not (is_real(pct) and 0 < pct < 100 and float(pct).is_integer()):
             raise ValueError(f"splits must hold whole train percentages in "
@@ -432,8 +432,8 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     y = net.labels[keep]
 
     def classify(pct):
-        # draws only from this percentage's named streams, so the workers
-        # need not run in any order
+        # draws only from this percentage's named streams, so the order of
+        # the schedule changes no bit
         trains = np.stack([
             _classification_split(keep.size, pct / 100.0, y,
                                   named_rng(seed, f"split-{pct}-{rep}"))
@@ -449,35 +449,12 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
         macros, micros = zip(*scores)
         return float(np.mean(macros)), float(np.mean(micros))
 
+    f1 = {pct: classify(pct) for pct in pcts}
     k = net.n_classes
-
-    def cluster():
-        # one task, so the starts run one after another in seed order
-        starts = [kmeans_pp_full(x, k, int(named_rng(seed, f"kmeans-{i}").integers(2 ** 63)))
-                  for i in range(10)]
-        # lowest final within-cluster sum of squares; min keeps the earliest on a tie
-        return clustering_accuracy(min(starts, key=lambda start: start[2][-1])[0], y)
-
-    # largest stack first, then the clustering into the gap the stacks leave;
-    # deque.popleft is atomic, so each task runs once, on whichever thread
-    queue = deque([(pct, partial(classify, pct)) for pct in sorted(pcts, reverse=True)]
-                  + [("cluster", cluster)])
-    done = {}
-
-    def work():
-        while True:
-            try:
-                key, task = queue.popleft()
-            except IndexError:  # drained
-                return
-            done[key] = task()
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(work)
-        work()
-        helper.result()
-    f1 = {pct: done[pct] for pct in pcts}
-    acc = done["cluster"]
+    starts = [kmeans_pp_full(x, k, int(named_rng(seed, f"kmeans-{i}").integers(2 ** 63)))
+              for i in range(10)]
+    # lowest final within-cluster sum of squares; min keeps the earliest on a tie
+    acc = clustering_accuracy(min(starts, key=lambda start: start[2][-1])[0], y)
 
     config = {"splits": pcts, "reps": int(reps),
               "seed": int(seed), "exclude_outliers": bool(exclude_outliers),

@@ -7,6 +7,7 @@ cannot cancel out in the comparison.
 """
 
 import copy
+import inspect
 import io
 import itertools
 import math
@@ -171,13 +172,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train_alone(x: np.ndarray, y: np.ndarray, steps: int = 500) -> Classifier:
+# evaluate_all's descent length, the default of `_train_stack`
+TRAIN_STEPS = inspect.signature(_train_stack).parameters["steps"].default
+
+
+def train_alone(x: np.ndarray, y: np.ndarray, steps: int = TRAIN_STEPS) -> Classifier:
     """One training set fitted by evaluate_all's trainer as a stack of one."""
     return _train_stack(x[None], y[None], steps)[0]
 
 
 def reference_train_classifier(x: np.ndarray, y: np.ndarray,
-                               steps: int = 500) -> Classifier:
+                               steps: int = TRAIN_STEPS) -> Classifier:
     """One training set by a row-major (nodes x classes) gradient-descent
     loop with a dense one-hot target, against `_train_stack`'s stacked,
     feature-major loop: the same zero start, step 0.1 and l2 weight 1e-3

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,12 +463,11 @@ def test_evaluate_all_deterministic():
     assert a == b
 
 
-def test_evaluate_all_works_on_the_calling_thread_and_one_other(monkeypatch):
-    # the caller is one of the two workers, so its stacks reuse the heap the
-    # caller already holds instead of a second thread's fresh arena
+def test_evaluate_all_runs_on_the_calling_thread_and_starts_no_thread(monkeypatch):
     net = synth_network(100, 3, 0.2, 0.02, 16, 0.9, seed=15)
     result = one_hot_result(net, [5])
     threads = []
+    started = []
 
     def on_thread(fn):
         def run(*args):
@@ -476,18 +478,25 @@ def test_evaluate_all_works_on_the_calling_thread_and_one_other(monkeypatch):
     for name in ("_descend", "kmeans_pp_full"):
         monkeypatch.setattr(oaembed.evaluation, name,
                             on_thread(getattr(oaembed.evaluation, name)))
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
     report = evaluate_all(net, result, [5], reps=2, seed=5)
     monkeypatch.undo()
     assert report == evaluate_all(net, result, [5], reps=2, seed=5)
     assert len(threads) >= 5 + 10  # a stack per percentage, 10 k-means starts
-    assert threading.get_ident() in threads
-    assert len(set(threads)) <= 2
+    assert set(threads) == {threading.get_ident()}
+    assert started == []
 
 
 def test_evaluate_all_runs_each_task_once_under_frequent_thread_switches(monkeypatch):
-    # three concurrent calls, six threads on the shared queues with a switch
-    # every microsecond: a task lost or run twice changes a report or the
-    # number of stacks
+    # three concurrent calls with a switch every microsecond: the calls share
+    # no state, so a task lost or run twice changes a report or the number
+    # of stacks
     net = synth_network(100, 3, 0.2, 0.02, 16, 0.9, seed=16)
     result = one_hot_result(net, [5])
     splits = tuple(range(5, 95, 10))
@@ -512,6 +521,38 @@ def test_evaluate_all_runs_each_task_once_under_frequent_thread_switches(monkeyp
         sys.setswitchinterval(interval)
     assert got == [want] * 3
     assert sorted(stacks) == sorted(per_call * 4)
+
+
+# prints the sha256 of the fit outputs, then of the report's JSON
+BLAS_CHILD = "\n".join([
+    "import hashlib",
+    "import numpy as np",
+    "from oaembed import HyperParams, SeedingPlan, evaluate_all, fit",
+    "from oaembed import seed_outliers, synth_network",
+    "net = synth_network(1200, 4, 0.02, 0.002, 400, 0.9, seed=3)",
+    "seeded = seed_outliers(net, SeedingPlan())",
+    "result = fit(seeded.network, HyperParams(dim=12))[2]",
+    "report = evaluate_all(seeded.network, result, seeded.outlier_ids, splits=(10, 50), reps=3)",
+    "fit_hash = hashlib.sha256()",
+    "for out in (result.embedding, result.component_scores, result.outlier_scores,",
+    "            np.asarray(result.loss_trace)):",
+    "    fit_hash.update(np.ascontiguousarray(out).tobytes())",
+    "print(fit_hash.hexdigest(), hashlib.sha256(report.to_json().encode()).hexdigest())",
+])
+
+
+def test_fit_and_report_bits_do_not_depend_on_the_blas_thread_count():
+    # BLAS is the only parallelism in the package, so its thread count must
+    # reach no fit output and no report bit
+    env = {**os.environ, "PYTHONPATH": str(Path(oaembed.__file__).parents[1])}
+    hashes = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", BLAS_CHILD], capture_output=True,
+                             text=True, env=env, timeout=120, check=True)
+        hashes.append(out.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
 
 
 def test_evaluate_all_keeps_lowest_wcss_kmeans_start(monkeypatch):
@@ -644,6 +685,21 @@ def test_evaluate_all_rejects_fractional_and_repeated_splits():
     whole = evaluate_all(net, result, [4], splits=(30.0,), reps=2)
     assert whole == evaluate_all(net, result, [4], splits=(30,), reps=2)
     assert whole.config["splits"] == [30]
+
+
+def test_evaluate_all_reads_a_generator_of_splits_once():
+    net = synth_network(60, 2, 0.2, 0.02, 10, 0.9, seed=19)
+    result = one_hot_result(net, [4])
+    report = evaluate_all(net, result, [4], splits=(pct for pct in (20, 40)), reps=2)
+    assert report == evaluate_all(net, result, [4], splits=(20, 40), reps=2)
+
+
+def test_evaluate_all_refuses_a_bare_number_of_splits():
+    net = synth_network(60, 2, 0.2, 0.02, 10, 0.9, seed=19)
+    result = one_hot_result(net, [4])
+    for splits in (50, 50.0):
+        with pytest.raises(ValueError, match="splits must hold whole train percentages"):
+            evaluate_all(net, result, [4], splits=splits, reps=1)
 
 
 def test_evaluate_all_rejects_an_empty_split_schedule():

@@ -449,6 +449,39 @@ def test_file_call_scanner_flags_every_way_to_write():
     assert kinds == ["read"] * 3 + ["write"] * 4 + ["makedirs", "mkdir", "write_text"]
 
 
+def _concurrency_imports(tree) -> list[str]:
+    """Every module an import names, at any depth, whose top-level package
+    runs work on other threads or processes."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names
+            if name.split(".")[0] in ("threading", "_thread", "concurrent", "multiprocessing")]
+
+
+def test_package_starts_no_threads_or_processes():
+    # BLAS is the only parallelism: threads over nmf_init and over the sparse
+    # products were measured and rejected, and evaluate_all on one thread at
+    # 200 descent steps beat its old pool at 500
+    found = [(path.name, name) for path in sorted(Path(oaembed.__file__).parent.glob("*.py"))
+             for name in _concurrency_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_concurrency_import_scanner_sees_every_spelling():
+    tree = ast.parse(
+        "import json, threading\nimport concurrent.futures as cf\n"
+        "from concurrent.futures import ThreadPoolExecutor\nfrom concurrent import futures\n"
+        "from collections import deque\nfrom . import numerics\n"
+        "def f():\n    import multiprocessing.pool\n    from _thread import get_ident\n")
+    assert sorted(_concurrency_imports(tree)) == [
+        "_thread", "concurrent", "concurrent.futures", "concurrent.futures",
+        "multiprocessing.pool", "threading"]
+
+
 def test_package_modules_have_no_unused_imports():
     # deletions tend to leave imports behind; __init__.py re-exports on purpose
     unused = []
