@@ -301,12 +301,12 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     n = r.size
     if not floor * n <= budget <= 1:
         raise ValueError(f"budget {budget} outside [{n} * floor, 1] for floor {floor}")
-    # the scores depend on r only up to scale: if the residual sum could
-    # overflow, shift r down by an exact power of two
-    shift = np.frexp(r.max())[1] + n.bit_length() - 1023
-    if shift > 0:
-        r = np.ldexp(r, -int(shift))
-    if r.sum() < _ZERO_RESIDUAL:
+    # the scores depend on r only up to scale: an exact power-of-two shift
+    # brings the largest residual into [0.5, 1), so no sum overflows and the
+    # free scale below stays a normal number
+    shift = int(np.frexp(r.max())[1])
+    r = np.ldexp(r, -shift)
+    if r.sum() < np.ldexp(_ZERO_RESIDUAL, -shift):
         warnings.warn("all residuals are zero; returning uniform scores", stacklevel=2)
         return np.full(n, budget / n)
     if budget == floor * n:  # the one feasible point

@@ -493,6 +493,20 @@ def test_budget_scores_huge_residual_stays_on_budget():
         assert (s >= 1e-8).all() and (s <= 1.0).all()
 
 
+def test_budget_scores_tiny_budget_over_huge_residuals_stays_on_budget():
+    # the free scale budget / sum(r) would be subnormal for these residuals
+    # unless the shift brings them near 1; the first two sums were off by
+    # 1.6e-8 and 1.5e-8 of the budget
+    for r, budget, floor in (([1e308, 1e308], 3e-9, 1e-9),
+                             ([1e308, 1e308, 1e308], 4e-9, 1e-9),
+                             ([1e308] * 5 + [0.0], 1e-7, 1e-8),
+                             ([1.7e308, 1e300, 1e308], 1e-7, 1e-8)):
+        s = budget_scores(np.array(r), budget, floor)
+        assert abs(s.sum() - budget) <= 1e-12 * budget
+        assert (s >= floor).all()
+    assert budget_scores(np.array([1e308, 1e308]), 3e-9, 1e-9).tolist() == [1.5e-9, 1.5e-9]
+
+
 def test_budget_scores_input_errors():
     with pytest.raises(ValueError):
         budget_scores(np.array([1.0, -1.0]), 1.0, 1e-8)
