@@ -56,6 +56,7 @@ from .tables import check_combine_weights, final_outlier_score, is_real
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _ZERO_RESIDUAL = 1e-300  # below this, a total residual counts as exactly zero
+_ALL_ZERO = "all residuals are zero; returning uniform scores"
 _SCORE_FLOOR = 1e-8  # fit's smallest score, so log(1/score) stays finite
 
 
@@ -237,7 +238,9 @@ def update_struct_embed(model: FactorModel, weights, dis_weight: float, ah: np.n
 def update_struct_context(adj_t, model: FactorModel, weights, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_context H. Its columns are
     independent, so the kernel sweeps H^T with unit row weights and the scores
-    folded into the term (A^T (G*w1), G^T (G*w1)). adj_t is A^T."""
+    folded into the term (A^T (G*w1), G^T (G*w1)). adj_t is A^T; for a
+    symmetric A (an undirected network) it may be A itself, whose CSR product
+    gives the bits of the CSC product of A^T."""
     g = model.struct_embed
     gw = g * weights[0][:, None]
     terms = ((np.ones(adj_t.shape[0]), np.asarray(adj_t @ gw), g.T @ gw),)
@@ -301,18 +304,29 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     n = r.size
     if not floor * n <= budget <= 1:
         raise ValueError(f"budget {budget} outside [{n} * floor, 1] for floor {floor}")
+    s, zero = _solve_scores(r, budget, floor)
+    if zero:
+        warnings.warn(_ALL_ZERO, stacklevel=2)
+    return s
+
+
+def _solve_scores(r: np.ndarray, budget: float, floor: float):
+    """budget_scores' minimizer for the 1-D residuals r, which the caller has
+    checked finite and nonnegative, with the budget in [N * floor, 1].
+    Returns (scores, zero); zero is True if every residual is zero, and the
+    scores are then the uniform budget / N split."""
+    n = r.size
     # the scores depend on r only up to scale: an exact power-of-two shift
     # brings the largest residual into [0.5, 1), so no sum overflows and the
     # free scale below stays a normal number
     shift = int(np.frexp(r.max())[1])
     r = np.ldexp(r, -shift)
     if r.sum() < np.ldexp(_ZERO_RESIDUAL, -shift):
-        warnings.warn("all residuals are zero; returning uniform scores", stacklevel=2)
-        return np.full(n, budget / n)
+        return np.full(n, budget / n), True
     if budget == floor * n:  # the one feasible point
-        return np.full(n, floor)
+        return np.full(n, floor), False
     if n == 1:
-        return np.array([budget])
+        return np.array([budget]), False
 
     # the m largest residuals are free while r_(m) / lam > floor, with
     # lam = sum_{<=m} r / (budget - floor * (N - m)); zero residuals never are
@@ -323,7 +337,7 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     s = np.full(n, floor)
     if free.any():  # empty only if rounding floors a tie a few ulps above N * floor
         s[free] = r[free] * ((budget - floor * (n - free.sum())) / r[free].sum())
-    return np.clip(s, floor, 1.0)
+    return np.clip(s, floor, 1.0), False
 
 
 def final_embedding(model: FactorModel) -> np.ndarray:
@@ -358,9 +372,11 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     the initial align, the calibration and round 1, and each round's serve
     its loss and the next round's five updates. A^T and C^T (CSC objects)
     serve both initializations and every H and V sweep, and ||A_i||^2 and
-    ||C_i||^2 every residual pass; each is formed once per fit. fit is the
-    only source of these inputs: the kernels take them as required
-    arguments.
+    ||C_i||^2 every residual pass; each is formed once per fit. An undirected
+    network's A is symmetric, so A itself serves as A^T and no transpose is
+    formed: its CSR products add in the order of the CSC ones, bit for bit,
+    in less time. fit is the only source of these inputs: the kernels take
+    them as required arguments.
 
     The CSR attributes are never densified, and net is not changed.
 
@@ -377,8 +393,11 @@ def fit(net: AttributedNetwork, hp: HyperParams):
                           "a nonnegative factorization)")
 
     diagnostics = FitDiagnostics()
-    # sparse .T builds a new CSC object on each call, so build each once
-    adj_t, attrs_t = adj.T, attrs.T
+    # sparse .T builds a new CSC object on each call, so build each once; an
+    # undirected A is symmetric and is its own transpose, and its CSR product
+    # adds each row's terms in the order the CSC product of A^T would
+    adj_t = adj.T if net.directed else adj
+    attrs_t = attrs.T
     g, h = nmf_init(adj, hp.dim, hp.init_passes, named_rng(hp.seed, "init-structure"), adj_t)
     u, v = nmf_init(attrs, hp.dim, hp.init_passes, named_rng(hp.seed, "init-attributes"),
                     attrs_t)
@@ -437,11 +456,15 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         residuals = _residuals(adj, attrs, model, norms, (ah, cv))
         for what, r in zip(("structure", "attribute", "disagreement"), residuals):
             _check_finite(r, f"{what} residuals", round_no)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            scores = OutlierScores(*(budget_scores(r, 1.0, _SCORE_FLOOR)
-                                     for r in residuals))
-            diagnostics.notes.extend(f"round {round_no}: {c.message}" for c in caught)
+        # residuals are nonnegative (row_sq_residuals clips at 0, the
+        # alignment's are sums of squares), so they go to the kernel unchecked
+        solved = []
+        for r in residuals:
+            s, zero = _solve_scores(r, 1.0, _SCORE_FLOOR)
+            solved.append(s)
+            if zero:
+                diagnostics.notes.append(f"round {round_no}: {_ALL_ZERO}")
+        scores = OutlierScores(*solved)
         weights = _score_weights(scores)
         loss = _joint(_loss_terms(residuals, weights), attr_weight, dis_weight)
         if not np.isfinite(loss):

@@ -17,7 +17,10 @@ numpy reduces a length-C last axis slowly. A set trained alone (a stack of
 one) or in a stack gets bit-identical weights. The loop computes no training
 loss: no iterate depends on it.
 It subtracts the one-hot target as a dense array, which gives the bits of a
-scatter onto the true-class entries (p - 0.0 is p) in less time.
+scatter onto the true-class entries (p - 0.0 is p) in less time. Each
+held-out set is scored by `predict` on its own: one stacked matmul over a
+percentage's sets gives the same bits but was no faster on protocol-sbm4k's
+input and held 4.4 MB more at the peak.
 
 Each stack takes 200 descent steps, a fixed count chosen on a grid: five
 inputs (three unsaturated 4000-node block models, a Cora-like bag of words
@@ -44,14 +47,20 @@ bytes, against 2.1.
 Clustering keeps the best of 10 seeded k-means++ starts by final
 within-cluster sum of squares, and scores it by an exact maximum-weight
 matching of clusters to classes (Kuhn-Munkres on integer counts). A Lloyd
-step assigns each point by the argmin of |c|^2 - 2 x.c, an N x k product,
-instead of a direct N x k x F difference table (2.4 MB at protocol-sbm4k's
-size; the Gram form halves the time of the 10 starts there). A point whose
-two nearest centroids lie within both forms' rounding bound of each other
-takes the argmin of its direct distances, and the sum of squares is taken
-directly on the assigned centroids, so labels, centroids and trace equal a
-direct table's bit for bit, duplicate centroids and equidistant points
-included.
+step scores the clusters class-major, |c|^2 - 2 c.x as one k x N product,
+and keeps a running first and second minimum over its k rows, instead of a
+direct N x k x F difference table (2.4 MB at protocol-sbm4k's size). A point
+whose two nearest centroids lie within both forms' rounding bound of each
+other takes the argmin of its direct distances, and the sum of squares is
+taken directly on the assigned centroids, so labels, centroids and trace
+equal a direct table's bit for bit, duplicate centroids and equidistant
+points included. With two or more features the centroid sums are one
+bincount per feature, which adds each cluster's rows in row order, as the
+mean of the cluster's rows does; that mean sums a single feature pairwise,
+so a one-feature input keeps it.
+On protocol-sbm4k's input the 10 starts take 82-112 ms, against 108-167 ms
+with a node-major argmin and one masked mean per cluster (seed 0, 2 BLAS
+threads, ten alternations in one process).
 """
 
 import json
@@ -68,15 +77,22 @@ RECALL_LEVELS = (5, 10, 15, 20, 25)
 
 
 def recall_at(ranked, truth, l_percent: float) -> float:
-    """Fraction of truth ids found in the top ceil(l% * N) of the ranking."""
-    ranked = list(ranked)
+    """Fraction of truth ids found in the top ceil(l% * N) of the ranking.
+
+    l_percent is a real number in (0, 100]; a bool is refused. Of an
+    ndarray ranking only the top is read, with one tolist() into Python
+    ints, not boxed element by element."""
+    if not isinstance(ranked, np.ndarray):
+        ranked = list(ranked)
     truth = set(truth)
     if not truth:
         raise ValueError("truth set must be nonempty")
-    if not 0 < l_percent <= 100:
-        raise ValueError(f"l_percent must be in (0, 100], got {l_percent}")
+    if not (is_real(l_percent) and 0 < l_percent <= 100):
+        raise ValueError(f"l_percent must be in (0, 100], got {l_percent!r}")
     top = ranked[:math.ceil(l_percent / 100.0 * len(ranked) - 1e-9)]
-    return len(set(top) & truth) / len(truth)
+    if isinstance(top, np.ndarray):
+        top = top.tolist()
+    return len(truth.intersection(top)) / len(truth)
 
 
 @dataclass
@@ -154,18 +170,22 @@ def _descend(xs: np.ndarray, yi: np.ndarray, classes: np.ndarray,
     # the softmax's max, then its sum
     per_node = np.empty((r_sets, 1, n), dtype=np.float32)
     grad = np.empty_like(wt)
-    reg = wt[:, :, :-1]
+    # the views and the l2 buffer are taken once, outside the loop
+    z_nodes = zt.transpose(0, 2, 1)
+    reg, grad_reg = wt[:, :, :-1], grad[:, :, :-1]
+    l2 = np.empty_like(reg)
     for _ in range(steps):
         np.matmul(wt, zt, out=p)
-        np.max(p, axis=1, keepdims=True, out=per_node)
+        np.maximum.reduce(p, axis=1, keepdims=True, out=per_node)
         p -= per_node
         np.exp(p, out=p)
-        np.sum(p, axis=1, keepdims=True, out=per_node)
+        np.add.reduce(p, axis=1, keepdims=True, out=per_node)
         p /= per_node
         p -= target
-        np.matmul(p, zt.transpose(0, 2, 1), out=grad)
+        np.matmul(p, z_nodes, out=grad)
         grad /= n
-        grad[:, :, :-1] += 1e-3 * reg
+        np.multiply(reg, 1e-3, out=l2)
+        grad_reg += l2
         grad *= 0.1
         wt -= grad
     return [Classifier(weights=np.ascontiguousarray(wt[r].T, dtype=np.float64),
@@ -194,13 +214,18 @@ def f1_scores(y_true, y_pred) -> tuple[float, float]:
         raise ValueError("y_true and y_pred must be equal-length 1-D vectors")
     if y_true.size == 0:
         raise ValueError("empty label vectors")
-    per_class = []
-    for c in np.unique(y_true):
-        tp = int(np.sum((y_pred == c) & (y_true == c)))
-        fp = int(np.sum((y_pred == c) & (y_true != c)))
-        fn = int(np.sum((y_pred != c) & (y_true == c)))
-        per_class.append(2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0)
-    macro = float(np.mean(per_class))
+    classes, yt = np.unique(y_true, return_inverse=True)
+    m = classes.size
+    # each prediction's index in classes, m for a class y_true lacks
+    pos = np.searchsorted(classes, y_pred)
+    hit = pos < m
+    hit[hit] = classes[pos[hit]] == y_pred[hit]
+    yp = np.where(hit, pos, m)
+    tp = np.bincount(yt[yt == yp], minlength=m)
+    actual = np.bincount(yt, minlength=m)
+    predicted = np.bincount(yp, minlength=m + 1)[:m]
+    # 2 tp + fp + fn is predicted + actual, never 0: every class has a true node
+    macro = float(np.mean(2.0 * tp / (predicted + actual)))
     micro = float(np.mean(y_true == y_pred))  # pooled F1 = accuracy here
     return macro, micro
 
@@ -211,19 +236,38 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
     Returns (labels, centroids, per-iteration within-cluster-sum-of-squares
     trace). Empty clusters are re-seeded to the point farthest from its own
     centroid, unless that point lies within rounding of it; such a cluster
-    keeps its centroid. Deterministic per seed.
+    keeps its centroid. Deterministic per seed. points must be finite and k
+    an integer in [1, N] (a bool or float k is refused, not truncated).
+
+    Each Lloyd step scores the clusters class-major (k x N) and keeps a
+    running first and second minimum; near ties take their direct
+    distances (module docstring). The centroids are bincount sums over the
+    feature-major points, in row order, divided by the cluster sizes; a
+    one-feature input takes each cluster's mean instead.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("points must be a nonempty N x F array")
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite")
     n = x.shape[0]
+    check_integer(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = make_rng(seed)
+    diff = np.empty_like(x)  # one N x F buffer for every squared difference
+
+    def sq_dist(c):
+        """Each point's squared distance to c, one row or one row per point:
+        (x - c) ** 2 summed along each row, with the difference squared in
+        one reused buffer."""
+        np.subtract(x, c, out=diff)
+        np.multiply(diff, diff, out=diff)
+        return diff.sum(axis=1)
 
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = sq_dist(centroids[0])
     for t in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -231,28 +275,41 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
         else:
             idx = rng.integers(n)  # all points coincide with a centroid
         centroids[t] = x[idx]
-        d2 = np.minimum(d2, ((x - centroids[t]) ** 2).sum(axis=1))
+        np.minimum(d2, sq_dist(centroids[t]), out=d2)
 
     # twice the rounding bound of both distance forms, per point: a point whose
     # two nearest centroids lie closer than this in the Gram form is a near tie
     tie_scale = 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps
-    x_norm = np.sqrt((x ** 2).sum(axis=1))
+    x_norm = np.sqrt(sq_dist(0.0))
+    xt = np.ascontiguousarray(x.T)  # one contiguous column per feature
+    lower, larger = np.empty(n, dtype=bool), np.empty(n)
     labels = np.full(n, -1)
     trace = []
     for _ in range(100):
-        # argmin over |c|^2 - 2 x.c, which drops each point's constant |x|^2:
-        # N x k, not the N x k x F of a direct difference table
+        # the argmin over |c|^2 - 2 c.x, which drops each point's constant
+        # |x|^2: k x N, not the N x k x F of a direct difference table
         c_sq = (centroids ** 2).sum(axis=1)
-        score = x @ centroids.T
+        score = centroids @ xt
         score *= -2.0
-        score += c_sq
-        new_labels = np.argmin(score, axis=1)
+        score += c_sq[:, None]
+        # a running first and second minimum over the k rows; the strict <
+        # keeps the earliest cluster on a tie, as argmin does, and the larger
+        # of a row and the best so far is a candidate for the second
+        new_labels = np.zeros(n, dtype=np.intp)
+        best = score[0].copy()
+        second = np.full(n, np.inf)
+        for c in range(1, k):
+            row = score[c]
+            np.less(row, best, out=lower)
+            np.maximum(best, row, out=larger)
+            np.minimum(second, larger, out=second)
+            np.minimum(best, row, out=best)
+            np.copyto(new_labels, c, where=lower)
         if k > 1:
             # near ties take the argmin of their direct distances, so every
             # label is the one a direct table would give, duplicate centroids
             # and equidistant points included
-            two = np.partition(score, 1, axis=1)
-            near = np.flatnonzero(two[:, 1] - two[:, 0]
+            near = np.flatnonzero(second - best
                                   <= tie_scale * (x_norm + math.sqrt(c_sq.max())) ** 2)
             if near.size:
                 xn = x[near]
@@ -260,16 +317,25 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
                     [((xn - c) ** 2).sum(axis=1) for c in centroids]), axis=1)
         # the direct form on the assigned centroids sums the same length-F
         # rows in the same order as a direct table would
-        trace.append(float(((x - centroids[new_labels]) ** 2).sum(axis=1).sum()))
+        np.take(centroids, new_labels, axis=0, out=diff, mode="clip")
+        trace.append(float(sq_dist(diff).sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         sizes = np.bincount(labels, minlength=k)
-        for c in np.flatnonzero(sizes):
-            centroids[c] = x[labels == c].mean(axis=0)
-        empty = np.flatnonzero(sizes == 0)
+        filled = sizes > 0
+        if x.shape[1] > 1:
+            # bincount adds each cluster's rows in row order, as the mean of
+            # x[labels == c] along axis 0 does, so the sums are that mean's
+            sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in xt],
+                            axis=1)
+            centroids[filled] = sums[filled] / sizes[filled, None]
+        else:  # that mean sums a single column pairwise, not in row order
+            for c in np.flatnonzero(filled):
+                centroids[c] = x[labels == c].mean(axis=0)
+        empty = np.flatnonzero(~filled)
         if empty.size:
-            own = ((x - centroids[labels]) ** 2).sum(axis=1)
+            own = sq_dist(centroids[labels])
             # a point within the assignment's rounding bound of its centroid
             # already sits on it: re-seeding there would only swap clusters
             # at every step (k above the number of distinct points)

@@ -153,7 +153,11 @@ def final_outlier_score(component_scores,
 
 def rank_nodes(scores: np.ndarray) -> np.ndarray:
     """Node indices sorted by descending score, ties by ascending index.
-    `oaembed rank-outliers` sorts by the same rule in Python (cli.py)."""
+    `oaembed rank-outliers` sorts by the same rule in Python (cli.py).
+
+    One stable sort of the negated scores: equal scores, -0.0 and 0.0
+    included, keep their index order, as a lexsort on (index, -score) would
+    give them."""
     import numpy as np
 
     s = np.asarray(scores, dtype=np.float64)
@@ -161,4 +165,4 @@ def rank_nodes(scores: np.ndarray) -> np.ndarray:
         raise ValueError("scores must be a 1-D vector")
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    return np.lexsort((np.arange(s.size), -s))
+    return np.argsort(-s, kind="stable")

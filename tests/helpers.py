@@ -120,6 +120,27 @@ def brute_force_matching(conf) -> int:
     return best
 
 
+def reference_rank_nodes(scores) -> np.ndarray:
+    """Node indices by descending score, ties by ascending index, as a
+    lexsort on (index, -score)."""
+    s = np.asarray(scores, dtype=np.float64)
+    return np.lexsort((np.arange(s.size), -s))
+
+
+def reference_f1_scores(y_true, y_pred) -> tuple[float, float]:
+    """(macro, micro) F1 with tp, fp and fn counted one class of y_true at a
+    time by elementwise comparisons; an undefined class counts as 0."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    per_class = []
+    for c in np.unique(y_true):
+        tp = int(np.sum((y_pred == c) & (y_true == c)))
+        fp = int(np.sum((y_pred == c) & (y_true != c)))
+        fn = int(np.sum((y_pred != c) & (y_true == c)))
+        per_class.append(2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0)
+    return float(np.mean(per_class)), float(np.mean(y_true == y_pred))
+
+
 def reference_kmeans_pp_full(points, k: int, seed: int):
     """`kmeans_pp_full` with the direct N x k x F distance table in each
     Lloyd step instead of the Gram form: the same k-means++ seeding, stop

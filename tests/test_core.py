@@ -732,19 +732,20 @@ class _CountedCsr(_Counted, sp.csr_matrix):
 def test_fit_forms_each_sparse_product_once_per_round(monkeypatch):
     rng = make_rng(24)
     net = rand_network(rng, 40, 15)
+    net.directed = True  # the path that forms A^T; an undirected A is its own
     tally = {}
     for name, tag in (("adjacency", "A"), ("attributes", "C")):
         counted = _CountedCsr(getattr(net, name))
         counted.tally, counted.tag = tally, tag
         setattr(net, name, counted)
     at_round_end = []
-    solve = core.budget_scores
+    solve = core._solve_scores
 
     def spy(r, budget, floor):  # fit solves three score vectors at the end of each round
         at_round_end.append(dict(tally))
         return solve(r, budget, floor)
 
-    monkeypatch.setattr(core, "budget_scores", spy)
+    monkeypatch.setattr(core, "_solve_scores", spy)
     norms = core.row_sq_norms
 
     def count_norms(m):  # the row norms tally under tag + "*"
@@ -764,6 +765,31 @@ def test_fit_forms_each_sparse_product_once_per_round(monkeypatch):
         assert {k: after[k] - before[k] for k in after} == {
             "A": 1, "AT": 1, "C": 1, "CT": 1, "A*": 0, "C*": 0}
     assert tally == ends[-1]  # nothing after the last round's residuals
+
+
+def test_fit_uses_an_undirected_adjacency_as_its_own_transpose(monkeypatch):
+    # A is symmetric, so the products of A^T in the initialization and the H
+    # sweeps are products of A, and no transpose of A is formed
+    net = rand_network(make_rng(24), 40, 15)
+    tally = {}
+    for name, tag in (("adjacency", "A"), ("attributes", "C")):
+        counted = _CountedCsr(getattr(net, name))
+        counted.tally, counted.tag = tally, tag
+        setattr(net, name, counted)
+    at_round_end = []
+    solve = core._solve_scores
+
+    def spy(r, budget, floor):
+        at_round_end.append(dict(tally))
+        return solve(r, budget, floor)
+
+    monkeypatch.setattr(core, "_solve_scores", spy)
+    fit(net, HyperParams(dim=3, seed=1, iters=3))
+    ends = at_round_end[::3]
+    assert ends[0] == {"A": 5, "C": 3, "CT": 2}
+    for before, after in zip(ends, ends[1:]):
+        assert {k: after[k] - before[k] for k in after} == {"A": 2, "C": 1, "CT": 1}
+    assert tally == ends[-1]
 
 
 def test_default_rounds_detect_at_least_as_well_as_a_long_initialization():
@@ -846,6 +872,7 @@ def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch)
     # the three log(1/score) vectors of each new OutlierScores serve every
     # update and the loss; A^T and C^T serve the initialization and all rounds
     net = rand_network(make_rng(26), 40, 15)
+    net.directed = True  # the path that forms A^T; an undirected A is its own
     net.adjacency, net.attributes = (_TransposeCounted(net.adjacency),
                                      _TransposeCounted(net.attributes))
     weighed = []
@@ -853,13 +880,13 @@ def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch)
     monkeypatch.setattr(core, "_score_weights",
                         lambda *a: weighed.append(1) or score_weights(*a))
     at_round_end = []
-    solve = core.budget_scores
+    solve = core._solve_scores
 
     def spy(r, budget, floor):
         at_round_end.append(len(weighed))
         return solve(r, budget, floor)
 
-    monkeypatch.setattr(core, "budget_scores", spy)
+    monkeypatch.setattr(core, "_solve_scores", spy)
     hp = HyperParams(dim=3, seed=1, iters=4)
     fit(net, hp)
     ends = at_round_end[::3]
@@ -879,6 +906,17 @@ def _directed_network(rng, n, d):
     return AttributedNetwork(adjacency=adj.tocsr(), attributes=attrs, directed=True)
 
 
+def _undirected_weighted_network(rng, n, d):
+    """Undirected, weighted, with a self-loop on every third node."""
+    upper = sp.triu(sp.random(n, n, density=0.15, random_state=rng, format="csr",
+                              data_rvs=lambda size: rng.uniform(0.5, 3.0, size)), k=1)
+    loops = sp.diags(np.where(np.arange(n) % 3 == 0, 2.0, 0.0))
+    adj = (upper + upper.T + loops).tocsr()
+    attrs = sp.random(n, d, density=0.4, random_state=rng, format="csr",
+                      data_rvs=lambda size: rng.uniform(0.2, 2.0, size))
+    return AttributedNetwork(adjacency=adj, attributes=attrs)
+
+
 def _isolated_network(rng, n, d):
     """Node 0 has no edges and no attributes; the only edge is the last
     node's self-loop. At n = 5, d = 4, K = 2 and fit seed 1 every round skips
@@ -896,11 +934,13 @@ def _sweep_small_input():
 
 @pytest.mark.parametrize("build, dim", [
     (lambda: _directed_network(make_rng(27), 30, 12), 4),
+    (lambda: _undirected_weighted_network(make_rng(30), 30, 12), 4),
     (lambda: _isolated_network(make_rng(28), 5, 4), 2),
     (lambda: rand_network(make_rng(29), 14, 6), 6),  # K = min(N, D)
     (_sweep_small_input, 3),
     (_sweep_small_input, 12),
-], ids=["directed-weighted-self-loops", "isolated-node-empty-row", "k-min-n-d",
+], ids=["directed-weighted-self-loops", "undirected-weighted-self-loops",
+        "isolated-node-empty-row", "k-min-n-d",
         "sweep-small-k3", "sweep-small-k12"])
 def test_fit_matches_the_plain_update_calls(build, dim):
     # fit hands on the score weights, the transposes, A H^T, C V^T and the row

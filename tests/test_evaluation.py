@@ -9,14 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oaembed.evaluation
 from helpers import (brute_force_clustering_accuracy, brute_force_matching,
-                     hypergeom_recall_null, reference_f1_by_split,
-                     reference_kmeans_pp_full, reference_train_classifier, train_alone)
-from oaembed.evaluation import (RECALL_LEVELS, EvalReport, clustering_accuracy,
-                                evaluate_all, f1_scores, kmeans_pp_full, predict,
-                                recall_at)
+                     hypergeom_recall_null, reference_f1_by_split, reference_f1_scores,
+                     reference_kmeans_pp_full, reference_rank_nodes,
+                     reference_train_classifier, train_alone)
+from oaembed.evaluation import (RECALL_LEVELS, EvalReport, _classification_split,
+                                _train_stack, clustering_accuracy, evaluate_all, f1_scores,
+                                kmeans_pp_full, predict, recall_at)
 from oaembed.network import AttributedNetwork, EmbeddingResult
 from oaembed.numerics import make_rng, named_rng
 from oaembed.seeding import synth_network
@@ -34,8 +37,26 @@ def test_rank_nodes_descending_with_tie_break():
 def test_rank_nodes_errors():
     with pytest.raises(ValueError):
         rank_nodes(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        rank_nodes(np.array([1.0, np.nan]))
+    for bad in ([1.0, np.nan], [np.nan], [np.inf, 1.0], [1.0, -np.inf], [-np.inf, np.nan]):
+        with pytest.raises(ValueError):
+            rank_nodes(np.array(bad))
+
+
+# few distinct values, so exact ties are common; -0.0 ties 0.0, and the
+# subnormals sit next to both
+_TIE_PRONE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+                              -1.0, 0.5, 1e300, -1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_TIE_PRONE, st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=40))
+@example([])
+@example([0.0])
+@example([-0.0, 0.0, -0.0, 0.0])
+def test_rank_nodes_matches_lexsort_on_index_and_negated_score(scores):
+    got = rank_nodes(np.array(scores, dtype=np.float64))
+    assert got.tolist() == reference_rank_nodes(scores).tolist()
 
 
 def test_recall_worked_example():
@@ -71,6 +92,23 @@ def test_recall_errors():
         recall_at([0, 1], {0}, 101.0)
 
 
+@pytest.mark.parametrize("level", [True, np.True_, "25", None, np.nan],
+                         ids=["bool", "numpy-bool", "str", "none", "nan"])
+def test_recall_refuses_a_level_that_is_not_a_real_number(level):
+    # True once read as 1 %: the top ceil(0.04) = 1 entry, recall 1.0 here
+    with pytest.raises(ValueError):
+        recall_at([0, 1, 2, 3], {0}, level)
+
+
+def test_recall_reads_an_array_a_list_and_a_generator_alike():
+    ranked = make_rng(3).permutation(57)
+    truth = {int(i) for i in ranked[::5]}
+    for level in (5, 12.5, 25, 100):
+        want = recall_at(ranked.tolist(), truth, level)
+        assert recall_at(ranked, truth, level) == want
+        assert recall_at(iter(ranked.tolist()), truth, level) == want
+
+
 # -------------------------------------------------------------------- f1
 
 
@@ -91,6 +129,21 @@ def test_f1_class_never_predicted():
     macro, micro = f1_scores([0, 1], [1, 1])
     assert macro == pytest.approx(1.0 / 3.0)
     assert micro == pytest.approx(0.5)
+
+
+_LABELS = st.sampled_from([0, 1, 2, 5, 9])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_LABELS, _LABELS), min_size=1, max_size=60), st.booleans())
+@example([(3, 3)], False)          # a single class
+@example([(0, 1), (0, 2)], True)   # predicted classes absent from y_true
+def test_f1_matches_per_class_comparison_counts(pairs, as_strings):
+    y_true, y_pred = (np.array(v) for v in zip(*pairs))
+    if as_strings:
+        y_true, y_pred = y_true.astype(str), np.char.add("c", y_pred.astype(str))
+        y_pred[::2] = y_true[::2]  # a mix of shared and absent class names
+    assert f1_scores(y_true, y_pred) == reference_f1_scores(y_true, y_pred)
 
 
 def test_f1_errors():
@@ -287,6 +340,21 @@ def test_kmeans_errors():
         kmeans_pp_full(np.empty((0, 2)), 1, seed=0)[0]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_refuses_points_that_are_not_finite(bad):
+    # a NaN point once gave labels [0 0 0] with no error, an inf one failed
+    # inside the k-means++ draw
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_pp_full(np.array([[0.0], [bad], [1.0]]), 2, seed=0)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, np.float64(2.0)],
+                         ids=["bool", "float", "numpy-float"])
+def test_kmeans_refuses_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        kmeans_pp_full(np.arange(6.0).reshape(3, 2), k, seed=0)
+
+
 def _cloud(rng, n, f, k, spread):
     """n points around k centers; spread 1 makes the blobs overlap."""
     centers = rng.normal(size=(k, f))
@@ -308,6 +376,9 @@ def _kmeans_cases():
     yield pytest.param(tenths, 8, id="tenths-grid")
     # |x|^2 dwarfs the distances: the Gram form cannot rank many points
     yield pytest.param(1e7 + _cloud(make_rng(6), 150, 20, 3, 1.0), 3, id="large-offset")
+    # one feature: the mean of a cluster's rows sums its column pairwise, not
+    # in row order, which shows from 9 points per cluster on
+    yield pytest.param(_cloud(make_rng(7), 400, 1, 3, 1.0), 3, id="one-feature-400-k3")
 
 
 @pytest.mark.parametrize("points, k", list(_kmeans_cases()))
@@ -666,6 +737,43 @@ def test_evaluate_all_f1_matches_row_major_classifier(case):
         assert min(class_counts) < net.n_classes == max(class_counts)
     if case == "default-splits":
         assert list(got.f1) == [10, 20, 30, 40, 50]
+
+
+def test_evaluate_all_classifiers_equal_train_stack_alone_per_percentage(monkeypatch):
+    # every classifier evaluate_all trains is byte-equal to `_train_stack` run
+    # on its own on that percentage's splits, and each held-out set is scored
+    # on what predict gives for that classifier
+    net = synth_network(60, 4, 0.3, 0.03, 16, 0.9, seed=18)
+    truth = [0, 31]
+    result = _noisy_result(net, truth, 18, 0.7)
+    splits, reps, seed = (10, 40), 6, 8
+    trained, scored = [], []
+    monkeypatch.setattr(oaembed.evaluation, "_train_stack",
+                        lambda xs, ys: trained.append(_train_stack(xs, ys)) or trained[-1])
+    monkeypatch.setattr(oaembed.evaluation, "f1_scores",
+                        lambda y_true, y_pred: scored.append(y_pred) or f1_scores(y_true, y_pred))
+    report = evaluate_all(net, result, truth, splits=splits, reps=reps, seed=seed,
+                          exclude_outliers=True)
+    keep = np.setdiff1d(np.arange(net.n_nodes), truth)
+    x, y = result.embedding[keep], net.labels[keep]
+    assert len(trained) == len(splits) and len(scored) == len(splits) * reps
+    class_counts = set()
+    for pct, got in zip(splits, trained):
+        trains = np.stack([_classification_split(keep.size, pct / 100.0, y,
+                                                 named_rng(seed, f"split-{pct}-{rep}"))
+                           for rep in range(reps)])
+        alone = _train_stack(x[trains], y[trains])
+        for rep, (clf, ref) in enumerate(zip(got, alone)):
+            class_counts.add(ref.classes.size)
+            for field in ("weights", "classes", "feature_mean", "feature_scale"):
+                a, b = getattr(clf, field), getattr(ref, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            test = np.setdiff1d(np.arange(keep.size), trains[rep])
+            assert np.array_equal(scored[splits.index(pct) * reps + rep],
+                                  predict(ref, x[test]))
+    assert len(class_counts) > 1  # some sets lack a class and train apart
+    assert any(micro < 1.0 for _, micro in report.f1.values())
 
 
 def test_evaluate_all_f1_matches_one_fit_per_split():
