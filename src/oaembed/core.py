@@ -35,12 +35,14 @@ C is CSR (AttributedNetwork stores no other layout), so the attribute
 initialization, the U and V sweeps and all attribute residuals cost
 O(nnz(C) K + (N + D) K^2), never O(N D K).
 
-Each shared quantity has one source, the fit that forms it, and every
+Each shared quantity has one source, fit, which forms it once, and every
 kernel takes it as a required argument and forms none itself: A^T, C^T and
-the row norms once per fit; the three log(1 / score) weight vectors
-(_score_weights) once per new set of scores; A H^T and C V^T once per
-change of H and V. So an update reads only the weights, never the scores,
-and the G and U sweeps read no input matrix.
+the row norms ||A_i||^2 and ||C_i||^2 once per fit; the three log(1 / score)
+weight vectors (_score_weights) once per new set of scores; A H^T and C V^T
+once per change of H and V. So an update reads only the weights, never the
+scores, and the G and U sweeps read no input matrix. An undirected
+network's A is symmetric and serves as its own A^T: its CSR products add in
+the order of the CSC ones, bit for bit.
 """
 
 import warnings
@@ -69,14 +71,7 @@ class HyperParams:
     attr_weight, dis_weight and the combine_weights entries must be real
     numbers, not bool. A fit runs exactly iters rounds; each score vector
     sums to 1, the paper's constraint, with every score in [1e-8, 1).
-    init_passes is the number of nmf_init passes in each initialization.
-    On networks with a strong attribute signal (attr_signal 0.9, as in the
-    benchmark) detection quality follows the rounds, not how far the
-    initialization converges, so the defaults spend a fit's time in its 15
-    rounds. With a weak one (attr_signal 0.3) more passes help: on
-    2000-node synth_network inputs at K = 15, 10 passes and 10 rounds reach
-    0.55 mean recall@25 where 1 pass and 15 rounds reach 0.29, in the same
-    fit time."""
+    init_passes is the number of nmf_init passes in each initialization."""
 
     dim: int
     attr_weight: float | None = None
@@ -168,7 +163,9 @@ def _joint(terms, attr_weight: float, dis_weight: float) -> float:
 def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, float, str | None]:
     """(attr_weight, dis_weight, note): the weights that make the three loss
     terms equal, l_str / l_attr and l_str / l_dis. If any term is zero the
-    ratios are undefined; the weights fall back to (1, 1) with a note saying so."""
+    ratios are undefined; the weights fall back to (1, 1) with a note saying so.
+    A view fitted within rounding has a zero term, as row_sq_residuals reads
+    its noise as 0, so noise is never scaled up into a weight."""
     if l_attr <= 0.0 or l_dis <= 0.0 or l_str <= 0.0:
         return 1.0, 1.0, ("degenerate initial losses "
                           f"(structure={l_str!r}, attribute={l_attr!r}, disagreement={l_dis!r}); "
@@ -340,7 +337,7 @@ def _solve_scores(r: np.ndarray, budget: float, floor: float):
     return np.clip(s, floor, 1.0), False
 
 
-def final_embedding(model: FactorModel) -> np.ndarray:
+def _final_embedding(model: FactorModel) -> np.ndarray:
     """Per-node average of the structure embedding and the mapped attribute
     embedding: (struct_embed + attr_embed @ align.T) / 2."""
     return (model.struct_embed + model.attr_embed @ model.align.T) / 2.0
@@ -354,29 +351,20 @@ def _check_finite(arr: np.ndarray, what: str, round_no: int):
 def fit(net: AttributedNetwork, hp: HyperParams):
     """Run the full alternating optimization.
 
-    Initializes the factor pairs by accelerated nonnegative multiplicative
-    updates on the adjacency and attribute matrices (init_passes passes of
-    numerics.nmf_init), starts with uniform scores and their align,
-    calibrates the loss weights if unset, then runs exactly `iters` rounds of:
-    align update (from round 2 on), sweeps of struct_embed, struct_context,
-    attr_embed and attr_basis, each consuming the others' latest values, and
-    one residual pass that yields both the new scores (floored at 1e-8) and
-    the round's joint loss. So loss_trace holds `iters` non-increasing losses.
+    Initializes the factor pairs by init_passes passes of numerics.nmf_init
+    on A and C, starts with uniform scores and their align, calibrates the
+    loss weights if unset, then runs exactly `iters` rounds of: align update
+    (from round 2 on), sweeps of struct_embed, struct_context, attr_embed and
+    attr_basis, each consuming the others' latest values, and one residual
+    pass that yields both the new scores (floored at 1e-8) and the round's
+    joint loss. So loss_trace holds `iters` non-increasing losses.
 
     A round forms four sparse products, each once: A^T (G*w1) for the H
     sweep, then A H^T, C^T (U*w2) for the V sweep, then C V^T. A H^T and
-    C V^T go to the round's residuals and on to the next round's G and U
-    sweeps, which align and the scores leave valid; the initial residual
-    pass hands round 1 its pair the same way. The weights w1, w2 and w3
-    (log(1/score)) are formed once per new scores: the uniform start's serve
-    the initial align, the calibration and round 1, and each round's serve
-    its loss and the next round's five updates. A^T and C^T (CSC objects)
-    serve both initializations and every H and V sweep, and ||A_i||^2 and
-    ||C_i||^2 every residual pass; each is formed once per fit. An undirected
-    network's A is symmetric, so A itself serves as A^T and no transpose is
-    formed: its CSR products add in the order of the CSC ones, bit for bit,
-    in less time. fit is the only source of these inputs: the kernels take
-    them as required arguments.
+    C V^T serve the round's residuals and the next round's G and U sweeps;
+    the initial residual pass hands round 1 its pair the same way. The
+    uniform start's weights serve the initial align, the calibration and
+    round 1, and each round's serve its loss and the next round's updates.
 
     The CSR attributes are never densified, and net is not changed.
 
@@ -393,9 +381,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
                           "a nonnegative factorization)")
 
     diagnostics = FitDiagnostics()
-    # sparse .T builds a new CSC object on each call, so build each once; an
-    # undirected A is symmetric and is its own transpose, and its CSR product
-    # adds each row's terms in the order the CSC product of A^T would
+    # sparse .T builds a new CSC object on each call, so build each once
     adj_t = adj.T if net.directed else adj
     attrs_t = attrs.T
     g, h = nmf_init(adj, hp.dim, hp.init_passes, named_rng(hp.seed, "init-structure"), adj_t)
@@ -456,7 +442,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         residuals = _residuals(adj, attrs, model, norms, (ah, cv))
         for what, r in zip(("structure", "attribute", "disagreement"), residuals):
             _check_finite(r, f"{what} residuals", round_no)
-        # residuals are nonnegative (row_sq_residuals clips at 0, the
+        # residuals are nonnegative (row_sq_residuals floors at 0, the
         # alignment's are sums of squares), so they go to the kernel unchecked
         solved = []
         for r in residuals:
@@ -473,7 +459,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
 
     components = np.column_stack([scores.structural, scores.attribute, scores.disagreement])
     result = EmbeddingResult(
-        embedding=final_embedding(model),
+        embedding=_final_embedding(model),
         outlier_scores=final_outlier_score(components, hp.combine_weights),
         component_scores=components, loss_trace=trace, node_names=net.node_names)
     return model, scores, result, diagnostics

@@ -7,60 +7,37 @@ standardized features (a deliberately dependency-free stand-in for heavier
 model families; absolute F1 values are not comparable across classifiers).
 
 `evaluate_all` fits the classifier 50 times by default (5 train percentages
-x 10 reps), its largest cost. The reps of one percentage have equal size and
-descend as one stack, so each numpy call in the loop covers all of them. The
-stack holds features feature-major (reps x features x nodes) and logits
-class-major (reps x classes x nodes): both products are one batched matmul
-and the softmax reduces the short class axis. A node-major stack (reps x
-nodes x classes) took 2.5-3 times as long for protocol-sbm4k's 50 fits, as
-numpy reduces a length-C last axis slowly. A set trained alone (a stack of
-one) or in a stack gets bit-identical weights. The loop computes no training
-loss: no iterate depends on it.
-It subtracts the one-hot target as a dense array, which gives the bits of a
-scatter onto the true-class entries (p - 0.0 is p) in less time. Each
-held-out set is scored by `predict` on its own: one stacked matmul over a
-percentage's sets gives the same bits but was no faster on protocol-sbm4k's
-input and held 4.4 MB more at the peak.
+x 10 reps). The reps of one percentage have equal size and descend as one
+stack: features feature-major (reps x features x nodes) and logits
+class-major (reps x classes x nodes), so both products are one batched
+matmul and the softmax reduces the short class axis. A set trained alone (a
+stack of one) or in a stack gets bit-identical weights. The loop computes
+no training loss, as no iterate depends on it, and subtracts the one-hot
+target as a dense array, which gives the bits of a scatter onto the
+true-class entries (p - 0.0 is p). Each held-out set is scored by `predict`
+on its own. Everything runs on the calling thread, one stack at a time.
 
-Each stack takes 200 descent steps, a fixed count chosen on a grid: five
-inputs (three unsaturated 4000-node block models, a Cora-like bag of words
-and the benchmark's protocol network) x five train percentages x ten seeds,
-against a 2000-step reference. At 200 steps no ten-seed mean falls below the
-reference's ten-seed range; where 2000 steps converge (largest gradient entry
-below 1e-4) the means agree within 0.0003; on the Cora-like input they lie
-above the reference at 10-20 % train, which a longer descent overfits. 150
-steps moved one Cora-like seed's F1@50 by 0.0026 against 500 steps, 200 steps
-by at most 0.0016. Everything runs on the calling thread, one stack at a time.
-
-The descent runs in float32. Each set's mean and scale are float64 (predict
-reads them), and each standardized entry is formed in float64 and rounded to
-float32 once; the weights, logits and gradient are float32, so both products
-are sgemm calls and every elementwise pass moves half the bytes. The weights
-come back as float64 and differ from a float64 descent's by at most 2e-6
-times the largest weight. On the grid above (250 cells of ten-seed F1), every micro and macro
-F1, recall and clustering accuracy equals the float64 descent's bit for bit.
-On protocol-sbm4k's input `evaluate_all` takes 0.35-0.39 s, against
-0.67-0.68 s with a float64 descent (seeds 0 and 7, min of 3, 2 BLAS threads,
-2-core Xeon), and a stack's peak allocation is 1.3 times its training sets'
-bytes, against 2.1.
+Each stack takes 200 descent steps, a fixed count measured on a grid of
+inputs, train percentages and seeds against a 2000-step reference
+(CHANGES.md holds the grid). The descent runs in float32: each set's mean
+and scale are float64 (predict reads them), each standardized entry is
+formed in float64 and rounded to float32 once, and the weights, logits and
+gradient are float32, so both products are sgemm calls and every elementwise
+pass moves half the bytes. The weights come back as float64.
 
 Clustering keeps the best of 10 seeded k-means++ starts by final
 within-cluster sum of squares, and scores it by an exact maximum-weight
 matching of clusters to classes (Kuhn-Munkres on integer counts). A Lloyd
 step scores the clusters class-major, |c|^2 - 2 c.x as one k x N product,
-and keeps a running first and second minimum over its k rows, instead of a
-direct N x k x F difference table (2.4 MB at protocol-sbm4k's size). A point
+and keeps a running first and second minimum over its k rows. A point
 whose two nearest centroids lie within both forms' rounding bound of each
 other takes the argmin of its direct distances, and the sum of squares is
 taken directly on the assigned centroids, so labels, centroids and trace
-equal a direct table's bit for bit, duplicate centroids and equidistant
-points included. With two or more features the centroid sums are one
-bincount per feature, which adds each cluster's rows in row order, as the
-mean of the cluster's rows does; that mean sums a single feature pairwise,
-so a one-feature input keeps it.
-On protocol-sbm4k's input the 10 starts take 82-112 ms, against 108-167 ms
-with a node-major argmin and one masked mean per cluster (seed 0, 2 BLAS
-threads, ten alternations in one process).
+equal a direct N x k x F difference table's bit for bit, duplicate
+centroids and equidistant points included. With two or more features the
+centroid sums are one bincount per feature, which adds each cluster's rows
+in row order, as the mean of the cluster's rows does; that mean sums a
+single feature pairwise, so a one-feature input keeps it.
 """
 
 import json
@@ -239,11 +216,8 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
     keeps its centroid. Deterministic per seed. points must be finite and k
     an integer in [1, N] (a bool or float k is refused, not truncated).
 
-    Each Lloyd step scores the clusters class-major (k x N) and keeps a
-    running first and second minimum; near ties take their direct
-    distances (module docstring). The centroids are bincount sums over the
-    feature-major points, in row order, divided by the cluster sizes; a
-    one-feature input takes each cluster's mean instead.
+    Labels, centroids and trace equal those of a direct N x k x F distance
+    table and per-cluster means bit for bit (module docstring).
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:

@@ -1,6 +1,6 @@
 """Shared numeric kernels: seeded RNG streams, matrix validation, small-matrix
 SVD, multiplicative-update factorization, and the sparse squared-residual
-reduction (rows by Gram expansion, clamped at 0, so nothing densifies).
+reduction (rows by Gram expansion with a noise floor, so nothing densifies).
 
 Dense matrices are plain float64 ndarrays; sparse matrices are scipy CSR with
 sorted indices and no duplicate entries (adjacencies: strictly positive
@@ -188,14 +188,18 @@ def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, norms: np.ndarray,
     """Per-row squared reconstruction error of a sparse m:
     out[i] = sum_j (m[i,j] - (p@q)[i,j])^2.
 
-    m is never densified: out[i] = ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T,
-    clamped at 0 against cancellation on rows that p @ q fits almost exactly.
-    norms is row_sq_norms(m) and mq the product m @ q.T, both formed by the
-    caller.
+    m is never densified: out[i] = ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T.
+    On a row that p @ q fits almost exactly that difference is cancellation
+    noise, so a value at or below the Gram form's rounding bound,
+    4 (K + 2) eps (||m_i||^2 + p_i (q q^T) p_i^T), reads as exactly 0: every
+    entry is 0 or above that bound, never negative. norms is row_sq_norms(m)
+    and mq the product m @ q.T, both formed by the caller.
     """
     n, d = m.shape
     if p.shape[0] != n or q.shape[1] != d or p.shape[1] != q.shape[0]:
         raise ValueError(f"non-conformal shapes: m {m.shape}, p {p.shape}, q {q.shape}")
     cross = np.einsum("ij,ij->i", p, mq)
     fit = np.einsum("ij,ij->i", p @ (q @ q.T), p)
-    return np.maximum(norms - 2.0 * cross + fit, 0.0)
+    out = norms - 2.0 * cross + fit
+    out[out <= 4 * (p.shape[1] + 2) * np.finfo(np.float64).eps * (norms + fit)] = 0.0
+    return out

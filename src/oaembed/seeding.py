@@ -93,18 +93,6 @@ class SeededDataset:
         return [n0 + t for t, p in enumerate(self.planted) if kind in (None, p.kind)]
 
     @property
-    def structural_ids(self) -> list[int]:
-        return self._ids("structural")
-
-    @property
-    def attribute_ids(self) -> list[int]:
-        return self._ids("attribute")
-
-    @property
-    def combined_ids(self) -> list[int]:
-        return self._ids("combined")
-
-    @property
     def outlier_ids(self) -> list[int]:
         return self._ids()
 

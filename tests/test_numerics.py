@@ -1,6 +1,8 @@
 import ast
+import io
 import itertools
 import re
+import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -395,6 +397,21 @@ def test_row_sq_residuals_sparse_cancellation():
     assert (np.abs(got - want) <= 1e-12 * scale).all()
 
 
+def test_row_sq_residuals_read_rounding_noise_as_zero():
+    # rows that p @ q reproduces exactly, over six decades of scale, leave only
+    # cancellation noise in the Gram form; a row 1e-5 off keeps its residual
+    rng = make_rng(12)
+    n, d, k = 300, 40, 4
+    p = rng.uniform(0.5, 2.0, size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    q = np.where(rng.random((k, d)) < 0.3, rng.uniform(0.5, 2.0, size=(k, d)), 0.0)
+    m = p @ q
+    m[-1] += np.where(q[0] > 0, 1e-5, 0.0) * np.abs(m[-1]).max()
+    got = sq_residuals(sp.csr_matrix(m), p, q)
+    assert (got[:-1] == 0).all()
+    want = ((m[-1] - p[-1] @ q) ** 2).sum()
+    assert want > 0 and got[-1] == pytest.approx(want, rel=1e-3)
+
+
 def test_package_never_densifies_sparse_matrices():
     # the sparse paths (adjacency, CSR attributes) must stay O(nnz) in memory
     sources = sorted(Path(oaembed.__file__).parent.glob("*.py"))
@@ -480,6 +497,44 @@ def test_concurrency_import_scanner_sees_every_spelling():
     assert sorted(_concurrency_imports(tree)) == [
         "_thread", "concurrent", "concurrent.futures", "concurrent.futures",
         "multiprocessing.pool", "threading"]
+
+
+# a number or a range of numbers followed by a unit of time or memory
+_MEASURED = re.compile(r"\d[\d.]*(?:\s*[-–]\s*\d[\d.]*)?\s*(?:ms|µs|us|s|KB|MB|GB)\b")
+
+
+def _measured_figures(source: str, module: str) -> list[str]:
+    """module:line of every docstring line and comment that quotes a measured
+    figure; string literals that are not docstrings are code, not prose."""
+    lines = source.splitlines()
+    found = {tok.start[0] for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.COMMENT and _MEASURED.search(tok.string)}
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node) is not None):
+            doc = node.body[0]
+            found.update(no for no in range(doc.lineno, doc.end_lineno + 1)
+                         if _MEASURED.search(lines[no - 1]))
+    return [f"{module}:{no}" for no in sorted(found)]
+
+
+def test_package_docstrings_and_comments_quote_no_measurements():
+    # timings and memory figures go stale; they belong in CHANGES.md and the
+    # BENCH_*.json files, and the code states what it promises
+    found = [hit for path in sorted(Path(oaembed.__file__).parent.glob("*.py"))
+             for hit in _measured_figures(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_measured_figure_scanner_sees_every_unit():
+    source = ('"""Takes 0.35-0.39 s."""\n'
+              'def f():\n    """82–112 ms, 3 µs or 40 us."""\n'
+              '    x = 1  # held 4.4 MB more\n'
+              '    # 2 KB, then 1.5GB\n'
+              '    return "5 s"  # 10 seeds, 3 sets, s1 at K = 2\n'
+              'class C:\n    """1 s\n\n    and 2 us"""\n')
+    assert _measured_figures(source, "m.py") == ["m.py:1", "m.py:3", "m.py:4", "m.py:5",
+                                                 "m.py:8", "m.py:10"]
 
 
 def test_package_modules_have_no_unused_imports():

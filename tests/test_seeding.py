@@ -485,9 +485,9 @@ def test_seed_outliers_counts_names_and_labels():
     assert len(seeded.planted) == 15
     kinds = [p.kind for p in seeded.planted]
     assert all(kinds.count(k) == 5 for k in OUTLIER_KINDS)
-    assert len(seeded.structural_ids) == 5
-    assert len(seeded.attribute_ids) == 5
-    assert len(seeded.combined_ids) == 5
+    assert len(seeded._ids("structural")) == 5
+    assert len(seeded._ids("attribute")) == 5
+    assert len(seeded._ids("combined")) == 5
 
     names = seeded.network.node_names
     assert len(seeded.outlier_ids) == 15
