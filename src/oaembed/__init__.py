@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it holds
 _NAMES = {
-    "core": ("FactorModel", "FitDiagnostics", "HyperParams", "OutlierScores", "budget_scores",
-             "default_dim", "fit", "update_alignment", "update_attr_basis", "update_attr_embed",
-             "update_struct_context", "update_struct_embed"),
+    "core": ("FactorModel", "FitDiagnostics", "HyperParams", "OutlierScores", "default_dim",
+             "fit"),
     "errors": ("ConfigError", "NumericError", "ParseError"),
     "evaluation": ("Classifier", "EvalReport", "clustering_accuracy", "evaluate_all",
                    "f1_scores", "kmeans_pp_full", "predict", "recall_at"),

@@ -43,6 +43,13 @@ once per change of H and V. So an update reads only the weights, never the
 scores, and the G and U sweeps read no input matrix. An undirected
 network's A is symmetric and serves as its own A^T: its CSR products add in
 the order of the CSC ones, bit for bit.
+
+Each input is also checked once, where it enters: A and C by AttributedNetwork
+(finite canonical CSR, A square with positive weights, C with N rows), the
+knobs by HyperParams, 1 <= dim <= min(N, D) and C >= 0 by fit. So the kernels
+fit calls raise nothing, bar svd_small's finiteness check (LAPACK gives NaN
+singular values for an infinite entry without raising); budget_scores, the
+solver's checked entry, checks its own arguments.
 """
 
 import warnings
@@ -57,8 +64,6 @@ from .numerics import (check_integer, named_rng, nmf_init, row_sq_norms, row_sq_
 from .tables import check_combine_weights, final_outlier_score, is_real
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
-_ZERO_RESIDUAL = 1e-300  # below this, a total residual counts as exactly zero
-_ALL_ZERO = "all residuals are zero; returning uniform scores"
 _SCORE_FLOOR = 1e-8  # fit's smallest score, so log(1/score) stays finite
 
 
@@ -120,7 +125,7 @@ class OutlierScores:
 @dataclass
 class FitDiagnostics:
     """Bookkeeping from fit(): skipped degenerate coordinates per update kind,
-    the loss at the initial point, and any calibration fallback note."""
+    the loss at the initial point, and a note for each fallback taken."""
 
     skipped: dict[str, int] = field(default_factory=dict)
     initial_loss: float | None = None
@@ -130,7 +135,7 @@ class FitDiagnostics:
 def _score_weights(scores: OutlierScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w1, w2, w3): log(1/s) of the structural, attribute and disagreement
     scores, the per-node weights of the three loss terms. fit's scores are
-    the uniform start or budget_scores output, 1-D and in [1e-8, 1], so
+    the uniform start or _solve_scores output, 1-D and in [1e-8, 1], so
     every weight is finite and nonnegative."""
     return tuple(-np.log(s) for s in (scores.structural, scores.attribute,
                                       scores.disagreement))
@@ -303,7 +308,7 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
         raise ValueError(f"budget {budget} outside [{n} * floor, 1] for floor {floor}")
     s, zero = _solve_scores(r, budget, floor)
     if zero:
-        warnings.warn(_ALL_ZERO, stacklevel=2)
+        warnings.warn("all residuals are zero; returning uniform scores", stacklevel=2)
     return s
 
 
@@ -313,13 +318,12 @@ def _solve_scores(r: np.ndarray, budget: float, floor: float):
     Returns (scores, zero); zero is True if every residual is zero, and the
     scores are then the uniform budget / N split."""
     n = r.size
+    if not r.any():
+        return np.full(n, budget / n), True
     # the scores depend on r only up to scale: an exact power-of-two shift
     # brings the largest residual into [0.5, 1), so no sum overflows and the
     # free scale below stays a normal number
-    shift = int(np.frexp(r.max())[1])
-    r = np.ldexp(r, -shift)
-    if r.sum() < np.ldexp(_ZERO_RESIDUAL, -shift):
-        return np.full(n, budget / n), True
+    r = np.ldexp(r, -int(np.frexp(r.max())[1]))
     if budget == floor * n:  # the one feasible point
         return np.full(n, floor), False
     if n == 1:
@@ -440,16 +444,16 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         cv = np.asarray(attrs @ model.attr_basis.T)
 
         residuals = _residuals(adj, attrs, model, norms, (ah, cv))
+        # residuals are nonnegative (row_sq_residuals floors at 0, the
+        # alignment's are sums of squares), so only finiteness is checked
+        solved = []
         for what, r in zip(("structure", "attribute", "disagreement"), residuals):
             _check_finite(r, f"{what} residuals", round_no)
-        # residuals are nonnegative (row_sq_residuals floors at 0, the
-        # alignment's are sums of squares), so they go to the kernel unchecked
-        solved = []
-        for r in residuals:
             s, zero = _solve_scores(r, 1.0, _SCORE_FLOOR)
             solved.append(s)
             if zero:
-                diagnostics.notes.append(f"round {round_no}: {_ALL_ZERO}")
+                diagnostics.notes.append(f"round {round_no}: {what} residuals are all zero; "
+                                         "uniform scores")
         scores = OutlierScores(*solved)
         weights = _score_weights(scores)
         loss = _joint(_loss_terms(residuals, weights), attr_weight, dis_weight)

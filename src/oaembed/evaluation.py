@@ -486,8 +486,8 @@ def evaluate_all(net: AttributedNetwork, result: EmbeddingResult, truth_ids,
     y = net.labels[keep]
 
     def classify(pct):
-        # draws only from this percentage's named streams, so the order of
-        # the schedule changes no bit
+        # draws only from this percentage's named streams, so the other
+        # percentages in splits, and their order, change none of its bits
         trains = np.stack([
             _classification_split(keep.size, pct / 100.0, y,
                                   named_rng(seed, f"split-{pct}-{rep}"))

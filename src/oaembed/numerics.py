@@ -115,15 +115,11 @@ def svd_small(m):
 
     Intended for the K x K cross-products of the alignment step, which reads
     only the orthogonal product x @ yt; sigma is as LAPACK returns it and the
-    column signs are LAPACK's. m must be square, at least 1 x 1, and finite.
+    column signs are LAPACK's. m is K x K with K >= 1, as fit's dim check
+    guarantees. A non-finite entry raises ValueError (as_dense): LAPACK would
+    return NaN singular values for it without raising.
     """
-    a = as_dense(m, "svd input")
-    k = a.shape[0]
-    if a.shape[1] != k:
-        raise ValueError(f"svd_small requires a square matrix, got {a.shape}")
-    if k < 1:
-        raise ValueError("svd_small requires at least a 1x1 matrix")
-    return np.linalg.svd(a)
+    return np.linalg.svd(as_dense(m, "svd input"))
 
 
 def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt):
@@ -140,24 +136,13 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt):
     Factors start uniform in (0.1, 1.0) from the given generator; denominators
     are floored at 1e-12 so exact zeros cannot divide. Every update is a plain
     MU step for its factor, so the Frobenius reconstruction error is
-    non-increasing over updates. m is a scipy sparse matrix and is never
-    densified; negative or non-finite entries raise ValueError. mt is m.T,
-    which the caller forms once (sparse .T builds a new object on each call).
+    non-increasing over updates. mt is m.T, which the caller forms once
+    (sparse .T builds a new object on each call). fit guarantees, and nothing
+    here re-checks, that m is finite, nonnegative CSR (never densified), that
+    1 <= k <= min(m.shape) and that iters >= 1.
     """
-    if not sp.issparse(m):
-        raise TypeError("factorization input must be a scipy sparse matrix")
-    if not np.isfinite(m.data).all():
-        raise ValueError("factorization input contains non-finite entries")
-    if (m.data < 0).any():
-        raise ValueError("factorization input must be nonnegative")
-    n, d = m.shape
-    if not 1 <= k <= min(n, d):
-        raise ValueError(f"rank k={k} out of range for shape {m.shape}")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-
-    p = rng.uniform(0.1, 1.0, size=(n, k))
-    q = rng.uniform(0.1, 1.0, size=(k, d))
+    p = rng.uniform(0.1, 1.0, size=(m.shape[0], k))
+    q = rng.uniform(0.1, 1.0, size=(k, m.shape[1]))
     for _ in range(iters):
         mp, pp = np.asarray(mt @ p).T, p.T @ p
         for _ in range(3):
@@ -193,11 +178,9 @@ def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, norms: np.ndarray,
     noise, so a value at or below the Gram form's rounding bound,
     4 (K + 2) eps (||m_i||^2 + p_i (q q^T) p_i^T), reads as exactly 0: every
     entry is 0 or above that bound, never negative. norms is row_sq_norms(m)
-    and mq the product m @ q.T, both formed by the caller.
+    and mq the product m @ q.T, both formed by the caller; m, p and q are
+    conformal (N x D, N x K, K x D), as fit's factors are.
     """
-    n, d = m.shape
-    if p.shape[0] != n or q.shape[1] != d or p.shape[1] != q.shape[0]:
-        raise ValueError(f"non-conformal shapes: m {m.shape}, p {p.shape}, q {q.shape}")
     cross = np.einsum("ij,ij->i", p, mq)
     fit = np.einsum("ij,ij->i", p @ (q @ q.T), p)
     out = norms - 2.0 * cross + fit

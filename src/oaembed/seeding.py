@@ -180,7 +180,7 @@ def _draw_degree(mean_deg: float, band: float, pool_size: int, rng) -> int:
         deg = max(1, round(mean_deg))
     else:
         deg = int(rng.integers(lo, hi + 1))
-    return min(max(deg, 1), pool_size)
+    return min(deg, pool_size)
 
 
 def _draw_attributes(dist: _AttrDistribution, rng):
@@ -214,8 +214,6 @@ def _plant(kind: str, plan: SeedingPlan, rng, stats: _ClassStats) -> PlantedNode
     attr_class = (_pick_class(stats, rng, exclude=c) if kind == "combined"
                   else None if kind == "attribute" else c)
     pool = stats.external[c] if struct_class is None else stats.members[c]
-    if pool.size == 0:
-        raise ValueError(f"class {c} has no external nodes to connect to")
     deg = _draw_degree(stats.mean_degree[c], plan.degree_band, pool.size, rng)
     neighbors = np.sort(rng.choice(pool, size=deg, replace=False))
     dist = stats.other[c] if attr_class is None else stats.own[attr_class]

@@ -523,10 +523,10 @@ def test_budget_scores_input_errors():
 @st.composite
 def score_problems(draw):
     """(residuals, budget): N in 1..60 residuals drawn from a few values, so
-    exact ties are common, among zero and magnitudes 1e-300..1e308; a budget
-    in [N * 1e-8, 1], often exactly 1."""
+    exact ties are common, among zero and magnitudes 1e-323..1e308 (subnormal
+    ones included); a budget in [N * 1e-8, 1], often exactly 1."""
     n = draw(st.integers(1, 60))
-    pool = [0.0, *draw(st.lists(st.floats(-300, 308).map(lambda e: 10.0 ** e),
+    pool = [0.0, *draw(st.lists(st.floats(-323, 308).map(lambda e: 10.0 ** e),
                                  min_size=1, max_size=6))]
     r = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     budget = draw(st.one_of(st.just(1.0), st.floats(n * 1e-8, 1.0)))
@@ -556,6 +556,15 @@ def test_budget_scores_properties(problem):
         lam = np.median(q[free] / s[free])
         assert np.allclose(q[free] / s[free], lam, rtol=1e-6)
         assert (q[~free] <= lam * floor * (1 + 1e-6)).all()
+
+
+def test_budget_scores_split_tiny_residuals_in_proportion():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = budget_scores(np.array([3e-301, 1e-301, 0.0]), 1.0, 1e-8)
+    assert s[2] == 1e-8
+    assert s[0] == pytest.approx(3 * s[1], rel=1e-12)
+    assert s.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_residuals_match_dense_oracles():
@@ -972,6 +981,27 @@ def test_fit_zero_adjacency_falls_back_with_note():
     assert all(np.isfinite(v) for v in result.loss_trace)
 
 
+def test_fit_zero_attributes_fall_back_to_uniform_scores_with_notes():
+    # C = 0 is a documented fallback: its initial factors and residuals are
+    # exactly 0, so the calibration takes weights (1, 1) and every round's
+    # attribute scores are the uniform split, each with a note naming them
+    rng = make_rng(26)
+    net = AttributedNetwork(adjacency=rand_network(rng, 6, 4).adjacency,
+                            attributes=sp.csr_matrix((6, 4)))
+    hp = HyperParams(dim=2, iters=4)
+    model, scores, result, diag = fit(net, hp)
+    for out in (*vars(model).values(), result.embedding, result.outlier_scores,
+                result.component_scores, result.loss_trace):
+        assert np.isfinite(out).all()
+    assert sum("degenerate initial losses" in note for note in diag.notes) == 1
+    assert scores.attribute.tolist() == [1.0 / 6] * 6
+    assert [note for note in diag.notes if "residuals are all zero" in note] == [
+        f"round {r}: attribute residuals are all zero; uniform scores"
+        for r in range(1, hp.iters + 1)]
+    trace = [diag.initial_loss, *result.loss_trace]
+    assert all(after <= before for before, after in zip(trace, trace[1:]))
+
+
 def _sweep_input(t):
     """Input t of a seeded sweep of small fits (generator seed 12345): N in
     3..39, D in 2..29, K in 1..min(N, D), a 0/1 undirected adjacency, random
@@ -1023,12 +1053,42 @@ def degenerate_networks(draw):
     return AttributedNetwork(adjacency=adj, attributes=attrs)
 
 
+def _degenerate_fit(net, seed):
+    return fit(net, HyperParams(dim=min(net.n_nodes, net.n_attrs), seed=seed, iters=5))
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(degenerate_networks(), st.integers(0, 2 ** 32 - 1))
 def test_fit_loss_never_rises_on_degenerate_inputs(net, seed):
-    hp = HyperParams(dim=min(net.n_nodes, net.n_attrs), seed=seed, iters=5)
-    _, _, result, diag = fit(net, hp)
+    _, _, result, diag = _degenerate_fit(net, seed)
     assert _largest_rise(diag, result) <= 1e-12 * diag.initial_loss
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(degenerate_networks(), st.integers(0, 2 ** 32 - 1))
+def test_fit_align_is_orthonormal_on_degenerate_inputs(net, seed):
+    align = _degenerate_fit(net, seed)[0].align
+    assert np.abs(align.T @ align - np.eye(align.shape[0])).max() <= 1e-8
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(degenerate_networks(), st.integers(0, 2 ** 32 - 1))
+def test_fit_scores_keep_their_budget_on_degenerate_inputs(net, seed):
+    scores = _degenerate_fit(net, seed)[1]
+    for s in vars(scores).values():
+        assert abs(s.sum() - 1.0) <= 1e-9
+        assert (s >= 1e-8).all()
+        assert (s < 1.0).all() or s.tolist() == [1.0]  # a lone node's score is 1
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(degenerate_networks(), st.integers(0, 2 ** 32 - 1))
+def test_fit_reruns_bit_identically_on_degenerate_inputs(net, seed):
+    # model, scores, result and diagnostics, field by field
+    for first, second in zip(_degenerate_fit(net, seed), _degenerate_fit(net, seed)):
+        assert vars(first).keys() == vars(second).keys()
+        assert all(np.array_equal(a, b) for a, b in zip(vars(first).values(),
+                                                        vars(second).values()))
 
 
 def test_fit_input_validation():
