@@ -20,8 +20,8 @@ _NAMES = {
     "core": ("FactorModel", "FitDiagnostics", "HyperParams", "OutlierScores", "default_dim",
              "fit"),
     "errors": ("ConfigError", "NumericError", "ParseError"),
-    "evaluation": ("Classifier", "EvalReport", "clustering_accuracy", "evaluate_all",
-                   "f1_scores", "kmeans_pp_full", "predict", "recall_at"),
+    "evaluation": ("EvalReport", "clustering_accuracy", "evaluate_all", "f1_scores",
+                   "kmeans_pp_full", "recall_at"),
     "network": ("AttributedNetwork", "EmbeddingResult", "load_network", "save_network",
                 "save_result"),
     "seeding": ("OUTLIER_KINDS", "PlantedNode", "SeededDataset", "SeedingPlan", "load_truth",

@@ -1,11 +1,10 @@
 """Command-line driver: seed, embed, rank-outliers, evaluate.
 
 Each option is declared once, with the name of the library parameter it
-sets (`--k` is `HyperParams.dim`, `--fraction` `SeedingPlan.total_fraction`,
-`--band` `SeedingPlan.degree_band`). An option that is not given is not
-passed on, so every default is the library's own (`SeedingPlan`,
-`HyperParams`, `evaluate_all`), and `--help` reads it from there.
-`--exclude-outliers[=BOOL]` alone means true.
+sets (`--k` is `HyperParams.dim`, `--fraction` `SeedingPlan.total_fraction`).
+An option that is not given is not passed on, so every default is the
+library's own (`SeedingPlan`, `HyperParams`, `evaluate_all`), and `--help`
+reads it from there. `--exclude-outliers[=BOOL]` alone means true.
 
 Library modules load on first use: each handler imports the modules its
 subcommand runs, and the parser imports only the library callable of the
@@ -108,7 +107,11 @@ def cmd_embed(edges, attrs, out, labels=None, **params) -> int:
     net = load_network(edges, attrs, labels)
     dim = params.pop("dim", None)
     hp = HyperParams(dim=default_dim(net) if dim is None else dim, **params)
-    _model, _scores, result, diag = fit(net, hp)
+    try:
+        _model, _scores, result, diag = fit(net, hp)
+    except MemoryError as exc:  # numpy's message names the allocation; add the fit's size
+        raise MemoryError(f"{exc} (fit of {net.n_nodes} nodes, {net.n_attrs} attributes, "
+                          f"K = {hp.dim})") from None
     save_result(result, out)
     for note in diag.notes:
         print(f"note: {note}", file=sys.stderr)
@@ -183,8 +186,6 @@ _SUBCOMMANDS = {
         "out": _OUT,
         "fraction": {"type": float, "dest": "total_fraction",
                      "help": "fraction of nodes to plant"},
-        "band": {"type": float, "dest": "degree_band",
-                 "help": "relative degree band around the class mean"},
         "seed": _SEED,
     }),
     "embed": ("fit the joint factorization and write the embedding", cmd_embed,

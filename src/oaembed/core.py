@@ -39,10 +39,11 @@ Each shared quantity has one source, fit, which forms it once, and every
 kernel takes it as a required argument and forms none itself: A^T, C^T and
 the row norms ||A_i||^2 and ||C_i||^2 once per fit; the three log(1 / score)
 weight vectors (_score_weights) once per new set of scores; A H^T and C V^T
-once per change of H and V. So an update reads only the weights, never the
-scores, and the G and U sweeps read no input matrix. An undirected
-network's A is symmetric and serves as its own A^T: its CSR products add in
-the order of the CSC ones, bit for bit.
+once per change of H and V. Every kernel reads every input it takes: an
+update reads the weights, never the scores; the G and U sweeps read no input
+matrix, and the residual pass only the row norms and the two products. An
+undirected network's A is symmetric and serves as its own A^T: its CSR
+products add in the order of the CSC ones, bit for bit.
 
 Each input is also checked once, where it enters: A and C by AttributedNetwork
 (finite canonical CSR, A square with positive weights, C with N rows), the
@@ -141,16 +142,13 @@ def _score_weights(scores: OutlierScores) -> tuple[np.ndarray, np.ndarray, np.nd
                                       scores.disagreement))
 
 
-def _residuals(adj, attrs, model: FactorModel, norms,
-               products) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _residuals(model: FactorModel, norms, products) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node squared residuals of the structure, attribute and alignment
-    fits. norms are (row_sq_norms(adj), row_sq_norms(attrs)) and products
+    fits from norms (row_sq_norms(A), row_sq_norms(C)) and products
     (A H^T, C V^T); the dense alignment rows are subtracted directly."""
     dis = model.attr_embed @ model.align.T - model.struct_embed
-    return (row_sq_residuals(adj, model.struct_embed, model.struct_context,
-                             norms[0], products[0]),
-            row_sq_residuals(attrs, model.attr_embed, model.attr_basis,
-                             norms[1], products[1]),
+    return (row_sq_residuals(model.struct_embed, model.struct_context, norms[0], products[0]),
+            row_sq_residuals(model.attr_embed, model.attr_basis, norms[1], products[1]),
             np.einsum("ij,ij->i", dis, dis))
 
 
@@ -409,7 +407,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     norms = (row_sq_norms(adj), row_sq_norms(attrs))
     ah = np.asarray(adj @ model.struct_context.T)
     cv = np.asarray(attrs @ model.attr_basis.T)
-    terms = _loss_terms(_residuals(adj, attrs, model, norms, (ah, cv)), weights)
+    terms = _loss_terms(_residuals(model, norms, (ah, cv)), weights)
     for term, value in zip(("structure", "attribute", "disagreement"), terms):
         if not np.isfinite(value):
             raise NumericError(f"initial {term} loss is non-finite; "
@@ -443,9 +441,9 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         _check_finite(model.attr_basis, "attr_basis update", round_no)
         cv = np.asarray(attrs @ model.attr_basis.T)
 
-        residuals = _residuals(adj, attrs, model, norms, (ah, cv))
-        # residuals are nonnegative (row_sq_residuals floors at 0, the
-        # alignment's are sums of squares), so only finiteness is checked
+        residuals = _residuals(model, norms, (ah, cv))
+        # finite residuals are nonnegative (row_sq_residuals floors them at
+        # 0, the alignment's are sums of squares), so only finiteness is checked
         solved = []
         for what, r in zip(("structure", "attribute", "disagreement"), residuals):
             _check_finite(r, f"{what} residuals", round_no)

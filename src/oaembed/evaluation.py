@@ -84,11 +84,11 @@ class Classifier:
 
 def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 200) -> list[Classifier]:
     """Fit the classifier on each of R equal-size training sets (xs R x n x F,
-    ys R x n) by full-batch gradient descent from a zero start, one
-    Classifier per set in order. The l2 weight is 1e-3 (bias row exempt),
-    the step size 0.1 and the default of 200 steps the measured count the
-    module docstring gives; the descent runs in float32 (`_descend`) and the
-    fit is deterministic for a given input.
+    ys R x n, each of 2 or more classes, as _classification_split draws them)
+    by full-batch gradient descent from a zero start, one Classifier per set
+    in order. The l2 weight is 1e-3 (bias row exempt), the step size 0.1 and
+    the default of 200 steps the measured count the module docstring gives;
+    the descent is deterministic and runs in float32 (`_descend`).
 
     Sets with the same classes descend together as one stack. A set that
     lacks a class trains in a stack of its own class set rather than with
@@ -97,8 +97,6 @@ def _train_stack(xs: np.ndarray, ys: np.ndarray, steps: int = 200) -> list[Class
     from a fit of the set on its own.
     """
     fits = [np.unique(y, return_inverse=True) for y in ys]
-    if any(classes.size < 2 for classes, _ in fits):
-        raise ValueError("training data must contain at least 2 classes")
     groups = {}
     for r, (classes, _) in enumerate(fits):
         groups.setdefault(tuple(classes.tolist()), []).append(r)

@@ -168,21 +168,22 @@ def row_sq_norms(m) -> np.ndarray:
     return out
 
 
-def row_sq_residuals(m, p: np.ndarray, q: np.ndarray, norms: np.ndarray,
+def row_sq_residuals(p: np.ndarray, q: np.ndarray, norms: np.ndarray,
                      mq: np.ndarray) -> np.ndarray:
-    """Per-row squared reconstruction error of a sparse m:
-    out[i] = sum_j (m[i,j] - (p@q)[i,j])^2.
+    """Per-row squared reconstruction error of a sparse m, from its row norms
+    and product alone: out[i] = sum_j (m[i,j] - (p@q)[i,j])^2
+    = ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T.
 
-    m is never densified: out[i] = ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T.
-    On a row that p @ q fits almost exactly that difference is cancellation
-    noise, so a value at or below the Gram form's rounding bound,
-    4 (K + 2) eps (||m_i||^2 + p_i (q q^T) p_i^T), reads as exactly 0: every
-    entry is 0 or above that bound, never negative. norms is row_sq_norms(m)
-    and mq the product m @ q.T, both formed by the caller; m, p and q are
-    conformal (N x D, N x K, K x D), as fit's factors are.
+    norms = row_sq_norms(m) and mq = m @ q.T come from the caller; p and q
+    are N x K and K x D, as fit's factors are. On a row that p @ q fits almost
+    exactly the sum is cancellation noise, so a finite value at or below its
+    rounding bound, 4 (K + 2) eps (||m_i||^2 + p_i (q q^T) p_i^T), reads as
+    exactly 0: every finite entry is 0 or above that bound. An overflow stays
+    non-finite, so the caller sees it.
     """
     cross = np.einsum("ij,ij->i", p, mq)
     fit = np.einsum("ij,ij->i", p @ (q @ q.T), p)
     out = norms - 2.0 * cross + fit
-    out[out <= 4 * (p.shape[1] + 2) * np.finfo(np.float64).eps * (norms + fit)] = 0.0
+    out[np.isfinite(out) & (out <= 4 * (p.shape[1] + 2) * np.finfo(np.float64).eps
+                            * (norms + fit))] = 0.0
     return out

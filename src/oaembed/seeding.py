@@ -28,30 +28,27 @@ from .numerics import Handoff, check_integer, make_rng, named_rng
 from .tables import _data_lines, _write_lines, is_real
 
 OUTLIER_KINDS = ("structural", "attribute", "combined")
+_DEGREE_BAND = 0.10  # relative half-width of the planted degree around the class mean
 
 
 @dataclass
 class SeedingPlan:
-    """How many outliers to plant and how tightly to match class degrees.
+    """How many outliers to plant, and the seed of the planting stream.
 
     total_fraction of the node count (rounded up) is planted, split equally
-    across the three kinds with any remainder handed out in kind order.
-    degree_band is the relative half-width around the anchor class's mean
-    degree from which planted degrees are drawn. seed must be a Python or
-    numpy integer, and both fractions real numbers (a bool is not one);
-    anything else raises ConfigError.
+    across the three kinds with any remainder handed out in kind order;
+    planted degrees stay within _DEGREE_BAND (10 %) of the class mean. seed
+    must be a Python or numpy integer and total_fraction a real number (a
+    bool is not one); anything else raises ConfigError.
     """
 
     total_fraction: float = 0.05
-    degree_band: float = 0.10
     seed: int = 0
 
     def __post_init__(self):
         check_integer(self.seed, "seed")
         if not (is_real(self.total_fraction) and 0 <= self.total_fraction < 0.5):
             raise ConfigError(f"total_fraction must be in [0, 0.5), got {self.total_fraction!r}")
-        if not (is_real(self.degree_band) and 0 < self.degree_band < 1):
-            raise ConfigError(f"degree_band must be in (0, 1), got {self.degree_band!r}")
 
     def counts(self, n_nodes: int) -> tuple[int, int, int]:
         """Planted count per kind for an n_nodes network."""
@@ -167,15 +164,15 @@ class _AttrDistribution:
         return cls(support, w / w.sum(), values, counts)
 
 
-def _draw_degree(mean_deg: float, band: float, pool_size: int, rng) -> int:
-    """Integer degree uniform in [(1-band)m, (1+band)m], at least 1.
+def _draw_degree(mean_deg: float, pool_size: int, rng) -> int:
+    """Integer degree uniform in [(1-b)m, (1+b)m] for b = _DEGREE_BAND, at least 1.
 
     Falls back to round(m) when the band contains no integer; always capped
     at the size of the eligible neighbor pool. The 1e-9 nudge keeps float
-    noise in (1-band)*m from emptying an exactly-integer-bounded band.
+    noise in (1-b)*m from emptying an exactly-integer-bounded band.
     """
-    lo = max(1, math.ceil((1.0 - band) * mean_deg - 1e-9))
-    hi = math.floor((1.0 + band) * mean_deg + 1e-9)
+    lo = max(1, math.ceil((1.0 - _DEGREE_BAND) * mean_deg - 1e-9))
+    hi = math.floor((1.0 + _DEGREE_BAND) * mean_deg + 1e-9)
     if lo > hi:
         deg = max(1, round(mean_deg))
     else:
@@ -186,10 +183,10 @@ def _draw_degree(mean_deg: float, band: float, pool_size: int, rng) -> int:
 def _draw_attributes(dist: _AttrDistribution, rng):
     """Sample (indices, values) for a planted node's attribute row.
 
-    The nonzero count is one empirical draw from dist.counts; indices are a
-    weighted sample without replacement from the keyword distribution.
+    The nonzero count is one empirical draw from dist.counts, never empty;
+    indices are a weighted sample without replacement from the keywords.
     """
-    if dist.support.size == 0 or dist.counts.size == 0:
+    if dist.support.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
     cnt = int(dist.counts[rng.integers(dist.counts.size)])
     cnt = min(max(cnt, 1), dist.support.size)
@@ -206,7 +203,7 @@ def _pick_class(stats: _ClassStats, rng, exclude: int | None = None) -> int:
     return int(rng.choice(probs.size, p=probs))
 
 
-def _plant(kind: str, plan: SeedingPlan, rng, stats: _ClassStats) -> PlantedNode:
+def _plant(kind: str, rng, stats: _ClassStats) -> PlantedNode:
     """One planted node of the given kind. Draws, in this order: the anchor class,
     the attribute class (combined only), the degree, the neighbors, the attributes."""
     c = _pick_class(stats, rng)
@@ -214,7 +211,7 @@ def _plant(kind: str, plan: SeedingPlan, rng, stats: _ClassStats) -> PlantedNode
     attr_class = (_pick_class(stats, rng, exclude=c) if kind == "combined"
                   else None if kind == "attribute" else c)
     pool = stats.external[c] if struct_class is None else stats.members[c]
-    deg = _draw_degree(stats.mean_degree[c], plan.degree_band, pool.size, rng)
+    deg = _draw_degree(stats.mean_degree[c], pool.size, rng)
     neighbors = np.sort(rng.choice(pool, size=deg, replace=False))
     dist = stats.other[c] if attr_class is None else stats.own[attr_class]
     idx, vals = _draw_attributes(dist, rng)
@@ -236,7 +233,7 @@ def seed_outliers(net: AttributedNetwork, plan: SeedingPlan) -> SeededDataset:
 
     stats = _ClassStats(net)
     rng = named_rng(plan.seed, "seeding")
-    planted = [_plant(kind, plan, rng, stats)
+    planted = [_plant(kind, rng, stats)
                for kind, count in zip(OUTLIER_KINDS, counts) for _ in range(count)]
     del stats  # its K x n_attrs tables need not outlive the planting
 

@@ -374,6 +374,17 @@ def naive_loss_disagreement(g, u, w, scores) -> float:
     return total
 
 
+def naive_joint_loss(net, model, scores, attr_weight, dis_weight) -> float:
+    """The joint loss by explicit loops over dense residuals, entry by entry,
+    so no Gram-form cancellation enters it."""
+    return (naive_weighted_sq_loss(net.adjacency, model.struct_embed, model.struct_context,
+                                   scores.structural)
+            + attr_weight * naive_weighted_sq_loss(net.attributes, model.attr_embed,
+                                                   model.attr_basis, scores.attribute)
+            + dis_weight * naive_loss_disagreement(model.struct_embed, model.attr_embed,
+                                                   model.align, scores.disagreement))
+
+
 def naive_update_struct_embed(adj, model, scores, dis_weight) -> np.ndarray:
     a = to_dense(adj)
     g = model.struct_embed.copy()
@@ -528,7 +539,7 @@ def fit_inputs(model, adj=None, attrs=None) -> SimpleNamespace:
 def residuals(model, adj=None, attrs=None):
     """core._residuals with its inputs formed afresh by fit_inputs."""
     x = fit_inputs(model, adj, attrs)
-    return core._residuals(x.adj, x.attrs, model, x.norms, (x.ah, x.cv))
+    return core._residuals(model, x.norms, (x.ah, x.cv))
 
 
 def loss_terms(model, scores, adj=None, attrs=None):
@@ -537,12 +548,15 @@ def loss_terms(model, scores, adj=None, attrs=None):
     return core._loss_terms(residuals(model, adj, attrs), core._score_weights(scores))
 
 
-def reference_fit(net: AttributedNetwork, hp):
-    """fit's initialization and rounds as plain calls of the public update_*
-    functions, with every input formed afresh just before the call that
-    reads it: the score weights, the sparse transposes, A H^T, C V^T and the
-    row norms. fit forms each of these once and must match this bit for bit.
-    Returns (model, scores, loss trace)."""
+def fit_steps(net: AttributedNetwork, hp):
+    """fit's initialization and rounds as plain calls of the core kernels,
+    with every input formed afresh just before the call that reads it: the
+    score weights, the sparse transposes, A H^T, C V^T and the row norms.
+
+    Yields (step, model, scores, attr_weight, dis_weight) at the start (after
+    the calibration) and after each update of a round: "align" (from round
+    2 on), "G", "H", "U", "V" and "scores". The model is updated in place,
+    so a consumer reads it before asking for the next step."""
     adj, attrs = net.adjacency, net.attributes
     g, h = nmf_init(adj, hp.dim, hp.init_passes, named_rng(hp.seed, "init-structure"), adj.T)
     u, v = nmf_init(attrs, hp.dim, hp.init_passes, named_rng(hp.seed, "init-attributes"),
@@ -554,25 +568,39 @@ def reference_fit(net: AttributedNetwork, hp):
     attr_w, dis_w, _ = core._loss_ratios(*loss_terms(model, scores, adj, attrs))
     attr_weight = attr_w if hp.attr_weight is None else hp.attr_weight
     dis_weight = dis_w if hp.dis_weight is None else hp.dis_weight
-    trace = []
+    yield "start", model, scores, attr_weight, dis_weight
     for round_no in range(1, hp.iters + 1):
         if round_no > 1:
             model.align = core.update_alignment(model, core._score_weights(scores))
+            yield "align", model, scores, attr_weight, dis_weight
         model.struct_embed = core.update_struct_embed(
             model, core._score_weights(scores), dis_weight,
             np.asarray(adj @ model.struct_context.T), {})
+        yield "G", model, scores, attr_weight, dis_weight
         model.struct_context = core.update_struct_context(
             adj.T, model, core._score_weights(scores), {})
+        yield "H", model, scores, attr_weight, dis_weight
         model.attr_embed = core.update_attr_embed(
             model, core._score_weights(scores), attr_weight, dis_weight,
             np.asarray(attrs @ model.attr_basis.T), {})
+        yield "U", model, scores, attr_weight, dis_weight
         model.attr_basis = core.update_attr_basis(attrs.T, model, core._score_weights(scores), {})
-        round_residuals = residuals(model, adj, attrs)
+        yield "V", model, scores, attr_weight, dis_weight
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scores = OutlierScores(*(core.budget_scores(r, 1.0, 1e-8) for r in round_residuals))
-        trace.append(core._joint(core._loss_terms(round_residuals, core._score_weights(scores)),
-                                 attr_weight, dis_weight))
+            scores = OutlierScores(*(core.budget_scores(r, 1.0, 1e-8)
+                                     for r in residuals(model, adj, attrs)))
+        yield "scores", model, scores, attr_weight, dis_weight
+
+
+def reference_fit(net: AttributedNetwork, hp):
+    """fit_steps run to the end, with each round's loss by the path fit
+    runs. fit forms each input once and must match this bit for bit.
+    Returns (model, scores, loss trace)."""
+    trace = []
+    for step, model, scores, attr_weight, dis_weight in fit_steps(net, hp):
+        if step == "scores":
+            trace.append(joint_loss(net, model, scores, attr_weight, dis_weight))
     return model, scores, trace
 
 

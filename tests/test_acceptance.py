@@ -255,8 +255,7 @@ def test_criterion_8_seeder_contract(capsys):
 
     counts_ok = edges_ok = band_ok = True
     for run in range(50):
-        seeded = seed_outliers(base, SeedingPlan(total_fraction=0.05,
-                                                 degree_band=0.10, seed=run))
+        seeded = seed_outliers(base, SeedingPlan(total_fraction=0.05, seed=run))
         kinds = [p.kind for p in seeded.planted]
         total = math.ceil(0.05 * 120)
         counts_ok = counts_ok and len(kinds) == total and all(

@@ -618,7 +618,7 @@ def test_evaluate_all_leaves_scipy_optimize_unloaded():
 # Every flag of the four subcommands, with a value each accepts.
 SURFACE = {
     "seed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o",
-             "fraction": "0.1", "band": "0.2", "seed": "3"},
+             "fraction": "0.1", "seed": "3"},
     "embed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o", "k": "4",
               "iters": "2", "attr-weight": "0.5", "dis-weight": "0.5",
               "combine-weights": "0.2,0.3,0.5", "init-passes": "10", "seed": "3"},
@@ -752,7 +752,7 @@ def test_config_exclude_outliers_false_yields_to_the_bare_flag(seeded, embedded,
 
 
 @pytest.mark.parametrize("line,named", [("fraction=abc", "--fraction"), ("seed=1.5", "--seed"),
-                                        ("band=", "--band"), ("frac=0.1", "frac")])
+                                        ("frac=0.1", "frac")])
 def test_config_bad_value_or_abbreviated_key_exits_2(dataset, tmp_path, line, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -826,6 +826,7 @@ def test_embed_out_of_memory_exits_4(tmp_path):
     big = embed(n, "big")
     assert big.returncode == 4, big.stderr
     assert big.stderr.startswith("error: out of memory: Unable to allocate")
+    assert big.stderr.endswith(f" (fit of {n} nodes, {n} attributes, K = {n})\n")
     assert "Traceback" not in big.stderr
     small = embed(5, "small")
     assert small.returncode == 0, small.stderr

@@ -9,10 +9,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (fd_check_sweep, fit_inputs, joint_loss, loss_terms,
-                     naive_loss_disagreement, naive_update_attr_basis,
-                     naive_update_attr_embed, naive_update_struct_context,
-                     naive_update_struct_embed, naive_weighted_sq_loss,
+from helpers import (fd_check_sweep, fit_inputs, fit_steps, joint_loss, loss_terms,
+                     naive_joint_loss, naive_update_attr_basis, naive_update_attr_embed,
+                     naive_update_struct_context, naive_update_struct_embed,
                      rand_model, rand_network, rand_score_triplet, rand_scores,
                      random_orthogonal, reference_cd_sweep, reference_fit, residuals,
                      to_dense)
@@ -120,12 +119,7 @@ def test_loss_joint_matches_naive_oracle():
     net = rand_network(rng, 7, 5)
     model = rand_model(rng, 7, 3, 5)
     scores = rand_score_triplet(rng, 7)
-    want = (naive_weighted_sq_loss(net.adjacency, model.struct_embed,
-                                   model.struct_context, scores.structural)
-            + 0.7 * naive_weighted_sq_loss(net.attributes, model.attr_embed,
-                                           model.attr_basis, scores.attribute)
-            + 2.3 * naive_loss_disagreement(model.struct_embed, model.attr_embed,
-                                            model.align, scores.disagreement))
+    want = naive_joint_loss(net, model, scores, 0.7, 2.3)
     assert joint_loss(net, model, scores, 0.7, 2.3) == pytest.approx(want, rel=1e-9)
 
 
@@ -1053,8 +1047,12 @@ def degenerate_networks(draw):
     return AttributedNetwork(adjacency=adj, attributes=attrs)
 
 
+def _degenerate_params(net, seed):
+    return HyperParams(dim=min(net.n_nodes, net.n_attrs), seed=seed, iters=5)
+
+
 def _degenerate_fit(net, seed):
-    return fit(net, HyperParams(dim=min(net.n_nodes, net.n_attrs), seed=seed, iters=5))
+    return fit(net, _degenerate_params(net, seed))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -1062,6 +1060,21 @@ def _degenerate_fit(net, seed):
 def test_fit_loss_never_rises_on_degenerate_inputs(net, seed):
     _, _, result, diag = _degenerate_fit(net, seed)
     assert _largest_rise(diag, result) <= 1e-12 * diag.initial_loss
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(degenerate_networks(), st.integers(0, 2 ** 32 - 1))
+def test_joint_loss_never_rises_after_any_update_on_degenerate_inputs(net, seed):
+    # the loss after the start and after every align, G, H, U, V and score
+    # step of a fit's rounds, with dense residuals: the Gram form's rounding,
+    # scaled up by a large calibrated attr_weight, could mask or fake a rise
+    losses = [(step, naive_joint_loss(net, model, scores, attr_weight, dis_weight))
+              for step, model, scores, attr_weight, dis_weight
+              in fit_steps(net, _degenerate_params(net, seed))]
+    assert len(losses) == 1 + 5 * 5 + 4
+    rises = [(step, after - before) for (_, before), (step, after) in zip(losses, losses[1:])
+             if after - before > 1e-12 * losses[0][1]]
+    assert rises == []
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)

@@ -272,11 +272,6 @@ def test_train_stack_peak_allocation_below_one_and_a_half_stacks():
     assert peak < 1.5 * xs.nbytes
 
 
-def test_classifier_input_errors():
-    with pytest.raises(ValueError):
-        train_alone(np.ones((3, 2)), np.zeros(3, dtype=int))  # one class
-
-
 # ----------------------------------------------------------------- kmeans
 
 

@@ -286,7 +286,7 @@ def test_frobenius_dimension_mismatch():
 
 def sq_residuals(m, p, q):
     """row_sq_residuals with its norms and product formed here."""
-    return row_sq_residuals(m, p, q, row_sq_norms(m), np.asarray(m @ q.T))
+    return row_sq_residuals(p, q, row_sq_norms(m), np.asarray(m @ q.T))
 
 
 def test_row_sq_residuals_match_a_dense_reference():
@@ -399,6 +399,17 @@ def test_row_sq_residuals_read_rounding_noise_as_zero():
     assert want > 0 and got[-1] == pytest.approx(want, rel=1e-3)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_row_sq_residuals_keep_an_overflow_non_finite():
+    # the noise bound of an overflowing row is inf too, and inf <= inf once
+    # read the overflow as an exact fit; the finite rows keep their values
+    q = np.array([[1.0, 1.0]])
+    got = sq_residuals(sp.csr_matrix([[1.0, 2.0], [3.0, 4.0]]), np.array([[1e160], [1.0]]), q)
+    assert got[0] == np.inf and got[1] == 13.0
+    got = sq_residuals(sp.csr_matrix([[1e200, 0.0], [3.0, 4.0]]), np.zeros((2, 1)), q)
+    assert got[0] == np.inf and got[1] == 25.0  # ||m_0||^2 overflows, p fits nothing
+
+
 def test_package_never_densifies_sparse_matrices():
     # the sparse paths (adjacency, CSR attributes) must stay O(nnz) in memory
     sources = sorted(Path(oaembed.__file__).parent.glob("*.py"))
@@ -486,14 +497,17 @@ def test_concurrency_import_scanner_sees_every_spelling():
         "multiprocessing.pool", "threading"]
 
 
-# the kernels fit calls, per module: each input is checked once, where it
-# enters (AttributedNetwork, HyperParams, fit), so none of them re-checks it;
-# budget_scores and fit stay the checked entries
+# the kernels fit, evaluate_all and seed_outliers call, per module: each
+# input is checked once, where it enters (AttributedNetwork, HyperParams,
+# fit; evaluate_all and its splits; _ClassStats), so none of them re-checks
+# it; budget_scores, fit, evaluate_all and seed_outliers stay the checked entries
 FIT_KERNELS = {
     "core.py": ("_score_weights", "_residuals", "_loss_terms", "_joint", "_loss_ratios",
                 "_cd_sweep", "update_alignment", "update_struct_embed", "update_struct_context",
                 "update_attr_embed", "update_attr_basis", "_solve_scores", "_final_embedding"),
     "numerics.py": ("nmf_init", "row_sq_norms", "row_sq_residuals", "svd_small"),
+    "evaluation.py": ("_train_stack", "_descend", "_max_matching"),
+    "seeding.py": ("_draw_degree", "_draw_attributes"),
 }
 
 
@@ -525,6 +539,66 @@ def test_raise_scanner_sees_every_nesting():
         "class G:\n    def h(self):\n        raise ValueError\n")
     assert _raises_by_function(tree) == {"a": False, "b": True, "c": True, "d": True,
                                          "e": True, "f": False}
+
+
+def _parameters(node) -> set[str]:
+    args = node.args
+    return {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                args.vararg, args.kwarg) if arg is not None}
+
+
+def _loads(node, names: set[str]) -> set[str]:
+    """The names of `names` that node loads. A nested function or lambda that
+    takes one as its own parameter hides it in its body, not in its
+    defaults and decorators, which run in the enclosing scope."""
+    if isinstance(node, ast.Name):
+        return names & {node.id} if isinstance(node.ctx, ast.Load) else set()
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        outer = [*node.args.defaults, *filter(None, node.args.kw_defaults),
+                 *getattr(node, "decorator_list", [])]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        inner = names - _parameters(node)
+        return set().union(*(_loads(n, names) for n in outer), *(_loads(n, inner) for n in body))
+    return set().union(*(_loads(child, names) for child in ast.iter_child_nodes(node)))
+
+
+def _unread_parameters(tree) -> list[str]:
+    """'function (parameter)' for every parameter of every function and lambda
+    in tree that its body never loads; self and cls are exempt, and a
+    parameter only passed on to another call is read."""
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = _parameters(node) - {"self", "cls"}
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = set().union(*(_loads(n, params) for n in body))
+            unread += [f"{getattr(node, 'name', '<lambda>')} ({name})"
+                       for name in sorted(params - read)]
+    return unread
+
+
+def test_package_functions_read_every_parameter():
+    # a parameter no code reads is a second apparent source of the value it
+    # names, which a reader has to rule out
+    unread = [f"{path.name}:{entry}"
+              for path in sorted(Path(oaembed.__file__).parent.glob("*.py"))
+              for entry in _unread_parameters(ast.parse(path.read_text()))]
+    assert unread == []
+
+
+def test_unread_parameter_scanner_sees_closures_lambdas_and_star_args():
+    tree = ast.parse(
+        "def a(x, y):\n    return x\n"
+        "def b(x):\n    def inner():\n        return x\n    return inner\n"
+        "def c(x, y=None):\n    def inner(x, z=y):\n        return x, z\n    return inner\n"
+        "def d(*args, **kwargs):\n    return args\n"
+        "def e(*args, **kwargs):\n    return a(*args, **kwargs)\n"
+        "f = lambda x, y: x\n"
+        "g = lambda x: lambda: x\n"
+        "class H:\n    def m(self, x):\n        return x\n"
+        "    @classmethod\n    def n(cls, x):\n        del x\n")
+    assert sorted(_unread_parameters(tree)) == ["<lambda> (y)", "a (y)", "c (x)",
+                                                "d (kwargs)", "n (x)"]
 
 
 # a number or a range of numbers followed by a unit of time or memory

@@ -337,13 +337,9 @@ def test_plan_validation():
         SeedingPlan(total_fraction=-0.01)
     with pytest.raises(ValueError):
         SeedingPlan(total_fraction=0.5)
-    with pytest.raises(ValueError):
-        SeedingPlan(total_fraction=0.05, degree_band=0.0)
-    with pytest.raises(ValueError):
-        SeedingPlan(total_fraction=0.05, degree_band=1.0)
 
 
-@pytest.mark.parametrize("field", ["total_fraction", "degree_band"])
+@pytest.mark.parametrize("field", ["total_fraction"])
 @pytest.mark.parametrize("value", [False, True, "0.1", None, math.nan])
 def test_plan_refuses_bool_and_non_number_settings(field, value):
     # unchecked, False would plant nothing and "0.1" or None would fail
@@ -388,10 +384,9 @@ def regular_two_class_net(seed=0):
 def test_plant_structural_degree_band_and_edges():
     net = regular_two_class_net()
     stats = _ClassStats(net)
-    plan = SeedingPlan(total_fraction=0.05, degree_band=0.1)
     hits = 0
     for trial in range(30):
-        node = _plant("structural", plan, named_rng(trial, "t"), stats)
+        node = _plant("structural", named_rng(trial, "t"), stats)
         assert node.kind == "structural"
         assert node.struct_class is None
         assert node.attr_class == node.label
@@ -409,10 +404,9 @@ def test_plant_structural_degree_band_and_edges():
 def test_plant_structural_attributes_look_native():
     net = synth_network(120, 3, 0.2, 0.01, 120, 0.9, seed=7)
     stats = _ClassStats(net)
-    plan = SeedingPlan(total_fraction=0.05)
     own = total = 0
     for trial in range(30):
-        node = _plant("structural", plan, named_rng(trial, "s"), stats)
+        node = _plant("structural", named_rng(trial, "s"), stats)
         own += sum(block_of(j) == node.label for j in node.attr_indices)
         total += len(node.attr_indices)
         assert (np.asarray(node.attr_values) > 0).all()
@@ -422,9 +416,8 @@ def test_plant_structural_attributes_look_native():
 def test_plant_attribute_edges_and_foreign_attrs():
     net = synth_network(120, 3, 0.2, 0.01, 120, 1.0, seed=8)
     stats = _ClassStats(net)
-    plan = SeedingPlan(total_fraction=0.05)
     for trial in range(20):
-        node = _plant("attribute", plan, named_rng(trial, "a"), stats)
+        node = _plant("attribute", named_rng(trial, "a"), stats)
         assert node.kind == "attribute"
         assert node.struct_class == node.label
         assert node.attr_class is None
@@ -437,9 +430,8 @@ def test_plant_attribute_edges_and_foreign_attrs():
 def test_plant_combined_provenance():
     net = synth_network(120, 3, 0.2, 0.01, 120, 1.0, seed=9)
     stats = _ClassStats(net)
-    plan = SeedingPlan(total_fraction=0.05)
     for trial in range(20):
-        node = _plant("combined", plan, named_rng(trial, "c"), stats)
+        node = _plant("combined", named_rng(trial, "c"), stats)
         assert node.kind == "combined"
         assert node.struct_class is not None and node.attr_class is not None
         assert node.struct_class != node.attr_class
@@ -451,13 +443,12 @@ def test_plant_combined_provenance():
 def test_plant_degree_band_from_class_stats():
     net = synth_network(120, 3, 0.2, 0.01, 60, 0.9, seed=7)
     stats = _ClassStats(net)
-    plan = SeedingPlan(total_fraction=0.05, degree_band=0.1)
     means = {}
     for c in range(3):
         members = np.nonzero(net.labels == c)[0]
         means[c] = np.mean([degree_of(net, int(i)) for i in members])
     for trial in range(15):
-        node = _plant("attribute", plan, named_rng(trial, "band"), stats)
+        node = _plant("attribute", named_rng(trial, "band"), stats)
         lo = np.ceil(0.9 * means[node.label] - 1e-9)
         hi = np.floor(1.1 * means[node.label] + 1e-9)
         assert lo <= node.neighbors.size <= hi
@@ -465,14 +456,13 @@ def test_plant_degree_band_from_class_stats():
 
 def test_plant_requires_usable_network():
     net = synth_network(60, 2, 0.3, 0.02, 20, 0.9, seed=10)
-    plan = SeedingPlan(total_fraction=0.05)
     unlabeled = AttributedNetwork(adjacency=net.adjacency, attributes=net.attributes)
     with pytest.raises(ValueError):
-        _plant("structural", plan, make_rng(0), _ClassStats(unlabeled))
+        _plant("structural", make_rng(0), _ClassStats(unlabeled))
     single = AttributedNetwork(adjacency=net.adjacency, attributes=net.attributes,
                                labels=np.zeros(60, dtype=int), label_names=["only"])
     with pytest.raises(ValueError):
-        _plant("combined", plan, make_rng(0), _ClassStats(single))
+        _plant("combined", make_rng(0), _ClassStats(single))
 
 
 # ----------------------------------------------------------- full seeding
@@ -525,8 +515,7 @@ def test_seed_outliers_degrees_in_band():
     for c in range(3):
         members = np.nonzero(net.labels == c)[0]
         base_means[c] = np.mean([degree_of(net, int(i)) for i in members])
-    seeded = seed_outliers(net, SeedingPlan(total_fraction=0.05, degree_band=0.1,
-                                            seed=15))
+    seeded = seed_outliers(net, SeedingPlan(total_fraction=0.05, seed=15))
     for planted in seeded.planted:
         m = base_means[planted.label]
         lo = np.ceil(0.9 * m - 1e-9)
@@ -587,7 +576,7 @@ def test_seed_outliers_is_the_plant_calls_in_sequence():
     seeded = seed_outliers(net, plan)
     n_s, n_a, n_c = plan.counts(net.n_nodes)
     stream = named_rng(plan.seed, "seeding")
-    in_sequence = [_plant(kind, plan, stream, stats) for kind in
+    in_sequence = [_plant(kind, stream, stats) for kind in
                    ["structural"] * n_s + ["attribute"] * n_a + ["combined"] * n_c]
     assert len(seeded.planted) == len(in_sequence) == 12
     for got, want in zip(seeded.planted, in_sequence):
