@@ -142,13 +142,15 @@ def _score_weights(scores: OutlierScores) -> tuple[np.ndarray, np.ndarray, np.nd
                                       scores.disagreement))
 
 
-def _residuals(model: FactorModel, norms, products) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _residuals(model: FactorModel, norms, products,
+               grams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node squared residuals of the structure, attribute and alignment
-    fits from norms (row_sq_norms(A), row_sq_norms(C)) and products
-    (A H^T, C V^T); the dense alignment rows are subtracted directly."""
+    fits from norms (row_sq_norms(A), row_sq_norms(C)), products
+    (A H^T, C V^T) and grams (H H^T, V V^T); the dense alignment rows are
+    subtracted directly."""
     dis = model.attr_embed @ model.align.T - model.struct_embed
-    return (row_sq_residuals(model.struct_embed, model.struct_context, norms[0], products[0]),
-            row_sq_residuals(model.attr_embed, model.attr_basis, norms[1], products[1]),
+    return (row_sq_residuals(model.struct_embed, grams[0], norms[0], products[0]),
+            row_sq_residuals(model.attr_embed, grams[1], norms[1], products[1]),
             np.einsum("ij,ij->i", dis, dis))
 
 
@@ -224,14 +226,14 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
 
 
 def update_struct_embed(model: FactorModel, weights, dis_weight: float, ah: np.ndarray,
-                        diag: dict) -> np.ndarray:
+                        hh: np.ndarray, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_embed G: the structure
     term (w1, A H^T, H H^T) plus the alignment term (dis_weight w3, U W^T, I).
-    weights is _score_weights(scores), and ah is A H^T for the current H."""
-    h = model.struct_context
+    weights is _score_weights(scores), and ah and hh are A H^T and H H^T for
+    the current H."""
     w1, _, w3 = weights
-    terms = ((w1, ah, h @ h.T),
-             (dis_weight * w3, model.attr_embed @ model.align.T, np.eye(h.shape[0])))
+    terms = ((w1, ah, hh),
+             (dis_weight * w3, model.attr_embed @ model.align.T, np.eye(hh.shape[0])))
     return _cd_sweep(model.struct_embed, terms, diag, "struct_embed")
 
 
@@ -248,14 +250,14 @@ def update_struct_context(adj_t, model: FactorModel, weights, diag: dict) -> np.
 
 
 def update_attr_embed(model: FactorModel, weights, attr_weight: float, dis_weight: float,
-                      cv: np.ndarray, diag: dict) -> np.ndarray:
+                      cv: np.ndarray, vv: np.ndarray, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over attr_embed U: the attribute
     term (attr_weight w2, C V^T, V V^T) plus the alignment term
-    (dis_weight w3, G W, W^T W). cv is C V^T for the current V."""
-    v = model.attr_basis
+    (dis_weight w3, G W, W^T W). cv and vv are C V^T and V V^T for the
+    current V."""
     w = model.align
     _, w2, w3 = weights
-    terms = ((attr_weight * w2, cv, v @ v.T),
+    terms = ((attr_weight * w2, cv, vv),
              (dis_weight * w3, model.struct_embed @ w, w.T @ w))
     return _cd_sweep(model.attr_embed, terms, diag, "attr_embed")
 
@@ -402,12 +404,13 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     # optimum for the initial embeddings so calibration sees a sensible value
     model.align = update_alignment(model, weights)
 
-    # H and V change only in their own sweeps, so A H^T and C V^T stay
-    # valid until the next one
+    # H and V change only in their own sweeps, so A H^T, H H^T, C V^T and
+    # V V^T stay valid until the next one
     norms = (row_sq_norms(adj), row_sq_norms(attrs))
-    ah = np.asarray(adj @ model.struct_context.T)
-    cv = np.asarray(attrs @ model.attr_basis.T)
-    terms = _loss_terms(_residuals(model, norms, (ah, cv)), weights)
+    h, v = model.struct_context, model.attr_basis
+    ah, hh = np.asarray(adj @ h.T), h @ h.T
+    cv, vv = np.asarray(attrs @ v.T), v @ v.T
+    terms = _loss_terms(_residuals(model, norms, (ah, cv), (hh, vv)), weights)
     for term, value in zip(("structure", "attribute", "disagreement"), terms):
         if not np.isfinite(value):
             raise NumericError(f"initial {term} loss is non-finite; "
@@ -427,21 +430,21 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         if round_no > 1:  # round 1 would recompute the calibration's align
             model.align = update_alignment(model, weights)
             _check_finite(model.align, "align update", round_no)
-        model.struct_embed = update_struct_embed(model, weights, dis_weight, ah,
+        model.struct_embed = update_struct_embed(model, weights, dis_weight, ah, hh,
                                                  diagnostics.skipped)
         _check_finite(model.struct_embed, "struct_embed update", round_no)
-        model.struct_context = update_struct_context(adj_t, model, weights,
-                                                     diagnostics.skipped)
-        _check_finite(model.struct_context, "struct_context update", round_no)
-        ah = np.asarray(adj @ model.struct_context.T)
-        model.attr_embed = update_attr_embed(model, weights, attr_weight, dis_weight, cv,
+        h = model.struct_context = update_struct_context(adj_t, model, weights,
+                                                         diagnostics.skipped)
+        _check_finite(h, "struct_context update", round_no)
+        ah, hh = np.asarray(adj @ h.T), h @ h.T
+        model.attr_embed = update_attr_embed(model, weights, attr_weight, dis_weight, cv, vv,
                                              diagnostics.skipped)
         _check_finite(model.attr_embed, "attr_embed update", round_no)
-        model.attr_basis = update_attr_basis(attrs_t, model, weights, diagnostics.skipped)
-        _check_finite(model.attr_basis, "attr_basis update", round_no)
-        cv = np.asarray(attrs @ model.attr_basis.T)
+        v = model.attr_basis = update_attr_basis(attrs_t, model, weights, diagnostics.skipped)
+        _check_finite(v, "attr_basis update", round_no)
+        cv, vv = np.asarray(attrs @ v.T), v @ v.T
 
-        residuals = _residuals(model, norms, (ah, cv))
+        residuals = _residuals(model, norms, (ah, cv), (hh, vv))
         # finite residuals are nonnegative (row_sq_residuals floors them at
         # 0, the alignment's are sums of squares), so only finiteness is checked
         solved = []

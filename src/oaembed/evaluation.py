@@ -261,6 +261,8 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
         # the argmin over |c|^2 - 2 c.x, which drops each point's constant
         # |x|^2: k x N, not the N x k x F of a direct difference table
         c_sq = (centroids ** 2).sum(axis=1)
+        # each point's near-tie bound, read by the tie check and the reseed
+        bound = tie_scale * (x_norm + math.sqrt(c_sq.max())) ** 2
         score = centroids @ xt
         score *= -2.0
         score += c_sq[:, None]
@@ -281,8 +283,7 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
             # near ties take the argmin of their direct distances, so every
             # label is the one a direct table would give, duplicate centroids
             # and equidistant points included
-            near = np.flatnonzero(second - best
-                                  <= tie_scale * (x_norm + math.sqrt(c_sq.max())) ** 2)
+            near = np.flatnonzero(second - best <= bound)
             if near.size:
                 xn = x[near]
                 new_labels[near] = np.argmin(np.column_stack(
@@ -311,10 +312,9 @@ def kmeans_pp_full(points: np.ndarray, k: int, seed: int):
             # a point within the assignment's rounding bound of its centroid
             # already sits on it: re-seeding there would only swap clusters
             # at every step (k above the number of distinct points)
-            near_own = tie_scale * (x_norm + math.sqrt(c_sq.max())) ** 2
             for c in empty:
                 far = int(np.argmax(own))
-                if own[far] <= near_own[far]:
+                if own[far] <= bound[far]:
                     break
                 centroids[c] = x[far]
                 own[far] = -1.0

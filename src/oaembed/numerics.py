@@ -168,21 +168,22 @@ def row_sq_norms(m) -> np.ndarray:
     return out
 
 
-def row_sq_residuals(p: np.ndarray, q: np.ndarray, norms: np.ndarray,
+def row_sq_residuals(p: np.ndarray, qq: np.ndarray, norms: np.ndarray,
                      mq: np.ndarray) -> np.ndarray:
-    """Per-row squared reconstruction error of a sparse m, from its row norms
-    and product alone: out[i] = sum_j (m[i,j] - (p@q)[i,j])^2
+    """Per-row squared reconstruction error of a sparse m ~ p @ q, from its
+    row norms, product and Gram alone: out[i] = sum_j (m[i,j] - (p@q)[i,j])^2
     = ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T.
 
-    norms = row_sq_norms(m) and mq = m @ q.T come from the caller; p and q
-    are N x K and K x D, as fit's factors are. On a row that p @ q fits almost
-    exactly the sum is cancellation noise, so a finite value at or below its
-    rounding bound, 4 (K + 2) eps (||m_i||^2 + p_i (q q^T) p_i^T), reads as
-    exactly 0: every finite entry is 0 or above that bound. An overflow stays
-    non-finite, so the caller sees it.
+    norms = row_sq_norms(m), mq = m @ q.T and qq = q @ q.T come from the
+    caller, for p N x K and q K x D, as fit's factors are; q itself is never
+    read. On a row that p @ q fits almost exactly the sum is cancellation
+    noise, so a finite value at or below its rounding bound,
+    4 (K + 2) eps (||m_i||^2 + p_i (q q^T) p_i^T), reads as exactly 0: every
+    finite entry is 0 or above that bound. An overflow stays non-finite, so
+    the caller sees it.
     """
     cross = np.einsum("ij,ij->i", p, mq)
-    fit = np.einsum("ij,ij->i", p @ (q @ q.T), p)
+    fit = np.einsum("ij,ij->i", p @ qq, p)
     out = norms - 2.0 * cross + fit
     out[np.isfinite(out) & (out <= 4 * (p.shape[1] + 2) * np.finfo(np.float64).eps
                             * (norms + fit))] = 0.0

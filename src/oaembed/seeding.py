@@ -97,7 +97,9 @@ class SeededDataset:
 class _ClassStats:
     """Per-class empirical statistics used by the planting rules.
 
-    Class probabilities are the class-size shares, fixed for a whole seeding.
+    Class probabilities are the class-size shares, fixed for a whole seeding;
+    row c of second_probs is them with class c set to 0 and renormalised,
+    the odds of a combined outlier's second class.
     Degree sums, column sums and column nonzero counts are products with one
     dense N x K class indicator: of the degree vector, and of the transposed
     CSR attributes and their nonzero pattern. No N x D array is built, and
@@ -122,6 +124,8 @@ class _ClassStats:
         attrs = net.attributes
         nnz_counts = np.diff(attrs.indptr)
         self.class_probs = sizes / n
+        others = np.where(np.eye(k, dtype=bool), 0.0, self.class_probs)
+        self.second_probs = others / others.sum(axis=1, keepdims=True)
         self.members = [np.flatnonzero(net.labels == c) for c in range(k)]
         self.external = [np.flatnonzero(net.labels != c) for c in range(k)]
         # integer degree sums are exact in any summation order
@@ -194,21 +198,13 @@ def _draw_attributes(dist: _AttrDistribution, rng):
     return dist.support[pos], dist.values[pos]
 
 
-def _pick_class(stats: _ClassStats, rng, exclude: int | None = None) -> int:
-    probs = stats.class_probs
-    if exclude is not None:
-        probs = probs.copy()
-        probs[exclude] = 0.0
-        probs /= probs.sum()
-    return int(rng.choice(probs.size, p=probs))
-
-
 def _plant(kind: str, rng, stats: _ClassStats) -> PlantedNode:
     """One planted node of the given kind. Draws, in this order: the anchor class,
     the attribute class (combined only), the degree, the neighbors, the attributes."""
-    c = _pick_class(stats, rng)
+    k = stats.class_probs.size
+    c = int(rng.choice(k, p=stats.class_probs))
     struct_class = None if kind == "structural" else c
-    attr_class = (_pick_class(stats, rng, exclude=c) if kind == "combined"
+    attr_class = (int(rng.choice(k, p=stats.second_probs[c])) if kind == "combined"
                   else None if kind == "attribute" else c)
     pool = stats.external[c] if struct_class is None else stats.members[c]
     deg = _draw_degree(stats.mean_degree[c], pool.size, rng)

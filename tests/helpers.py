@@ -524,22 +524,23 @@ def reference_row_sq_norms(m) -> np.ndarray:
 def fit_inputs(model, adj=None, attrs=None) -> SimpleNamespace:
     """The matrix inputs fit hands the kernels, formed afresh for model: the
     adjacency and attributes as CSR (an omitted one is all zeros), their
-    transposes adj_t and attrs_t, norms (their row_sq_norms) and the
-    products ah = A H^T and cv = C V^T."""
+    transposes adj_t and attrs_t, norms (their row_sq_norms), the products
+    ah = A H^T and cv = C V^T and the Grams hh = H H^T and vv = V V^T."""
     n = model.struct_embed.shape[0]
     adj = sp.csr_matrix((n, n) if adj is None else adj, dtype=np.float64)
     attrs = sp.csr_matrix((n, model.attr_basis.shape[1]) if attrs is None else attrs,
                           dtype=np.float64)
+    h, v = model.struct_context, model.attr_basis
     return SimpleNamespace(adj=adj, attrs=attrs, adj_t=adj.T, attrs_t=attrs.T,
                            norms=(row_sq_norms(adj), row_sq_norms(attrs)),
-                           ah=np.asarray(adj @ model.struct_context.T),
-                           cv=np.asarray(attrs @ model.attr_basis.T))
+                           ah=np.asarray(adj @ h.T), cv=np.asarray(attrs @ v.T),
+                           hh=h @ h.T, vv=v @ v.T)
 
 
 def residuals(model, adj=None, attrs=None):
     """core._residuals with its inputs formed afresh by fit_inputs."""
     x = fit_inputs(model, adj, attrs)
-    return core._residuals(model, x.norms, (x.ah, x.cv))
+    return core._residuals(model, x.norms, (x.ah, x.cv), (x.hh, x.vv))
 
 
 def loss_terms(model, scores, adj=None, attrs=None):
@@ -551,7 +552,8 @@ def loss_terms(model, scores, adj=None, attrs=None):
 def fit_steps(net: AttributedNetwork, hp):
     """fit's initialization and rounds as plain calls of the core kernels,
     with every input formed afresh just before the call that reads it: the
-    score weights, the sparse transposes, A H^T, C V^T and the row norms.
+    score weights, the sparse transposes, A H^T, C V^T, H H^T, V V^T and the
+    row norms.
 
     Yields (step, model, scores, attr_weight, dis_weight) at the start (after
     the calibration) and after each update of a round: "align" (from round
@@ -575,14 +577,15 @@ def fit_steps(net: AttributedNetwork, hp):
             yield "align", model, scores, attr_weight, dis_weight
         model.struct_embed = core.update_struct_embed(
             model, core._score_weights(scores), dis_weight,
-            np.asarray(adj @ model.struct_context.T), {})
+            np.asarray(adj @ model.struct_context.T),
+            model.struct_context @ model.struct_context.T, {})
         yield "G", model, scores, attr_weight, dis_weight
         model.struct_context = core.update_struct_context(
             adj.T, model, core._score_weights(scores), {})
         yield "H", model, scores, attr_weight, dis_weight
         model.attr_embed = core.update_attr_embed(
             model, core._score_weights(scores), attr_weight, dis_weight,
-            np.asarray(attrs @ model.attr_basis.T), {})
+            np.asarray(attrs @ model.attr_basis.T), model.attr_basis @ model.attr_basis.T, {})
         yield "U", model, scores, attr_weight, dis_weight
         model.attr_basis = core.update_attr_basis(attrs.T, model, core._score_weights(scores), {})
         yield "V", model, scores, attr_weight, dis_weight
@@ -741,12 +744,14 @@ def fd_check_sweep(net, model, scores, attr_weight, dis_weight, rng, n_coords: i
     plans = [
         ("struct_embed",
          lambda: core.update_struct_embed(work, weights, dis_weight,
-                                          np.asarray(adj @ work.struct_context.T), {}), 1),
+                                          np.asarray(adj @ work.struct_context.T),
+                                          work.struct_context @ work.struct_context.T, {}), 1),
         ("struct_context",
          lambda: core.update_struct_context(adj.T, work, weights, {}), 0),
         ("attr_embed",
          lambda: core.update_attr_embed(work, weights, attr_weight, dis_weight,
-                                        np.asarray(attrs @ work.attr_basis.T), {}), 1),
+                                        np.asarray(attrs @ work.attr_basis.T),
+                                        work.attr_basis @ work.attr_basis.T, {}), 1),
         ("attr_basis",
          lambda: core.update_attr_basis(attrs.T, work, weights, {}), 0),
     ]

@@ -186,8 +186,8 @@ def unit_scores():
 
 def test_update_struct_embed_scalar():
     model = scalar_model(g=0.0, h=1.0, u=1.0, v=0.0)
-    got = update_struct_embed(model, _score_weights(unit_scores()), 1.0,
-                              fit_inputs(model, adj=[[2.0]]).ah, {})
+    x = fit_inputs(model, adj=[[2.0]])
+    got = update_struct_embed(model, _score_weights(unit_scores()), 1.0, x.ah, x.hh, {})
     assert got[0, 0] == pytest.approx(1.5, rel=1e-12)
 
 
@@ -202,8 +202,8 @@ def test_update_struct_embed_pure_least_squares_limit():
                         attr_basis=rng.normal(size=(n, n)),
                         align=np.eye(n))
     scores = rand_score_triplet(rng, n)
-    got = update_struct_embed(model, _score_weights(scores), 1e-12, fit_inputs(model, adj=a).ah,
-                              {})
+    x = fit_inputs(model, adj=a)
+    got = update_struct_embed(model, _score_weights(scores), 1e-12, x.ah, x.hh, {})
     assert np.allclose(got, a, atol=1e-8)
 
 
@@ -228,8 +228,8 @@ def test_update_struct_context_zero_column_guard():
 
 def test_update_attr_embed_scalar():
     model = scalar_model(g=4.0, h=0.0, u=0.0, v=1.0)
-    got = update_attr_embed(model, _score_weights(unit_scores()), 1.0, 1.0,
-                            fit_inputs(model, attrs=[[2.0]]).cv, {})
+    x = fit_inputs(model, attrs=[[2.0]])
+    got = update_attr_embed(model, _score_weights(unit_scores()), 1.0, 1.0, x.cv, x.vv, {})
     assert got[0, 0] == pytest.approx(3.0, rel=1e-12)
 
 
@@ -243,8 +243,8 @@ def test_update_attr_embed_attribute_only_limit():
                         attr_basis=np.eye(n),
                         align=np.eye(n))
     scores = rand_score_triplet(rng, n)
-    got = update_attr_embed(model, _score_weights(scores), 1.0, 1e-12,
-                            fit_inputs(model, attrs=c).cv, {})
+    x = fit_inputs(model, attrs=c)
+    got = update_attr_embed(model, _score_weights(scores), 1.0, 1e-12, x.cv, x.vv, {})
     assert np.allclose(got, c, atol=1e-8)
 
 
@@ -270,8 +270,8 @@ def test_update_struct_embed_degenerate_weights_guard():
     model = scalar_model(g=0.7, h=1.0, u=1.0, v=0.0)
     ones = OutlierScores(np.array([1.0]), np.array([1.0]), np.array([1.0]))
     diag = {}
-    got = update_struct_embed(model, _score_weights(ones), 1.0,
-                              fit_inputs(model, adj=[[2.0]]).ah, diag)
+    x = fit_inputs(model, adj=[[2.0]])
+    got = update_struct_embed(model, _score_weights(ones), 1.0, x.ah, x.hh, diag)
     assert got[0, 0] == 0.7
     assert diag["struct_embed"] == 1
 
@@ -280,8 +280,8 @@ def test_update_attr_embed_degenerate_weights_guard():
     model = scalar_model(g=1.0, h=0.0, u=0.7, v=1.0)
     ones = OutlierScores(np.array([1.0]), np.array([1.0]), np.array([1.0]))
     diag = {}
-    got = update_attr_embed(model, _score_weights(ones), 1.0, 1.0,
-                            fit_inputs(model, attrs=[[2.0]]).cv, diag)
+    x = fit_inputs(model, attrs=[[2.0]])
+    got = update_attr_embed(model, _score_weights(ones), 1.0, 1.0, x.cv, x.vv, diag)
     assert got[0, 0] == 0.7
     assert diag["attr_embed"] == 1
 
@@ -298,7 +298,7 @@ def test_updates_match_naive_gauss_seidel(skew):
     x = fit_inputs(model, net.adjacency, net.attributes)
     weights = _score_weights(scores)
 
-    got = update_struct_embed(model, weights, 1.7, x.ah, {})
+    got = update_struct_embed(model, weights, 1.7, x.ah, x.hh, {})
     want = naive_update_struct_embed(net.adjacency, model, scores, 1.7)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -306,7 +306,7 @@ def test_updates_match_naive_gauss_seidel(skew):
     want = naive_update_struct_context(net.adjacency, model, scores)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
-    got = update_attr_embed(model, weights, 0.8, 1.7, x.cv, {})
+    got = update_attr_embed(model, weights, 0.8, 1.7, x.cv, x.vv, {})
     want = naive_update_attr_embed(net.attributes, model, scores, 0.8, 1.7)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -896,6 +896,51 @@ def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch)
     assert ends == list(range(1, hp.iters + 1))  # the uniform start's, then each round's
     assert len(weighed) == hp.iters + 1
     assert (net.adjacency.transposes, net.attributes.transposes) == (1, 1)
+
+
+def test_fit_hands_each_gram_from_the_residual_pass_to_the_next_sweep(monkeypatch):
+    # H H^T and V V^T are formed once per change of H and V: the Gram that a
+    # residual pass reads is the object the next round's G or U sweep reads,
+    # and it is the current factor's Gram, bit for bit
+    net = _directed_network(make_rng(27), 30, 12)
+    models, reads = [], {"H": [], "V": []}  # per Gram: (reader, gram, is it exact)
+
+    def exact(gram, factor):
+        return gram.tobytes() == (factor @ factor.T).tobytes()
+
+    align = core.update_alignment
+    monkeypatch.setattr(core, "update_alignment",
+                        lambda model, weights: models.append(model) or align(model, weights))
+    residual_pass = core.row_sq_residuals
+
+    def pass_spy(p, qq, norms, mq):
+        model = models[0]  # fit updates its one model in place
+        which, factor = (("H", model.struct_context) if p is model.struct_embed
+                         else ("V", model.attr_basis))
+        reads[which].append(("pass", qq, exact(qq, factor)))
+        return residual_pass(p, qq, norms, mq)
+
+    struct_sweep, attr_sweep = core.update_struct_embed, core.update_attr_embed
+
+    def struct_spy(model, weights, dis_weight, ah, hh, diag):
+        reads["H"].append(("sweep", hh, exact(hh, model.struct_context)))
+        return struct_sweep(model, weights, dis_weight, ah, hh, diag)
+
+    def attr_spy(model, weights, attr_weight, dis_weight, cv, vv, diag):
+        reads["V"].append(("sweep", vv, exact(vv, model.attr_basis)))
+        return attr_sweep(model, weights, attr_weight, dis_weight, cv, vv, diag)
+
+    monkeypatch.setattr(core, "row_sq_residuals", pass_spy)
+    monkeypatch.setattr(core, "update_struct_embed", struct_spy)
+    monkeypatch.setattr(core, "update_attr_embed", attr_spy)
+    hp = HyperParams(dim=4, seed=1, iters=3)
+    fit(net, hp)
+    for seen in reads.values():
+        # the initial pass, then each round's sweep and pass
+        assert [reader for reader, _, _ in seen] == ["pass"] + ["sweep", "pass"] * hp.iters
+        assert all(ok for _, _, ok in seen)
+        for (_, handed, _), (_, read, _) in zip(seen[::2], seen[1::2]):
+            assert read is handed
 
 
 def _directed_network(rng, n, d):

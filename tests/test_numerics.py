@@ -285,8 +285,8 @@ def test_frobenius_dimension_mismatch():
 
 
 def sq_residuals(m, p, q):
-    """row_sq_residuals with its norms and product formed here."""
-    return row_sq_residuals(p, q, row_sq_norms(m), np.asarray(m @ q.T))
+    """row_sq_residuals with its norms, product and Gram formed here."""
+    return row_sq_residuals(p, q @ q.T, row_sq_norms(m), np.asarray(m @ q.T))
 
 
 def test_row_sq_residuals_match_a_dense_reference():
