@@ -9,6 +9,13 @@ the paper, with entries in [1e-8, 1). A node with a large score has weight
 near 0, so a poorly fitting node can be discounted instead of distorting the
 factors; the scores themselves are the outlier signal.
 
+The weights follow from the paper's objective and constraint, as a
+contract. Above the floor each score is s_i = r_i / lam, for r_i node i's
+residual in that term and lam = (sum of the free r) / (1 - 1e-8 * (number
+floored)). So w_i = log(lam / r_i), which is log(sum r / r_i) when no score
+is floored: a node with c times the mean residual keeps a fraction
+1 - ln c / ln N of the weight of a node with the mean residual.
+
 The joint objective is
 
     sum_i log(1/s1_i) ||A_i - (GH)_i||^2
@@ -38,10 +45,11 @@ O(nnz(C) K + (N + D) K^2), never O(N D K).
 Each shared quantity has one source, fit, which forms it once, and every
 kernel takes it as a required argument and forms none itself: A^T, C^T and
 the row norms ||A_i||^2 and ||C_i||^2 once per fit; the three log(1 / score)
-weight vectors (_score_weights) once per new set of scores; A H^T and C V^T
-once per change of H and V. Every kernel reads every input it takes: an
-update reads the weights, never the scores; the G and U sweeps read no input
-matrix, and the residual pass only the row norms and the two products. An
+weight vectors (_score_weights) once per new set of scores; A H^T and H H^T
+once per change of H, and C V^T and V V^T once per change of V. Every kernel
+reads every input it takes: an update reads the weights, never the scores;
+the G and U sweeps read no input matrix, and the residual pass only the row
+norms, the two products and the two Grams. An
 undirected network's A is symmetric and serves as its own A^T: its CSR
 products add in the order of the CSC ones, bit for bit.
 
@@ -364,9 +372,10 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     joint loss. So loss_trace holds `iters` non-increasing losses.
 
     A round forms four sparse products, each once: A^T (G*w1) for the H
-    sweep, then A H^T, C^T (U*w2) for the V sweep, then C V^T. A H^T and
-    C V^T serve the round's residuals and the next round's G and U sweeps;
-    the initial residual pass hands round 1 its pair the same way. The
+    sweep, then A H^T, C^T (U*w2) for the V sweep, then C V^T. A H^T with
+    the Gram H H^T, and C V^T with V V^T, serve the round's residuals and the
+    next round's G and U sweeps; the initial residual pass hands round 1
+    its products and Grams the same way. The
     uniform start's weights serve the initial align, the calibration and
     round 1, and each round's serve its loss and the next round's updates.
 
