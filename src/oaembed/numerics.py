@@ -175,9 +175,9 @@ def row_sq_residuals(p: np.ndarray, qq: np.ndarray, norms: np.ndarray,
     = ||m_i||^2 - 2 p_i.(m q^T)_i + p_i (q q^T) p_i^T.
 
     norms = row_sq_norms(m), mq = m @ q.T and qq = q @ q.T come from the
-    caller, for p N x K and q K x D, as fit's factors are; q itself is never
-    read. On a row that p @ q fits almost exactly the sum is cancellation
-    noise, so a finite value at or below its rounding bound,
+    caller, for p N x K and q K x D, as fit's factors are. On a row that
+    p @ q fits almost exactly the sum is cancellation noise, so a finite
+    value at or below its rounding bound,
     4 (K + 2) eps (||m_i||^2 + p_i (q q^T) p_i^T), reads as exactly 0: every
     finite entry is 0 or above that bound. An overflow stays non-finite, so
     the caller sees it.
