@@ -191,9 +191,12 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
 
     Minimizes sum_t sum_i a_t[i] ||T_t[i] - x[i] B_t||^2 one column at a time,
     all rows at once (rows are independent given the other columns). Each
-    term is (a_t, T_t B_t^T, B_t B_t^T): row weights of length M, an M x K
-    cross product and a K x K Gram. A coordinate whose quadratic coefficient
-    is below 1e-12 is left unchanged and counted under diag[key].
+    term is (a_t, T_t B_t^T, B_t B_t^T): row weights of length M, or a
+    scalar weight for every row, an M x K cross product and a K x K Gram. A
+    coordinate whose quadratic coefficient is below 1e-12 is left unchanged
+    and counted under diag[key]. A scalar weight keeps the quadratic
+    coefficients and their inverses 1 x K, with the bits of M equal rows,
+    and a skipped coefficient then counts once for each of the M rows.
 
     A term whose Gram is diagonal (the identity of the G sweep's alignment
     term, or any Gram at K = 1) couples no columns: its share of each column
@@ -202,11 +205,12 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
     coefficients and the base but runs no column products.
     """
     x = np.array(x, dtype=np.float64, order="F")  # x[:, k] contiguous
+    terms = [(np.reshape(a, (-1, 1)), cross, gram) for a, cross, gram in terms]
     diags = [np.diag(gram) for _, _, gram in terms]
-    den = sum(a[:, None] * dg for (a, _, _), dg in zip(terms, diags))  # M x K
-    num = sum(a[:, None] * cross for a, cross, _ in terms)
+    den = sum(a * dg for (a, _, _), dg in zip(terms, diags))  # M x K, or 1 x K
+    num = sum(a * cross for a, cross, _ in terms)
     ok = den >= _DEGENERATE_DEN
-    n_skipped = ok.size - np.count_nonzero(ok)
+    n_skipped = (ok.size - np.count_nonzero(ok)) * (x.shape[0] // ok.shape[0])
     # x[:, k] = base[:, k] - sum_t coef_t[:, k] * (x @ off_t[:, k]), where off_t
     # is the Gram with a zero diagonal, so column k drops out of its own update;
     # a skipped coordinate has coef 0 and base equal to its current value
@@ -215,7 +219,7 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
         base = np.where(ok, num / den, x)
     else:
         base = np.divide(num, den, out=num)
-    parts = [(a[:, None] / den, off) for (a, _, gram), dg in zip(terms, diags)
+    parts = [(a / den, off) for (a, _, gram), dg in zip(terms, diags)
              if (off := gram - np.diag(dg)).any()]
     if not parts:
         x[:] = base
@@ -247,13 +251,13 @@ def update_struct_embed(model: FactorModel, weights, dis_weight: float, ah: np.n
 
 def update_struct_context(adj_t, model: FactorModel, weights, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_context H. Its columns are
-    independent, so the kernel sweeps H^T with unit row weights and the scores
-    folded into the term (A^T (G*w1), G^T (G*w1)). adj_t is A^T; for a
+    independent, so the kernel sweeps H^T with the scalar weight 1.0 and the
+    scores folded into the term (A^T (G*w1), G^T (G*w1)). adj_t is A^T; for a
     symmetric A (an undirected network) it may be A itself, whose CSR product
     gives the bits of the CSC product of A^T."""
     g = model.struct_embed
     gw = g * weights[0][:, None]
-    terms = ((np.ones(adj_t.shape[0]), np.asarray(adj_t @ gw), g.T @ gw),)
+    terms = ((1.0, np.asarray(adj_t @ gw), g.T @ gw),)
     return _cd_sweep(model.struct_context.T, terms, diag, "struct_context").T
 
 
@@ -272,11 +276,11 @@ def update_attr_embed(model: FactorModel, weights, attr_weight: float, dis_weigh
 
 def update_attr_basis(attrs_t, model: FactorModel, weights, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over attr_basis V, on V^T as for
-    struct_context, with the term (ones, C^T (U*w2), U^T (U*w2)). attrs_t is
+    struct_context, with the term (1.0, C^T (U*w2), U^T (U*w2)). attrs_t is
     C^T."""
     u = model.attr_embed
     uw = u * weights[1][:, None]
-    terms = ((np.ones(attrs_t.shape[0]), np.asarray(attrs_t @ uw), u.T @ uw),)
+    terms = ((1.0, np.asarray(attrs_t @ uw), u.T @ uw),)
     return _cd_sweep(model.attr_basis.T, terms, diag, "attr_basis").T
 
 

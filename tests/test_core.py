@@ -366,6 +366,24 @@ def test_cd_sweep_matches_the_kernel_without_zero_gram_skips(m, k, n_terms, zero
     assert got_diag == want_diag == ({"x": zero_rows * k} if zero_rows else {})
 
 
+@pytest.mark.parametrize("m", [1, 7, 50, 300])
+def test_cd_sweep_scalar_weight_is_a_column_of_ones(m):
+    # the H and V sweeps pass the scalar 1.0: it must give the bits and the
+    # skip count of unit row weights, here with a zero Gram row and column
+    # (one coordinate skipped in every row)
+    rng = make_rng(200 + m)
+    k = 5
+    x, cross = rng.normal(size=(m, k)), rng.normal(size=(m, k))
+    b = rng.normal(size=(k, k + 3))
+    b[2] = 0.0
+    gram = b @ b.T
+    got_diag, want_diag = {}, {}
+    got = core._cd_sweep(x, ((1.0, cross, gram),), got_diag, "x")
+    want = core._cd_sweep(x, ((np.ones(m), cross, gram),), want_diag, "x")
+    assert got.tobytes() == want.tobytes()
+    assert got_diag == want_diag == {"x": m}
+
+
 # ------------------------------------------------------------- alignment
 
 

@@ -36,7 +36,7 @@ from oaembed.seeding import SeedingPlan, seed_outliers, synth_network
 
 K, ITERS = 15, 4
 # peak <= (1 + MARGIN) * (A_BYTES (N + D) K 8 + B_BYTES nnz + C_BYTES)
-A_BYTES, B_BYTES, C_BYTES = 7.544, 7.519, -582_987
+A_BYTES, B_BYTES, C_BYTES = 5.41, 9.987, -330_400
 MARGIN = 0.02
 GROWTH = 2.1  # at twice N and twice nnz, no traced peak may grow more
 
