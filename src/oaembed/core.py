@@ -46,7 +46,10 @@ Each shared quantity has one source, fit, which forms it once, and every
 kernel takes it as a required argument and forms none itself: A^T, C^T and
 the row norms ||A_i||^2 and ||C_i||^2 once per fit; the three log(1 / score)
 weight vectors (_score_weights) once per new set of scores; A H^T and H H^T
-once per change of H, and C V^T and V V^T once per change of V. Every kernel
+once per change of H, and C V^T and V V^T once per change of V, the first
+of each from nmf_init's last pass, which forms them from the H and V it
+returns. The H and V sweeps pass the scalar weight 1.0, not a vector of
+ones, so no M x K array of equal rows is formed. Every kernel
 reads every input it takes: an update reads the weights, never the scores;
 the G and U sweeps read no input matrix, and the residual pass only the row
 norms, the two products and the two Grams. An
@@ -375,11 +378,12 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     pass that yields both the new scores (floored at 1e-8) and the round's
     joint loss. So loss_trace holds `iters` non-increasing losses.
 
-    A round forms four sparse products, each once: A^T (G*w1) for the H
-    sweep, then A H^T, C^T (U*w2) for the V sweep, then C V^T. A H^T with
+    A fit forms 4 * init_passes + 4 * iters sparse products, each once:
+    two per nmf_init pass and view, and four per round: A^T (G*w1) for the
+    H sweep, then A H^T, C^T (U*w2) for the V sweep, then C V^T. A H^T with
     the Gram H H^T, and C V^T with V V^T, serve the round's residuals and the
-    next round's G and U sweeps; the initial residual pass hands round 1
-    its products and Grams the same way. The
+    next round's G and U sweeps; the ones nmf_init's last passes hand on
+    serve the initial residual pass and round 1 the same way. The
     uniform start's weights serve the initial align, the calibration and
     round 1, and each round's serve its loss and the next round's updates.
 
@@ -401,9 +405,13 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     # sparse .T builds a new CSC object on each call, so build each once
     adj_t = adj.T if net.directed else adj
     attrs_t = attrs.T
-    g, h = nmf_init(adj, hp.dim, hp.init_passes, named_rng(hp.seed, "init-structure"), adj_t)
-    u, v = nmf_init(attrs, hp.dim, hp.init_passes, named_rng(hp.seed, "init-attributes"),
-                    attrs_t)
+    # each initialization's last pass hands on A H^T, H H^T, C V^T and V V^T
+    # for the initial residual pass and round 1; H and V change only in their
+    # own sweeps, so each product and Gram stays valid until the next one
+    g, h, ah, hh = nmf_init(adj, hp.dim, hp.init_passes, named_rng(hp.seed, "init-structure"),
+                            adj_t)
+    u, v, cv, vv = nmf_init(attrs, hp.dim, hp.init_passes,
+                            named_rng(hp.seed, "init-attributes"), attrs_t)
     for what, factor in (("structure", g), ("structure", h),
                          ("attribute", u), ("attribute", v)):
         if not np.isfinite(factor).all():
@@ -417,12 +425,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     # optimum for the initial embeddings so calibration sees a sensible value
     model.align = update_alignment(model, weights)
 
-    # H and V change only in their own sweeps, so A H^T, H H^T, C V^T and
-    # V V^T stay valid until the next one
     norms = (row_sq_norms(adj), row_sq_norms(attrs))
-    h, v = model.struct_context, model.attr_basis
-    ah, hh = np.asarray(adj @ h.T), h @ h.T
-    cv, vv = np.asarray(attrs @ v.T), v @ v.T
     terms = _loss_terms(_residuals(model, norms, (ah, cv), (hh, vv)), weights)
     for term, value in zip(("structure", "attribute", "disagreement"), terms):
         if not np.isfinite(value):

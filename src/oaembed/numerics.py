@@ -140,6 +140,9 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt):
     (sparse .T builds a new object on each call). fit guarantees, and nothing
     here re-checks, that m is finite, nonnegative CSR (never densified), that
     1 <= k <= min(m.shape) and that iters >= 1.
+
+    Returns (p, q, m @ q.T, q @ q.T): the last pass forms the product and
+    the Gram from the q it returns, so the caller need not form them again.
     """
     p = rng.uniform(0.1, 1.0, size=(m.shape[0], k))
     q = rng.uniform(0.1, 1.0, size=(k, m.shape[1]))
@@ -150,7 +153,7 @@ def nmf_init(m, k: int, iters: int, rng: np.random.Generator, mt):
         mq, qq = np.asarray(m @ q.T), q @ q.T
         for _ in range(3):
             p *= mq / np.maximum(p @ qq, _DIV_FLOOR)
-    return p, q
+    return p, q, mq, qq
 
 
 def row_sq_norms(m) -> np.ndarray:

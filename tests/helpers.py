@@ -553,16 +553,19 @@ def fit_steps(net: AttributedNetwork, hp):
     """fit's initialization and rounds as plain calls of the core kernels,
     with every input formed afresh just before the call that reads it: the
     score weights, the sparse transposes, A H^T, C V^T, H H^T, V V^T and the
-    row norms.
+    row norms. Only nmf_init's factors are read, not the products and Grams
+    it hands on, so fit is compared against a replay that shares none of its
+    hand-ons.
 
     Yields (step, model, scores, attr_weight, dis_weight) at the start (after
     the calibration) and after each update of a round: "align" (from round
     2 on), "G", "H", "U", "V" and "scores". The model is updated in place,
     so a consumer reads it before asking for the next step."""
     adj, attrs = net.adjacency, net.attributes
-    g, h = nmf_init(adj, hp.dim, hp.init_passes, named_rng(hp.seed, "init-structure"), adj.T)
+    g, h = nmf_init(adj, hp.dim, hp.init_passes, named_rng(hp.seed, "init-structure"),
+                    adj.T)[:2]
     u, v = nmf_init(attrs, hp.dim, hp.init_passes, named_rng(hp.seed, "init-attributes"),
-                    attrs.T)
+                    attrs.T)[:2]
     uniform = np.full(net.n_nodes, 1.0 / net.n_nodes)
     scores = OutlierScores(uniform.copy(), uniform.copy(), uniform.copy())
     model = FactorModel(g, h, u, v, np.eye(hp.dim))

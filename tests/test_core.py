@@ -780,8 +780,8 @@ def test_fit_forms_each_sparse_product_once_per_round(monkeypatch):
 
     ends = at_round_end[::3]
     assert len(ends) == hp.iters
-    # one nmf_init pass (A^T P and A Q^T), the initial residuals' A H^T, round 1
-    assert ends[0] == {"A": 3, "AT": 2, "C": 3, "CT": 2, "A*": 1, "C*": 1}
+    # one nmf_init pass (A^T P and A Q^T, which the initial residuals reuse), round 1
+    assert ends[0] == {"A": 2, "AT": 2, "C": 2, "CT": 2, "A*": 1, "C*": 1}
     for before, after in zip(ends, ends[1:]):
         assert {k: after[k] - before[k] for k in after} == {
             "A": 1, "AT": 1, "C": 1, "CT": 1, "A*": 0, "C*": 0}
@@ -807,7 +807,7 @@ def test_fit_uses_an_undirected_adjacency_as_its_own_transpose(monkeypatch):
     monkeypatch.setattr(core, "_solve_scores", spy)
     fit(net, HyperParams(dim=3, seed=1, iters=3))
     ends = at_round_end[::3]
-    assert ends[0] == {"A": 5, "C": 3, "CT": 2}
+    assert ends[0] == {"A": 4, "C": 2, "CT": 2}
     for before, after in zip(ends, ends[1:]):
         assert {k: after[k] - before[k] for k in after} == {"A": 2, "C": 1, "CT": 1}
     assert tally == ends[-1]
@@ -919,9 +919,13 @@ def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch)
 def test_fit_hands_each_gram_from_the_residual_pass_to_the_next_sweep(monkeypatch):
     # H H^T and V V^T are formed once per change of H and V: the Gram that a
     # residual pass reads is the object the next round's G or U sweep reads,
-    # and it is the current factor's Gram, bit for bit
+    # and it is the current factor's Gram, bit for bit; the initial pass reads
+    # the product and Gram that nmf_init returned
     net = _directed_network(make_rng(27), 30, 12)
     models, reads = [], {"H": [], "V": []}  # per Gram: (reader, gram, is it exact)
+    inits, products = [], {"H": [], "V": []}
+    nmf_init = core.nmf_init
+    monkeypatch.setattr(core, "nmf_init", lambda *a: inits.append(nmf_init(*a)) or inits[-1])
 
     def exact(gram, factor):
         return gram.tobytes() == (factor @ factor.T).tobytes()
@@ -936,6 +940,7 @@ def test_fit_hands_each_gram_from_the_residual_pass_to_the_next_sweep(monkeypatc
         which, factor = (("H", model.struct_context) if p is model.struct_embed
                          else ("V", model.attr_basis))
         reads[which].append(("pass", qq, exact(qq, factor)))
+        products[which].append(mq)
         return residual_pass(p, qq, norms, mq)
 
     struct_sweep, attr_sweep = core.update_struct_embed, core.update_attr_embed
@@ -959,6 +964,8 @@ def test_fit_hands_each_gram_from_the_residual_pass_to_the_next_sweep(monkeypatc
         assert all(ok for _, _, ok in seen)
         for (_, handed, _), (_, read, _) in zip(seen[::2], seen[1::2]):
             assert read is handed
+    for (_, _, mq, qq), which in zip(inits, ("H", "V")):
+        assert products[which][0] is mq and reads[which][0][1] is qq
 
 
 def _directed_network(rng, n, d):

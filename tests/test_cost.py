@@ -111,12 +111,13 @@ def _sparse_products(monkeypatch, net, hp):
 
 @pytest.mark.parametrize("passes, iters", [(1, 1), (1, 4), (3, 2)])
 def test_fit_forms_a_fixed_number_of_sparse_products(monkeypatch, passes, iters):
-    # per view: two per nmf_init pass, one for the initial residual pass and
-    # two per round (the basis sweep's and the next residual pass's)
+    # per view: two per nmf_init pass (the last one's product serves the
+    # initial residual pass) and two per round (the basis sweep's and the
+    # next residual pass's)
     net = _sbm(2000)[1]
     count, work = _sparse_products(monkeypatch, net, HyperParams(dim=K, seed=0, iters=iters,
                                                                  init_passes=passes))
-    per_view = 2 * passes + 1 + 2 * iters
+    per_view = 2 * passes + 2 * iters
     assert (count, work) == (2 * per_view, per_view * _nnz(net) * K)
 
 

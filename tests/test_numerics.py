@@ -159,9 +159,10 @@ def test_svd_input_errors():
 
 
 def nmf(m, k, iters, rng):
-    """nmf_init of m as CSR, handed its transpose as fit hands it."""
+    """nmf_init's factors (p, q) of m as CSR, handed its transpose as fit
+    hands it."""
     m = sp.csr_matrix(m)
-    return nmf_init(m, k, iters, rng, m.T)
+    return nmf_init(m, k, iters, rng, m.T)[:2]
 
 
 def test_nmf_rank_one_recovery():
@@ -206,10 +207,28 @@ def test_nmf_runs_exactly_iters_passes():
     for passes in (1, 2, 3, 4):
         counted = _ProductCounted(m), _ProductCounted(m.T)
         products = counted[0].products = counted[1].products = []
-        runs.append(nmf_init(counted[0], 3, passes, make_rng(4), counted[1]))
+        runs.append(nmf_init(counted[0], 3, passes, make_rng(4), counted[1])[:2])
         assert len(products) == 2 * passes
     for (p1, q1), (p2, q2) in itertools.combinations(runs, 2):
         assert not np.array_equal(p1, p2) and not np.array_equal(q1, q2)
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+@pytest.mark.parametrize("directed", [False, True], ids=["attributes", "directed-adjacency"])
+def test_nmf_hands_on_the_product_and_gram_of_its_last_factor(passes, directed):
+    # fit reads the returned m q^T and q q^T in place of forming them again,
+    # so they must be the bits of forming them from the returned q
+    rng = make_rng(8)
+    if directed:  # a square, non-symmetric m with its transpose as CSC
+        m = sp.random(30, 30, density=0.15, random_state=rng, format="csr",
+                      data_rvs=lambda size: rng.uniform(0.5, 3.0, size))
+    else:
+        m = sp.random(30, 12, density=0.4, random_state=rng, format="csr",
+                      data_rvs=lambda size: rng.uniform(0.2, 2.0, size))
+    p, q, mq, qq = nmf_init(m, 4, passes, make_rng(2), m.T)
+    assert mq.tobytes() == np.asarray(m @ q.T).tobytes()
+    assert qq.tobytes() == (q @ q.T).tobytes()
+    assert mq.shape == (m.shape[0], 4) and qq.shape == (4, 4)
 
 
 @pytest.mark.parametrize("kind", ["sparse", "dense"])
