@@ -197,9 +197,9 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
     term is (a_t, T_t B_t^T, B_t B_t^T): row weights of length M, or a
     scalar weight for every row, an M x K cross product and a K x K Gram. A
     coordinate whose quadratic coefficient is below 1e-12 is left unchanged
-    and counted under diag[key]. A scalar weight keeps the quadratic
-    coefficients and their inverses 1 x K, with the bits of M equal rows,
-    and a skipped coefficient then counts once for each of the M rows.
+    and counted under diag[key]. With scalar weights the quadratic
+    coefficients stay 1 x K, the bits of M equal rows formed once, and a
+    skipped coefficient counts once for each of the M rows.
 
     A term whose Gram is diagonal (the identity of the G sweep's alignment
     term, or any Gram at K = 1) couples no columns: its share of each column
