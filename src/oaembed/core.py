@@ -48,13 +48,12 @@ the row norms ||A_i||^2 and ||C_i||^2 once per fit; the three log(1 / score)
 weight vectors (_score_weights) once per new set of scores; A H^T and H H^T
 once per change of H, and C V^T and V V^T once per change of V, the first
 of each from nmf_init's last pass, which forms them from the H and V it
-returns. The H and V sweeps pass the scalar weight 1.0, not a vector of
-ones, so no M x K array of equal rows is formed. Every kernel
-reads every input it takes: an update reads the weights, never the scores;
-the G and U sweeps read no input matrix, and the residual pass only the row
-norms, the two products and the two Grams. An
-undirected network's A is symmetric and serves as its own A^T: its CSR
-products add in the order of the CSC ones, bit for bit.
+returns. The H and V sweeps pass the scalar weight 1.0, so no M x K array
+of equal rows is formed. Every kernel reads every input it takes: an update
+reads the weights, never the scores; the G and U sweeps read no input
+matrix, and the residual pass only the row norms, the two products and the
+two Grams. An undirected network's A is symmetric and serves as its own
+A^T: its CSR products add in the order of the CSC ones, bit for bit.
 
 Each input is also checked once, where it enters: A and C by AttributedNetwork
 (finite canonical CSR, A square with positive weights, C with N rows), the
