@@ -76,7 +76,7 @@ def _require_files(**paths):
 
 def _load_scores(path: str, weights=None):
     """scores.tsv as (names, components, combined); given weights, the
-    combined column is recomputed from the components as fit computes it."""
+    combined column is final_outlier_score(components, weights)."""
     names, comps, combined = load_scores_tsv(path)
     if weights is not None:
         combined = final_outlier_score(comps, weights)
@@ -173,7 +173,8 @@ _OUT = {"required": True, "help": "output directory"}
 _SEED = {"type": int, "help": "random seed"}
 _WEIGHTS = {"type": _parse_weights,
             "help": "w1,w2,w3 to recombine the component scores (default: the stored "
-                    "combined column)"}
+                    "combined column, which embed mixes by final_outlier_score's "
+                    "default 0.25,0.5,0.25)"}
 
 # name -> (help, handler, "module.callable" whose defaults apply,
 #          {option: add_argument keywords})
@@ -199,7 +200,6 @@ _SUBCOMMANDS = {
         "iters": {"type": int, "help": "optimization rounds"},
         "attr-weight": {"type": float, "help": "attribute loss weight (default: calibrated)"},
         "dis-weight": {"type": float, "help": "disagreement loss weight (default: calibrated)"},
-        "combine-weights": {"type": _parse_weights, "help": "w1,w2,w3 for the combined score"},
         "init-passes": {"type": int, "help": "nonnegative factorization passes per "
                                              "initialization"},
         "seed": _SEED,

@@ -52,8 +52,7 @@ returns. The H and V sweeps pass the scalar weight 1.0, so no M x K array
 of equal rows is formed. Every kernel reads every input it takes: an update
 reads the weights, never the scores; the G and U sweeps read no input
 matrix, and the residual pass only the row norms, the two products and the
-two Grams. An undirected network's A is symmetric and serves as its own
-A^T: its CSR products add in the order of the CSC ones, bit for bit.
+two Grams.
 
 Each input is also checked once, where it enters: A and C by AttributedNetwork
 (finite canonical CSR, A square with positive weights, C with N rows), the
@@ -72,7 +71,7 @@ from .errors import ConfigError, NumericError
 from .network import AttributedNetwork, EmbeddingResult
 from .numerics import (check_integer, named_rng, nmf_init, row_sq_norms, row_sq_residuals,
                        svd_small)
-from .tables import check_combine_weights, final_outlier_score, is_real
+from .tables import final_outlier_score, is_real
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _SCORE_FLOOR = 1e-8  # fit's smallest score, so log(1/score) stays finite
@@ -84,16 +83,17 @@ class HyperParams:
     'calibrate so the three loss terms start equal'. dim is the embedding
     width K. dim, iters, init_passes and seed must be Python or numpy
     integers (bool and float values are rejected, not truncated);
-    attr_weight, dis_weight and the combine_weights entries must be real
-    numbers, not bool. A fit runs exactly iters rounds; each score vector
-    sums to 1, the paper's constraint, with every score in [1e-8, 1).
-    init_passes is the number of nmf_init passes in each initialization."""
+    attr_weight and dis_weight must be real numbers, not bool. A fit runs
+    exactly iters rounds; each score vector sums to 1, the paper's
+    constraint, with every score in [1e-8, 1). init_passes is the number of
+    nmf_init passes in each initialization. Every field changes the fitted
+    factors; mixing the three score vectors into one ranking comes after the
+    fit, in tables.final_outlier_score."""
 
     dim: int
     attr_weight: float | None = None
     dis_weight: float | None = None
     iters: int = 15
-    combine_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
     seed: int = 0
     init_passes: int = 1
 
@@ -108,7 +108,6 @@ class HyperParams:
                 raise ConfigError(f"{name} must be a finite real number > 0, got {v!r}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        check_combine_weights(self.combine_weights)
         if self.init_passes < 1:
             raise ConfigError(f"init_passes must be >= 1, got {self.init_passes}")
 
@@ -254,9 +253,7 @@ def update_struct_embed(model: FactorModel, weights, dis_weight: float, ah: np.n
 def update_struct_context(adj_t, model: FactorModel, weights, diag: dict) -> np.ndarray:
     """One exact coordinate-descent sweep over struct_context H. Its columns are
     independent, so the kernel sweeps H^T with the scalar weight 1.0 and the
-    scores folded into the term (A^T (G*w1), G^T (G*w1)). adj_t is A^T; for a
-    symmetric A (an undirected network) it may be A itself, whose CSR product
-    gives the bits of the CSC product of A^T."""
+    scores folded into the term (A^T (G*w1), G^T (G*w1)). adj_t is A^T."""
     g = model.struct_embed
     gw = g * weights[0][:, None]
     terms = ((1.0, np.asarray(adj_t @ gw), g.T @ gw),)
@@ -389,6 +386,9 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     The CSR attributes are never densified, and net is not changed.
 
     Returns (FactorModel, OutlierScores, EmbeddingResult, FitDiagnostics).
+    The result's outlier_scores is final_outlier_score(component_scores) at
+    that function's default mix; another mix w is
+    final_outlier_score(result.component_scores, w).
     """
     n, d = net.n_nodes, net.n_attrs
     if not 1 <= hp.dim <= min(n, d):
@@ -402,7 +402,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
 
     diagnostics = FitDiagnostics()
     # sparse .T builds a new CSC object on each call, so build each once
-    adj_t = adj.T if net.directed else adj
+    adj_t = adj.T
     attrs_t = attrs.T
     # each initialization's last pass hands on A H^T, H H^T, C V^T and V V^T
     # for the initial residual pass and round 1; H and V change only in their
@@ -480,7 +480,7 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     components = np.column_stack([scores.structural, scores.attribute, scores.disagreement])
     result = EmbeddingResult(
         embedding=_final_embedding(model),
-        outlier_scores=final_outlier_score(components, hp.combine_weights),
+        outlier_scores=final_outlier_score(components),
         component_scores=components, loss_trace=trace, node_names=net.node_names)
     return model, scores, result, diagnostics
 

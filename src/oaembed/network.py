@@ -346,7 +346,8 @@ class EmbeddingResult:
     """A fitted embedding with per-node outlier scores and the loss trace.
 
     component_scores columns are the structural, attribute, and disagreement
-    scores in that order; outlier_scores is their configured combination.
+    scores in that order; outlier_scores is their combination by
+    final_outlier_score, which fit makes at that function's default mix.
     node_names are checked and stored as a tuple, as AttributedNetwork's are.
     """
 

@@ -360,23 +360,26 @@ def test_rank_outliers_orders_ties_as_rank_nodes_does(combined):
 
 
 def test_weights_reproduce_the_stored_combined_column(seeded, tmp_path, monkeypatch):
-    """rank-outliers --weights and evaluate --weights recombine the stored
-    components exactly as embed --combine-weights combined them."""
-    weights = "0.2,0.3,0.5"  # not powers of two, so a second formula rounds differently
+    """embed stores final_outlier_score's default mix, and rank-outliers
+    --weights and evaluate --weights mix the stored components by
+    final_outlier_score, bit for bit."""
     emb = tmp_path / "emb"
     code, _, stderr = run_cli("embed", "--edges", seeded["edges"], "--attrs", seeded["attrs"],
-                              "--out", str(emb), "--k", "4", "--iters", "3",
-                              "--init-passes", "20", "--seed", "3", "--combine-weights", weights)
+                              "--labels", seeded["labels"], "--out", str(emb))
     assert code == 0, stderr
     scores = str(emb / "scores.tsv")
-    _, _, stored = load_scores_tsv(scores)
+    names, comps, stored = load_scores_tsv(scores)
+    assert stored.tobytes() == final_outlier_score(comps).tobytes()
+    weights = "0.2,0.3,0.5"  # not powers of two, so a second formula rounds differently
+    mixed = final_outlier_score(comps, (0.2, 0.3, 0.5))
 
-    ranked = []
-    for extra in ([], ["--weights", weights]):
-        out = tmp_path / f"rank{len(extra)}"
-        assert run_cli("rank-outliers", "--scores", scores, "--out", str(out), *extra)[0] == 0
-        ranked.append((out / "ranked.tsv").read_bytes())
-    assert ranked[1] == ranked[0]
+    out = tmp_path / "rank"
+    assert run_cli("rank-outliers", "--scores", scores, "--out", str(out),
+                   "--weights", weights)[0] == 0
+    rows = [line.split("\t") for line in (out / "ranked.tsv").read_text().splitlines()[1:]]
+    order = rank_nodes(mixed).tolist()
+    assert [r[1] for r in rows] == [names[i] for i in order]
+    assert [r[2] for r in rows] == [repr(mixed.tolist()[i]) for i in order]
 
     seen = []
     evaluate_all = oaembed.evaluation.evaluate_all
@@ -392,7 +395,7 @@ def test_weights_reproduce_the_stored_combined_column(seeded, tmp_path, monkeypa
                               "--out", str(tmp_path / "eval"), "--splits", "30:30:10",
                               "--reps", "1", "--weights", weights)
     assert code == 0, stderr
-    assert seen[0].tobytes() == stored.tobytes()
+    assert seen[0].tobytes() == mixed.tobytes()
 
 
 @pytest.mark.parametrize("weights", ["0.5,0.5", "0.2,0.2,0.2", "-0.5,1.0,0.5",
@@ -620,8 +623,8 @@ SURFACE = {
     "seed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o",
              "fraction": "0.1", "seed": "3"},
     "embed": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "out": "o", "k": "4",
-              "iters": "2", "attr-weight": "0.5", "dis-weight": "0.5",
-              "combine-weights": "0.2,0.3,0.5", "init-passes": "10", "seed": "3"},
+              "iters": "2", "attr-weight": "0.5", "dis-weight": "0.5", "init-passes": "10",
+              "seed": "3"},
     "rank-outliers": {"scores": "s.tsv", "out": "o", "weights": "0,1,0"},
     "evaluate": {"edges": "e.txt", "attrs": "a.txt", "labels": "l.txt", "embedding": "m.tsv",
                  "scores": "s.tsv", "truth": "t.tsv", "out": "o", "splits": "10:30:10",
@@ -693,6 +696,20 @@ def test_embed_has_no_budget_option(dataset, tmp_path, how):
                               "--out", str(tmp_path / "x"))
     assert code == 2
     assert "budget" in stderr
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_embed_has_no_combine_weights_option(dataset, tmp_path, how):
+    # the score mix comes after the fit: rank-outliers and evaluate --weights
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("combine-weights=0.2,0.3,0.5\n")
+    given = ["--combine-weights", "0.2,0.3,0.5"] if how == "flag" else ["--config", str(cfg)]
+    code, _, stderr = run_cli("embed", *given, "--edges", dataset["edges"],
+                              "--attrs", dataset["attributes"], "--labels", dataset["labels"],
+                              "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "combine-weights" in stderr
     assert not (tmp_path / "x").exists()
 
 
@@ -792,10 +809,12 @@ def test_rank_outliers_duplicate_node_row_exits_1(embedded, tmp_path):
 
 
 def test_ambiguous_abbreviation_is_not_read_as_a_config_file(tmp_path):
-    code, _, stderr = run_cli("embed", "--co", "0.2,0.3,0.5", "--edges", "e.txt",
-                              "--attrs", "a.txt", "--out", str(tmp_path / "x"))
+    code, _, stderr = run_cli("evaluate", "--e", "x", "--attrs", "a.txt", "--labels", "l.txt",
+                              "--scores", "s.tsv", "--truth", "t.tsv",
+                              "--out", str(tmp_path / "x"))
     assert code == 2
-    assert "--combine-weights" in stderr and "--config" in stderr
+    assert all(opt in stderr for opt in ("--edges", "--embedding", "--exclude-outliers"))
+    assert not (tmp_path / "x").exists()
 
 
 _MEMORY_LIMIT = 400 * 2**20  # bytes of address space

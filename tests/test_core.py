@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import warnings
@@ -644,6 +645,17 @@ def test_final_outlier_score_cases():
         final_outlier_score(scores, (math.nan, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("weights", [(True, False, False), "abc", ("0.25", 0.5, 0.25), None,
+                                     {0.2, 0.3, 0.5}])
+def test_final_outlier_score_refuses_weights_that_are_not_three_real_numbers(weights):
+    # bool used to pass as 1.0 and a string as a bare TypeError
+    scores = np.full((4, 3), 0.25)
+    with pytest.raises(ConfigError, match="combine_weights"):
+        final_outlier_score(scores, weights)
+    assert np.array_equal(final_outlier_score(scores, [np.float64(0.5), 0, 0.5]),
+                          np.full(4, 0.25))
+
+
 def test_final_outlier_score_attribute_emphasis_changes_ranking():
     scores = columns(OutlierScores(structural=np.array([0.7, 0.3]),
                                    attribute=np.array([0.2, 0.8]),
@@ -661,26 +673,34 @@ def test_hyperparams_validation():
     for kwargs in ({"dim": 0}, {"dim": 2, "attr_weight": 0.0},
                    {"dim": 2, "dis_weight": -1.0},
                    {"dim": 2, "iters": 0},
-                   {"dim": 2, "combine_weights": (0.5, 0.5, 0.5)},
-                   {"dim": 2, "combine_weights": (-0.1, 0.6, 0.5)},
-                   {"dim": 2, "combine_weights": (math.nan, 0.5, 0.5)},
                    {"dim": 2, "init_passes": 0},
                    {"dim": 2, "attr_weight": math.inf},
                    {"dim": 2, "dis_weight": math.inf},
                    # bool used to pass as 1.0 and a string as a bare TypeError
                    {"dim": 2, "attr_weight": True},
                    {"dim": 2, "dis_weight": True},
-                   {"dim": 2, "combine_weights": (True, False, False)},
                    {"dim": 2, "attr_weight": "1"},
-                   {"dim": 2, "dis_weight": "1"},
-                   {"dim": 2, "combine_weights": "abc"},
-                   {"dim": 2, "combine_weights": ("0.25", 0.5, 0.25)},
-                   {"dim": 2, "combine_weights": None},
-                   {"dim": 2, "combine_weights": {0.2, 0.3, 0.5}}):
+                   {"dim": 2, "dis_weight": "1"}):
         with pytest.raises(ConfigError):
             HyperParams(**kwargs)
-    assert HyperParams(dim=2, attr_weight=np.float64(0.5), dis_weight=2,
-                       combine_weights=[np.float64(0.5), 0, 0.5]).attr_weight == 0.5
+    assert HyperParams(dim=2, attr_weight=np.float64(0.5), dis_weight=2).attr_weight == 0.5
+
+
+# a value other than the default for each HyperParams field
+_CHANGED = {"dim": 4, "attr_weight": 0.5, "dis_weight": 2.0, "iters": 3, "seed": 1,
+            "init_passes": 2}
+
+
+@pytest.mark.parametrize("name,changed", _CHANGED.items())
+def test_every_hyperparameter_changes_the_fitted_factors(name, changed):
+    # a knob that changes no factor (a post-fit score mix) belongs after fit
+    assert [f.name for f in dataclasses.fields(HyperParams)] == list(_CHANGED)
+    net = synth_network(60, 3, 0.2, 0.02, 30, 0.9, seed=0)
+    base = HyperParams(dim=3, iters=2)
+    assert getattr(base, name) != changed
+    models = [fit(net, hp)[0] for hp in (base, replace(base, **{name: changed}))]
+    assert any(a.tobytes() != b.tobytes() or a.shape != b.shape
+               for a, b in zip(*(dataclasses.astuple(m) for m in models)))
 
 
 def test_hyperparams_refuses_the_old_init_iters_name():
@@ -750,10 +770,10 @@ class _CountedCsr(_Counted, sp.csr_matrix):
         return t
 
 
-def test_fit_forms_each_sparse_product_once_per_round(monkeypatch):
-    rng = make_rng(24)
-    net = rand_network(rng, 40, 15)
-    net.directed = True  # the path that forms A^T; an undirected A is its own
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_fit_forms_each_sparse_product_once_per_round(monkeypatch, directed):
+    # every graph's A^T is formed as a transpose, a symmetric A's included
+    net = (_directed_network if directed else rand_network)(make_rng(24), 40, 15)
     tally = {}
     for name, tag in (("adjacency", "A"), ("attributes", "C")):
         counted = _CountedCsr(getattr(net, name))
@@ -788,29 +808,19 @@ def test_fit_forms_each_sparse_product_once_per_round(monkeypatch):
     assert tally == ends[-1]  # nothing after the last round's residuals
 
 
-def test_fit_uses_an_undirected_adjacency_as_its_own_transpose(monkeypatch):
-    # A is symmetric, so the products of A^T in the initialization and the H
-    # sweeps are products of A, and no transpose of A is formed
+def test_a_symmetric_network_fits_the_same_bits_directed_and_undirected():
+    # fit forms A^T the same way whatever net.directed says
     net = rand_network(make_rng(24), 40, 15)
-    tally = {}
-    for name, tag in (("adjacency", "A"), ("attributes", "C")):
-        counted = _CountedCsr(getattr(net, name))
-        counted.tally, counted.tag = tally, tag
-        setattr(net, name, counted)
-    at_round_end = []
-    solve = core._solve_scores
-
-    def spy(r, budget, floor):
-        at_round_end.append(dict(tally))
-        return solve(r, budget, floor)
-
-    monkeypatch.setattr(core, "_solve_scores", spy)
-    fit(net, HyperParams(dim=3, seed=1, iters=3))
-    ends = at_round_end[::3]
-    assert ends[0] == {"A": 4, "C": 2, "CT": 2}
-    for before, after in zip(ends, ends[1:]):
-        assert {k: after[k] - before[k] for k in after} == {"A": 2, "C": 1, "CT": 1}
-    assert tally == ends[-1]
+    fits = [fit(replace(net, directed=directed), HyperParams(dim=3, seed=1, iters=3))
+            for directed in (False, True)]
+    (model_u, scores_u, result_u, diag_u), (model_d, scores_d, result_d, diag_d) = fits
+    for a, b in zip(dataclasses.astuple(model_u) + dataclasses.astuple(scores_u),
+                    dataclasses.astuple(model_d) + dataclasses.astuple(scores_d)):
+        assert a.tobytes() == b.tobytes()
+    for name in ("embedding", "outlier_scores", "component_scores"):
+        assert getattr(result_u, name).tobytes() == getattr(result_d, name).tobytes()
+    assert result_u.loss_trace == result_d.loss_trace
+    assert diag_u == diag_d
 
 
 def test_default_rounds_detect_at_least_as_well_as_a_long_initialization():
@@ -893,7 +903,6 @@ def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch)
     # the three log(1/score) vectors of each new OutlierScores serve every
     # update and the loss; A^T and C^T serve the initialization and all rounds
     net = rand_network(make_rng(26), 40, 15)
-    net.directed = True  # the path that forms A^T; an undirected A is its own
     net.adjacency, net.attributes = (_TransposeCounted(net.adjacency),
                                      _TransposeCounted(net.attributes))
     weighed = []
