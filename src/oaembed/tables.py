@@ -135,8 +135,9 @@ def check_combine_weights(w, name: str = "combine_weights"):
         raise ConfigError(f"{name} must be 3 nonnegative values summing to 1, got {w!r}")
 
 
-def final_outlier_score(component_scores, combine_weights: tuple[float, float, float]
-                        = (0.25, 0.5, 0.25)) -> np.ndarray:
+def final_outlier_score(component_scores,
+                        combine_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
+                        ) -> np.ndarray:
     """Convex combination w1 s1 + w2 s2 + w3 s3 of the columns of the N x 3
     component-score array (structural, attribute, disagreement). The default
     (0.25, 0.5, 0.25) is the one default mix: fit stores it as the combined
