@@ -58,11 +58,9 @@ Each input is also checked once, where it enters: A and C by AttributedNetwork
 (finite canonical CSR, A square with positive weights, C with N rows), the
 knobs by HyperParams, 1 <= dim <= min(N, D) and C >= 0 by fit. So the kernels
 fit calls raise nothing, bar svd_small's finiteness check (LAPACK gives NaN
-singular values for an infinite entry without raising); budget_scores, the
-solver's checked entry, checks its own arguments.
+singular values for an infinite entry without raising).
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,7 +143,7 @@ class FitDiagnostics:
 def _score_weights(scores: OutlierScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w1, w2, w3): log(1/s) of the structural, attribute and disagreement
     scores, the per-node weights of the three loss terms. fit's scores are
-    the uniform start or _solve_scores output, 1-D and in [1e-8, 1], so
+    the uniform start or budget_scores output, 1-D and in [1e-8, 1], so
     every weight is finite and nonnegative."""
     return tuple(-np.log(s) for s in (scores.structural, scores.attribute,
                                       scores.disagreement))
@@ -299,46 +297,30 @@ def update_alignment(model: FactorModel, weights) -> np.ndarray:
 
 def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndarray:
     """Exact minimizer of sum_i log(1/s_i) r_i over {s : sum s = budget,
-    s >= floor} for a budget in [N * floor, 1]. fit passes 1, the paper's
-    constraint, so for N >= 2 every score lies in [floor, 1).
+    s >= floor}, for nonempty 1-D finite nonnegative residuals and a budget
+    in [N * floor, 1], which fit guarantees and nothing here re-checks. fit
+    passes 1, the paper's constraint, so for N >= 2 every score lies in
+    [floor, 1).
 
     Stationarity gives s_i = max(r_i / lam, floor): each score is proportional
     to its residual, with small ones pinned at the floor. One sort finds the
     free scores, without iterating, and they are scaled to sum to their share
     of the budget to machine precision. A lone score is the budget; at budget
     N * floor every score is the floor. All-zero residuals yield the uniform
-    budget/N split, with a warning.
+    budget/N split.
     """
     r = np.asarray(residuals, dtype=np.float64)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("residuals must be a nonempty 1-D vector")
-    if not np.isfinite(r).all() or (r < 0).any():
-        raise ValueError("residuals must be finite and nonnegative")
-    n = r.size
-    if not floor * n <= budget <= 1:
-        raise ValueError(f"budget {budget} outside [{n} * floor, 1] for floor {floor}")
-    s, zero = _solve_scores(r, budget, floor)
-    if zero:
-        warnings.warn("all residuals are zero; returning uniform scores", stacklevel=2)
-    return s
-
-
-def _solve_scores(r: np.ndarray, budget: float, floor: float):
-    """budget_scores' minimizer for the 1-D residuals r, which the caller has
-    checked finite and nonnegative, with the budget in [N * floor, 1].
-    Returns (scores, zero); zero is True if every residual is zero, and the
-    scores are then the uniform budget / N split."""
     n = r.size
     if not r.any():
-        return np.full(n, budget / n), True
+        return np.full(n, budget / n)
     # the scores depend on r only up to scale: an exact power-of-two shift
     # brings the largest residual into [0.5, 1), so no sum overflows and the
     # free scale below stays a normal number
     r = np.ldexp(r, -int(np.frexp(r.max())[1]))
     if budget == floor * n:  # the one feasible point
-        return np.full(n, floor), False
+        return np.full(n, floor)
     if n == 1:
-        return np.array([budget]), False
+        return np.array([budget])
 
     # the m largest residuals are free while r_(m) / lam > floor, with
     # lam = sum_{<=m} r / (budget - floor * (N - m)); zero residuals never are
@@ -349,7 +331,7 @@ def _solve_scores(r: np.ndarray, budget: float, floor: float):
     s = np.full(n, floor)
     if free.any():  # empty only if rounding floors a tie a few ulps above N * floor
         s[free] = r[free] * ((budget - floor * (n - free.sum())) / r[free].sum())
-    return np.clip(s, floor, 1.0), False
+    return np.clip(s, floor, 1.0)
 
 
 def _final_embedding(model: FactorModel) -> np.ndarray:
@@ -465,9 +447,8 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         solved = []
         for what, r in zip(("structure", "attribute", "disagreement"), residuals):
             _check_finite(r, f"{what} residuals", round_no)
-            s, zero = _solve_scores(r, 1.0, _SCORE_FLOOR)
-            solved.append(s)
-            if zero:
+            solved.append(budget_scores(r, 1.0, _SCORE_FLOOR))
+            if not r.any():
                 diagnostics.notes.append(f"round {round_no}: {what} residuals are all zero; "
                                          "uniform scores")
         scores = OutlierScores(*solved)

@@ -11,7 +11,6 @@ import inspect
 import io
 import itertools
 import math
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
@@ -592,10 +591,8 @@ def fit_steps(net: AttributedNetwork, hp):
         yield "U", model, scores, attr_weight, dis_weight
         model.attr_basis = core.update_attr_basis(attrs.T, model, core._score_weights(scores), {})
         yield "V", model, scores, attr_weight, dis_weight
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            scores = OutlierScores(*(core.budget_scores(r, 1.0, 1e-8)
-                                     for r in residuals(model, adj, attrs)))
+        scores = OutlierScores(*(core.budget_scores(r, 1.0, 1e-8)
+                                 for r in residuals(model, adj, attrs)))
         yield "scores", model, scores, attr_weight, dis_weight
 
 

@@ -189,3 +189,28 @@ def test_traced_names_resolve_except_the_known_stale_ones():
     unresolved = {f"{mod}.{name}" for mod, name in pairs
                   if not hasattr(importlib.import_module("oaembed." + mod), name)}
     assert unresolved <= STALE_TRACED
+
+
+def test_fit_calls_every_traced_core_and_numerics_name(monkeypatch):
+    # the tracer wraps each name at the binding fit resolves, oaembed.core.<name>;
+    # a traced name that fit stops calling would read 0 calls on every workload
+    from oaembed import core
+    from oaembed.seeding import synth_network
+
+    pairs = traced_pairs((BENCH / "tracing.py").read_text(encoding="utf-8"))
+    names = [name for mod, name in pairs if mod in ("core", "numerics")
+             and f"{mod}.{name}" not in STALE_TRACED and (mod, name) != ("core", "fit")]
+    assert "budget_scores" in names and "nmf_init" in names
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
+    net = synth_network(60, 3, 0.2, 0.02, 30, 0.9, seed=0)
+    core.fit(net, core.HyperParams(dim=3, iters=2))
+    assert [name for name, n in calls.items() if n < 1] == []

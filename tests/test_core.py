@@ -445,17 +445,9 @@ def test_budget_scores_zero_residual_pinned_at_floor():
     assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_budget_scores_all_zero_residuals_warns_uniform():
-    with pytest.warns(UserWarning):
-        got = budget_scores(np.zeros(4), 1.0, 1e-8)
+def test_budget_scores_all_zero_residuals_uniform():
+    got = budget_scores(np.zeros(4), 1.0, 1e-8)
     assert np.allclose(got, 0.25)
-
-
-def test_budget_scores_budget_above_one_raises():
-    # scores sum to at most 1, so none can need the cap at 1
-    for r, budget in (([3.0, 0.0], 1.5), ([2.0, 1.0, 1.0], 3.0), ([1.0], 1.0 + 1e-12)):
-        with pytest.raises(ValueError, match="budget"):
-            budget_scores(np.array(r), budget, 1e-8)
 
 
 def test_budget_scores_at_the_lowest_budget():
@@ -520,19 +512,6 @@ def test_budget_scores_tiny_budget_over_huge_residuals_stays_on_budget():
     assert budget_scores(np.array([1e308, 1e308]), 3e-9, 1e-9).tolist() == [1.5e-9, 1.5e-9]
 
 
-def test_budget_scores_input_errors():
-    with pytest.raises(ValueError):
-        budget_scores(np.array([1.0, -1.0]), 1.0, 1e-8)
-    with pytest.raises(ValueError):
-        budget_scores(np.array([np.inf, 1.0]), 1.0, 1e-8)
-    with pytest.raises(ValueError):
-        budget_scores(np.empty(0), 1.0, 1e-8)
-    with pytest.raises(ValueError):
-        budget_scores(np.ones(3), 4.0, 1e-8)   # budget > 1
-    with pytest.raises(ValueError):
-        budget_scores(np.ones(3), 1e-9, 1e-8)  # budget < n * floor
-
-
 @st.composite
 def score_problems(draw):
     """(residuals, budget): N in 1..60 residuals drawn from a few values, so
@@ -554,7 +533,7 @@ def test_budget_scores_properties(problem):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         s = budget_scores(r, budget, floor)
-    assert bool(caught) == (not r.any())  # the uniform split warns, nothing else does
+    assert caught == []
     if r.size == 1:
         assert s.tolist() == [budget]
     assert abs(s.sum() - budget) <= 1e-9 * budget
@@ -775,13 +754,13 @@ def test_fit_forms_each_sparse_product_once_per_round(monkeypatch, directed):
         counted.tally, counted.tag = tally, tag
         setattr(net, name, counted)
     at_round_end = []
-    solve = core._solve_scores
+    solve = core.budget_scores
 
     def spy(r, budget, floor):  # fit solves three score vectors at the end of each round
         at_round_end.append(dict(tally))
         return solve(r, budget, floor)
 
-    monkeypatch.setattr(core, "_solve_scores", spy)
+    monkeypatch.setattr(core, "budget_scores", spy)
     norms = core.row_sq_norms
 
     def count_norms(m):  # the row norms tally under tag + "*"
@@ -905,13 +884,13 @@ def test_fit_forms_score_weights_once_per_round_and_transposes_once(monkeypatch)
     monkeypatch.setattr(core, "_score_weights",
                         lambda *a: weighed.append(1) or score_weights(*a))
     at_round_end = []
-    solve = core._solve_scores
+    solve = core.budget_scores
 
     def spy(r, budget, floor):
         at_round_end.append(len(weighed))
         return solve(r, budget, floor)
 
-    monkeypatch.setattr(core, "_solve_scores", spy)
+    monkeypatch.setattr(core, "budget_scores", spy)
     hp = HyperParams(dim=3, seed=1, iters=4)
     fit(net, hp)
     ends = at_round_end[::3]

@@ -519,11 +519,11 @@ def test_concurrency_import_scanner_sees_every_spelling():
 # the kernels fit, evaluate_all and seed_outliers call, per module: each
 # input is checked once, where it enters (AttributedNetwork, HyperParams,
 # fit; evaluate_all and its splits; _ClassStats), so none of them re-checks
-# it; budget_scores, fit, evaluate_all and seed_outliers stay the checked entries
+# it; fit, evaluate_all and seed_outliers stay the checked entries
 FIT_KERNELS = {
     "core.py": ("_score_weights", "_residuals", "_loss_terms", "_joint", "_loss_ratios",
                 "_cd_sweep", "update_alignment", "update_struct_embed", "update_struct_context",
-                "update_attr_embed", "update_attr_basis", "_solve_scores", "_final_embedding"),
+                "update_attr_embed", "update_attr_basis", "budget_scores", "_final_embedding"),
     "numerics.py": ("nmf_init", "row_sq_norms", "row_sq_residuals", "svd_small"),
     "evaluation.py": ("_train_stack", "_descend", "_max_matching"),
     "seeding.py": ("_draw_degree", "_draw_attributes"),
