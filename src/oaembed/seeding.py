@@ -328,13 +328,19 @@ def synth_network(n_nodes: int, n_classes: int, p_in: float, p_out: float,
     the binomial share for all nodes; then the off-block columns; then the
     own columns, class by class. Every attribute draw follows every edge
     draw, so the attribute rule never moves the adjacency of a given seed.
+
+    The three counts must be Python or numpy integers and the three
+    probabilities real numbers (a bool is neither); anything else raises
+    ConfigError.
     """
+    for name, value in (("n_nodes", n_nodes), ("n_classes", n_classes), ("n_attrs", n_attrs)):
+        check_integer(value, name)
     if n_classes < 1 or n_nodes < n_classes:
         raise ValueError("need n_nodes >= n_classes >= 1")
-    if not 0 <= p_out < p_in <= 1:
-        raise ValueError("need 0 <= p_out < p_in <= 1")
-    if not 0 < attr_signal <= 1:
-        raise ValueError("attr_signal must be in (0, 1]")
+    if not (is_real(p_in) and is_real(p_out) and 0 <= p_out < p_in <= 1):
+        raise ConfigError(f"need real 0 <= p_out < p_in <= 1, got p_in={p_in!r}, p_out={p_out!r}")
+    if not (is_real(attr_signal) and 0 < attr_signal <= 1):
+        raise ConfigError(f"attr_signal must be a real number in (0, 1], got {attr_signal!r}")
     if n_attrs < n_classes:
         raise ValueError("need n_attrs >= n_classes")
 

@@ -218,6 +218,15 @@ def test_synth_param_validation():
     for seed in (1.5, True):
         with pytest.raises(ValueError, match="seed"):
             synth_network(10, 2, 0.3, 0.02, 20, 0.9, seed=seed)
+    # a float count is refused, not cast, and a bool probability is not read as 0 or 1
+    for args, name in (((300.0, 3, 0.3, 0.02, 120, 0.9), "n_nodes"),
+                       ((300, 3.0, 0.3, 0.02, 120, 0.9), "n_classes"),
+                       ((300, 3, 0.3, 0.02, 120.0, 0.9), "n_attrs"),
+                       ((60, 3, True, 0.05, 12, 0.9), "p_in"),
+                       ((60, 3, 0.3, False, 12, 0.9), "p_out"),
+                       ((60, 3, 0.3, 0.05, 12, True), "attr_signal")):
+        with pytest.raises(ConfigError, match=name):
+            synth_network(*args, seed=0)
 
 
 @st.composite
