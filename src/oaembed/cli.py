@@ -1,15 +1,16 @@
 """Command-line driver: seed, embed, rank-outliers, evaluate.
 
 Each option is declared once, with the name of the library parameter it
-sets (`--k` is `HyperParams.dim`, `--fraction` `SeedingPlan.total_fraction`).
-An option that is not given is not passed on, so every default is the
-library's own (`SeedingPlan`, `HyperParams`, `evaluate_all`), and `--help`
-reads it from there. `--exclude-outliers[=BOOL]` alone means true.
+sets (`--k` is `HyperParams.dim`, `--fraction` `SeedingPlan.total_fraction`,
+`--weights` `final_outlier_score`'s `combine_weights`). An option that is
+not given is not passed on, so every default is the library's own, and
+`--help` reads it from the library's signature. `--exclude-outliers[=BOOL]`
+alone means true.
 
 Library modules load on first use: each handler imports the modules its
-subcommand runs, and the parser imports only the library callable of the
-subcommand being parsed (and `inspect` to read its defaults). So
-`rank-outliers`, `--help` and `--version` run on the standard library and
+subcommand runs, and only printing a subcommand's help imports `inspect`
+and the library callables whose defaults it shows. So `rank-outliers`,
+`--help` and `--version` run on the standard library and
 `oaembed.tables` alone: `rank-outliers` reads scores.tsv into lists and
 ranks in Python, and loads numpy only to recombine scores for `--weights`
 (`final_outlier_score`). `seed`, `embed` and `evaluate` import numpy and
@@ -28,6 +29,7 @@ mismatched inputs, 3 numeric failure during optimization, 4 out of memory.
 import argparse
 import os
 import sys
+from functools import partial
 from importlib import import_module
 from itertools import chain
 
@@ -74,12 +76,12 @@ def _require_files(**paths):
             raise ParseError(f"--{key} file not found: {path}", path)
 
 
-def _load_scores(path: str, weights=None):
-    """scores.tsv as (names, components, combined); given weights, the
-    combined column is final_outlier_score(components, weights)."""
+def _load_scores(path: str, combine_weights=None):
+    """scores.tsv as (names, components, combined); given combine_weights,
+    the combined column is final_outlier_score(components, combine_weights)."""
     names, comps, combined = load_scores_tsv(path)
-    if weights is not None:
-        combined = final_outlier_score(comps, weights)
+    if combine_weights is not None:
+        combined = final_outlier_score(comps, combine_weights)
     return names, comps, combined
 
 
@@ -121,12 +123,12 @@ def cmd_embed(edges, attrs, out, labels=None, **params) -> int:
     return 0
 
 
-def cmd_rank_outliers(scores, out, weights=None) -> int:
-    if weights is None:  # the stored combined column, read without numpy
+def cmd_rank_outliers(scores, out, combine_weights=None) -> int:
+    if combine_weights is None:  # the stored combined column, read without numpy
         _cols, names, rows = _read_float_rows(scores, SCORE_COLUMNS)
         combined = [row[3] for row in rows]
     else:
-        names, _comps, combined = _load_scores(scores, weights)
+        names, _comps, combined = _load_scores(scores, combine_weights)
         combined = combined.tolist()
     # rank_nodes's rule: descending score, ties by ascending index (a stable
     # sort keeps equal keys in index order, also under reverse=True)
@@ -137,7 +139,7 @@ def cmd_rank_outliers(scores, out, weights=None) -> int:
     return 0
 
 
-def cmd_evaluate(edges, attrs, labels, embedding, scores, truth, out, weights=None,
+def cmd_evaluate(edges, attrs, labels, embedding, scores, truth, out, combine_weights=None,
                  **protocol) -> int:
     from .evaluation import evaluate_all
     from .network import EmbeddingResult, load_network
@@ -147,7 +149,7 @@ def cmd_evaluate(edges, attrs, labels, embedding, scores, truth, out, weights=No
                    scores=scores, truth=truth)
     net = load_network(edges, attrs, labels)
     emb_names, emb = load_embedding_tsv(embedding)
-    score_names, comps, combined = _load_scores(scores, weights)
+    score_names, comps, combined = _load_scores(scores, combine_weights)
     for what, names in (("embedding", emb_names), ("scores", score_names)):
         if tuple(names) != net.node_names:
             raise ConfigError(f"{what} nodes do not match the dataset node set")
@@ -171,16 +173,15 @@ def cmd_evaluate(edges, attrs, labels, embedding, scores, truth, out, weights=No
 
 _OUT = {"required": True, "help": "output directory"}
 _SEED = {"type": int, "help": "random seed"}
-_WEIGHTS = {"type": _parse_weights,
-            "help": "w1,w2,w3 to recombine the component scores (default: the stored "
-                    "combined column, which embed mixes by final_outlier_score's "
-                    "default 0.25,0.5,0.25)"}
+_WEIGHTS = {"type": _parse_weights, "dest": "combine_weights",
+            "help": "w1,w2,w3 to recombine the component scores; the stored combined "
+                    "column is embed's mix"}
 
-# name -> (help, handler, "module.callable" whose defaults apply,
+# name -> (help, handler, ("module.callable", ...) whose defaults apply,
 #          {option: add_argument keywords})
 _SUBCOMMANDS = {
     "seed": ("plant ground-truth outliers into a labeled network", cmd_seed,
-             "seeding.SeedingPlan", {
+             ("seeding.SeedingPlan",), {
         "edges": {"required": True, "help": "edge list file"},
         "attrs": {"required": True, "help": "attribute file"},
         "labels": {"required": True, "help": "label file"},
@@ -190,7 +191,7 @@ _SUBCOMMANDS = {
         "seed": _SEED,
     }),
     "embed": ("fit the joint factorization and write the embedding", cmd_embed,
-              "core.HyperParams", {
+              ("core.HyperParams",), {
         "edges": {"required": True, "help": "edge list file"},
         "attrs": {"required": True, "help": "attribute file"},
         "labels": {"help": "label file (enables the default embedding width)"},
@@ -204,13 +205,14 @@ _SUBCOMMANDS = {
                                              "initialization"},
         "seed": _SEED,
     }),
-    "rank-outliers": ("rank nodes by combined outlier score", cmd_rank_outliers, None, {
+    "rank-outliers": ("rank nodes by combined outlier score", cmd_rank_outliers,
+                      ("tables.final_outlier_score",), {
         "scores": {"required": True, "help": "scores.tsv written by embed"},
         "out": _OUT,
         "weights": _WEIGHTS,
     }),
     "evaluate": ("score an embedding against planted ground truth", cmd_evaluate,
-                 "evaluation.evaluate_all", {
+                 ("evaluation.evaluate_all", "tables.final_outlier_score"), {
         "edges": {"required": True, "help": "edge list file of the seeded dataset"},
         "attrs": {"required": True, "help": "attribute file of the seeded dataset"},
         "labels": {"required": True, "help": "label file of the seeded dataset"},
@@ -228,29 +230,42 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(parsing: str | None = None) -> argparse.ArgumentParser:
-    """The parser of all four subcommands. Only the help of `parsing`, the
-    subcommand on the command line, shows the library defaults, so only its
-    library module is imported."""
+class _LibraryDefaults(argparse.HelpFormatter):
+    """Help that ends each option's text with its default, the parameter of
+    that name in the first of `libs` ("module.callable" names) that has one;
+    a tuple is written comma-separated. Only printing help reads it, so a
+    run imports neither `inspect` nor a library module for its help."""
+
+    def __init__(self, prog, libs=()):
+        super().__init__(prog)
+        self.libs = libs
+
+    def _get_help_string(self, action):
+        import inspect
+
+        for lib in self.libs:
+            module, _, attr = lib.rpartition(".")
+            fn = getattr(import_module(f".{module}", __package__), attr)
+            param = inspect.signature(fn).parameters.get(action.dest)
+            if param is not None and param.default not in (None, param.empty):
+                d = param.default
+                shown = ",".join(map(str, d)) if isinstance(d, tuple) else d
+                return f"{action.help} (default {shown})"
+        return action.help
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all four subcommands."""
     parser = argparse.ArgumentParser(
         prog="oaembed",
         description="Outlier-aware embedding of attributed networks.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, _handler, lib, opts) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        params = {}
-        if lib and name == parsing:
-            import inspect
-
-            module, _, attr = lib.rpartition(".")
-            params = inspect.signature(
-                getattr(import_module(f".{module}", __package__), attr)).parameters
+    for name, (help_text, _handler, libs, opts) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS,
+                              formatter_class=partial(_LibraryDefaults, libs=libs))
         for opt, kwargs in opts.items():
-            param = params.get(kwargs.get("dest", opt.replace("-", "_")))
-            if param is not None and param.default not in (None, param.empty):
-                kwargs = {**kwargs, "help": f"{kwargs['help']} (default {param.default})"}
             sub.add_argument(f"--{opt}", **kwargs)
         sub.add_argument("--config", help="key=value file supplying defaults for any option")
     return parser
@@ -284,8 +299,7 @@ def _with_config(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parsing = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-        opts = vars(_build_parser(parsing).parse_args(_with_config(argv)))
+        opts = vars(_build_parser().parse_args(_with_config(argv)))
         opts.pop("config", None)
         return _SUBCOMMANDS[opts.pop("subcommand")][1](**opts)
     except SystemExit as exc:  # argparse handles --help/--version/usage errors

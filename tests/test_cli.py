@@ -78,12 +78,23 @@ def test_version_and_usage():
 
 @pytest.mark.parametrize("sub,shown", [("seed", "plant (default 0.05)"),
                                        ("embed", "rounds (default 15)"),
-                                       ("evaluate", "percentage (default 10)")])
+                                       ("evaluate", "percentage (default 10)"),
+                                       ("rank-outliers", "mix (default 0.25,0.5,0.25)"),
+                                       ("evaluate", "mix (default 0.25,0.5,0.25)")])
 def test_subcommand_help_shows_the_library_defaults(sub, shown):
-    # the parser looks up the defaults of the subcommand on the command line
+    # printing the help looks up the defaults of the subcommand's options
     code, stdout, _ = run_cli(sub, "--help")
     assert code == 0
     assert shown in " ".join(stdout.split())
+
+
+@pytest.mark.parametrize("sub", ["rank-outliers", "evaluate"])
+def test_weights_help_reads_the_mix_from_final_outlier_score(monkeypatch, sub):
+    # the mix is final_outlier_score's default, not a copy of it in the CLI
+    monkeypatch.setattr(final_outlier_score, "__defaults__", ((0.5, 0.25, 0.25),))
+    code, stdout, _ = run_cli(sub, "--help")
+    assert code == 0
+    assert "mix (default 0.5,0.25,0.25)" in " ".join(stdout.split())
 
 
 def test_seed_outputs(seeded):
