@@ -145,8 +145,11 @@ def _score_weights(scores: OutlierScores) -> tuple[np.ndarray, np.ndarray, np.nd
     scores, the per-node weights of the three loss terms. fit's scores are
     the uniform start or budget_scores output, 1-D and in [1e-8, 1], so
     every weight is finite and nonnegative."""
-    return tuple(-np.log(s) for s in (scores.structural, scores.attribute,
-                                      scores.disagreement))
+    logs = tuple(np.log(s) for s in (scores.structural, scores.attribute,
+                                     scores.disagreement))
+    for w in logs:
+        np.negative(w, out=w)
+    return logs
 
 
 def _residuals(model: FactorModel, norms, products,
@@ -185,6 +188,12 @@ def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, floa
     return l_str / l_attr, l_str / l_dis, None
 
 
+def _off_diagonal(gram: np.ndarray) -> np.ndarray:
+    off = gram.copy()
+    np.fill_diagonal(off, 0.0)
+    return off
+
+
 def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
     """One exact Gauss-Seidel sweep over the columns of the M x K matrix x.
 
@@ -205,9 +214,16 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
     """
     x = np.array(x, dtype=np.float64, order="F")  # x[:, k] contiguous
     terms = [(np.reshape(a, (-1, 1)), cross, gram) for a, cross, gram in terms]
-    diags = [np.diag(gram) for _, _, gram in terms]
-    den = sum(a * dg for (a, _, _), dg in zip(terms, diags))  # M x K, or 1 x K
-    num = sum(a * cross for a, cross, _ in terms)
+    diags = [gram.diagonal() for _, _, gram in terms]
+    # the sums run left to right; num's first term enters as t + 0.0, which
+    # turns -0.0 into +0.0 (den's zeros are all skipped, whatever their sign)
+    (a, cross, _), *rest = terms
+    den = a * diags[0]  # M x K, or 1 x K
+    num = a * cross
+    num += 0.0
+    for (a, cross, _), dg in zip(rest, diags[1:]):
+        den = np.add(den, a * dg, out=den if den.shape[0] >= a.shape[0] else None)
+        num += a * cross
     ok = den >= _DEGENERATE_DEN
     n_skipped = (ok.size - np.count_nonzero(ok)) * (x.shape[0] // ok.shape[0])
     # x[:, k] = base[:, k] - sum_t coef_t[:, k] * (x @ off_t[:, k]), where off_t
@@ -218,8 +234,7 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
         base = np.where(ok, num / den, x)
     else:
         base = np.divide(num, den, out=num)
-    parts = [(a / den, off) for (a, _, gram), dg in zip(terms, diags)
-             if (off := gram - np.diag(dg)).any()]
+    parts = [(a / den, off) for a, _, gram in terms if (off := _off_diagonal(gram)).any()]
     if not parts:
         x[:] = base
     else:
@@ -326,12 +341,15 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     # lam = sum_{<=m} r / (budget - floor * (N - m)); zero residuals never are
     rs = np.sort(r)[::-1]
     above = rs * (budget - floor * np.arange(n - 1, -1, -1)) > floor * np.cumsum(rs)
-    m = int(np.logical_and.accumulate(above).sum())
-    free = r > rs[m] if m < n else np.ones(n, dtype=bool)
-    s = np.full(n, floor)
-    if free.any():  # empty only if rounding floors a tie a few ulps above N * floor
-        s[free] = r[free] * ((budget - floor * (n - free.sum())) / r[free].sum())
-    return np.clip(s, floor, 1.0)
+    if above.all():  # every score is free
+        s = r * (budget / r.sum())
+    else:
+        free = r > rs[above.argmin()]
+        s = np.full(n, floor)
+        if free.any():  # empty only if rounding floors a tie a few ulps above N * floor
+            s[free] = r[free] * ((budget - floor * (n - free.sum())) / r[free].sum())
+    np.maximum(s, floor, out=s)
+    return np.minimum(s, 1.0, out=s)
 
 
 def _final_embedding(model: FactorModel) -> np.ndarray:
