@@ -198,7 +198,9 @@ _SUBCOMMANDS = {
         "out": _OUT,
         "k": {"type": int, "dest": "dim",
               "help": "embedding width (default: from the classes in --labels)"},
-        "iters": {"type": int, "help": "optimization rounds"},
+        "iters": {"type": int, "help": "most optimization rounds; a fit stops sooner once "
+                                       "its top-25%% outlier set keeps 98%% of its nodes "
+                                       "in three straight rounds"},
         "attr-weight": {"type": float, "help": "attribute loss weight (default: calibrated)"},
         "dis-weight": {"type": float, "help": "disagreement loss weight (default: calibrated)"},
         "init-passes": {"type": int, "help": "nonnegative factorization passes per "

@@ -31,6 +31,13 @@ alignment); H and V pass one, swept on their transposes. Align is the exact
 Procrustes minimizer and the scores their exact closed form (proportional to
 the residuals, floored at 1e-8), so a full round never increases the objective.
 
+A fit runs at most HyperParams.iters rounds. It stops sooner once its
+outlier ranking has settled: the top quarter of the combined score
+(tables.final_outlier_score of the three score vectors, the ranking that
+recall@L reads) keeps at least 98 % of the previous round's top quarter in
+three consecutive rounds, so no fit stops before round 4. A quarter is the
+widest cut the evaluation protocol reads (recall at L up to 25 %).
+
 Every loss takes one path: _residuals gives the three per-node squared
 residual vectors, _loss_terms weights them by log(1 / score) and _joint sums
 the terms. fit is the one way into the objective: its initial loss,
@@ -61,6 +68,7 @@ fit calls raise nothing, bar svd_small's finiteness check (LAPACK gives NaN
 singular values for an infinite entry without raising).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +81,11 @@ from .tables import final_outlier_score, is_real
 
 _DEGENERATE_DEN = 1e-12  # coordinate updates with a smaller denominator are skipped
 _SCORE_FLOOR = 1e-8  # fit's smallest score, so log(1/score) stays finite
+# fit stops once the top quarter of its combined ranking (the widest cut the
+# paper's recall reads) keeps this share of its nodes in this many rounds running
+_TOP_SHARE = 0.25
+_SETTLED = 0.98
+_SETTLED_ROUNDS = 3
 
 
 @dataclass
@@ -81,8 +94,9 @@ class HyperParams:
     'calibrate so the three loss terms start equal'. dim is the embedding
     width K. dim, iters, init_passes and seed must be Python or numpy
     integers (bool and float values are rejected, not truncated);
-    attr_weight and dis_weight must be real numbers, not bool. A fit runs
-    exactly iters rounds; each score vector sums to 1, the paper's
+    attr_weight and dis_weight must be real numbers, not bool. iters caps
+    the rounds: a fit stops sooner once its outlier ranking has settled
+    (fit). Each score vector sums to 1, the paper's
     constraint, with every score in [1e-8, 1). init_passes is the number of
     nmf_init passes in each initialization. Every field changes the fitted
     factors; mixing the three score vectors into one ranking comes after the
@@ -352,6 +366,16 @@ def budget_scores(residuals: np.ndarray, budget: float, floor: float) -> np.ndar
     return np.minimum(s, 1.0, out=s)
 
 
+def _top_set(score: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the first k nodes of rank_nodes(score): every score
+    above the k-th largest, then the lowest indices among the scores equal
+    to it. One partition, not a sort."""
+    kth = np.partition(score, score.size - k)[score.size - k]
+    top = score > kth
+    top[np.flatnonzero(score == kth)[:k - np.count_nonzero(top)]] = True
+    return top
+
+
 def _final_embedding(model: FactorModel) -> np.ndarray:
     """Per-node average of the structure embedding and the mapped attribute
     embedding: (struct_embed + attr_embed @ align.T) / 2."""
@@ -368,13 +392,20 @@ def fit(net: AttributedNetwork, hp: HyperParams):
 
     Initializes the factor pairs by init_passes passes of numerics.nmf_init
     on A and C, starts with uniform scores and their align, calibrates the
-    loss weights if unset, then runs exactly `iters` rounds of: align update
+    loss weights if unset, then runs at most `iters` rounds of: align update
     (from round 2 on), sweeps of struct_embed, struct_context, attr_embed and
     attr_basis, each consuming the others' latest values, and one residual
     pass that yields both the new scores (floored at 1e-8) and the round's
-    joint loss. So loss_trace holds `iters` non-increasing losses.
+    joint loss. So loss_trace holds one non-increasing loss per round run.
 
-    A fit forms 4 * init_passes + 4 * iters sparse products, each once:
+    After each round but the last, the top ceil(N / 4) nodes of the
+    combined score (final_outlier_score's default mix, in rank_nodes order)
+    are compared with the previous round's. Once they keep at least 98 % of
+    them in three consecutive rounds the ranking has settled, and the fit
+    stops with a note giving the round reached and the cap. A fit that stops
+    at round r is bit for bit the fit with iters = r.
+
+    A fit forms 4 * init_passes + 4 * (rounds run) sparse products, each once:
     two per nmf_init pass and view, and four per round: A^T (G*w1) for the
     H sweep, then A H^T, C^T (U*w2) for the V sweep, then C V^T. A H^T with
     the Gram H H^T, and C V^T with V V^T, serve the round's residuals and the
@@ -441,6 +472,8 @@ def fit(net: AttributedNetwork, hp: HyperParams):
     diagnostics.initial_loss = _joint(terms, attr_weight, dis_weight)
 
     trace: list[float] = []
+    n_top = math.ceil(n * _TOP_SHARE)
+    top, settled = None, 0
     for round_no in range(1, hp.iters + 1):
         if round_no > 1:  # round 1 would recompute the calibration's align
             model.align = update_alignment(model, weights)
@@ -475,6 +508,17 @@ def fit(net: AttributedNetwork, hp: HyperParams):
         if not np.isfinite(loss):
             raise NumericError(f"joint loss became non-finite in round {round_no}")
         trace.append(loss)
+
+        if round_no == hp.iters:
+            break
+        prev, top = top, _top_set(final_outlier_score(np.column_stack(solved)), n_top)
+        if prev is not None:
+            kept = np.count_nonzero(top & prev)
+            settled = settled + 1 if kept >= _SETTLED * n_top else 0
+            if settled == _SETTLED_ROUNDS:
+                diagnostics.notes.append(f"outlier ranking settled: stopped at round "
+                                         f"{round_no} of {hp.iters}")
+                break
 
     components = np.column_stack([scores.structural, scores.attribute, scores.disagreement])
     result = EmbeddingResult(

@@ -23,7 +23,7 @@ from oaembed.errors import ParseError
 from oaembed.evaluation import Classifier, _classification_split, _train_stack, f1_scores, predict
 from oaembed.network import AttributedNetwork
 from oaembed.numerics import make_rng, named_rng, nmf_init, row_sq_norms
-from oaembed.tables import _data_lines
+from oaembed.tables import _data_lines, final_outlier_score, rank_nodes
 
 
 def to_dense(m) -> np.ndarray:
@@ -597,13 +597,24 @@ def fit_steps(net: AttributedNetwork, hp):
 
 
 def reference_fit(net: AttributedNetwork, hp):
-    """fit_steps run to the end, with each round's loss by the path fit
-    runs. fit forms each input once and must match this bit for bit.
+    """fit_steps with each round's loss by the path fit runs, stopped by the
+    rule's definition: after the first round whose top ceil(N / 4) nodes of
+    rank_nodes(final_outlier_score(scores)) hold at least 98 % of the
+    previous round's top set, for the third round running, or at the cap.
+    fit forms each input once and must match this bit for bit.
     Returns (model, scores, loss trace)."""
-    trace = []
+    trace, top, streak = [], None, 0
+    k = math.ceil(net.n_nodes / 4)
     for step, model, scores, attr_weight, dis_weight in fit_steps(net, hp):
         if step == "scores":
             trace.append(joint_loss(net, model, scores, attr_weight, dis_weight))
+            combined = final_outlier_score(np.column_stack(
+                [scores.structural, scores.attribute, scores.disagreement]))
+            prev, top = top, set(rank_nodes(combined)[:k].tolist())
+            if prev is not None:
+                streak = streak + 1 if len(top & prev) >= 0.98 * k else 0
+            if streak == 3:
+                break
     return model, scores, trace
 
 

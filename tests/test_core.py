@@ -693,13 +693,24 @@ def test_hyperparams_counts_must_be_integers(name, value):
     assert getattr(hp, name) == 3
 
 
+def _rounds_run(diag, iters):
+    """The rounds fit ran: the round its early-stop note names, else iters."""
+    stops = [note for note in diag.notes if note.startswith("outlier ranking settled")]
+    assert len(stops) <= 1
+    if not stops:
+        return iters
+    reached, cap = (int(w) for w in stops[0].split() if w.isdigit())
+    assert cap == iters and reached < iters
+    return reached
+
+
 def test_fit_monotone_and_contract():
     rng = make_rng(20)
     net = rand_network(rng, 30, 12)
     hp = HyperParams(dim=4, seed=3)
     model, scores, result, diag = fit(net, hp)
 
-    assert len(result.loss_trace) == hp.iters
+    assert len(result.loss_trace) == _rounds_run(diag, hp.iters) <= hp.iters
     assert diag.initial_loss is not None
     trace = [diag.initial_loss, *result.loss_trace]
     for prev, cur in zip(trace, trace[1:]):
@@ -846,7 +857,7 @@ def test_fit_records_one_loss_per_round():
     net = rand_network(rng, 12, 6)
     for iters in (1, 2, 7):
         _, _, result, diag = fit(net, HyperParams(dim=2, iters=iters))
-        assert len(result.loss_trace) == iters
+        assert len(result.loss_trace) == _rounds_run(diag, iters) <= iters
         trace = [diag.initial_loss, *result.loss_trace]
         for prev, cur in zip(trace, trace[1:]):
             assert cur <= prev + 1e-9 * abs(prev)
@@ -1011,6 +1022,72 @@ def test_fit_matches_the_plain_update_calls(build, dim, weight):
     assert np.array_equal(model.align, ref_model.align)
     if net.attributes[0].nnz == 0:
         assert diag.skipped["attr_embed"] > 0
+
+
+@pytest.mark.parametrize("build, dim", [
+    (lambda: _directed_network(make_rng(27), 30, 12), 4),
+    (lambda: _undirected_weighted_network(make_rng(30), 30, 12), 4),
+    (lambda: rand_network(make_rng(29), 14, 6), 6),
+], ids=["directed-weighted-self-loops", "undirected-weighted-self-loops", "k-min-n-d"])
+def test_a_fit_that_stops_early_is_the_fit_capped_at_its_round(build, dim):
+    net = build()
+    hp = HyperParams(dim=dim, seed=1)
+    model, scores, result, diag = fit(net, hp)
+    rounds = _rounds_run(diag, hp.iters)
+    assert 4 <= rounds < hp.iters
+    capped = fit(net, replace(hp, iters=rounds))
+    assert capped[3].notes == [n for n in diag.notes if not n.startswith("outlier ranking")]
+    for a, b in zip(dataclasses.astuple(model) + dataclasses.astuple(scores),
+                    dataclasses.astuple(capped[0]) + dataclasses.astuple(capped[1])):
+        assert a.tobytes() == b.tobytes()
+    for name in ("embedding", "outlier_scores", "component_scores"):
+        assert getattr(result, name).tobytes() == getattr(capped[2], name).tobytes()
+    assert result.loss_trace == capped[2].loss_trace
+
+
+def test_no_fit_stops_before_round_4():
+    # a lone node's ranking never moves, so it settles at the first chance:
+    # rounds 2, 3 and 4 each keep round 1's top set
+    net = AttributedNetwork(adjacency=sp.csr_matrix((1, 1)), attributes=np.array([[1.0, 2.0]]))
+    for iters, rounds in ((3, 3), (4, 4), (5, 4), (15, 4)):
+        _, _, result, diag = fit(net, HyperParams(dim=1, iters=iters))
+        assert len(result.loss_trace) == _rounds_run(diag, iters) == rounds
+    for t in range(40):
+        net, hp = _sweep_input(t)
+        _, _, result, diag = fit(net, replace(hp, iters=15))
+        assert 4 <= len(result.loss_trace) == _rounds_run(diag, 15)
+
+
+@pytest.mark.parametrize("dim", [3, 12])
+def test_a_ranking_that_keeps_moving_runs_the_full_cap(dim, monkeypatch):
+    # on this sweep-small input the top quarter never keeps 98 % of its
+    # nodes in three rounds running
+    kept = []
+    top_set = core._top_set
+
+    def spy(score, k):
+        kept.append(top_set(score, k))
+        return kept[-1]
+
+    monkeypatch.setattr(core, "_top_set", spy)
+    hp = HyperParams(dim=dim, seed=1)
+    _, _, result, diag = fit(_sweep_small_input(), hp)
+    assert len(result.loss_trace) == hp.iters and diag.notes == []
+    shares = [np.count_nonzero(a & b) / a.sum() for a, b in zip(kept, kept[1:])]
+    assert len(shares) == hp.iters - 2  # no check at the cap
+    assert not any(min(shares[i:i + 3]) >= 0.98 for i in range(len(shares) - 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1e-8, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
+       st.data())
+def test_top_set_is_the_head_of_rank_nodes(values, data):
+    # ties at the cut go to the lowest indices, as in rank_nodes
+    score = np.array(values)
+    k = data.draw(st.integers(1, score.size))
+    want = np.zeros(score.size, dtype=bool)
+    want[rank_nodes(score)[:k]] = True
+    assert np.array_equal(core._top_set(score, k), want)
 
 
 @pytest.mark.parametrize("name", ["loss_tol", "score_floor"])

@@ -97,7 +97,8 @@ def test_fit_traced_peak_is_within_the_fitted_model(name):
 
 
 def _sparse_products(monkeypatch, net, hp):
-    """(count, summed nnz * K) of the sparse-dense products of fit(net, hp)."""
+    """(count, summed nnz * K, rounds run) of the sparse-dense products of
+    fit(net, hp)."""
     seen = []
     for cls in (sp.csr_matrix, sp.csc_matrix):
         def spy(self, other, _matmul=cls.__matmul__):
@@ -105,19 +106,23 @@ def _sparse_products(monkeypatch, net, hp):
                 seen.append(self.nnz * other.shape[1])
             return _matmul(self, other)
         monkeypatch.setattr(cls, "__matmul__", spy)
-    fit(net, hp)
-    return len(seen), sum(seen)
+    rounds = len(fit(net, hp)[2].loss_trace)
+    return len(seen), sum(seen), rounds
 
 
-@pytest.mark.parametrize("passes, iters", [(1, 1), (1, 4), (3, 2)])
-def test_fit_forms_a_fixed_number_of_sparse_products(monkeypatch, passes, iters):
+@pytest.mark.parametrize("passes, iters, rounds", [(1, 1, 1), (1, 4, 4), (3, 2, 2),
+                                                   (1, 15, 14)],
+                         ids=["1-1", "1-4", "3-2", "1-15"])
+def test_fit_forms_a_fixed_number_of_sparse_products(monkeypatch, passes, iters, rounds):
     # per view: two per nmf_init pass (the last one's product serves the
-    # initial residual pass) and two per round (the basis sweep's and the
-    # next residual pass's)
+    # initial residual pass) and two per round run (the basis sweep's and
+    # the next residual pass's); at the default cap this fit's ranking
+    # settles after round 14, and the settling check forms none
     net = _sbm(2000)[1]
-    count, work = _sparse_products(monkeypatch, net, HyperParams(dim=K, seed=0, iters=iters,
-                                                                 init_passes=passes))
-    per_view = 2 * passes + 2 * iters
+    count, work, run = _sparse_products(monkeypatch, net, HyperParams(
+        dim=K, seed=0, iters=iters, init_passes=passes))
+    assert run == rounds
+    per_view = 2 * passes + 2 * rounds
     assert (count, work) == (2 * per_view, per_view * _nnz(net) * K)
 
 
