@@ -58,15 +58,24 @@ def _parse_weights(s: str) -> tuple[float, float, float]:
     return w
 
 
-def _parse_splits(s: str) -> list[int]:
+def _parse_splits(s: str) -> tuple[int, ...]:
+    """Train percentages as start:stop:step, or listed comma-separated as
+    the help shows the default."""
     try:
-        start, stop, step = (int(p) for p in s.split(":"))
-        if step <= 0 or start > stop or not 0 < start < 100 or not 0 < stop < 100:
+        if ":" in s:
+            start, stop, step = (int(p) for p in s.split(":"))
+            if step <= 0 or start > stop:
+                raise ValueError
+            ends, pcts = (start, stop), tuple(range(start, stop + 1, step))
+        else:
+            ends = pcts = tuple(int(p) for p in s.split(","))
+        if not all(0 < p < 100 for p in ends):
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected start:stop:step percentages in (0, 100), got {s!r}") from None
-    return list(range(start, stop + 1, step))
+            f"expected start:stop:step or comma-separated percentages in (0, 100), "
+            f"got {s!r}") from None
+    return pcts
 
 
 def _require_files(**paths):
@@ -222,7 +231,8 @@ _SUBCOMMANDS = {
         "scores": {"required": True, "help": "scores.tsv written by embed"},
         "truth": {"required": True, "help": "outliers.tsv written by seed"},
         "out": _OUT,
-        "splits": {"type": _parse_splits, "help": "train-percent schedule start:stop:step"},
+        "splits": {"type": _parse_splits,
+                   "help": "train percentages, start:stop:step or comma-separated"},
         "reps": {"type": int, "help": "splits per train percentage"},
         "weights": _WEIGHTS,
         "exclude-outliers": {"type": _parse_bool, "nargs": "?", "const": True,

@@ -88,6 +88,29 @@ def test_subcommand_help_shows_the_library_defaults(sub, shown):
     assert shown in " ".join(stdout.split())
 
 
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_every_default_the_help_shows_parses_back(sub):
+    # a user who types the shown default gets the library default
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parser = subparsers.choices[sub]
+    formatter = parser._get_formatter()
+    libs = [getattr(getattr(oaembed, module), name) for module, name in
+            (lib.split(".") for lib in cli._SUBCOMMANDS[sub][2])]
+    checked = []
+    for action in parser._actions:
+        text = formatter._get_help_string(action) or ""
+        if not text.endswith(")") or " (default " not in text:
+            continue
+        shown = text.rpartition(" (default ")[2][:-1]
+        default = next(p.default for fn in libs
+                       if (p := inspect.signature(fn).parameters.get(action.dest)) is not None
+                       and p.default not in (None, p.empty))
+        assert (action.type or str)(shown) == default, (action.dest, shown)
+        checked.append(action.dest)
+    assert checked and len(checked) == len(set(checked))
+
+
 @pytest.mark.parametrize("sub", ["rank-outliers", "evaluate"])
 def test_weights_help_reads_the_mix_from_final_outlier_score(monkeypatch, sub):
     # the mix is final_outlier_score's default, not a copy of it in the CLI
