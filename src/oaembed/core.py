@@ -202,12 +202,6 @@ def _loss_ratios(l_str: float, l_attr: float, l_dis: float) -> tuple[float, floa
     return l_str / l_attr, l_str / l_dis, None
 
 
-def _off_diagonal(gram: np.ndarray) -> np.ndarray:
-    off = gram.copy()
-    np.fill_diagonal(off, 0.0)
-    return off
-
-
 def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
     """One exact Gauss-Seidel sweep over the columns of the M x K matrix x.
 
@@ -248,7 +242,12 @@ def _cd_sweep(x: np.ndarray, terms, diag: dict, key: str) -> np.ndarray:
         base = np.where(ok, num / den, x)
     else:
         base = np.divide(num, den, out=num)
-    parts = [(a / den, off) for a, _, gram in terms if (off := _off_diagonal(gram)).any()]
+    parts = []
+    for a, _, gram in terms:
+        off = gram.copy()
+        np.fill_diagonal(off, 0.0)
+        if off.any():
+            parts.append((a / den, off))
     if not parts:
         x[:] = base
     else:
